@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from . import groupoid as gpd
 from . import problem as pb
@@ -47,13 +45,7 @@ def regularity_report(p, g):
     try:
         u0 = bk.coords(bk.identity(bk.source(g)), g)
         center = bk.retract(bk.identity(bk.target(g)), u0)
-        J = pb.newton_jacobian_fd(p, g, center) if p.newton_jacobian is None else np.asarray(
-            p.newton_jacobian(g, center), dtype=float
-        )
-        anorm = float(np.max(np.sum(np.abs(J), axis=0)))
-        lu, piv = scipy.linalg.lu_factor(J)
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
-        cond = np.inf if (info != 0 or rcond <= 0) else 1.0 / rcond
+        _, _, cond = sv.factor_newton_matrix(p, pb.newton_matrix(p, g, center))
     except NhError:
         cond = np.inf
     return RegularityReport(
@@ -217,12 +209,7 @@ def chi_inverse(p, x, y, seed, tol=1e-13, max_iters=30):
     for _ in range(max_iters):
         if float(np.max(np.abs(r))) <= tol:
             return center
-        J = np.empty((r.size, n))
-        t = gpd.FD_STEP
-        for j in range(n):
-            u = np.zeros(n)
-            u[j] = t
-            J[:, j] = (eqs(bk.retract(center, u)) - eqs(bk.retract(center, -u))) / (2.0 * t)
+        J = gpd.left_jacobian(bk, eqs, center)
         if J.shape[0] != n:
             raise ChartInversionFailed(
                 f"{p.name}: two-point chart is not square here "

@@ -16,10 +16,20 @@ functions along left/right invariant vector fields:
 * ``right_deriv(bk, f, g, v)`` = d/ds f(invert(retract(e_x, -s v)) * g) at s=0
   with e_x the unit over source(g)
 
+the Jacobian of a vector function along the left chart directions
+
+* ``left_jacobian(bk, F, g)[:, j]`` = d/dt F(retract(g, t e_j)) at t=0
+
 and the mixed two-point form
 
 * ``cross_form(bk, f, g, a, b)`` = -d/ds [ left_deriv(f, r(s), b) ] along the
   right curve r(s) through g in direction a.
+
+Left and right translations commute, so the two-point form is also
+``-a . H(g) b`` with ``H = left_jacobian`` of the right gradient of f: the
+mixed second derivative the solver uses for its Newton matrix and both
+regularity pairings (see ``problem.NhProblem.mixed_hess``).  ``cross_form``
+stays as an independent nested-difference reference for it.
 
 The sign conventions are fixed so that on a Lie group
 ``right_deriv(f, g, v) = d/ds f(exp(s v) g)`` and on a pair groupoid
@@ -284,6 +294,20 @@ def right_deriv(bk, f, g, v, step=FD_STEP):
     return _directional(f, lambda t: right_curve(bk, g, t, v), scale, step)
 
 
+def left_jacobian(bk, fn, g, step=FD_STEP):
+    """Central-difference Jacobian of the vector function ``fn`` along the
+    left chart directions at g: column j is d/dt fn(retract(g, t e_j))."""
+    n = bk.fiber_dim
+    cols = []
+    for j in range(n):
+        u = np.zeros(n)
+        u[j] = step
+        fp = np.asarray(fn(bk.retract(g, u)), dtype=float)
+        fm = np.asarray(fn(bk.retract(g, -u)), dtype=float)
+        cols.append((fp - fm) / (2.0 * step))
+    return np.column_stack(cols)
+
+
 def cross_form(bk, f, g, a, b, left_rule=None, step=None):
     """Two-point bilinear form G^f_g(a, b) = -d/ds left_deriv(f, ., b) along
     the right curve through g in direction a.
@@ -307,15 +331,4 @@ def cross_form(bk, f, g, a, b, left_rule=None, step=None):
 def anchor_matrix(bk, x):
     """Matrix of the anchor at base point x: columns are the base velocities
     of the chart directions e_i (d/dt target(retract(identity(x), t e_i)))."""
-    e_x = bk.identity(x)
-    n = bk.fiber_dim
-    m = np.size(x)
-    out = np.zeros((m, n))
-    t = FD_STEP
-    for i in range(n):
-        u = np.zeros(n)
-        u[i] = 1.0
-        xp = np.asarray(bk.target(bk.retract(e_x, t * u)), dtype=float)
-        xm = np.asarray(bk.target(bk.retract(e_x, -t * u)), dtype=float)
-        out[:, i] = (xp - xm) / (2.0 * t)
-    return out
+    return left_jacobian(bk, bk.target, bk.identity(x))

@@ -43,13 +43,16 @@ def _complement_basis(v):
     j = int(np.argmin(np.abs(vhat)))
     b1 = np.eye(3)[j] - vhat[j] * vhat
     b1 = b1 / np.linalg.norm(b1)
-    b2 = np.cross(vhat, b1)
+    b2 = lg.cross3(vhat, b1)
     return np.column_stack([b1, b2])
 
 
 def _se2_pair(K):
     """Components of v -> Tr(se2_hat(v) @ K) in the (omega, v1, v2) basis."""
     return np.array([K[0, 1] - K[1, 0], K[2, 0], K[2, 1]])
+
+
+_SE2_E = [lg.se2_hat(e) for e in np.eye(3)]
 
 
 def _sym_pd(M, what):
@@ -79,6 +82,9 @@ def make_constrained_particle(h=0.01):
 
     def lgrad(g):
         return (g[1] - g[0]) / (h * h)
+
+    def hess(g):
+        return np.eye(3) / (h * h)
 
     def phi(g):
         q0, q1 = g
@@ -145,7 +151,7 @@ def make_constrained_particle(h=0.01):
     return NhProblem(
         name="constrained_particle",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad, mixed_hess=hess),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(rank=2, basis=basis, annihilator=annihilator),
         h=h,
@@ -185,6 +191,9 @@ def make_suslov(J=None, h=0.05):
     def rgrad(W):
         return lg.axial(W @ JJ) / h
 
+    def hess(W):
+        return np.column_stack([lg.axial(W @ E @ JJ) for E in _E]) / h
+
     def phi(W):
         return np.array([lg.axial(W)[2]])
 
@@ -217,7 +226,7 @@ def make_suslov(J=None, h=0.05):
     return NhProblem(
         name="suslov",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=2, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
@@ -266,6 +275,14 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         W = lg.se2_matrix(g)
         return _se2_pair(W @ K @ W.T - W @ K)
 
+    def hess(g):
+        W = lg.se2_matrix(g)
+        cols = []
+        for E in _SE2_E:
+            WE = W @ E
+            cols.append(_se2_pair(WE @ K @ W.T + W @ K @ WE.T - WE @ K))
+        return np.column_stack(cols)
+
     def phi(g):
         th, x, y = g
         return np.array([x * np.sin(th / 2) - y * np.cos(th / 2)])
@@ -308,7 +325,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     return NhProblem(
         name="chaplygin_sleigh",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
@@ -357,7 +374,11 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
 
     def rgrad(el):
         gam, W = el
-        return lg.axial(W @ TF) / h - h * mgl * np.cross(gam, evec)
+        return lg.axial(W @ TF) / h - h * mgl * lg.cross3(gam, evec)
+
+    def hess(el):
+        gam, W = el
+        return np.column_stack([lg.axial(W @ E @ TF) for E in _E]) / h
 
     def phi(el):
         gam, W = el
@@ -370,7 +391,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     def phi_right(el):
         gam, W = el
         ax = lg.axial(W)
-        row = [float(np.cross(v, gam) @ ax + gam @ lg.axial(lg.so3_hat(v) @ W)) for v in np.eye(3)]
+        row = [float(lg.cross3(v, gam) @ ax + gam @ lg.axial(lg.so3_hat(v) @ W)) for v in np.eye(3)]
         return np.array([row])
 
     def basis(x):
@@ -423,7 +444,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     return NhProblem(
         name="veselova",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(rank=2, basis=basis, annihilator=annihilator),
         h=h,
@@ -459,6 +480,14 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         out = np.empty(5)
         out[:2] = (m / (h * h)) * (p1 - p0)
         out[2:] = (I / (2 * h * h)) * lg.axial(W)
+        return out
+
+    def hess(el):
+        W = el[2]
+        out = np.zeros((5, 5))
+        out[0, 0] = out[1, 1] = m / (h * h)
+        for j, E in enumerate(_E):
+            out[2:, 2 + j] = (I / (2 * h * h)) * lg.axial(W @ E)
         return out
 
     def phi(el):
@@ -566,7 +595,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     return NhProblem(
         name="rolling_ball",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=grad, right_grad=grad),
+        lagrangian=Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=hess),
         constraints=ConstraintSet(codim=2, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=3, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
@@ -655,6 +684,15 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         out = np.empty(5)
         out[:2] = (J1 / (h * h)) * (p1 - p0)
         out[2:] = _se2_pair(W @ K @ (W - np.eye(3)).T) / (h * h)
+        return out
+
+    def hess(el):
+        W = lg.se2_matrix(el[2])
+        out = np.zeros((5, 5))
+        out[0, 0] = out[1, 1] = J1 / (h * h)
+        for j, E in enumerate(_SE2_E):
+            WE = W @ E
+            out[2:, 2 + j] = _se2_pair(WE @ K @ (W - np.eye(3)).T + W @ K @ WE.T) / (h * h)
         return out
 
     def _sincs(el):
@@ -767,7 +805,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     return NhProblem(
         name="mobile_robot",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
         constraints=ConstraintSet(
             codim=3,
             phi=phi,
@@ -809,6 +847,9 @@ def make_holonomic_sphere(h=0.01):
 
     def lgrad(g):
         return (g[1] - g[0]) / (h * h)
+
+    def hess(g):
+        return np.eye(3) / (h * h)
 
     def phi(g):
         q1 = g[1]
@@ -858,7 +899,7 @@ def make_holonomic_sphere(h=0.01):
     return NhProblem(
         name="holonomic_sphere",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad),
+        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad, mixed_hess=hess),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=2,

@@ -10,6 +10,12 @@ Euler-Lagrange condition
 over a basis X_a of the distribution at the matching point, together with
 ``phi(h) = 0`` for the next element.  ``residual`` stacks the projected rows
 first and the constraint rows after them.
+
+Every second-order quantity comes from the mixed second derivative
+``NhProblem.mixed_hess``: the Newton matrix (``newton_matrix``) and the two
+regularity pairings (``regularity_matrices``).  ``newton_jacobian_fd`` and
+``groupoid.cross_form`` difference the residual and the Lagrangian directly
+and serve as references for them.
 """
 
 from dataclasses import dataclass, field
@@ -54,11 +60,19 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Scalar function on the groupoid with optional exact chart gradients."""
+    """Scalar function on the groupoid with optional exact chart derivatives.
+
+    ``left_grad(g)`` / ``right_grad(g)`` return the (n,) gradients of L in the
+    left/right chart at g.  ``mixed_hess(g)`` returns the (n, n) mixed second
+    derivative H(g), column j being d/dt right_grad(retract(g, t e_j)) at t=0.
+    Left and right translations commute, so the two-point form of L is
+    ``cross(g, a, b) = -a^T H(g) b``.
+    """
 
     eval: Callable
     left_grad: Optional[Callable] = None
     right_grad: Optional[Callable] = None
+    mixed_hess: Optional[Callable] = None
 
 
 @dataclass
@@ -73,7 +87,6 @@ class NhProblem:
     declared_reversible: Optional[bool] = None
     momentum_specs: dict = field(default_factory=dict)
     domain_guard: Optional[Callable] = None
-    newton_jacobian: Optional[Callable] = None
     is_chaplygin: bool = False
     coord_names: Optional[list] = None
     to_row: Optional[Callable] = None
@@ -93,6 +106,30 @@ class NhProblem:
         return self.constraints.codim
 
     # Lagrangian derivatives with analytic dispatch -------------------------
+    def left_grad(self, g):
+        """Gradient of L in the left chart at g, an (n,) vector."""
+        if self.lagrangian.left_grad is not None:
+            return np.asarray(self.lagrangian.left_grad(g), dtype=float)
+        f = self.lagrangian.eval
+        return np.array([gpd.left_deriv(self.backend, f, g, e) for e in np.eye(self.n)])
+
+    def right_grad(self, g):
+        """Gradient of L in the right chart at g, an (n,) vector."""
+        if self.lagrangian.right_grad is not None:
+            return np.asarray(self.lagrangian.right_grad(g), dtype=float)
+        f = self.lagrangian.eval
+        return np.array([gpd.right_deriv(self.backend, f, g, e) for e in np.eye(self.n)])
+
+    def mixed_hess(self, g):
+        """Mixed second derivative H(g) (see :class:`Lagrangian`); without an
+        analytic one, the right gradient is differenced along the left chart,
+        at the wider step when that gradient is itself a difference quotient."""
+        if self.lagrangian.mixed_hess is not None:
+            return np.asarray(self.lagrangian.mixed_hess(g), dtype=float)
+        exact = self.lagrangian.right_grad is not None
+        step = gpd.FD_STEP if exact else gpd.FD_STEP_OUTER
+        return gpd.left_jacobian(self.backend, self.right_grad, g, step)
+
     def d_left(self, g, v):
         if self.lagrangian.left_grad is not None:
             return float(self.lagrangian.left_grad(g) @ np.asarray(v, dtype=float))
@@ -130,12 +167,6 @@ class NhProblem:
                 rows[i, j] = gpd.right_deriv(self.backend, fi, g, e)
         return rows
 
-    def cross(self, g, a, b):
-        """Two-point form of the Lagrangian at g (analytic inner if present)."""
-        return gpd.cross_form(
-            self.backend, self.lagrangian.eval, g, a, b, left_rule=self.lagrangian.left_grad
-        )
-
     def assert_on_constraint(self, g, tol=TOL_CONSTRAINT, label="element"):
         v = float(np.max(np.abs(self.phi(g)))) if self.k else 0.0
         if v > tol:
@@ -151,24 +182,18 @@ class NhProblem:
 def del_covector(p, g, h):
     """Full difference covector F(v) = d_left(L, g, v) - d_right(L, h, v)
     as components over the fiber chart directions."""
-    n = p.n
-    out = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        out[j] = p.d_left(g, e) - p.d_right(h, e)
-    return out
+    return p.left_grad(g) - p.right_grad(h)
+
+
+def _basis_at_match(p, g):
+    return np.asarray(p.distribution.basis(p.backend.target(g)), dtype=float)
 
 
 def del_projected(p, g, h):
     """Projected discrete Euler-Lagrange rows over the distribution basis at
     the matching point beta(g)."""
-    B = np.asarray(p.distribution.basis(p.backend.target(g)), dtype=float)
-    out = np.empty(B.shape[1])
-    for a in range(B.shape[1]):
-        v = B[:, a]
-        out[a] = p.d_left(g, v) - p.d_right(h, v)
-    return out
+    B = _basis_at_match(p, g)
+    return p.left_grad(g) @ B - p.right_grad(h) @ B
 
 
 def residual_at(p, g, h):
@@ -184,18 +209,22 @@ def residual(p, g, u, center=None):
     return residual_at(p, g, p.backend.retract(center, np.asarray(u, dtype=float)))
 
 
+def newton_matrix(p, g, center):
+    """Jacobian of the residual in the chart at ``center``.
+
+    The projected DEL rows depend on the candidate only through
+    -right_grad(center) . X_a, so they differentiate to -B^T H(center) with B
+    the distribution basis at beta(g); the constraint rows differentiate to
+    the left chart gradient of phi.
+    """
+    B = _basis_at_match(p, g)
+    return np.vstack([-B.T @ p.mixed_hess(center), p.phi_left_jac(center)])
+
+
 def newton_jacobian_fd(p, g, center):
-    """Central-difference Jacobian of the residual in the chart at ``center``."""
-    n = p.n
-    J = np.empty((n, n))
-    t = gpd.FD_STEP
-    for j in range(n):
-        u = np.zeros(n)
-        u[j] = t
-        rp = residual_at(p, g, p.backend.retract(center, u))
-        rm = residual_at(p, g, p.backend.retract(center, -u))
-        J[:, j] = (rp - rm) / (2.0 * t)
-    return J
+    """Central-difference Jacobian of the residual in the chart at ``center``
+    (reference for :func:`newton_matrix`)."""
+    return gpd.left_jacobian(p.backend, lambda h: residual_at(p, g, h), center)
 
 
 def lagrange_multipliers(p, g, h):
@@ -241,7 +270,8 @@ def right_tangent_basis(p, g):
 
 
 def regularity_matrices(p, g):
-    """The two nondegeneracy pairings of the two-point form at g.
+    """The two nondegeneracy pairings of the two-point form
+    cross(g, a, b) = -a^T H(g) b at g.
 
     Returns (G_left, G_right):
 
@@ -250,19 +280,11 @@ def regularity_matrices(p, g):
     * ``G_right[i, b] = cross(g, V_i, X_b(beta(g)))`` with V_i spanning the
       right tangent directions; its left kernel must be trivial.
     """
-    bk = p.backend
-    Xa = np.asarray(p.distribution.basis(bk.source(g)), dtype=float)
-    Xb = np.asarray(p.distribution.basis(bk.target(g)), dtype=float)
-    W = left_tangent_basis(p, g)
-    V = right_tangent_basis(p, g)
-    G_left = np.empty((Xa.shape[1], W.shape[1]))
-    for a in range(Xa.shape[1]):
-        for j in range(W.shape[1]):
-            G_left[a, j] = p.cross(g, Xa[:, a], W[:, j])
-    G_right = np.empty((V.shape[1], Xb.shape[1]))
-    for i in range(V.shape[1]):
-        for b in range(Xb.shape[1]):
-            G_right[i, b] = p.cross(g, V[:, i], Xb[:, b])
+    Xa = np.asarray(p.distribution.basis(p.backend.source(g)), dtype=float)
+    Xb = _basis_at_match(p, g)
+    H = p.mixed_hess(g)
+    G_left = -Xa.T @ H @ left_tangent_basis(p, g)
+    G_right = -right_tangent_basis(p, g).T @ H @ Xb
     return G_left, G_right
 
 

@@ -5,6 +5,12 @@ by fiber-chart coordinates on the source-fiber over the matching point, and a
 damped Newton iteration drives the stacked residual (projected DEL rows, then
 constraint rows) to tolerance.  ``evolve`` chains steps into a trajectory.
 
+Both the Newton matrix and the regularity test come from one object, the
+mixed second derivative H of the discrete Lagrangian
+(``NhProblem.mixed_hess``): the Newton matrix is [-B^T H(center); left
+chart gradient of phi at center], and the two pairings of the two-point form
+are -X^T H(g) W and -V^T H(g) X (``problem.regularity_matrices``).
+
 The solver refuses to step from degenerate configurations: before iterating
 it runs the point-regularity test (both kernel conditions of the two-point
 form) at the current element, and during iteration it monitors a 1-norm
@@ -73,12 +79,18 @@ class Trajectory:
         return len(self.results)
 
 
-def _cond1_from_lu(lu, piv, anorm):
-    """1-norm condition estimate reusing an LU factorization (LAPACK gecon)."""
+def factor_newton_matrix(p, J):
+    """LU factors of a Newton matrix and its 1-norm condition estimate
+    (LAPACK gecon on the same factors): returns (lu, piv, cond)."""
+    anorm = float(np.max(np.sum(np.abs(J), axis=0))) if J.size else 0.0
+    try:
+        lu, piv = scipy.linalg.lu_factor(J)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"{p.name}: Newton matrix factorization failed: {exc}")
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond <= 0.0:
-        return np.inf
-    return 1.0 / rcond
+        return lu, piv, np.inf
+    return lu, piv, 1.0 / rcond
 
 
 def point_regularity_sigmas(p, g):
@@ -103,12 +115,6 @@ def _assert_point_regular(p, g):
             f"{p.name}: two-point form degenerate at the current element "
             f"(left pairing sigma_min = {lmin:.3e})"
         )
-
-
-def _newton_matrix(p, g, center):
-    if p.newton_jacobian is not None:
-        return np.asarray(p.newton_jacobian(g, center), dtype=float)
-    return pb.newton_jacobian_fd(p, g, center)
 
 
 def step(p, g, options: Optional[SolverOptions] = None, warm_coords=None):
@@ -147,13 +153,7 @@ def step(p, g, options: Optional[SolverOptions] = None, warm_coords=None):
                 iterations=iters,
                 residual_norm=rnorm,
             )
-        J = _newton_matrix(p, g, center)
-        anorm = float(np.max(np.sum(np.abs(J), axis=0))) if J.size else 0.0
-        try:
-            lu, piv = scipy.linalg.lu_factor(J)
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(f"{p.name}: Newton matrix factorization failed: {exc}")
-        cond_est = _cond1_from_lu(lu, piv, anorm)
+        lu, piv, cond_est = factor_newton_matrix(p, pb.newton_matrix(p, g, center))
         if not np.isfinite(cond_est) or cond_est > opts.cond_limit:
             raise SingularError(
                 f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
@@ -194,10 +194,7 @@ def step(p, g, options: Optional[SolverOptions] = None, warm_coords=None):
 
     if cond_est is None:
         # already converged at the initial guess; factor once for the report
-        J = _newton_matrix(p, g, center)
-        anorm = float(np.max(np.sum(np.abs(J), axis=0))) if J.size else 0.0
-        lu, piv = scipy.linalg.lu_factor(J)
-        cond_est = _cond1_from_lu(lu, piv, anorm)
+        _, _, cond_est = factor_newton_matrix(p, pb.newton_matrix(p, g, center))
 
     lam, _ = pb.lagrange_multipliers(p, g, center)
     return StepResult(
@@ -244,7 +241,7 @@ def legendre_minus(p, h):
     """Incoming momentum at alpha(h): components right_deriv(L, h, X_a)."""
     x = p.backend.source(h)
     B = np.asarray(p.distribution.basis(x), dtype=float)
-    comps = np.array([p.d_right(h, B[:, a]) for a in range(B.shape[1])])
+    comps = p.right_grad(h) @ B
     return NhCovector(base=np.asarray(x, dtype=float).copy(), components=comps)
 
 
@@ -252,7 +249,7 @@ def legendre_plus(p, g):
     """Outgoing momentum at beta(g): components left_deriv(L, g, X_a)."""
     x = p.backend.target(g)
     B = np.asarray(p.distribution.basis(x), dtype=float)
-    comps = np.array([p.d_left(g, B[:, a]) for a in range(B.shape[1])])
+    comps = p.left_grad(g) @ B
     return NhCovector(base=np.asarray(x, dtype=float).copy(), components=comps)
 
 

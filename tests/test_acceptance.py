@@ -3,7 +3,7 @@
 Each test is numbered and self-contained; the conftest hook prints a
 pass/fail line per criterion at the end of the run.  Tolerances here are the
 shipped ones, not the (much smaller) values the implementation actually
-achieves; see test_output.txt for measured margins.
+achieves; the suite does not record the measured margins.
 """
 
 import numpy as np

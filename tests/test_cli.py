@@ -385,7 +385,6 @@ class TestMomentum:
         tilted = dataclasses.replace(
             base,
             lagrangian=pb.Lagrangian(eval=lambda g: base.lagrangian.eval(g) + 3.0 * g[1][1]),
-            newton_jacobian=None,
         )
         g0 = tilted.initial_builder(PARTICLE_INITIAL)
         traj = sv.evolve(tilted, g0, 20, sv.SolverOptions(tol_residual=1e-8))

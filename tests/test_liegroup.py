@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nhmech.errors import ChartDomainError
 from nhmech.liegroup import (
     axial,
+    cross3,
     rot2,
     se2_Ad,
     se2_coAd,
@@ -48,6 +49,13 @@ def test_hat_vee_roundtrip():
     assert np.allclose(axial(W), 2 * w)
     v = np.array([1.0, 2.0, 3.0])
     assert np.allclose(W @ v, np.cross(w, v))
+
+
+def test_cross3_is_np_cross_bit_for_bit():
+    for _ in range(200):
+        a = RNG.normal(size=3) * 10.0 ** RNG.integers(-6, 6)
+        b = RNG.normal(size=3)
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
 
 
 @given(small_vec())

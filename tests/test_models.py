@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nhmech.diagnostics as dg
+import nhmech.groupoid as gpd
 import nhmech.liegroup as lg
 import nhmech.models as md
 import nhmech.problem as pb
@@ -30,14 +31,29 @@ def _samples(p, n=4, seed=2):
     return p.sample_states(np.random.default_rng(seed), n)
 
 
-def _strip(p):
-    """Same problem with every analytic derivative shortcut removed."""
+def _strip(p, keep_gradients=False):
+    """Same problem with every analytic derivative shortcut removed; with
+    ``keep_gradients`` only the mixed second derivative goes, so H comes from
+    differencing the exact right gradient."""
+    if keep_gradients:
+        return dataclasses.replace(
+            p, lagrangian=dataclasses.replace(p.lagrangian, mixed_hess=None)
+        )
     return dataclasses.replace(
         p,
         lagrangian=Lagrangian(eval=p.lagrangian.eval),
         constraints=ConstraintSet(codim=p.k, phi=p.constraints.phi),
-        newton_jacobian=None,
     )
+
+
+def _mirror_center(p, g):
+    """The solver's first guess for the element after g."""
+    bk = p.backend
+    return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestAnalyticDerivatives:
@@ -64,6 +80,53 @@ class TestAnalyticDerivatives:
             scale = 1 + np.max(np.abs(fd_l)) + np.max(np.abs(fd_r))
             assert np.max(np.abs(p.phi_left_jac(g) - fd_l)) <= 1e-6 * scale
             assert np.max(np.abs(p.phi_right_jac(g) - fd_r)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_mixed_hess_matches_gradient_difference(self, name):
+        # central difference of the exact gradient at FD_STEP: truncation and
+        # roundoff are both ~eps^(2/3) relative
+        p = md.FACTORIES[name]()
+        q = _strip(p, keep_gradients=True)
+        for g in _samples(p, 6):
+            assert p.mixed_hess(g).shape == (p.n, p.n)
+            assert _rel_gap(p.mixed_hess(g), q.mixed_hess(g)) <= 1e-9
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_mixed_hess_matches_nested_difference(self, name):
+        # no gradients at all: the fallback differences a difference quotient
+        # at FD_STEP_OUTER, whose truncation error (~t^2/6) is ~1e-6 relative
+        p = md.FACTORIES[name]()
+        q = _strip(p)
+        for g in _samples(p, 2):
+            assert _rel_gap(p.mixed_hess(g), q.mixed_hess(g)) <= 1e-5
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_newton_matrix_matches_residual_difference(self, name):
+        p = md.FACTORIES[name]()
+        for g in _samples(p, 6):
+            center = _mirror_center(p, g)
+            J = pb.newton_matrix(p, g, center)
+            assert _rel_gap(J, pb.newton_jacobian_fd(p, g, center)) <= 1e-9
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_regularity_matrices_match_cross_form(self, name):
+        # nested-difference two-point form on the same tangent bases
+        p = md.FACTORIES[name]()
+        bk = p.backend
+
+        def cross(g, a, b):
+            return gpd.cross_form(bk, p.lagrangian.eval, g, a, b, left_rule=p.lagrangian.left_grad)
+
+        for g in _samples(p, 4):
+            Xa = p.distribution.basis(bk.source(g))
+            Xb = p.distribution.basis(bk.target(g))
+            W = pb.left_tangent_basis(p, g)
+            V = pb.right_tangent_basis(p, g)
+            ref_left = np.array([[cross(g, a, w) for w in W.T] for a in Xa.T])
+            ref_right = np.array([[cross(g, v, b) for b in Xb.T] for v in V.T])
+            G_left, G_right = pb.regularity_matrices(p, g)
+            assert _rel_gap(G_left, ref_left) <= 1e-8
+            assert _rel_gap(G_right, ref_right) <= 1e-8
 
 
 class TestDistributionAlgebra:
