@@ -41,7 +41,7 @@ EXIT_IO = 4
 
 _TOP_KEYS = {"system", "initial", "steps", "solver", "outputs", "momentum", "check"}
 _SYSTEM_KEYS = {"name", "params"}
-_SOLVER_KEYS = {"tol_residual", "max_iters", "max_backtracks", "cond_limit", "warm_start"}
+_SOLVER_KEYS = {"tol_residual", "max_iters", "max_backtracks", "cond_limit"}
 _OUTPUT_KEYS = {"trajectory", "summary", "report", "format"}
 _MOMENTUM_KEYS = {"specs", "tolerance"}
 _CHECK_KEYS = {"samples", "seed", "points", "trajectory_steps"}
@@ -81,12 +81,6 @@ def _expect_mapping(value, where):
     return value
 
 
-def _reject_unknown(mapping, allowed, where):
-    extra = sorted(set(mapping) - allowed)
-    if extra:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
-
-
 def _expect_int(value, where, minimum=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where} must be an integer")
@@ -98,6 +92,8 @@ def _expect_int(value, where, minimum=None):
 def _expect_number(value, where, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    if not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
     if positive and not value > 0:
         raise ConfigError(f"{where} must be positive")
     return float(value)
@@ -106,10 +102,10 @@ def _expect_number(value, where, positive=False):
 def parse_config(data):
     """Validate a parsed JSON document and return a :class:`RunConfig`."""
     data = _expect_mapping(data, "config")
-    _reject_unknown(data, _TOP_KEYS, "config")
+    md.check_keys(data, _TOP_KEYS, "config")
 
     system = _expect_mapping(data.get("system", None), "system")
-    _reject_unknown(system, _SYSTEM_KEYS, "system")
+    md.check_keys(system, _SYSTEM_KEYS, "system")
     name = system.get("name")
     if not isinstance(name, str) or name not in md.FACTORIES:
         known = ", ".join(sorted(md.FACTORIES))
@@ -125,18 +121,15 @@ def parse_config(data):
         _expect_int(steps, "steps", minimum=0)
 
     solver = _expect_mapping(data.get("solver", {}), "solver")
-    _reject_unknown(solver, _SOLVER_KEYS, "solver")
+    md.check_keys(solver, _SOLVER_KEYS, "solver")
     for key, value in solver.items():
-        if key == "warm_start":
-            if not isinstance(value, bool):
-                raise ConfigError("solver.warm_start must be a boolean")
-        elif key in ("max_iters", "max_backtracks"):
+        if key in ("max_iters", "max_backtracks"):
             _expect_int(value, f"solver.{key}", minimum=1)
         else:
             _expect_number(value, f"solver.{key}", positive=True)
 
     outputs = _expect_mapping(data.get("outputs", {}), "outputs")
-    _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
+    md.check_keys(outputs, _OUTPUT_KEYS, "outputs")
     for key in ("trajectory", "summary", "report"):
         if key in outputs and not isinstance(outputs[key], str):
             raise ConfigError(f"outputs.{key} must be a file name")
@@ -145,7 +138,7 @@ def parse_config(data):
         raise ConfigError("outputs.format must be 'csv' or 'json'")
 
     momentum = _expect_mapping(data.get("momentum", {}), "momentum")
-    _reject_unknown(momentum, _MOMENTUM_KEYS, "momentum")
+    md.check_keys(momentum, _MOMENTUM_KEYS, "momentum")
     if "specs" in momentum:
         specs = momentum["specs"]
         if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
@@ -154,11 +147,11 @@ def parse_config(data):
         _expect_number(momentum["tolerance"], "momentum.tolerance", positive=True)
 
     check = _expect_mapping(data.get("check", {}), "check")
-    _reject_unknown(check, _CHECK_KEYS, "check")
+    md.check_keys(check, _CHECK_KEYS, "check")
     if "samples" in check:
         _expect_int(check["samples"], "check.samples", minimum=1)
     if "seed" in check:
-        _expect_int(check["seed"], "check.seed")
+        _expect_int(check["seed"], "check.seed", minimum=0)
     if "trajectory_steps" in check:
         _expect_int(check["trajectory_steps"], "check.trajectory_steps", minimum=1)
     if "points" in check:

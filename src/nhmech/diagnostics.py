@@ -39,20 +39,16 @@ def regularity_report(p, g):
     """Point-regularity of the two-point form at g, plus the condition
     estimate of the Newton matrix at the canonical mirror guess."""
     (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g)
-    left_ok = lmin > sv.REGULARITY_RTOL * max(lmax, 1e-300)
-    right_ok = rmin > sv.REGULARITY_RTOL * max(rmax, 1e-300)
-    bk = p.backend
     try:
-        u0 = bk.coords(bk.identity(bk.source(g)), g)
-        center = bk.retract(bk.identity(bk.target(g)), u0)
-        _, _, cond = sv.factor_newton_matrix(p, pb.newton_matrix(p, g, center))
+        J = pb.newton_matrix(p, g, sv.mirror_center(p, g))
+        _, _, cond = sv.factor_newton_matrix(p, J)
     except NhError:
         cond = np.inf
     return RegularityReport(
         point=g,
-        right_nondegenerate=bool(right_ok),
+        right_nondegenerate=sv.is_nondegenerate(rmin, rmax),
         sigma_min_right=float(rmin),
-        left_nondegenerate=bool(left_ok),
+        left_nondegenerate=sv.is_nondegenerate(lmin, lmax),
         sigma_min_left=float(lmin),
         jacobian_condition=float(cond),
     )

@@ -9,16 +9,20 @@ array), and ``coords(c, g)`` inverts it for ``g`` on the same fiber.
 Elements are plain values (tuples of numpy arrays, rotation matrices, SE(2)
 triples); treat them as immutable.
 
-On top of the charts the module provides directional derivatives of scalar
-functions along left/right invariant vector fields:
+On top of the charts the module provides central-difference directional
+derivatives of scalar or vector functions along left/right invariant vector
+fields:
 
 * ``left_deriv(bk, f, g, v)``  = d/dt f(retract(g, t v))            at t=0
 * ``right_deriv(bk, f, g, v)`` = d/ds f(invert(retract(e_x, -s v)) * g) at s=0
   with e_x the unit over source(g)
 
-the Jacobian of a vector function along the left chart directions
+their column stacks over the chart basis e_j, through which every chart
+derivative without a closed form is differenced (gradients of L, Jacobians of
+phi and of the residual, the anchor)
 
-* ``left_jacobian(bk, F, g)[:, j]`` = d/dt F(retract(g, t e_j)) at t=0
+* ``left_jacobian(bk, F, g)[..., j]``  = left_deriv(bk, F, g, e_j)
+* ``right_jacobian(bk, F, g)[..., j]`` = right_deriv(bk, F, g, e_j)
 
 and the mixed two-point form
 
@@ -99,39 +103,13 @@ class LieGroupGroupoid:
     """
 
     def __init__(self, group="so3"):
-        if group not in ("so3", "se2"):
+        if group not in _GROUPS:
             raise ValueError("group must be 'so3' or 'se2'")
         self.group = group
         self.base_dim = 0
         self.fiber_dim = 3
+        self._mul, self._inv, self._exp, self._log, self._id, self._diff = _GROUPS[group]
 
-    # group operations ----------------------------------------------------
-    def _mul(self, a, b):
-        if self.group == "so3":
-            return a @ b
-        return lg.se2_compose(a, b)
-
-    def _inv(self, a):
-        if self.group == "so3":
-            return a.T
-        return lg.se2_invert(a)
-
-    def _exp(self, u):
-        if self.group == "so3":
-            return lg.so3_exp(u)
-        return lg.se2_exp(u)
-
-    def _log(self, a):
-        if self.group == "so3":
-            return lg.so3_log(a)
-        return lg.se2_log(a)
-
-    def _id(self):
-        if self.group == "so3":
-            return np.eye(3)
-        return lg.se2_identity()
-
-    # groupoid interface ---------------------------------------------------
     def source(self, g):
         return _POINT
 
@@ -154,9 +132,7 @@ class LieGroupGroupoid:
         return self._log(self._mul(self._inv(c), g))
 
     def distance(self, g, h):
-        if self.group == "so3":
-            return float(np.max(np.abs(g - h)))
-        return float(np.max(np.abs(se_diff(g, h))))
+        return float(np.max(np.abs(self._diff(g, h))))
 
 
 def se_diff(g, h):
@@ -164,6 +140,29 @@ def se_diff(g, h):
     d = np.asarray(g, dtype=float) - np.asarray(h, dtype=float)
     d[0] = lg.wrap_angle(d[0])
     return d
+
+
+# (multiply, invert, exp, log, identity, difference) of each Lie group.  The
+# kernels are looked up in ``liegroup`` at call time, so a replacement made
+# there after import is seen.
+_GROUPS = {
+    "so3": (
+        lambda a, b: a @ b,
+        lambda a: a.T,
+        lambda u: lg.so3_exp(u),
+        lambda a: lg.so3_log(a),
+        lambda: np.eye(3),
+        lambda a, b: a - b,
+    ),
+    "se2": (
+        lambda a, b: lg.se2_compose(a, b),
+        lambda a: lg.se2_invert(a),
+        lambda u: lg.se2_exp(u),
+        lambda a: lg.se2_log(a),
+        lambda: lg.se2_identity(),
+        se_diff,
+    ),
+}
 
 
 class ActionGroupoid:
@@ -230,14 +229,14 @@ class AtiyahGroupoid:
     def compose(self, g, h):
         if _base_mismatch(g[1], h[0]) > COMPOSE_TOL:
             raise NotComposableError("atiyah elements do not match: target(g) != source(h)")
-        return (g[0], h[1], self.group_ops._mul(g[2], h[2]))
+        return (g[0], h[1], self.group_ops.compose(g[2], h[2]))
 
     def invert(self, g):
-        return (g[1], g[0], self.group_ops._inv(g[2]))
+        return (g[1], g[0], self.group_ops.invert(g[2]))
 
     def identity(self, x):
         x = np.asarray(x, dtype=float)
-        return (x, x.copy(), self.group_ops._id())
+        return (x, x.copy(), self.group_ops.identity())
 
     def retract(self, c, u):
         u = np.asarray(u, dtype=float)
@@ -283,29 +282,33 @@ def _directional(f, curve, scale, step):
 
 
 def left_deriv(bk, f, g, v, step=FD_STEP):
+    """Central difference of f along the left curve through g in direction v.
+
+    ``f`` may be scalar or vector valued; the result has the shape of f."""
     v = np.asarray(v, dtype=float)
     scale = float(np.linalg.norm(v))
     return _directional(f, lambda t: left_curve(bk, g, t, v), scale, step)
 
 
 def right_deriv(bk, f, g, v, step=FD_STEP):
+    """Central difference of f along the right curve through g in direction v
+    (scalar or vector valued f, as for :func:`left_deriv`)."""
     v = np.asarray(v, dtype=float)
     scale = float(np.linalg.norm(v))
     return _directional(f, lambda t: right_curve(bk, g, t, v), scale, step)
 
 
 def left_jacobian(bk, fn, g, step=FD_STEP):
-    """Central-difference Jacobian of the vector function ``fn`` along the
-    left chart directions at g: column j is d/dt fn(retract(g, t e_j))."""
-    n = bk.fiber_dim
-    cols = []
-    for j in range(n):
-        u = np.zeros(n)
-        u[j] = step
-        fp = np.asarray(fn(bk.retract(g, u)), dtype=float)
-        fm = np.asarray(fn(bk.retract(g, -u)), dtype=float)
-        cols.append((fp - fm) / (2.0 * step))
-    return np.column_stack(cols)
+    """Jacobian of ``fn`` along the left chart directions at g: column j is
+    ``left_deriv(bk, fn, g, e_j)``.  A scalar fn gives its (n,) gradient, a
+    vector fn of length m an (m, n) matrix."""
+    return np.array([left_deriv(bk, fn, g, e, step) for e in np.eye(bk.fiber_dim)]).T
+
+
+def right_jacobian(bk, fn, g, step=FD_STEP):
+    """Jacobian of ``fn`` along the right chart directions at g: column j is
+    ``right_deriv(bk, fn, g, e_j)`` (shapes as for :func:`left_jacobian`)."""
+    return np.array([right_deriv(bk, fn, g, e, step) for e in np.eye(bk.fiber_dim)]).T
 
 
 def cross_form(bk, f, g, a, b, left_rule=None, step=None):

@@ -90,6 +90,26 @@ def axial(A):
     )
 
 
+def _trace_minus(A):
+    """tr(A) I - A, with each diagonal entry summed from the other two
+    diagonal entries of A rather than cancelled out of the trace."""
+    out = -A
+    out[0, 0] = A[1, 1] + A[2, 2]
+    out[1, 1] = A[0, 0] + A[2, 2]
+    out[2, 2] = A[0, 0] + A[1, 1]
+    return out
+
+
+def axial_right_mul(M):
+    """The matrix whose column j is ``axial(M @ E_j)``: tr(M) I - M^T."""
+    return _trace_minus(np.asarray(M, dtype=float).T)
+
+
+def axial_left_mul(M):
+    """The matrix whose column j is ``axial(E_j @ M)``: tr(M) I - M."""
+    return _trace_minus(np.asarray(M, dtype=float))
+
+
 def so3_exp(w):
     """Rodrigues formula, series-stabilized for small angles."""
     w = np.asarray(w, dtype=float)
@@ -209,6 +229,20 @@ def se2_log(g):
     v1 = (a * x + b * y) / d
     v2 = (-b * x + a * y) / d
     return np.array([th, v1, v2])
+
+
+def se2_left_jacobian(g):
+    """Jacobian of the triple (theta, x, y) along the left chart at g:
+    column j is d/dt of g * exp(t e_j) at t=0."""
+    c, s = np.cos(g[0]), np.sin(g[0])
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def se2_right_jacobian(g):
+    """Jacobian of the triple (theta, x, y) along the right chart at g:
+    column j is d/ds of exp(s e_j) * g at s=0."""
+    _, x, y = g
+    return np.array([[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]])
 
 
 def se2_Ad(g, xi):

@@ -2,8 +2,10 @@
 
 Each factory returns a fully wired :class:`~nhmech.problem.NhProblem` with
 analytic chart gradients for the Lagrangian and the constraint functions,
-state serialization hooks for the CLI, an initial-condition builder, and a
-sampler producing random elements exactly on the constraint set.
+coordinate names for the CLI's rows (``NhProblem.to_row``), an
+initial-condition builder, and a sampler producing random elements exactly on
+the constraint set.  Factory parameters and initial values pass through one
+finite-number check, so a malformed config value is a ConfigError.
 
 Angle-valued wheel coordinates are kept as unwrapped reals; group-part angles
 of SE(2) elements live in (-pi, pi].
@@ -20,20 +22,32 @@ from .diagnostics import MomentumSpec
 _E = [lg.so3_hat(e) for e in np.eye(3)]
 
 
-def _as_vec(val, size, what):
+def _finite(val, what, shape=()):
+    """``val`` as a finite float array of ``shape`` (any shape for None); a
+    ConfigError naming ``what`` when it is not numeric, has the wrong size or
+    is not finite."""
     try:
-        v = np.asarray(val, dtype=float).reshape(size)
+        v = np.asarray(val, dtype=float)
+        if shape is not None:
+            v = v.reshape(shape)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a list of {size} numbers")
+        wanted = "a number" if shape == () else f"a list of {shape} numbers" if shape else "numeric"
+        raise ConfigError(f"{what} must be {wanted}") from None
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{what} must be finite")
     return v
 
 
-def _check_keys(cfg, allowed, what):
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+def _numbers(**values):
+    """Each keyword value as a finite float, in order (see :func:`_finite`)."""
+    return [float(_finite(val, what)) for what, val in values.items()]
+
+
+def check_keys(mapping, allowed, where):
+    """Reject the keys of a config mapping that are not in ``allowed``."""
+    extra = sorted(set(mapping) - set(allowed))
+    if extra:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
 
 
 def _complement_basis(v):
@@ -56,7 +70,7 @@ _SE2_E = [lg.se2_hat(e) for e in np.eye(3)]
 
 
 def _sym_pd(M, what):
-    M = np.asarray(M, dtype=float)
+    M = _finite(M, what, None)
     if M.shape != (3, 3) or not np.allclose(M, M.T, atol=1e-12):
         raise ConfigError(f"{what} must be a symmetric 3x3 matrix")
     if np.any(np.linalg.eigvalsh(M) <= 0):
@@ -71,7 +85,7 @@ def _sym_pd(M, what):
 def make_constrained_particle(h=0.01):
     """Free particle in R^3 with the knife-edge style constraint
     zdot = y xdot, midpoint-discretized on the pair groupoid."""
-    h = float(h)
+    (h,) = _numbers(h=h)
     if h <= 0:
         raise ConfigError("h must be positive")
     bk = PairGroupoid(3)
@@ -107,14 +121,14 @@ def make_constrained_particle(h=0.01):
         return np.array([[-x[1]], [0.0], [1.0]])
 
     def build_initial(cfg):
-        _check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
+        check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
         if "q0" not in cfg:
             raise ConfigError("initial needs q0")
-        q0 = _as_vec(cfg["q0"], 3, "q0")
+        q0 = _finite(cfg["q0"], "q0", 3)
         if "q1" in cfg:
-            q1 = _as_vec(cfg["q1"], 3, "q1")
+            q1 = _finite(cfg["q1"], "q1", 3)
         elif "velocity" in cfg:
-            v = _as_vec(cfg["velocity"], 2, "velocity")
+            v = _finite(cfg["velocity"], "velocity", 2)
             vz = (q0[1] + 0.5 * h * v[1]) * v[0]
             q1 = q0 + h * np.array([v[0], v[1], vz])
         else:
@@ -130,9 +144,6 @@ def make_constrained_particle(h=0.01):
             z1 = q0[2] + 0.5 * (y1 + q0[1]) * (x1 - q0[0])
             out.append((q0, np.array([x1, y1, z1])))
         return out
-
-    def to_row(g):
-        return [*g[0], *g[1]]
 
     specs = {
         "plane_translations": MomentumSpec(
@@ -159,7 +170,6 @@ def make_constrained_particle(h=0.01):
         declared_reversible=True,
         momentum_specs=specs,
         coord_names=["x0", "y0", "z0", "x1", "y1", "z1"],
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -176,7 +186,7 @@ def make_suslov(J=None, h=0.05):
     Lagrangian L_d(W) = -(1/h) Tr(J W); the equivalent body inertia tensor is
     Tr(J) I - J.
     """
-    h = float(h)
+    (h,) = _numbers(h=h)
     if h <= 0:
         raise ConfigError("h must be positive")
     JJ = _sym_pd(np.diag([1.0, 2.0, 3.0]) if J is None else J, "J")
@@ -198,19 +208,19 @@ def make_suslov(J=None, h=0.05):
         return np.array([lg.axial(W)[2]])
 
     def phi_left(W):
-        return np.array([[lg.axial(W @ E)[2] for E in _E]])
+        return lg.axial_right_mul(W)[2:]
 
     def phi_right(W):
-        return np.array([[lg.axial(E @ W)[2] for E in _E]])
+        return lg.axial_left_mul(W)[2:]
 
     basis_mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     ann_mat = np.array([[0.0], [0.0], [1.0]])
 
     def build_initial(cfg):
-        _check_keys(cfg, {"omega"}, "initial")
+        check_keys(cfg, {"omega"}, "initial")
         if "omega" not in cfg:
             raise ConfigError("initial needs omega (two components, body axes 1 and 2)")
-        w = _as_vec(cfg["omega"], 2, "omega")
+        w = _finite(cfg["omega"], "omega", 2)
         return lg.so3_exp(h * np.array([w[0], w[1], 0.0]))
 
     def sample(rng, count):
@@ -218,9 +228,6 @@ def make_suslov(J=None, h=0.05):
             lg.so3_exp(h * np.array([*(rng.normal(size=2) * 0.8 + 0.3), 0.0]))
             for _ in range(count)
         ]
-
-    def to_row(W):
-        return list(np.asarray(W, dtype=float).reshape(-1))
 
     names = [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     return NhProblem(
@@ -235,7 +242,6 @@ def make_suslov(J=None, h=0.05):
         params={"J": JJ, "h": h},
         declared_reversible=True,
         coord_names=names,
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -251,7 +257,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     The discrete Lagrangian has the time step absorbed into the units:
     L_d(W) = (1/2) Tr(W K W^T) - Tr(W K) on homogeneous matrices W.
     """
-    m, a, b, J = map(float, (m, a, b, J))
+    m, a, b, J = _numbers(m=m, a=a, b=b, J=J)
     if m <= 0 or J <= 0:
         raise ConfigError("m and J must be positive")
     K = np.array(
@@ -287,30 +293,21 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         th, x, y = g
         return np.array([x * np.sin(th / 2) - y * np.cos(th / 2)])
 
-    def _phi_jac(g, mode):
+    def phi_grad(g):
+        """Gradient of phi in the triple (theta, x, y), as a 1x3 row."""
         th, x, y = g
         sh, ch = np.sin(th / 2), np.cos(th / 2)
-        row = np.empty(3)
-        for j, v in enumerate(np.eye(3)):
-            om = v[0]
-            if mode == "left":
-                xd = np.cos(th) * v[1] - np.sin(th) * v[2]
-                yd = np.sin(th) * v[1] + np.cos(th) * v[2]
-            else:
-                xd = v[1] - om * y
-                yd = v[2] + om * x
-            row[j] = xd * sh + 0.5 * om * x * ch - yd * ch + 0.5 * om * y * sh
-        return row[None, :]
+        return np.array([[0.5 * (x * ch + y * sh), sh, -ch]])
 
     def basis(x):
         # blade direction and rotation about the contact point
         return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def build_initial(cfg):
-        _check_keys(cfg, {"xi"}, "initial")
+        check_keys(cfg, {"xi"}, "initial")
         if "xi" not in cfg:
             raise ConfigError("initial needs xi = [turn rate, forward speed] per step")
-        v = _as_vec(cfg["xi"], 2, "xi")
+        v = _finite(cfg["xi"], "xi", 2)
         return lg.se2_exp(np.array([v[0], v[1], 0.0]))
 
     def sample(rng, count):
@@ -319,9 +316,6 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
             for _ in range(count)
         ]
 
-    def to_row(g):
-        return list(np.asarray(g, dtype=float))
-
     return NhProblem(
         name="chaplygin_sleigh",
         backend=bk,
@@ -329,8 +323,8 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
-            left_jac=lambda g: _phi_jac(g, "left"),
-            right_jac=lambda g: _phi_jac(g, "right"),
+            left_jac=lambda g: phi_grad(g) @ lg.se2_left_jacobian(g),
+            right_jac=lambda g: phi_grad(g) @ lg.se2_right_jacobian(g),
         ),
         distribution=Distribution(
             rank=2,
@@ -341,7 +335,6 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         params={"m": m, "a": a, "b": b, "J": J},
         declared_reversible=True,
         coord_names=["theta", "x", "y"],
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -354,13 +347,12 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
 def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     """Rigid body whose angular velocity stays orthogonal to the advected
     vector gamma, with a linear gravity potential along e."""
-    h = float(h)
-    m, g, l = map(float, (m, g, l))
+    h, m, g, l = _numbers(h=h, m=m, g=g, l=l)
     if h <= 0 or m <= 0:
         raise ConfigError("h and m must be positive")
     II = _sym_pd(np.diag([2.0, 3.0, 4.0]) if I is None else I, "I")
     TF = 0.5 * np.trace(II) * np.eye(3) - II  # trace-form matrix of the kinetic term
-    evec = _as_vec(e, 3, "e")
+    evec = _finite(e, "e", 3)
     bk = ActionGroupoid()
     mgl = m * g * l
 
@@ -386,13 +378,12 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
 
     def phi_left(el):
         gam, W = el
-        return np.array([[float(gam @ lg.axial(W @ E)) for E in _E]])
+        return (gam @ lg.axial_right_mul(W))[None, :]
 
     def phi_right(el):
+        # the right curve moves gamma too: d gamma = gamma x v
         gam, W = el
-        ax = lg.axial(W)
-        row = [float(lg.cross3(v, gam) @ ax + gam @ lg.axial(lg.so3_hat(v) @ W)) for v in np.eye(3)]
-        return np.array([row])
+        return (lg.cross3(gam, lg.axial(W)) + gam @ lg.axial_left_mul(W))[None, :]
 
     def basis(x):
         return _complement_basis(x)
@@ -411,15 +402,15 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
             raise SingularError("veselova: rotation nearly fixes gamma")
 
     def build_initial(cfg):
-        _check_keys(cfg, {"gamma", "omega"}, "initial")
+        check_keys(cfg, {"gamma", "omega"}, "initial")
         if "gamma" not in cfg or "omega" not in cfg:
             raise ConfigError("initial needs gamma and omega")
-        gam = _as_vec(cfg["gamma"], 3, "gamma")
+        gam = _finite(cfg["gamma"], "gamma", 3)
         nrm = np.linalg.norm(gam)
         if nrm < 1e-12:
             raise ConfigError("gamma must be nonzero")
         gam = gam / nrm
-        w = _as_vec(cfg["omega"], 3, "omega")
+        w = _finite(cfg["omega"], "omega", 3)
         w = w - (w @ gam) * gam
         return (gam, lg.so3_exp(h * w))
 
@@ -436,10 +427,6 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
             out.append((gam, lg.so3_exp(h * w)))
         return out
 
-    def to_row(el):
-        gam, W = el
-        return [*gam, *np.asarray(W, dtype=float).reshape(-1)]
-
     names = ["g1", "g2", "g3"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     return NhProblem(
         name="veselova",
@@ -452,7 +439,6 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         declared_reversible=False,
         domain_guard=guard,
         coord_names=names,
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -465,7 +451,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
 def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     """Homogeneous ball rolling without slipping on a table rotating at
     constant rate Omega about the vertical axis."""
-    m, r, I, Omega, h = map(float, (m, r, I, Omega, h))
+    m, r, I, Omega, h = _numbers(m=m, r=r, I=I, Omega=Omega, h=h)
     if h <= 0 or m <= 0 or r <= 0 or I <= 0:
         raise ConfigError("m, r, I, h must be positive")
     bk = AtiyahGroupoid(2, "so3")
@@ -483,11 +469,9 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         return out
 
     def hess(el):
-        W = el[2]
         out = np.zeros((5, 5))
         out[0, 0] = out[1, 1] = m / (h * h)
-        for j, E in enumerate(_E):
-            out[2:, 2 + j] = (I / (2 * h * h)) * lg.axial(W @ E)
+        out[2:, 2:] = (I / (2 * h * h)) * lg.axial_right_mul(el[2])
         return out
 
     def phi(el):
@@ -500,27 +484,18 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
             ]
         )
 
-    def phi_left(el):
-        p0, p1, W = el
+    def _phi_jac(base_block, axial_jac):
         rows = np.zeros((2, 5))
-        rows[0, :2] = [1.0 / h, 0.5 * Omega]
-        rows[1, :2] = [-0.5 * Omega, 1.0 / h]
-        for j, E in enumerate(_E):
-            ax = lg.axial(W @ E)
-            rows[0, 2 + j] = -(r / (2 * h)) * ax[1]
-            rows[1, 2 + j] = (r / (2 * h)) * ax[0]
+        rows[:, :2] = base_block
+        rows[0, 2:] = -(r / (2 * h)) * axial_jac[1]
+        rows[1, 2:] = (r / (2 * h)) * axial_jac[0]
         return rows
 
+    def phi_left(el):
+        return _phi_jac([[1.0 / h, 0.5 * Omega], [-0.5 * Omega, 1.0 / h]], lg.axial_right_mul(el[2]))
+
     def phi_right(el):
-        p0, p1, W = el
-        rows = np.zeros((2, 5))
-        rows[0, :2] = [1.0 / h, -0.5 * Omega]
-        rows[1, :2] = [0.5 * Omega, 1.0 / h]
-        for j, E in enumerate(_E):
-            ax = lg.axial(E @ W)
-            rows[0, 2 + j] = -(r / (2 * h)) * ax[1]
-            rows[1, 2 + j] = (r / (2 * h)) * ax[0]
-        return rows
+        return _phi_jac([[1.0 / h, -0.5 * Omega], [0.5 * Omega, 1.0 / h]], lg.axial_left_mul(el[2]))
 
     basis_mat = np.array(
         [
@@ -542,12 +517,12 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     )
 
     def build_initial(cfg):
-        _check_keys(cfg, {"xy0", "xy1", "spin"}, "initial")
+        check_keys(cfg, {"xy0", "xy1", "spin"}, "initial")
         if "xy0" not in cfg or "xy1" not in cfg:
             raise ConfigError("initial needs xy0 and xy1")
-        p0 = _as_vec(cfg["xy0"], 2, "xy0")
-        p1 = _as_vec(cfg["xy1"], 2, "xy1")
-        w3 = float(cfg.get("spin", 0.0))
+        p0 = _finite(cfg["xy0"], "xy0", 2)
+        p1 = _finite(cfg["xy1"], "xy1", 2)
+        (w3,) = _numbers(spin=cfg.get("spin", 0.0))
         w = np.array(
             [
                 (2 * h / r) * (0.5 * Omega * (p1[0] + p0[0]) - (p1[1] - p0[1]) / h),
@@ -572,10 +547,6 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
                 build_initial({"xy0": p0, "xy1": p1, "spin": rng.normal() * 0.3})
             )
         return out
-
-    def to_row(el):
-        p0, p1, W = el
-        return [*p0, *p1, *np.asarray(W, dtype=float).reshape(-1)]
 
     def const_spec(name, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -605,7 +576,6 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         declared_reversible=False,
         momentum_specs=specs,
         coord_names=names,
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -647,7 +617,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     """Planar robot driven by two wheels of radius R mounted a distance c from
     the symmetry axis; l is the center-of-mass offset along the axis (the
     symmetric robot has l = 0).  Pure rolling of both wheels."""
-    m0, m1, J, J1, R, c, l, h = map(float, (m0, m1, J, J1, R, c, l, h))
+    m0, m1, J, J1, R, c, l, h = _numbers(m0=m0, m1=m1, J=J, J1=J1, R=R, c=c, l=l, h=h)
     if h <= 0 or R <= 0 or c <= 0 or J1 <= 0:
         raise ConfigError("h, R, c, J1 must be positive")
     mtot = m0 + 2.0 * m1
@@ -714,8 +684,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             ]
         )
 
-    def _phi_jac(el, mode):
-        th, x, y = el[2]
+    def _phi_jac(el, group_jac):
         dphi, dpsi, s = _sincs(el)
         tot = dphi + dpsi
         rows = np.zeros((3, 5))
@@ -725,18 +694,8 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             rows[0, j] = R * sgn / (2 * c)
             rows[1, j] = 0.5 * R * (lg.sinc(s) + tot * dsinc(s) * ds)
             rows[2, j] = -0.5 * R * (lg.versine_over(s) + tot * dvc(s) * ds)
-        # group columns
-        for j, v in enumerate(np.eye(3)):
-            om = v[0]
-            if mode == "left":
-                xd = np.cos(th) * v[1] - np.sin(th) * v[2]
-                yd = np.sin(th) * v[1] + np.cos(th) * v[2]
-            else:
-                xd = v[1] - om * y
-                yd = v[2] + om * x
-            rows[0, 2 + j] = om
-            rows[1, 2 + j] = xd
-            rows[2, 2 + j] = yd
+        # group columns: phi is (theta, x, y) plus a function of the wheels
+        rows[:, 2:] = group_jac(el[2])
         return rows
 
     basis_mat = np.array(
@@ -759,14 +718,14 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     )
 
     def build_initial(cfg):
-        _check_keys(cfg, {"wheels0", "wheels1", "dphi", "dpsi"}, "initial")
+        check_keys(cfg, {"wheels0", "wheels1", "dphi", "dpsi"}, "initial")
         if "wheels0" not in cfg:
             raise ConfigError("initial needs wheels0")
-        p0 = _as_vec(cfg["wheels0"], 2, "wheels0")
+        p0 = _finite(cfg["wheels0"], "wheels0", 2)
         if "wheels1" in cfg:
-            p1 = _as_vec(cfg["wheels1"], 2, "wheels1")
+            p1 = _finite(cfg["wheels1"], "wheels1", 2)
         elif "dphi" in cfg and "dpsi" in cfg:
-            p1 = p0 + np.array([float(cfg["dphi"]), float(cfg["dpsi"])])
+            p1 = p0 + np.array(_numbers(dphi=cfg["dphi"], dpsi=cfg["dpsi"]))
         else:
             raise ConfigError("initial needs wheels1 or dphi/dpsi")
         dphi, dpsi = p1 - p0
@@ -798,10 +757,6 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             )
         return out
 
-    def to_row(el):
-        p0, p1, g = el
-        return [*p0, *p1, *np.asarray(g, dtype=float)]
-
     return NhProblem(
         name="mobile_robot",
         backend=bk,
@@ -809,8 +764,8 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         constraints=ConstraintSet(
             codim=3,
             phi=phi,
-            left_jac=lambda el: _phi_jac(el, "left"),
-            right_jac=lambda el: _phi_jac(el, "right"),
+            left_jac=lambda el: _phi_jac(el, lg.se2_left_jacobian),
+            right_jac=lambda el: _phi_jac(el, lg.se2_right_jacobian),
         ),
         distribution=Distribution(
             rank=2, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
@@ -820,7 +775,6 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         declared_reversible=True,
         is_chaplygin=True,
         coord_names=["phi0", "psi0", "phi1", "psi1", "theta", "x", "y"],
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )
@@ -836,7 +790,7 @@ def make_holonomic_sphere(h=0.01):
     distribution is the full sphere tangent at the matching point.  The
     multiplier is reported against the outer differential of the constraint
     (annihilator column 2x), matching the usual SHAKE normalization."""
-    h = float(h)
+    (h,) = _numbers(h=h)
     if h <= 0:
         raise ConfigError("h must be positive")
     bk = PairGroupoid(3)
@@ -862,22 +816,22 @@ def make_holonomic_sphere(h=0.01):
         return np.zeros((1, 3))
 
     def build_initial(cfg):
-        _check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
+        check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
         if "q0" not in cfg:
             raise ConfigError("initial needs q0")
-        q0 = _as_vec(cfg["q0"], 3, "q0")
+        q0 = _finite(cfg["q0"], "q0", 3)
         n0 = np.linalg.norm(q0)
         if n0 < 1e-12:
             raise ConfigError("q0 must be nonzero")
         q0 = q0 / n0
         if "q1" in cfg:
-            q1 = _as_vec(cfg["q1"], 3, "q1")
+            q1 = _finite(cfg["q1"], "q1", 3)
             n1 = np.linalg.norm(q1)
             if n1 < 1e-12:
                 raise ConfigError("q1 must be nonzero")
             q1 = q1 / n1
         elif "velocity" in cfg:
-            v = _as_vec(cfg["velocity"], 3, "velocity")
+            v = _finite(cfg["velocity"], "velocity", 3)
             v = v - (v @ q0) * q0
             sp = np.linalg.norm(v)
             q1 = q0 if sp < 1e-300 else np.cos(h * sp) * q0 + np.sin(h * sp) * v / sp
@@ -893,9 +847,6 @@ def make_holonomic_sphere(h=0.01):
             out.append(build_initial({"q0": q0, "velocity": rng.normal(size=3)}))
         return out
 
-    def to_row(g):
-        return [*g[0], *g[1]]
-
     return NhProblem(
         name="holonomic_sphere",
         backend=bk,
@@ -910,7 +861,6 @@ def make_holonomic_sphere(h=0.01):
         params={"h": h},
         declared_reversible=True,
         coord_names=["x0", "y0", "z0", "x1", "y1", "z1"],
-        to_row=to_row,
         initial_builder=build_initial,
         sample_states=sample,
     )

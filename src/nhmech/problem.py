@@ -89,7 +89,6 @@ class NhProblem:
     domain_guard: Optional[Callable] = None
     is_chaplygin: bool = False
     coord_names: Optional[list] = None
-    to_row: Optional[Callable] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
 
@@ -105,20 +104,18 @@ class NhProblem:
     def k(self):
         return self.constraints.codim
 
-    # Lagrangian derivatives with analytic dispatch -------------------------
+    # chart derivatives: the analytic one when given, else a difference ------
     def left_grad(self, g):
         """Gradient of L in the left chart at g, an (n,) vector."""
         if self.lagrangian.left_grad is not None:
             return np.asarray(self.lagrangian.left_grad(g), dtype=float)
-        f = self.lagrangian.eval
-        return np.array([gpd.left_deriv(self.backend, f, g, e) for e in np.eye(self.n)])
+        return gpd.left_jacobian(self.backend, self.lagrangian.eval, g)
 
     def right_grad(self, g):
         """Gradient of L in the right chart at g, an (n,) vector."""
         if self.lagrangian.right_grad is not None:
             return np.asarray(self.lagrangian.right_grad(g), dtype=float)
-        f = self.lagrangian.eval
-        return np.array([gpd.right_deriv(self.backend, f, g, e) for e in np.eye(self.n)])
+        return gpd.right_jacobian(self.backend, self.lagrangian.eval, g)
 
     def mixed_hess(self, g):
         """Mixed second derivative H(g) (see :class:`Lagrangian`); without an
@@ -131,41 +128,33 @@ class NhProblem:
         return gpd.left_jacobian(self.backend, self.right_grad, g, step)
 
     def d_left(self, g, v):
-        if self.lagrangian.left_grad is not None:
-            return float(self.lagrangian.left_grad(g) @ np.asarray(v, dtype=float))
-        return gpd.left_deriv(self.backend, self.lagrangian.eval, g, v)
+        """Left derivative of L at g along the chart direction v."""
+        return float(self.left_grad(g) @ np.asarray(v, dtype=float))
 
     def d_right(self, g, v):
-        if self.lagrangian.right_grad is not None:
-            return float(self.lagrangian.right_grad(g) @ np.asarray(v, dtype=float))
-        return gpd.right_deriv(self.backend, self.lagrangian.eval, g, v)
+        """Right derivative of L at g along the chart direction v."""
+        return float(self.right_grad(g) @ np.asarray(v, dtype=float))
 
     def phi(self, g):
         return np.atleast_1d(np.asarray(self.constraints.phi(g), dtype=float))
 
     def phi_left_jac(self, g):
+        """(k, n) gradients of the components of phi in the left chart at g."""
         if self.constraints.left_jac is not None:
             return np.asarray(self.constraints.left_jac(g), dtype=float)
-        rows = np.empty((self.k, self.n))
-        for i in range(self.k):
-            fi = lambda el, i=i: float(self.phi(el)[i])
-            for j in range(self.n):
-                e = np.zeros(self.n)
-                e[j] = 1.0
-                rows[i, j] = gpd.left_deriv(self.backend, fi, g, e)
-        return rows
+        return gpd.left_jacobian(self.backend, self.phi, g)
 
     def phi_right_jac(self, g):
+        """(k, n) gradients of the components of phi in the right chart at g."""
         if self.constraints.right_jac is not None:
             return np.asarray(self.constraints.right_jac(g), dtype=float)
-        rows = np.empty((self.k, self.n))
-        for i in range(self.k):
-            fi = lambda el, i=i: float(self.phi(el)[i])
-            for j in range(self.n):
-                e = np.zeros(self.n)
-                e[j] = 1.0
-                rows[i, j] = gpd.right_deriv(self.backend, fi, g, e)
-        return rows
+        return gpd.right_jacobian(self.backend, self.phi, g)
+
+    def to_row(self, g):
+        """The element as one flat row in ``coord_names`` order: its parts
+        (or the element itself when it is not a tuple), each flattened."""
+        parts = g if isinstance(g, tuple) else (g,)
+        return np.concatenate([np.ravel(np.asarray(part, dtype=float)) for part in parts])
 
     def assert_on_constraint(self, g, tol=TOL_CONSTRAINT, label="element"):
         v = float(np.max(np.abs(self.phi(g)))) if self.k else 0.0

@@ -43,7 +43,6 @@ class SolverOptions:
     max_iters: int = 50
     max_backtracks: int = 30
     cond_limit: float = 1e14
-    warm_start: bool = True
 
 
 @dataclass
@@ -103,21 +102,32 @@ def point_regularity_sigmas(p, g):
     return pb.kernel_sigmas(G_left, p.r), pb.kernel_sigmas(G_right, p.r)
 
 
+def is_nondegenerate(smin, smax):
+    """Whether a pairing with kernel singular value ``smin`` and largest
+    singular value ``smax`` (see :func:`point_regularity_sigmas`) counts as
+    nondegenerate."""
+    return smin > REGULARITY_RTOL * max(smax, 1e-300)
+
+
 def _assert_point_regular(p, g):
-    (lmin, lmax), (rmin, rmax) = point_regularity_sigmas(p, g)
-    if rmin <= REGULARITY_RTOL * max(rmax, 1e-300):
-        raise SingularError(
-            f"{p.name}: two-point form degenerate at the current element "
-            f"(right pairing sigma_min = {rmin:.3e})"
-        )
-    if lmin <= REGULARITY_RTOL * max(lmax, 1e-300):
-        raise SingularError(
-            f"{p.name}: two-point form degenerate at the current element "
-            f"(left pairing sigma_min = {lmin:.3e})"
-        )
+    left, right = point_regularity_sigmas(p, g)
+    for side, (smin, smax) in (("right", right), ("left", left)):
+        if not is_nondegenerate(smin, smax):
+            raise SingularError(
+                f"{p.name}: two-point form degenerate at the current element "
+                f"({side} pairing sigma_min = {smin:.3e})"
+            )
 
 
-def step(p, g, options: Optional[SolverOptions] = None, warm_coords=None):
+def mirror_center(p, g):
+    """First guess for the element after g: g's own displacement repeated,
+    i.e. the coordinates of g in the chart at its source unit, applied at the
+    unit over its target."""
+    bk = p.backend
+    return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
+
+
+def step(p, g, options: Optional[SolverOptions] = None):
     """Advance one step from g; returns a StepResult with the next element.
 
     The current element is assumed to lie on the constraint set (``evolve``
@@ -130,12 +140,7 @@ def step(p, g, options: Optional[SolverOptions] = None, warm_coords=None):
         p.domain_guard(g)
     _assert_point_regular(p, g)
 
-    if opts.warm_start and warm_coords is not None:
-        u0 = np.asarray(warm_coords, dtype=float)
-    else:
-        # mirror g's own displacement: coordinates of g in the chart at its source unit
-        u0 = bk.coords(bk.identity(bk.source(g)), g)
-    center = bk.retract(bk.identity(bk.target(g)), u0)
+    center = mirror_center(p, g)
     if p.domain_guard is not None:
         p.domain_guard(center)
 
@@ -214,22 +219,18 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     """
     opts = options or SolverOptions()
     p.assert_on_constraint(g0, label="initial element")
-    bk = p.backend
     elements = [g0]
     results = []
     g = g0
-    warm = None
     for k in range(int(n_steps)):
         try:
-            res = step(p, g, opts, warm_coords=warm)
+            res = step(p, g, opts)
         except NhError as exc:
             exc.step_index = k
             raise
         elements.append(res.next)
         results.append(res)
         g = res.next
-        if opts.warm_start:
-            warm = bk.coords(bk.identity(bk.source(g)), g)
     return Trajectory(problem=p, elements=elements, results=results)
 
 

@@ -22,7 +22,7 @@ BALL_CONFIG = {
     },
     "initial": {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0},
     "steps": 5,
-    "solver": {"tol_residual": 1e-10, "max_iters": 50, "warm_start": True},
+    "solver": {"tol_residual": 1e-10, "max_iters": 50},
     "outputs": {"trajectory": "ball.csv", "summary": "ball_summary.json", "format": "csv"},
     "momentum": {"specs": ["spin"], "tolerance": 1e-9},
     "check": {"samples": 4, "seed": 0, "trajectory_steps": 10},
@@ -81,11 +81,12 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("steps", True), "steps"),
             (lambda d: d["system"].__setitem__("name", "rattleback"), "system.name"),
             (lambda d: d["solver"].__setitem__("tol_residual", 0.0), "positive"),
-            (lambda d: d["solver"].__setitem__("warm_start", 1), "boolean"),
+            (lambda d: d["solver"].__setitem__("tol_residual", float("inf")), "finite"),
             (lambda d: d["solver"].__setitem__("max_iters", 0), "max_iters"),
             (lambda d: d["outputs"].__setitem__("format", "xml"), "format"),
             (lambda d: d["momentum"].__setitem__("specs", "spin"), "list"),
             (lambda d: d["check"].__setitem__("points", {"q0": [0, 0, 0]}), "points"),
+            (lambda d: d["check"].__setitem__("seed", -1), "check.seed"),
             (lambda d: d.__setitem__("initial", [1, 2]), "initial"),
         ],
     )
@@ -244,6 +245,23 @@ class TestExitCodes:
         code, _, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_SOLVER
         assert "at step 0" in err
+
+    @pytest.mark.parametrize(
+        "system, params, initial, key",
+        [
+            ("rolling_ball", {}, dict(BALL_CONFIG["initial"], spin="abc"), "spin"),
+            ("rolling_ball", {}, dict(BALL_CONFIG["initial"], spin=[1, 2]), "spin"),
+            ("mobile_robot", {}, {"wheels0": [0.3, -0.2], "dphi": "x", "dpsi": 0.1}, "dphi"),
+            ("rolling_ball", {"m": "abc"}, BALL_CONFIG["initial"], "m"),
+            ("rolling_ball", {"h": float("nan")}, BALL_CONFIG["initial"], "h"),
+        ],
+    )
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, system, params, initial, key):
+        data = {"system": {"name": system, "params": params}, "initial": initial, "steps": 2}
+        path = write_config(tmp_path, data)
+        code, _, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {key}" in err
 
     def test_off_constraint_initial_is_config_error(self, tmp_path, capsys):
         data = {

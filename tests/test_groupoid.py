@@ -15,10 +15,23 @@ from nhmech.groupoid import (
     anchor_matrix,
     cross_form,
     left_deriv,
+    left_jacobian,
     right_curve,
     right_deriv,
+    right_jacobian,
 )
-from nhmech.liegroup import se2_element, se2_hat, se2_matrix, so3_exp, so3_hat
+from nhmech.liegroup import (
+    axial,
+    axial_left_mul,
+    axial_right_mul,
+    se2_element,
+    se2_hat,
+    se2_left_jacobian,
+    se2_matrix,
+    se2_right_jacobian,
+    so3_exp,
+    so3_hat,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -248,6 +261,37 @@ def test_deriv_linearity_in_direction():
         assert np.isclose(lab, deriv(bk, f, g, a) + deriv(bk, f, g, b), rtol=1e-5, atol=1e-7)
         assert np.isclose(deriv(bk, f, g, 2.5 * a), 2.5 * deriv(bk, f, g, a), rtol=1e-6, atol=1e-8)
         assert deriv(bk, f, g, np.zeros(3)) == 0.0
+
+
+@pytest.mark.parametrize("bk,sample", backends_with_samples())
+def test_jacobian_columns_are_directional_derivs(bk, sample):
+    # a vector function of every part of the element, and its first entry
+    g = sample(np.random.default_rng(11))
+
+    def F(h):
+        parts = h if isinstance(h, tuple) else (h,)
+        flat = np.concatenate([np.ravel(part) for part in parts])
+        return np.sin(flat) + flat[0] * flat
+
+    f = lambda h: float(F(h)[0])
+    for jac, deriv in ((left_jacobian, left_deriv), (right_jacobian, right_deriv)):
+        J = jac(bk, F, g)
+        grad = jac(bk, f, g)
+        assert J.shape == (F(g).size, bk.fiber_dim) and grad.shape == (bk.fiber_dim,)
+        for j, e in enumerate(np.eye(bk.fiber_dim)):
+            assert np.array_equal(J[:, j], deriv(bk, F, g, e))
+            assert grad[j] == deriv(bk, f, g, e)
+
+
+def test_chart_matrices_match_difference_jacobians():
+    so3 = LieGroupGroupoid("so3")
+    W = so3_exp(np.array([0.4, -0.7, 0.2]))
+    assert np.allclose(left_jacobian(so3, axial, W), axial_right_mul(W), atol=1e-9)
+    assert np.allclose(right_jacobian(so3, axial, W), axial_left_mul(W), atol=1e-9)
+    se2 = LieGroupGroupoid("se2")
+    g = se2_element(0.7, -1.2, 0.4)
+    assert np.allclose(left_jacobian(se2, np.asarray, g), se2_left_jacobian(g), atol=1e-9)
+    assert np.allclose(right_jacobian(se2, np.asarray, g), se2_right_jacobian(g), atol=1e-9)
 
 
 def test_anchor_matrices():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from nhmech.errors import ChartDomainError
 from nhmech.liegroup import (
     axial,
+    axial_left_mul,
+    axial_right_mul,
     cross3,
     rot2,
     se2_Ad,
@@ -19,8 +21,10 @@ from nhmech.liegroup import (
     se2_hat,
     se2_identity,
     se2_invert,
+    se2_left_jacobian,
     se2_log,
     se2_matrix,
+    se2_right_jacobian,
     sinc,
     so3_Ad,
     so3_coAd,
@@ -56,6 +60,32 @@ def test_cross3_is_np_cross_bit_for_bit():
         a = RNG.normal(size=3) * 10.0 ** RNG.integers(-6, 6)
         b = RNG.normal(size=3)
         assert np.array_equal(cross3(a, b), np.cross(a, b))
+
+
+def test_axial_mul_closed_forms_match_loops():
+    # any 3x3 matrix, and a rotation near the identity where tr(M) - M_jj
+    # would cancel; the closed forms reproduce the loops bit for bit
+    E = [so3_hat(e) for e in np.eye(3)]
+    for M in (RNG.normal(size=(3, 3)), so3_exp(np.array([1e-3, -2e-3, 5e-4]))):
+        right = np.column_stack([axial(M @ Ej) for Ej in E])
+        left = np.column_stack([axial(Ej @ M) for Ej in E])
+        assert np.array_equal(axial_right_mul(M), right)
+        assert np.array_equal(axial_left_mul(M), left)
+        assert np.allclose(axial_right_mul(M), np.trace(M) * np.eye(3) - M.T, atol=1e-15)
+        assert np.allclose(axial_left_mul(M), np.trace(M) * np.eye(3) - M, atol=1e-15)
+
+
+def test_se2_chart_jacobians_match_loops():
+    # column j: the velocity of (theta, x, y) along g exp(t e_j) (left) and
+    # exp(s e_j) g (right), written out per component
+    th, x, y = g = se2_element(0.7, -1.2, 0.4)
+    left = np.empty((3, 3))
+    right = np.empty((3, 3))
+    for j, (om, v1, v2) in enumerate(np.eye(3)):
+        left[:, j] = [om, np.cos(th) * v1 - np.sin(th) * v2, np.sin(th) * v1 + np.cos(th) * v2]
+        right[:, j] = [om, v1 - om * y, v2 + om * x]
+    assert np.array_equal(se2_left_jacobian(g), left)
+    assert np.array_equal(se2_right_jacobian(g), right)
 
 
 @given(small_vec())

@@ -46,12 +46,6 @@ def _strip(p, keep_gradients=False):
     )
 
 
-def _mirror_center(p, g):
-    """The solver's first guess for the element after g."""
-    bk = p.backend
-    return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
-
-
 def _rel_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -104,7 +98,7 @@ class TestAnalyticDerivatives:
     def test_newton_matrix_matches_residual_difference(self, name):
         p = md.FACTORIES[name]()
         for g in _samples(p, 6):
-            center = _mirror_center(p, g)
+            center = sv.mirror_center(p, g)
             J = pb.newton_matrix(p, g, center)
             assert _rel_gap(J, pb.newton_jacobian_fd(p, g, center)) <= 1e-9
 
@@ -482,6 +476,25 @@ class TestConfigValidation:
             p.initial_builder({"q0": [0.0, 1.0], "velocity": [1.0, 0.0]})
         with pytest.raises(ConfigError):
             p.initial_builder({"q0": [0.0, 1.0, 0.0], "velocity": [1.0, 0.0, 0.0]})
+
+    @pytest.mark.parametrize(
+        "name, pins",
+        [
+            ("constrained_particle", {"y0": lambda g: g[0][1], "x1": lambda g: g[1][0]}),
+            ("holonomic_sphere", {"z0": lambda g: g[0][2], "y1": lambda g: g[1][1]}),
+            ("suslov", {"R12": lambda W: W[0, 1], "R31": lambda W: W[2, 0]}),
+            ("chaplygin_sleigh", {"theta": lambda g: g[0], "y": lambda g: g[2]}),
+            ("veselova", {"g1": lambda el: el[0][0], "R23": lambda el: el[1][1, 2]}),
+            ("rolling_ball", {"y1": lambda el: el[1][1], "R32": lambda el: el[2][2, 1]}),
+            ("mobile_robot", {"psi1": lambda el: el[1][1], "x": lambda el: el[2][1]}),
+        ],
+    )
+    def test_row_cells_follow_coord_names(self, name, pins):
+        p = md.FACTORIES[name]()
+        g = _samples(p, 1, seed=3)[0]
+        row = dict(zip(p.coord_names, p.to_row(g)))
+        for coord, part in pins.items():
+            assert row[coord] == part(g)
 
     @pytest.mark.parametrize("name", ALL)
     def test_row_layout_consistent(self, name):

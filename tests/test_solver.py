@@ -69,15 +69,6 @@ class TestStep:
 
 
 class TestDeterminism:
-    def test_warm_start_toggle_is_bit_identical(self):
-        # the cold-start guess mirrors the previous displacement, which is
-        # exactly what the warm start feeds back in, so the two runs agree
-        p, g = _particle_pair()
-        warm = sv.evolve(p, g, 8, sv.SolverOptions(warm_start=True))
-        cold = sv.evolve(p, g, 8, sv.SolverOptions(warm_start=False))
-        for a, b in zip(warm.elements, cold.elements):
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
     def test_re_solve_is_bit_identical(self):
         p, g = _particle_pair()
         t1 = sv.evolve(p, g, 2)
