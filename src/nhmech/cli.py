@@ -99,6 +99,17 @@ def _expect_number(value, where, positive=False):
     return float(value)
 
 
+def _is_file_name(name):
+    """True for a non-empty name that stays inside the output directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
+
+
+def _output_names(outputs):
+    """The (trajectory, summary) file names simulate writes, defaults included."""
+    fmt = outputs.get("format", "csv")
+    return outputs.get("trajectory", "trajectory." + fmt), outputs.get("summary", "summary.json")
+
+
 def parse_config(data):
     """Validate a parsed JSON document and return a :class:`RunConfig`."""
     data = _expect_mapping(data, "config")
@@ -131,11 +142,13 @@ def parse_config(data):
     outputs = _expect_mapping(data.get("outputs", {}), "outputs")
     md.check_keys(outputs, _OUTPUT_KEYS, "outputs")
     for key in ("trajectory", "summary", "report"):
-        if key in outputs and not isinstance(outputs[key], str):
-            raise ConfigError(f"outputs.{key} must be a file name")
-    fmt = outputs.get("format", "csv")
-    if fmt not in _FORMATS:
+        if key in outputs and not _is_file_name(outputs[key]):
+            raise ConfigError(f"outputs.{key} must be a plain file name (no directory part)")
+    if outputs.get("format", "csv") not in _FORMATS:
         raise ConfigError("outputs.format must be 'csv' or 'json'")
+    traj_name, summary_name = _output_names(outputs)
+    if traj_name == summary_name:
+        raise ConfigError(f"outputs.trajectory and outputs.summary are both {traj_name!r}")
 
     momentum = _expect_mapping(data.get("momentum", {}), "momentum")
     md.check_keys(momentum, _MOMENTUM_KEYS, "momentum")
@@ -326,11 +339,10 @@ def run_simulate(cfg, out_dir, verbose=False):
     if verbose:
         print(f"solved {trajectory.n_steps} step(s) of {problem.name}", file=sys.stderr)
 
-    fmt = cfg.outputs.get("format", "csv")
     header, rows = trajectory_table(problem, trajectory)
-    traj_name = cfg.outputs.get("trajectory", "trajectory." + fmt)
-    traj_path = os.path.join(out_dir, traj_name)
-    _atomic_write(traj_path, _table_text(header, rows, fmt))
+    traj_name, summary_name = _output_names(cfg.outputs)
+    text = _table_text(header, rows, cfg.outputs.get("format", "csv"))
+    _atomic_write(os.path.join(out_dir, traj_name), text)
 
     summary = {
         "system": problem.name,
@@ -355,8 +367,7 @@ def run_simulate(cfg, out_dir, verbose=False):
                 drift = max(drift, abs(measured))
         summary["max_momentum_drift"] = drift
 
-    summary_path = os.path.join(out_dir, cfg.outputs.get("summary", "summary.json"))
-    _write_json(summary_path, summary)
+    _write_json(os.path.join(out_dir, summary_name), summary)
     return summary
 
 
@@ -535,8 +546,6 @@ def _build_parser():
         cmd = sub.add_parser(command, help=helptext)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="reserved; runs are deterministic and ignore it")
         cmd.add_argument("--verbose", action="store_true", help="progress notes on stderr")
     return parser
 

@@ -19,6 +19,9 @@ from .errors import (
 LAGRANGIAN_SYMMETRY_RTOL = 1e-9
 CONSTRAINT_INVARIANCE_TOL = 1e-9
 DYNAMICS_REVERSIBILITY_TOL = 1e-6
+CHART_INVERSION_TOL = 1e-13
+CHART_INVERSION_MAX_ITERS = 30
+REDUCTION_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +73,7 @@ class ReversibilityReport:
     consistent: Optional[bool]
 
 
-def reversibility_report(p, samples, options=None, check_dynamics=True):
+def reversibility_report(p, samples, options=None):
     """Three-part reversibility check over sample elements on the constraint
     set: L against inversion, the constraint set against inversion, and (for
     solved pairs) the residual of the reversed pair.
@@ -87,14 +90,13 @@ def reversibility_report(p, samples, options=None, check_dynamics=True):
         lag_defect = max(lag_defect, abs(lv - p.lagrangian.eval(gi)))
         if p.k:
             con_defect = max(con_defect, float(np.max(np.abs(p.phi(gi)))))
-    if check_dynamics:
-        for g in samples:
-            try:
-                res = sv.step(p, g, options)
-            except NhError:
-                continue
-            rev = pb.residual_at(p, bk.invert(res.next), bk.invert(g))
-            dyn_defect = max(dyn_defect, float(np.max(np.abs(rev))))
+    for g in samples:
+        try:
+            res = sv.step(p, g, options)
+        except NhError:
+            continue
+        rev = pb.residual_at(p, bk.invert(res.next), bk.invert(g))
+        dyn_defect = max(dyn_defect, float(np.max(np.abs(rev))))
     lag_ok = lag_defect <= LAGRANGIAN_SYMMETRY_RTOL * lag_scale
     con_ok = con_defect <= CONSTRAINT_INVARIANCE_TOL
     dyn_ok = dyn_defect <= DYNAMICS_REVERSIBILITY_TOL
@@ -189,7 +191,7 @@ def momentum_drift(p, spec, trajectory):
 # Chaplygin reduction
 
 
-def chi_inverse(p, x, y, seed, tol=1e-13, max_iters=30):
+def chi_inverse(p, x, y, seed):
     """Invert the two-point chart g -> (alpha(g), beta(g)) on the constraint
     set, by Newton iteration in the fiber chart seeded at a nearby element."""
     bk = p.backend
@@ -202,8 +204,8 @@ def chi_inverse(p, x, y, seed, tol=1e-13, max_iters=30):
 
     center = seed
     r = eqs(center)
-    for _ in range(max_iters):
-        if float(np.max(np.abs(r))) <= tol:
+    for _ in range(CHART_INVERSION_MAX_ITERS):
+        if float(np.max(np.abs(r))) <= CHART_INVERSION_TOL:
             return center
         J = gpd.left_jacobian(bk, eqs, center)
         if J.shape[0] != n:
@@ -242,7 +244,7 @@ def _constraint_section_lift(p, x):
     return B @ C
 
 
-def chaplygin_residual(p, g, h, fd_scale=1e-5):
+def chaplygin_residual(p, g, h):
     """Reduced-equation residual of a composable pair (g, h) of a Chaplygin
     system: discrete Euler-Lagrange rows of the reduced Lagrangian on the
     base pair groupoid plus the reduction forces, one value per base
@@ -259,8 +261,8 @@ def chaplygin_residual(p, g, h, fd_scale=1e-5):
     m = x.size
     X = _constraint_section_lift(p, y)  # lift of the base directions at the match point
 
-    tL = fd_scale
-    tF = 2.0 * fd_scale  # independent step so the force terms are not the same samples
+    tL = REDUCTION_FD_STEP
+    tF = 2.0 * REDUCTION_FD_STEP  # independent step so the force terms are not the same samples
 
     red = np.empty(m)
     for i in range(m):

@@ -168,20 +168,19 @@ _GROUPS = {
 class ActionGroupoid:
     """Transformation groupoid M x G for a right action of SO(3) on M c R^3.
 
-    Elements are tuples (x, R) with source x and target x . R; the default
-    action is x . R = R^T x (rotations acting on the sphere).
+    Elements are tuples (x, R) with source x and target x . R = R^T x
+    (rotations acting on the sphere).
     """
 
-    def __init__(self, act=None):
+    def __init__(self):
         self.base_dim = 3
         self.fiber_dim = 3
-        self.act = act if act is not None else (lambda x, R: R.T @ x)
 
     def source(self, g):
         return g[0]
 
     def target(self, g):
-        return self.act(g[0], g[1])
+        return g[1].T @ g[0]
 
     def compose(self, g, h):
         if _base_mismatch(self.target(g), h[0]) > COMPOSE_TOL:
@@ -311,7 +310,7 @@ def right_jacobian(bk, fn, g, step=FD_STEP):
     return np.array([right_deriv(bk, fn, g, e, step) for e in np.eye(bk.fiber_dim)]).T
 
 
-def cross_form(bk, f, g, a, b, left_rule=None, step=None):
+def cross_form(bk, f, g, a, b, left_rule=None):
     """Two-point bilinear form G^f_g(a, b) = -d/ds left_deriv(f, ., b) along
     the right curve through g in direction a.
 
@@ -323,10 +322,10 @@ def cross_form(bk, f, g, a, b, left_rule=None, step=None):
     b = np.asarray(b, dtype=float)
     if left_rule is not None:
         inner = lambda h: float(left_rule(h) @ b)
-        outer_step = FD_STEP if step is None else step
+        outer_step = FD_STEP
     else:
         inner = lambda h: left_deriv(bk, f, h, b)
-        outer_step = FD_STEP_OUTER if step is None else step
+        outer_step = FD_STEP_OUTER
     scale = float(np.linalg.norm(a))
     return -_directional(inner, lambda s: right_curve(bk, g, s, a), scale, outer_step)
 

@@ -1,7 +1,8 @@
 """Built-in example systems.
 
 Each factory returns a fully wired :class:`~nhmech.problem.NhProblem` with
-analytic chart gradients for the Lagrangian and the constraint functions,
+analytic chart gradients for the Lagrangian (built from three shared kinetic
+forms) and the constraint functions,
 coordinate names for the CLI's rows (``NhProblem.to_row``), an
 initial-condition builder, and a sampler producing random elements exactly on
 the constraint set.  Factory parameters and initial values pass through one
@@ -11,6 +12,8 @@ Angle-valued wheel coordinates are kept as unwrapped reals; group-part angles
 of SE(2) elements live in (-pi, pi].
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import liegroup as lg
@@ -18,8 +21,6 @@ from .errors import ConfigError, SingularError
 from .groupoid import ActionGroupoid, AtiyahGroupoid, LieGroupGroupoid, PairGroupoid
 from .problem import ConstraintSet, Distribution, Lagrangian, NhProblem
 from .diagnostics import MomentumSpec
-
-_E = [lg.so3_hat(e) for e in np.eye(3)]
 
 
 def _finite(val, what, shape=()):
@@ -61,14 +62,6 @@ def _complement_basis(v):
     return np.column_stack([b1, b2])
 
 
-def _se2_pair(K):
-    """Components of v -> Tr(se2_hat(v) @ K) in the (omega, v1, v2) basis."""
-    return np.array([K[0, 1] - K[1, 0], K[2, 0], K[2, 1]])
-
-
-_SE2_E = [lg.se2_hat(e) for e in np.eye(3)]
-
-
 def _sym_pd(M, what):
     M = _finite(M, what, None)
     if M.shape != (3, 3) or not np.allclose(M, M.T, atol=1e-12):
@@ -76,6 +69,105 @@ def _sym_pd(M, what):
     if np.any(np.linalg.eigvalsh(M) <= 0):
         raise ConfigError(f"{what} must be positive definite")
     return 0.5 * (M + M.T)
+
+
+# ---------------------------------------------------------------------------
+# the three kinetic forms: every built-in Lagrangian is one of them, a sum of
+# two on an Atiyah element, or one plus a potential term
+
+
+def _pair_form(mass, h, dim):
+    """mass |q1 - q0|^2 / (2 h^2) on pairs (q0, q1) in R^dim; H is constant.
+    Only g[0] and g[1] are read, so an Atiyah element passes as it is."""
+    H = mass * np.eye(dim) / (h * h)
+    H.flags.writeable = False
+
+    def lag(g):
+        d = g[1] - g[0]
+        return mass * float(d @ d) / (2.0 * h * h)
+
+    def grad(g):
+        return mass * (g[1] - g[0]) / (h * h)
+
+    return Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=lambda g: H)
+
+
+def _so3_form(J):
+    """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric."""
+    return Lagrangian(
+        eval=lambda W: -float(np.trace(J @ W)),
+        left_grad=lambda W: lg.axial(J @ W),
+        right_grad=lambda W: lg.axial(W @ J),
+        # column j is axial(W E_j J), and W E_j = hat(W e_j) W for a rotation
+        mixed_hess=lambda W: lg.axial_left_mul(W @ J) @ W,
+    )
+
+
+_SE2_BASIS = [lg.se2_hat(e) for e in np.eye(3)]
+
+
+def _se2_pair(M):
+    """Components of v -> Tr(se2_hat(v) @ M) in the (omega, v1, v2) basis."""
+    return np.array([M[0, 1] - M[1, 0], M[2, 0], M[2, 1]])
+
+
+def _se2_form(K):
+    """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
+    W = se2_matrix(g) and K symmetric."""
+
+    def lag(g):
+        D = lg.se2_matrix(g) - np.eye(3)
+        return 0.5 * float(np.trace(D @ K @ D.T))
+
+    def lgrad(g):
+        W = lg.se2_matrix(g)
+        return _se2_pair(K @ (W.T @ W - W))
+
+    def rgrad(g):
+        W = lg.se2_matrix(g)
+        return _se2_pair(W @ K @ W.T - W @ K)
+
+    def hess(g):
+        W = lg.se2_matrix(g)
+        WK = W @ K
+        cols = []
+        for E in _SE2_BASIS:
+            WE = W @ E
+            cols.append(_se2_pair(WE @ K @ W.T + WK @ WE.T - WE @ K))
+        return np.column_stack(cols)
+
+    return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
+
+
+def _atiyah_form(base, group):
+    """base + group on Atiyah elements (p0, p1, G): a pair form on the base
+    points plus a form on the 3-dimensional group part, with a block-diagonal H."""
+    base_hess = base.mixed_hess(None)  # a pair form's H is constant
+    m = base_hess.shape[0]
+    n = m + 3
+    base_block = np.zeros((n, n))
+    base_block[:m, :m] = base_hess
+
+    def stack(base_grad, group_grad):
+        def grad(el):
+            out = np.empty(n)
+            out[:m] = base_grad(el)
+            out[m:] = group_grad(el[2])
+            return out
+
+        return grad
+
+    def hess(el):
+        out = base_block.copy()
+        out[m:, m:] = group.mixed_hess(el[2])
+        return out
+
+    return Lagrangian(
+        eval=lambda el: base.eval(el) + group.eval(el[2]),
+        left_grad=stack(base.left_grad, group.left_grad),
+        right_grad=stack(base.right_grad, group.right_grad),
+        mixed_hess=hess,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +181,6 @@ def make_constrained_particle(h=0.01):
     if h <= 0:
         raise ConfigError("h must be positive")
     bk = PairGroupoid(3)
-
-    def lag(g):
-        d = g[1] - g[0]
-        return float(d @ d) / (2.0 * h * h)
-
-    def lgrad(g):
-        return (g[1] - g[0]) / (h * h)
-
-    def hess(g):
-        return np.eye(3) / (h * h)
 
     def phi(g):
         q0, q1 = g
@@ -162,7 +244,7 @@ def make_constrained_particle(h=0.01):
     return NhProblem(
         name="constrained_particle",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad, mixed_hess=hess),
+        lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(rank=2, basis=basis, annihilator=annihilator),
         h=h,
@@ -191,18 +273,6 @@ def make_suslov(J=None, h=0.05):
         raise ConfigError("h must be positive")
     JJ = _sym_pd(np.diag([1.0, 2.0, 3.0]) if J is None else J, "J")
     bk = LieGroupGroupoid("so3")
-
-    def lag(W):
-        return -float(np.trace(JJ @ W)) / h
-
-    def lgrad(W):
-        return lg.axial(JJ @ W) / h
-
-    def rgrad(W):
-        return lg.axial(W @ JJ) / h
-
-    def hess(W):
-        return np.column_stack([lg.axial(W @ E @ JJ) for E in _E]) / h
 
     def phi(W):
         return np.array([lg.axial(W)[2]])
@@ -233,7 +303,7 @@ def make_suslov(J=None, h=0.05):
     return NhProblem(
         name="suslov",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
+        lagrangian=_so3_form(JJ / h),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=2, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
@@ -255,7 +325,8 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     """Sleigh on the plane: blade at distance (a, b) from the center of mass.
 
     The discrete Lagrangian has the time step absorbed into the units:
-    L_d(W) = (1/2) Tr(W K W^T) - Tr(W K) on homogeneous matrices W.
+    L_d(W) = (1/2) Tr(W K W^T) - Tr(W K) on homogeneous matrices W, which is
+    the SE(2) trace form less (1/2) Tr K.
     """
     m, a, b, J = _numbers(m=m, a=a, b=b, J=J)
     if m <= 0 or J <= 0:
@@ -269,25 +340,8 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     )
     bk = LieGroupGroupoid("se2")
 
-    def lag(g):
-        W = lg.se2_matrix(g)
-        return 0.5 * float(np.trace(W @ K @ W.T)) - float(np.trace(W @ K))
-
-    def lgrad(g):
-        W = lg.se2_matrix(g)
-        return _se2_pair(K @ (W.T @ W - W))
-
-    def rgrad(g):
-        W = lg.se2_matrix(g)
-        return _se2_pair(W @ K @ W.T - W @ K)
-
-    def hess(g):
-        W = lg.se2_matrix(g)
-        cols = []
-        for E in _SE2_E:
-            WE = W @ E
-            cols.append(_se2_pair(WE @ K @ W.T + W @ K @ WE.T - WE @ K))
-        return np.column_stack(cols)
+    kin = _se2_form(K)
+    half_trace = 0.5 * float(np.trace(K))
 
     def phi(g):
         th, x, y = g
@@ -319,7 +373,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     return NhProblem(
         name="chaplygin_sleigh",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
+        lagrangian=dataclasses.replace(kin, eval=lambda g: kin.eval(g) - half_trace),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
@@ -356,21 +410,12 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     bk = ActionGroupoid()
     mgl = m * g * l
 
-    def lag(el):
-        gam, W = el
-        return -float(np.trace(TF @ W)) / h - h * mgl * float(gam @ evec)
-
-    def lgrad(el):
-        gam, W = el
-        return lg.axial(TF @ W) / h
+    kin = _so3_form(TF / h)
 
     def rgrad(el):
+        # the right curve moves gamma too, so only this gradient sees the potential
         gam, W = el
-        return lg.axial(W @ TF) / h - h * mgl * lg.cross3(gam, evec)
-
-    def hess(el):
-        gam, W = el
-        return np.column_stack([lg.axial(W @ E @ TF) for E in _E]) / h
+        return kin.right_grad(W) - h * mgl * lg.cross3(gam, evec)
 
     def phi(el):
         gam, W = el
@@ -384,12 +429,6 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         # the right curve moves gamma too: d gamma = gamma x v
         gam, W = el
         return (lg.cross3(gam, lg.axial(W)) + gam @ lg.axial_left_mul(W))[None, :]
-
-    def basis(x):
-        return _complement_basis(x)
-
-    def annihilator(x):
-        return np.asarray(x, dtype=float).reshape(3, 1)
 
     def guard(el):
         gam, W = el
@@ -431,9 +470,18 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     return NhProblem(
         name="veselova",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
+        lagrangian=Lagrangian(
+            eval=lambda el: kin.eval(el[1]) - h * mgl * float(el[0] @ evec),
+            left_grad=lambda el: kin.left_grad(el[1]),
+            right_grad=rgrad,
+            mixed_hess=lambda el: kin.mixed_hess(el[1]),
+        ),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
-        distribution=Distribution(rank=2, basis=basis, annihilator=annihilator),
+        distribution=Distribution(
+            rank=2,
+            basis=_complement_basis,
+            annihilator=lambda x: np.asarray(x, dtype=float).reshape(3, 1),
+        ),
         h=h,
         params={"I": II, "m": m, "g": g, "l": l, "e": evec, "h": h},
         declared_reversible=False,
@@ -455,24 +503,6 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     if h <= 0 or m <= 0 or r <= 0 or I <= 0:
         raise ConfigError("m, r, I, h must be positive")
     bk = AtiyahGroupoid(2, "so3")
-
-    def lag(el):
-        p0, p1, W = el
-        d = p1 - p0
-        return (m / (2 * h * h)) * float(d @ d) - (I / (2 * h * h)) * float(np.trace(W))
-
-    def grad(el):
-        p0, p1, W = el
-        out = np.empty(5)
-        out[:2] = (m / (h * h)) * (p1 - p0)
-        out[2:] = (I / (2 * h * h)) * lg.axial(W)
-        return out
-
-    def hess(el):
-        out = np.zeros((5, 5))
-        out[0, 0] = out[1, 1] = m / (h * h)
-        out[2:, 2:] = (I / (2 * h * h)) * lg.axial_right_mul(el[2])
-        return out
 
     def phi(el):
         p0, p1, W = el
@@ -566,7 +596,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     return NhProblem(
         name="rolling_ball",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=hess),
+        lagrangian=_atiyah_form(_pair_form(m, h, 2), _so3_form((I / (2 * h * h)) * np.eye(3))),
         constraints=ConstraintSet(codim=2, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=3, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
@@ -631,39 +661,6 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     bk = AtiyahGroupoid(2, "se2")
     dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * np.cos(s) - np.sin(s)) / s**2
     dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * np.sin(s) - (1 - np.cos(s))) / s**2
-
-    def lag(el):
-        p0, p1, g = el
-        W = lg.se2_matrix(g) - np.eye(3)
-        d = p1 - p0
-        return (0.5 / (h * h)) * float(np.trace(W @ K @ W.T)) + (J1 / (2 * h * h)) * float(
-            d @ d
-        )
-
-    def lgrad(el):
-        p0, p1, g = el
-        W = lg.se2_matrix(g)
-        out = np.empty(5)
-        out[:2] = (J1 / (h * h)) * (p1 - p0)
-        out[2:] = _se2_pair(K @ (W - np.eye(3)).T @ W) / (h * h)
-        return out
-
-    def rgrad(el):
-        p0, p1, g = el
-        W = lg.se2_matrix(g)
-        out = np.empty(5)
-        out[:2] = (J1 / (h * h)) * (p1 - p0)
-        out[2:] = _se2_pair(W @ K @ (W - np.eye(3)).T) / (h * h)
-        return out
-
-    def hess(el):
-        W = lg.se2_matrix(el[2])
-        out = np.zeros((5, 5))
-        out[0, 0] = out[1, 1] = J1 / (h * h)
-        for j, E in enumerate(_SE2_E):
-            WE = W @ E
-            out[2:, 2 + j] = _se2_pair(WE @ K @ (W - np.eye(3)).T + W @ K @ WE.T) / (h * h)
-        return out
 
     def _sincs(el):
         p0, p1, g = el
@@ -760,7 +757,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     return NhProblem(
         name="mobile_robot",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess),
+        lagrangian=_atiyah_form(_pair_form(J1, h, 2), _se2_form(K / (h * h))),
         constraints=ConstraintSet(
             codim=3,
             phi=phi,
@@ -794,16 +791,6 @@ def make_holonomic_sphere(h=0.01):
     if h <= 0:
         raise ConfigError("h must be positive")
     bk = PairGroupoid(3)
-
-    def lag(g):
-        d = g[1] - g[0]
-        return float(d @ d) / (2.0 * h * h)
-
-    def lgrad(g):
-        return (g[1] - g[0]) / (h * h)
-
-    def hess(g):
-        return np.eye(3) / (h * h)
 
     def phi(g):
         q1 = g[1]
@@ -850,7 +837,7 @@ def make_holonomic_sphere(h=0.01):
     return NhProblem(
         name="holonomic_sphere",
         backend=bk,
-        lagrangian=Lagrangian(eval=lag, left_grad=lgrad, right_grad=lgrad, mixed_hess=hess),
+        lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             rank=2,

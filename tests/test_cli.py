@@ -196,14 +196,6 @@ class TestSimulate:
         assert code == cli.EXIT_OK
         assert (nested / "ball.csv").exists()
 
-    def test_seed_flag_accepted_and_ignored(self, tmp_path, capsys):
-        path = write_config(tmp_path, BALL_CONFIG)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        run_cli(["simulate", "--config", path, "--out", str(out_a), "--seed", "5"], capsys)
-        run_cli(["simulate", "--config", path, "--out", str(out_b)], capsys)
-        assert (out_a / "ball.csv").read_bytes() == (out_b / "ball.csv").read_bytes()
-
     def test_verbose_goes_to_stderr(self, tmp_path, capsys):
         path = write_config(tmp_path, BALL_CONFIG)
         code, out, err = run_cli(
@@ -262,6 +254,26 @@ class TestExitCodes:
         code, _, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_CONFIG
         assert f"config error: {key}" in err
+
+    @pytest.mark.parametrize(
+        "outputs, key",
+        [
+            ({"trajectory": "out.json", "summary": "out.json"}, "outputs.trajectory"),
+            ({"trajectory": "summary.json"}, "outputs.trajectory"),
+            ({"trajectory": ""}, "outputs.trajectory"),
+            ({"trajectory": "../escape.csv"}, "outputs.trajectory"),
+            ({"summary": "sub/summary.json"}, "outputs.summary"),
+            ({"report": ".."}, "outputs.report"),
+        ],
+        ids=["same-name", "default-summary-name", "empty", "parent-dir", "subdir", "dot-dot"],
+    )
+    def test_bad_output_name_is_config_error(self, tmp_path, capsys, outputs, key):
+        path = write_config(tmp_path, dict(BALL_CONFIG, outputs=outputs))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", path, "--out", str(out)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {key}" in err
+        assert not out.exists() and not (tmp_path / "escape.csv").exists()
 
     def test_off_constraint_initial_is_config_error(self, tmp_path, capsys):
         data = {

@@ -26,6 +26,23 @@ E1 = lg.so3_hat(np.array([1.0, 0.0, 0.0]))
 E2 = lg.so3_hat(np.array([0.0, 1.0, 0.0]))
 E3 = lg.so3_hat(np.array([0.0, 0.0, 1.0]))
 
+_ROT = lg.so3_exp(np.array([0.2, 0.3, 0.1]))
+ROTATED_J = _ROT @ np.diag([1.0, 2.0, 3.0]) @ _ROT.T
+ROTATED_I = _ROT.T @ np.diag([2.0, 3.0, 4.0]) @ _ROT
+
+# every built-in system at its defaults, plus instances whose parameters the
+# defaults leave at a special value: non-diagonal inertias, an offset center
+# of mass and another blade position
+INSTANCES = {name: md.FACTORIES[name] for name in ALL}
+INSTANCES.update(
+    {
+        "suslov-rotated_J": lambda: md.make_suslov(J=ROTATED_J),
+        "veselova-rotated_I": lambda: md.make_veselova(I=ROTATED_I),
+        "mobile_robot-offset_l": lambda: md.make_mobile_robot(l=0.05),
+        "chaplygin_sleigh-blade": lambda: md.make_chaplygin_sleigh(a=-0.4, b=0.35),
+    }
+)
+
 
 def _samples(p, n=4, seed=2):
     return p.sample_states(np.random.default_rng(seed), n)
@@ -51,9 +68,9 @@ def _rel_gap(a, b):
 
 
 class TestAnalyticDerivatives:
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", INSTANCES)
     def test_lagrangian_gradients_match_fd(self, name):
-        p = md.FACTORIES[name]()
+        p = INSTANCES[name]()
         q = _strip(p)
         rng = np.random.default_rng(1)
         for g in _samples(p):
@@ -75,32 +92,43 @@ class TestAnalyticDerivatives:
             assert np.max(np.abs(p.phi_left_jac(g) - fd_l)) <= 1e-6 * scale
             assert np.max(np.abs(p.phi_right_jac(g) - fd_r)) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", INSTANCES)
     def test_mixed_hess_matches_gradient_difference(self, name):
         # central difference of the exact gradient at FD_STEP: truncation and
         # roundoff are both ~eps^(2/3) relative
-        p = md.FACTORIES[name]()
+        p = INSTANCES[name]()
         q = _strip(p, keep_gradients=True)
         for g in _samples(p, 6):
             assert p.mixed_hess(g).shape == (p.n, p.n)
             assert _rel_gap(p.mixed_hess(g), q.mixed_hess(g)) <= 1e-9
 
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", INSTANCES)
     def test_mixed_hess_matches_nested_difference(self, name):
         # no gradients at all: the fallback differences a difference quotient
         # at FD_STEP_OUTER, whose truncation error (~t^2/6) is ~1e-6 relative
-        p = md.FACTORIES[name]()
+        p = INSTANCES[name]()
         q = _strip(p)
         for g in _samples(p, 2):
             assert _rel_gap(p.mixed_hess(g), q.mixed_hess(g)) <= 1e-5
 
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", INSTANCES)
     def test_newton_matrix_matches_residual_difference(self, name):
-        p = md.FACTORIES[name]()
+        p = INSTANCES[name]()
         for g in _samples(p, 6):
             center = sv.mirror_center(p, g)
             J = pb.newton_matrix(p, g, center)
             assert _rel_gap(J, pb.newton_jacobian_fd(p, g, center)) <= 1e-9
+
+    def test_so3_mixed_hess_columns(self):
+        # the closed form axial_left_mul(W J) W against its definition, column
+        # j = axial(W E_j J), for a symmetric J with no special structure
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(3, 3))
+        kin = md._so3_form(A + A.T)
+        for _ in range(10):
+            W = lg.so3_exp(rng.normal(size=3))
+            ref = np.column_stack([lg.axial(W @ E @ (A + A.T)) for E in (E1, E2, E3)])
+            assert _rel_gap(kin.mixed_hess(W), ref) <= 1e-14
 
     @pytest.mark.parametrize("name", ALL)
     def test_regularity_matrices_match_cross_form(self, name):
@@ -142,10 +170,6 @@ class TestDistributionAlgebra:
 
 
 class TestSuslov:
-    def _rotated(self):
-        R = lg.so3_exp(np.array([0.2, 0.3, 0.1]))
-        return R @ np.diag([1.0, 2.0, 3.0]) @ R.T
-
     @staticmethod
     def _component_rows(W1, W2, J):
         """The two componentwise difference equations, written as residuals
@@ -167,7 +191,7 @@ class TestSuslov:
         return r1, r2
 
     def test_componentwise_rows_expand_the_trace_rows(self):
-        J = self._rotated()
+        J = ROTATED_J
         rng = np.random.default_rng(4)
         for _ in range(20):
             W1 = lg.so3_exp(rng.normal(size=3))
@@ -186,7 +210,7 @@ class TestSuslov:
             assert abs(phi - (W[1, 0] - W[0, 1])) < 1e-15
 
     def test_solved_pairs_satisfy_trace_and_component_rows(self):
-        J = self._rotated()
+        J = ROTATED_J
         p = md.make_suslov(J=J, h=0.05)
         traj = sv.evolve(p, p.initial_builder({"omega": [0.7, -0.4]}), 6)
         for W1, W2 in zip(traj.elements, traj.elements[1:]):
