@@ -25,8 +25,10 @@ class SingularError(NhError):
     """Degenerate configuration: the step map is not well defined here.
 
     Raised when the point-regularity test fails at the current element, when
-    the Newton matrix condition estimate exceeds the configured limit, or when
-    a model's domain guard rejects the configuration.
+    the Newton matrix condition estimate exceeds the configured limit, when a
+    matrix or the first residual of a step has non-finite entries or a LAPACK
+    routine reports failure, or when a model's domain guard rejects the
+    configuration.
     """
 
 

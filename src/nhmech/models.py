@@ -13,6 +13,7 @@ of SE(2) elements live in (-pi, pi].
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -103,9 +104,6 @@ def _so3_form(J):
     )
 
 
-_SE2_BASIS = [lg.se2_hat(e) for e in np.eye(3)]
-
-
 def _se2_pair(M):
     """Components of v -> Tr(se2_hat(v) @ M) in the (omega, v1, v2) basis."""
     return np.array([M[0, 1] - M[1, 0], M[2, 0], M[2, 1]])
@@ -114,6 +112,8 @@ def _se2_pair(M):
 def _se2_form(K):
     """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
     W = se2_matrix(g) and K symmetric."""
+    k_trace = float(K[0, 0] + K[1, 1])
+    k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
 
     def lag(g):
         D = lg.se2_matrix(g) - np.eye(3)
@@ -128,13 +128,16 @@ def _se2_form(K):
         return _se2_pair(W @ K @ W.T - W @ K)
 
     def hess(g):
-        W = lg.se2_matrix(g)
-        WK = W @ K
-        cols = []
-        for E in _SE2_BASIS:
-            WE = W @ E
-            cols.append(_se2_pair(WE @ K @ W.T + WK @ WE.T - WE @ K))
-        return np.column_stack(cols)
+        # Column j is _se2_pair(S + S^T - P) with P = W E_j K, S = P W^T and
+        # E_j = se2_hat(e_j).  Row 2 of W E_j is zero and row 2 of W is e_2,
+        # so the column is (P10 - P01, P02, P12); only the rotation part of W
+        # enters, and K01 cancels.
+        c, s = math.cos(g[0]), math.sin(g[0])
+        return np.array([
+            [c * k_trace, s * k02 - c * k12, c * k02 + s * k12],
+            [-(s * k02 + c * k12), c * k22, -s * k22],
+            [c * k02 - s * k12, s * k22, c * k22],
+        ])
 
     return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
 

@@ -16,15 +16,25 @@ Every second-order quantity comes from the mixed second derivative
 regularity pairings (``regularity_matrices``).  ``newton_jacobian_fd`` and
 ``groupoid.cross_form`` difference the residual and the Lagrangian directly
 and serve as references for them.
+
+What a step from g needs that depends on g alone (the distribution basis at
+beta(g), the left gradient of L at g) is evaluated once, by a
+:class:`StepFrame`; ``residual_at``, ``newton_matrix``, ``lagrange_multipliers``
+and ``regularity_matrices`` are one-line uses of a fresh frame.  The small
+dense kernels (SVD, least squares) call LAPACK directly, which skips the
+wrappers' finiteness check, so each call is preceded by one of its own that
+raises SingularError.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import groupoid as gpd
-from .errors import ConstraintViolationError, RankDeficientAnnihilator
+from .errors import ConstraintViolationError, RankDeficientAnnihilator, SingularError
 
 TOL_CONSTRAINT = 1e-9
 NULLSPACE_RTOL = 1e-10
@@ -165,7 +175,97 @@ class NhProblem:
 
 
 # ---------------------------------------------------------------------------
-# residual assembly
+# the pieces of one step
+
+
+def _require_finite(M, what):
+    """Raise SingularError unless every entry of the array M is finite (the
+    LAPACK max-abs norm is NaN or inf exactly when one entry is)."""
+    if not math.isfinite(lapack.dlange("M", M)):
+        raise SingularError(f"{what} has non-finite entries")
+
+
+def _svd(M, what, compute_uv=1):
+    """Singular values and right singular vectors (rows of vh) of M by LAPACK
+    gesdd, after the finiteness check."""
+    _require_finite(M, what)
+    _, s, vh, info = lapack.dgesdd(M, compute_uv=compute_uv)
+    if info != 0:
+        raise SingularError(f"{what} SVD failed (info {info})")
+    return s, vh
+
+
+class StepFrame:
+    """The quantities of a step from g that depend on g alone, each
+    evaluated once: the distribution basis B at the matching point beta(g),
+    ``left_grad(g)`` and its projection ``left_grad(g) @ B``.
+
+    It also keeps the right gradient of the last candidate whose residual it
+    evaluated, so the multipliers at the accepted iterate reuse it.
+    """
+
+    def __init__(self, p, g):
+        self.p = p
+        self.g = g
+        self.basis = np.asarray(p.distribution.basis(p.backend.target(g)), dtype=float)
+        self.left_grad = p.left_grad(g)
+        self.left_rows = self.left_grad @ self.basis
+        self._last = (None, None)
+
+    def del_rows(self, h):
+        """Projected discrete Euler-Lagrange rows for a candidate h."""
+        right = self.p.right_grad(h)
+        self._last = (h, right)
+        return self.left_rows - right @ self.basis
+
+    def residual(self, h):
+        """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h."""
+        return np.concatenate([self.del_rows(h), self.p.phi(h)])
+
+    def newton_matrix(self, center):
+        """Jacobian of the residual in the chart at ``center``.
+
+        The projected DEL rows depend on the candidate only through
+        -right_grad(center) . X_a, so they differentiate to -B^T H(center);
+        the constraint rows differentiate to the left chart gradient of phi.
+        """
+        p = self.p
+        return np.vstack([-self.basis.T @ p.mixed_hess(center), p.phi_left_jac(center)])
+
+    def multipliers(self, h):
+        """Multipliers expanding the difference covector over the annihilator
+        basis at beta(g); least squares (LAPACK gelsd, with the cutoff
+        eps * max(m, n) of ``np.linalg.lstsq``), with the residual of the fit
+        returned for consistency checks."""
+        p = self.p
+        last, right = self._last
+        F = self.left_grad - (right if h is last else p.right_grad(h))
+        A = np.asarray(p.distribution.annihilator(p.backend.target(self.g)), dtype=float)
+        _require_finite(F, f"{p.name}: difference covector")
+        _require_finite(A, f"{p.name}: annihilator basis")
+        m, k = A.shape
+        cond = np.finfo(float).eps * max(m, k)
+        work, iwork, info = lapack.dgelsd_lwork(m, k, 1, cond)
+        if info == 0:
+            x, _, rank, info = lapack.dgelsd(A, F, int(work), iwork, cond, False, False)
+        if info != 0:
+            raise SingularError(f"{p.name}: multiplier least squares failed (info {info})")
+        if rank < k:
+            raise RankDeficientAnnihilator(
+                f"{p.name}: annihilator basis has rank {rank} < {k}"
+            )
+        lam = x[:k]
+        fit = F - A @ lam
+        return lam, float(np.abs(fit).max())
+
+    def regularity_matrices(self):
+        """The two pairings of :func:`regularity_matrices` at g."""
+        p, g = self.p, self.g
+        Xa = np.asarray(p.distribution.basis(p.backend.source(g)), dtype=float)
+        H = p.mixed_hess(g)
+        G_left = -Xa.T @ H @ left_tangent_basis(p, g)
+        G_right = -right_tangent_basis(p, g).T @ H @ self.basis
+        return G_left, G_right
 
 
 def del_covector(p, g, h):
@@ -174,20 +274,15 @@ def del_covector(p, g, h):
     return p.left_grad(g) - p.right_grad(h)
 
 
-def _basis_at_match(p, g):
-    return np.asarray(p.distribution.basis(p.backend.target(g)), dtype=float)
-
-
 def del_projected(p, g, h):
     """Projected discrete Euler-Lagrange rows over the distribution basis at
     the matching point beta(g)."""
-    B = _basis_at_match(p, g)
-    return p.left_grad(g) @ B - p.right_grad(h) @ B
+    return StepFrame(p, g).del_rows(h)
 
 
 def residual_at(p, g, h):
     """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h."""
-    return np.concatenate([del_projected(p, g, h), p.phi(h)])
+    return StepFrame(p, g).residual(h)
 
 
 def residual(p, g, u, center=None):
@@ -199,15 +294,9 @@ def residual(p, g, u, center=None):
 
 
 def newton_matrix(p, g, center):
-    """Jacobian of the residual in the chart at ``center``.
-
-    The projected DEL rows depend on the candidate only through
-    -right_grad(center) . X_a, so they differentiate to -B^T H(center) with B
-    the distribution basis at beta(g); the constraint rows differentiate to
-    the left chart gradient of phi.
-    """
-    B = _basis_at_match(p, g)
-    return np.vstack([-B.T @ p.mixed_hess(center), p.phi_left_jac(center)])
+    """Jacobian of the residual in the chart at ``center`` (see
+    :meth:`StepFrame.newton_matrix`)."""
+    return StepFrame(p, g).newton_matrix(center)
 
 
 def newton_jacobian_fd(p, g, center):
@@ -217,18 +306,9 @@ def newton_jacobian_fd(p, g, center):
 
 
 def lagrange_multipliers(p, g, h):
-    """Multipliers expanding the difference covector over the annihilator
-    basis at beta(g); least squares, with the residual of the fit returned
-    for consistency checks."""
-    F = del_covector(p, g, h)
-    A = np.asarray(p.distribution.annihilator(p.backend.target(g)), dtype=float)
-    lam, res, rank, sv = np.linalg.lstsq(A, F, rcond=None)
-    if rank < A.shape[1]:
-        raise RankDeficientAnnihilator(
-            f"{p.name}: annihilator basis has rank {rank} < {A.shape[1]}"
-        )
-    fit = F - A @ lam
-    return lam, float(np.max(np.abs(fit)))
+    """Multipliers and fit residual at the next element h (see
+    :meth:`StepFrame.multipliers`)."""
+    return StepFrame(p, g).multipliers(h)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +320,9 @@ def _nullspace(M, rtol=NULLSPACE_RTOL):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    u, s, vh = np.linalg.svd(M)
+    s, vh = _svd(M, "constraint gradient")
     cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].T
 
 
@@ -269,12 +349,7 @@ def regularity_matrices(p, g):
     * ``G_right[i, b] = cross(g, V_i, X_b(beta(g)))`` with V_i spanning the
       right tangent directions; its left kernel must be trivial.
     """
-    Xa = np.asarray(p.distribution.basis(p.backend.source(g)), dtype=float)
-    Xb = _basis_at_match(p, g)
-    H = p.mixed_hess(g)
-    G_left = -Xa.T @ H @ left_tangent_basis(p, g)
-    G_right = -right_tangent_basis(p, g).T @ H @ Xb
-    return G_left, G_right
+    return StepFrame(p, g).regularity_matrices()
 
 
 def kernel_sigmas(M, rank_needed):
@@ -289,7 +364,7 @@ def kernel_sigmas(M, rank_needed):
     count as degeneracy.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    s = np.linalg.svd(M, compute_uv=False)
+    s, _ = _svd(M, "two-point pairing", compute_uv=0)
     smax = float(s[0]) if s.size else 0.0
     if s.size < rank_needed:
         return 0.0, smax

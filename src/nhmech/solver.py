@@ -15,13 +15,23 @@ The solver refuses to step from degenerate configurations: before iterating
 it runs the point-regularity test (both kernel conditions of the two-point
 form) at the current element, and during iteration it monitors a 1-norm
 condition estimate of each Newton matrix computed from its LU factors.
+
+A step builds one ``problem.StepFrame`` for its current element g, so what
+depends on g alone (the distribution basis at beta(g), the left gradient of
+L at g and its projection) is evaluated once and shared by the regularity
+test, every residual, every Newton matrix and the multipliers.  The matrices
+are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
+routine they call, so the step calls LAPACK directly: dlange, dgetrf and
+dgecon to factor, dgetrs to solve, dgesdd for the regularity test and dgelsd
+for the multipliers.  Each raw call is preceded by a finiteness check, and a
+non-finite matrix or a LAPACK failure is a SingularError.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from . import problem as pb
@@ -53,6 +63,9 @@ class StepResult:
     residual_norm: float
     jacobian_condition_estimate: float
     residual_history: list = field(default_factory=list)
+    backtracks: int = 0  # line-search trial points rejected over the step
+    sigma_min_left: float = math.nan  # kernel singular values of the pairings at g
+    sigma_min_right: float = math.nan
 
 
 @dataclass
@@ -80,25 +93,33 @@ class Trajectory:
 
 def factor_newton_matrix(p, J):
     """LU factors of a Newton matrix and its 1-norm condition estimate
-    (LAPACK gecon on the same factors): returns (lu, piv, cond)."""
-    anorm = float(np.max(np.sum(np.abs(J), axis=0))) if J.size else 0.0
-    try:
-        lu, piv = scipy.linalg.lu_factor(J)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"{p.name}: Newton matrix factorization failed: {exc}")
+    (LAPACK dgetrf, then dgecon on the same factors): returns (lu, piv, cond).
+
+    cond is inf for an exactly singular matrix; a non-finite matrix is a
+    SingularError.
+    """
+    anorm = lapack.dlange("1", J)
+    if not math.isfinite(anorm):
+        raise SingularError(f"{p.name}: Newton matrix has non-finite entries")
+    lu, piv, info = lapack.dgetrf(J)
+    if info < 0:
+        raise SingularError(f"{p.name}: Newton matrix factorization failed (info {info})")
+    if info > 0:  # an exactly zero pivot
+        return lu, piv, math.inf
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond <= 0.0:
-        return lu, piv, np.inf
+    if info != 0 or not math.isfinite(rcond) or rcond <= 0.0:
+        return lu, piv, math.inf
     return lu, piv, 1.0 / rcond
 
 
-def point_regularity_sigmas(p, g):
+def point_regularity_sigmas(p, g, frame=None):
     """Kernel singular values of the two nondegeneracy pairings at g.
 
     Returns ((smin_left, smax_left), (smin_right, smax_right)); each pairing
     must couple all p.r distribution directions to count as nondegenerate.
+    ``frame`` is the step's ``problem.StepFrame`` for g, when there is one.
     """
-    G_left, G_right = pb.regularity_matrices(p, g)
+    G_left, G_right = (frame or pb.StepFrame(p, g)).regularity_matrices()
     return pb.kernel_sigmas(G_left, p.r), pb.kernel_sigmas(G_right, p.r)
 
 
@@ -109,14 +130,17 @@ def is_nondegenerate(smin, smax):
     return smin > REGULARITY_RTOL * max(smax, 1e-300)
 
 
-def _assert_point_regular(p, g):
-    left, right = point_regularity_sigmas(p, g)
+def _assert_point_regular(p, frame):
+    """Run the point-regularity test at the frame's element; returns
+    (smin_left, smin_right)."""
+    left, right = point_regularity_sigmas(p, frame.g, frame)
     for side, (smin, smax) in (("right", right), ("left", left)):
         if not is_nondegenerate(smin, smax):
             raise SingularError(
                 f"{p.name}: two-point form degenerate at the current element "
                 f"({side} pairing sigma_min = {smin:.3e})"
             )
+    return left[0], right[0]
 
 
 def mirror_center(p, g):
@@ -138,17 +162,21 @@ def step(p, g, options: Optional[SolverOptions] = None):
     bk = p.backend
     if p.domain_guard is not None:
         p.domain_guard(g)
-    _assert_point_regular(p, g)
+    frame = pb.StepFrame(p, g)
+    sigma_left, sigma_right = _assert_point_regular(p, frame)
 
     center = mirror_center(p, g)
     if p.domain_guard is not None:
         p.domain_guard(center)
 
-    r = pb.residual_at(p, g, center)
-    rnorm = float(np.max(np.abs(r)))
+    r = frame.residual(center)
+    rnorm = float(np.abs(r).max())
+    if not math.isfinite(rnorm):
+        raise SingularError(f"{p.name}: residual at the first guess has non-finite entries")
     history = [rnorm]
     cond_est = None
     iters = 0
+    backtracks = 0
 
     while rnorm > opts.tol_residual:
         if iters >= opts.max_iters:
@@ -158,13 +186,15 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 iterations=iters,
                 residual_norm=rnorm,
             )
-        lu, piv, cond_est = factor_newton_matrix(p, pb.newton_matrix(p, g, center))
-        if not np.isfinite(cond_est) or cond_est > opts.cond_limit:
+        lu, piv, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
+        if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
             raise SingularError(
                 f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
                 f"exceeds limit {opts.cond_limit:.1e}"
             )
-        du = scipy.linalg.lu_solve((lu, piv), -r)
+        du, info = lapack.dgetrs(lu, piv, -r)
+        if info != 0:
+            raise SingularError(f"{p.name}: Newton solve failed (info {info})")
         merit0 = 0.5 * float(r @ r)
         t = 1.0
         accepted = False
@@ -173,19 +203,21 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 cand = bk.retract(center, t * du)
                 if p.domain_guard is not None:
                     p.domain_guard(cand)
-                r_try = pb.residual_at(p, g, cand)
+                r_try = frame.residual(cand)
             except (SingularError, ChartDomainError, NotComposableError):
                 t *= 0.5
+                backtracks += 1
                 continue
             merit = 0.5 * float(r_try @ r_try)
             if merit <= (1.0 - 2.0 * ARMIJO_C1 * t) * merit0 or (
-                float(np.max(np.abs(r_try))) <= opts.tol_residual
+                float(np.abs(r_try).max()) <= opts.tol_residual
             ):
                 center = cand  # recenter the chart at the accepted iterate
                 r = r_try
                 accepted = True
                 break
             t *= 0.5
+            backtracks += 1
         iters += 1
         if not accepted:
             raise NoConvergenceError(
@@ -194,14 +226,14 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 iterations=iters,
                 residual_norm=rnorm,
             )
-        rnorm = float(np.max(np.abs(r)))
+        rnorm = float(np.abs(r).max())
         history.append(rnorm)
 
     if cond_est is None:
         # already converged at the initial guess; factor once for the report
-        _, _, cond_est = factor_newton_matrix(p, pb.newton_matrix(p, g, center))
+        _, _, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
 
-    lam, _ = pb.lagrange_multipliers(p, g, center)
+    lam, _ = frame.multipliers(center)
     return StepResult(
         next=center,
         multipliers=lam,
@@ -209,6 +241,9 @@ def step(p, g, options: Optional[SolverOptions] = None):
         residual_norm=rnorm,
         jacobian_condition_estimate=float(cond_est),
         residual_history=history,
+        backtracks=backtracks,
+        sigma_min_left=sigma_left,
+        sigma_min_right=sigma_right,
     )
 
 

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import newton_tail_is_quadratic, particle_oracle
+from scipy.linalg import lapack
 
 import nhmech.liegroup as lg
 import nhmech.models as md
@@ -24,6 +26,20 @@ Q1 = np.array([0.25, -0.35, 0.08125000000000002])
 def _particle_pair():
     p = md.make_constrained_particle(h=0.01)
     return p, p.initial_builder({"q0": Q0, "q1": Q1})
+
+
+def _sleigh_with_bad_hess(first_bad_call, factor):
+    """The sleigh with H multiplied by ``factor`` from its ``first_bad_call``-th
+    call on; returns the problem and its running call count."""
+    p = md.make_chaplygin_sleigh()
+    lag = p.lagrangian
+    calls = [0]
+
+    def hess(g):
+        calls[0] += 1
+        return lag.mixed_hess(g) * (factor if calls[0] >= first_bad_call else 1.0)
+
+    return dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess)), calls
 
 
 class TestStep:
@@ -115,6 +131,29 @@ class TestFailureModes:
         with pytest.raises(ChartDomainError) as exc:
             sv.evolve(p, g0, 5)
         assert exc.value.step_index == 1
+
+    @pytest.mark.parametrize(
+        "offset,where", [(1, "two-point pairing"), (2, "Newton matrix")], ids=["pairing", "newton"]
+    )
+    def test_non_finite_H_is_singular_with_step_index(self, offset, where):
+        # H turns NaN at the regularity test of step 2 (offset 1) or at the
+        # first Newton matrix after it (offset 2)
+        p, calls = _sleigh_with_bad_hess(np.inf, np.nan)
+        g0 = p.initial_builder({"xi": [0.7, 0.9]})
+        sv.evolve(p, g0, 2)
+        p, _ = _sleigh_with_bad_hess(calls[0] + offset, np.nan)
+        with pytest.raises(SingularError, match=where) as exc:
+            sv.evolve(p, g0, 4)
+        assert exc.value.step_index == 2
+
+    def test_non_finite_first_residual_is_singular_error(self):
+        # NaN > tol is False, so a NaN residual must not read as converged
+        p = md.make_chaplygin_sleigh()
+        lag = p.lagrangian
+        nan_right = dataclasses.replace(lag, right_grad=lambda g: lag.right_grad(g) * np.nan)
+        q = dataclasses.replace(p, lagrangian=nan_right)
+        with pytest.raises(SingularError, match="residual"):
+            sv.step(q, q.initial_builder({"xi": [0.7, 0.9]}))
 
     def test_evolve_rejects_off_constraint_start(self):
         p = md.make_constrained_particle(h=0.01)
@@ -262,3 +301,105 @@ class TestTrajectory:
         bk = p.backend
         for a, b in zip(traj.elements, traj.elements[1:]):
             assert np.array_equal(np.asarray(bk.target(a)), np.asarray(bk.source(b)))
+
+
+def _kernel_cases(name):
+    """(problem, element, Newton matrix at the first guess) on three sampled
+    states of a built-in system."""
+    p = md.FACTORIES[name]()
+    for g in p.sample_states(np.random.default_rng(5), 3):
+        yield p, g, pb.newton_matrix(p, g, sv.mirror_center(p, g))
+
+
+class TestLapackKernels:
+    """The raw LAPACK calls of a step against the numpy/scipy wrappers."""
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_lu_and_solve_bit_identical_to_scipy(self, name):
+        for p, g, J in _kernel_cases(name):
+            lu, piv, cond = sv.factor_newton_matrix(p, J)
+            ref_lu, ref_piv = scipy.linalg.lu_factor(J)
+            assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+            rhs = pb.residual_at(p, g, sv.mirror_center(p, g))
+            du, info = lapack.dgetrs(lu, piv, -rhs)
+            assert info == 0
+            assert np.array_equal(du, scipy.linalg.lu_solve((ref_lu, ref_piv), -rhs))
+            anorm = float(np.max(np.sum(np.abs(J), axis=0)))
+            rcond, _ = lapack.dgecon(ref_lu, anorm, norm="1")
+            assert cond == 1.0 / rcond
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_svd_kernels_match_numpy(self, name):
+        for p, g, _ in _kernel_cases(name):
+            for G in pb.regularity_matrices(p, g):
+                s = np.linalg.svd(G, compute_uv=False)
+                smin, smax = pb.kernel_sigmas(G, p.r)
+                assert abs(smax - s[0]) <= 1e-14 * s[0]
+                assert abs(smin - s[p.r - 1]) <= 1e-14 * s[0]
+            for M in (p.phi_left_jac(g), p.phi_right_jac(g)):
+                N = pb._nullspace(M)
+                _, s, vh = np.linalg.svd(M)
+                ref = vh[int(np.sum(s > pb.NULLSPACE_RTOL * s[0])):].T
+                assert N.shape == ref.shape
+                assert np.max(np.abs(N @ N.T - ref @ ref.T)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_multipliers_bit_identical_to_lstsq(self, name):
+        for p, g, _ in _kernel_cases(name):
+            h = sv.step(p, g).next
+            F = pb.del_covector(p, g, h)
+            A = np.asarray(p.distribution.annihilator(p.backend.target(g)), dtype=float)
+            ref, _, _, _ = np.linalg.lstsq(A, F, rcond=None)
+            lam, fit = pb.lagrange_multipliers(p, g, h)
+            assert np.array_equal(lam, ref)
+            assert fit == float(np.max(np.abs(F - A @ ref)))
+
+    def test_exactly_singular_matrix_is_inf_then_singular_error(self):
+        p = md.make_chaplygin_sleigh()
+        _, _, cond = sv.factor_newton_matrix(p, np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert cond == np.inf
+        # a Newton matrix whose H block vanishes after the regularity test
+        q, _ = _sleigh_with_bad_hess(2, 0.0)
+        with pytest.raises(SingularError, match="condition estimate inf"):
+            sv.step(q, q.initial_builder({"xi": [0.7, 0.9]}))
+
+    def test_non_finite_newton_matrix_is_singular_error(self):
+        p = md.make_chaplygin_sleigh()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SingularError, match="non-finite"):
+                sv.factor_newton_matrix(p, np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_step_reports_what_it_solved(self, name):
+        opts = sv.SolverOptions()
+        for p, g, _ in _kernel_cases(name):
+            res = sv.step(p, g, opts)
+            assert np.array_equal(res.multipliers, pb.lagrange_multipliers(p, g, res.next)[0])
+            assert float(np.max(np.abs(pb.residual_at(p, g, res.next)))) <= opts.tol_residual
+            (lmin, _), (rmin, _) = sv.point_regularity_sigmas(p, g)
+            assert (res.sigma_min_left, res.sigma_min_right) == (lmin, rmin)
+
+
+class TestStepCounts:
+    def test_backtracks_count_rejected_trial_points(self):
+        # from this start the sleigh's line search rejects one full step;
+        # every residual evaluation makes one right-gradient call, and the
+        # multipliers reuse the last one
+        p = md.make_chaplygin_sleigh()
+        lag = p.lagrangian
+        calls = [0]
+
+        def rgrad(g):
+            calls[0] += 1
+            return lag.right_grad(g)
+
+        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, right_grad=rgrad))
+        res = sv.step(q, q.initial_builder({"xi": [1.4, 1.8]}))
+        assert res.backtracks == 1
+        assert calls[0] == 1 + res.iterations + res.backtracks
+
+    def test_no_backtracks_on_full_newton_steps(self):
+        p, g = _particle_pair()
+        res = sv.step(p, g)
+        assert res.backtracks == 0
+        assert res.sigma_min_left > 0 and res.sigma_min_right > 0
