@@ -14,6 +14,7 @@ crashed run never leaves a partial trajectory behind.
 import argparse
 import copy
 import csv
+import inspect
 import io
 import json
 import os
@@ -41,7 +42,7 @@ EXIT_IO = 4
 
 _TOP_KEYS = {"system", "initial", "steps", "solver", "outputs", "momentum", "check"}
 _SYSTEM_KEYS = {"name", "params"}
-_SOLVER_KEYS = {"tol_residual", "max_iters", "max_backtracks", "cond_limit"}
+_SOLVER_KEYS = {"tol_residual", "max_iters", "cond_limit"}
 _OUTPUT_KEYS = {"trajectory", "summary", "report", "format"}
 _MOMENTUM_KEYS = {"specs", "tolerance"}
 _CHECK_KEYS = {"samples", "seed", "points", "trajectory_steps"}
@@ -89,16 +90,6 @@ def _expect_int(value, where, minimum=None):
     return value
 
 
-def _expect_number(value, where, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    if not np.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
-    if positive and not value > 0:
-        raise ConfigError(f"{where} must be positive")
-    return float(value)
-
-
 def _is_file_name(name):
     """True for a non-empty name that stays inside the output directory."""
     return isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
@@ -122,6 +113,7 @@ def parse_config(data):
         known = ", ".join(sorted(md.FACTORIES))
         raise ConfigError(f"system.name must be one of: {known}")
     params = _expect_mapping(system.get("params", {}), "system.params")
+    md.check_keys(params, inspect.signature(md.FACTORIES[name]).parameters, "system.params")
 
     initial = data.get("initial")
     if initial is not None:
@@ -134,10 +126,10 @@ def parse_config(data):
     solver = _expect_mapping(data.get("solver", {}), "solver")
     md.check_keys(solver, _SOLVER_KEYS, "solver")
     for key, value in solver.items():
-        if key in ("max_iters", "max_backtracks"):
+        if key == "max_iters":
             _expect_int(value, f"solver.{key}", minimum=1)
         else:
-            _expect_number(value, f"solver.{key}", positive=True)
+            md.number(value, f"solver.{key}", positive=True)
 
     outputs = _expect_mapping(data.get("outputs", {}), "outputs")
     md.check_keys(outputs, _OUTPUT_KEYS, "outputs")
@@ -157,7 +149,7 @@ def parse_config(data):
         if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
             raise ConfigError("momentum.specs must be a list of spec names")
     if "tolerance" in momentum:
-        _expect_number(momentum["tolerance"], "momentum.tolerance", positive=True)
+        md.number(momentum["tolerance"], "momentum.tolerance", positive=True)
 
     check = _expect_mapping(data.get("check", {}), "check")
     md.check_keys(check, _CHECK_KEYS, "check")
@@ -206,11 +198,7 @@ def load_config(path):
 
 
 def build_problem(cfg):
-    factory = md.FACTORIES[cfg.system]
-    try:
-        return factory(**cfg.params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {cfg.system}: {exc}") from None
+    return md.FACTORIES[cfg.system](**cfg.params)
 
 
 def build_initial(problem, cfg):

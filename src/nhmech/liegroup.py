@@ -161,16 +161,6 @@ def so3_log(R):
     return th * n
 
 
-def so3_Ad(R, xi):
-    """Adjoint action: Ad_R xi = R xi (as vectors)."""
-    return np.asarray(R) @ np.asarray(xi, dtype=float)
-
-
-def so3_coAd(R, mu):
-    """Coadjoint action: <coAd_R mu, xi> = <mu, Ad_R xi>, i.e. R^T mu."""
-    return np.asarray(R).T @ np.asarray(mu, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # se(2) / SE(2)
 
@@ -253,13 +243,3 @@ def se2_Ad(g, xi):
     v = np.asarray(xi[1:], dtype=float)
     out = rot2(th) @ v - om * (_J2 @ t)
     return np.array([om, out[0], out[1]])
-
-
-def se2_coAd(g, mu):
-    """Coadjoint action: <coAd_g mu, xi> = <mu, Ad_g xi>."""
-    th = g[0]
-    t = np.asarray(g[1:], dtype=float)
-    mom = float(mu[0])
-    mv = np.asarray(mu[1:], dtype=float)
-    out = rot2(th).T @ mv
-    return np.array([mom - mv @ (_J2 @ t), out[0], out[1]])

@@ -92,7 +92,6 @@ class NhProblem:
     lagrangian: Lagrangian
     constraints: ConstraintSet
     distribution: Distribution
-    h: Optional[float] = None
     params: dict = field(default_factory=dict)
     declared_reversible: Optional[bool] = None
     momentum_specs: dict = field(default_factory=dict)

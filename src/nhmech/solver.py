@@ -3,7 +3,8 @@
 ``step`` advances one element: the unknown is the next element, parametrized
 by fiber-chart coordinates on the source-fiber over the matching point, and a
 damped Newton iteration drives the stacked residual (projected DEL rows, then
-constraint rows) to tolerance.  ``evolve`` chains steps into a trajectory.
+constraint rows) to tolerance, or to its roundoff floor when that is larger.
+``evolve`` chains steps into a trajectory.
 
 Both the Newton matrix and the regularity test come from one object, the
 mixed second derivative H of the discrete Lagrangian
@@ -44,14 +45,15 @@ from .errors import (
 )
 
 ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 30
 REGULARITY_RTOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 @dataclass
 class SolverOptions:
     tol_residual: float = 1e-10
     max_iters: int = 50
-    max_backtracks: int = 30
     cond_limit: float = 1e14
 
 
@@ -66,6 +68,7 @@ class StepResult:
     backtracks: int = 0  # line-search trial points rejected over the step
     sigma_min_left: float = math.nan  # kernel singular values of the pairings at g
     sigma_min_right: float = math.nan
+    floor: float = math.nan  # roundoff floor of the residual; the step stops at max(tol, floor)
 
 
 @dataclass
@@ -174,11 +177,17 @@ def step(p, g, options: Optional[SolverOptions] = None):
     if not math.isfinite(rnorm):
         raise SingularError(f"{p.name}: residual at the first guess has non-finite entries")
     history = [rnorm]
-    cond_est = None
     iters = 0
     backtracks = 0
 
-    while rnorm > opts.tol_residual:
+    # The residual cannot be evaluated more accurately than about eps |J| |g|
+    # (the backward-error bound of a linear solve), so that is where the
+    # iteration stops when it lies above the tolerance.
+    J = frame.newton_matrix(center)
+    floor = EPS * lapack.dlange("I", J) * max(1.0, float(np.abs(p.to_row(g)).max()))
+    stop = max(opts.tol_residual, floor)
+    lu, piv, cond_est = factor_newton_matrix(p, J)
+    while rnorm > stop:
         if iters >= opts.max_iters:
             raise NoConvergenceError(
                 f"{p.name}: no convergence after {iters} Newton iterations "
@@ -186,7 +195,8 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 iterations=iters,
                 residual_norm=rnorm,
             )
-        lu, piv, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
+        if iters:
+            lu, piv, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
         if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
             raise SingularError(
                 f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
@@ -198,7 +208,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
         merit0 = 0.5 * float(r @ r)
         t = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             try:
                 cand = bk.retract(center, t * du)
                 if p.domain_guard is not None:
@@ -210,7 +220,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 continue
             merit = 0.5 * float(r_try @ r_try)
             if merit <= (1.0 - 2.0 * ARMIJO_C1 * t) * merit0 or (
-                float(np.abs(r_try).max()) <= opts.tol_residual
+                float(np.abs(r_try).max()) <= stop
             ):
                 center = cand  # recenter the chart at the accepted iterate
                 r = r_try
@@ -229,10 +239,6 @@ def step(p, g, options: Optional[SolverOptions] = None):
         rnorm = float(np.abs(r).max())
         history.append(rnorm)
 
-    if cond_est is None:
-        # already converged at the initial guess; factor once for the report
-        _, _, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
-
     lam, _ = frame.multipliers(center)
     return StepResult(
         next=center,
@@ -244,6 +250,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
         backtracks=backtracks,
         sigma_min_left=sigma_left,
         sigma_min_right=sigma_right,
+        floor=floor,
     )
 
 

@@ -9,7 +9,7 @@ achieves; the suite does not record the measured margins.
 import numpy as np
 import pytest
 
-from conftest import newton_tail_is_quadratic
+from conftest import BALL_INITIAL, BALL_PARAMS, newton_tail_is_quadratic
 from nhmech import diagnostics as dg
 from nhmech import liegroup as lg
 from nhmech import models as md
@@ -17,8 +17,6 @@ from nhmech import problem as pb
 from nhmech import solver as sv
 from nhmech.errors import SingularError
 
-BALL_PARAMS = {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}
-BALL_INITIAL = {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0}
 PARTICLE_INITIAL = {"q0": [0.2, -0.4, 0.1], "q1": [0.25, -0.35, 0.08125]}
 ROBOT_INITIAL = {"wheels0": [0.3, -0.2], "dphi": 0.12, "dpsi": -0.07}
 VESELOVA_INITIAL = {"gamma": [0.2, -0.3, 0.93], "omega": [0.9, -0.4, 0.0]}
@@ -33,19 +31,6 @@ def contact_path(trajectory):
     first = np.asarray(trajectory.elements[0][0], dtype=float)
     rest = [np.asarray(e[1], dtype=float) for e in trajectory.elements]
     return np.vstack([first] + rest)
-
-
-@pytest.fixture(scope="module")
-def ball_run():
-    """One long roll: 20000 steps from the reference start.
-
-    The first criterion uses the leading 1000 steps (stepping is sequential,
-    so the prefix equals a standalone 1000-step run bit for bit), the second
-    uses the whole path.
-    """
-    p = md.make_rolling_ball(**BALL_PARAMS)
-    g0 = p.initial_builder(BALL_INITIAL)
-    return p, sv.evolve(p, g0, 20000)
 
 
 def test_criterion_01_ball_matches_closed_form(ball_run):

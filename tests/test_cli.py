@@ -66,6 +66,8 @@ class TestConfigParsing:
             lambda d: d["outputs"].__setitem__("plot", "x.png"),
             lambda d: d["momentum"].__setitem__("mode", "fast"),
             lambda d: d["check"].__setitem__("grid", 10),
+            lambda d: d["system"]["params"].__setitem__("mass", 1.0),
+            lambda d: d["solver"].__setitem__("max_backtracks", 30),
         ],
     )
     def test_unknown_keys_rejected(self, mutate):
@@ -246,6 +248,10 @@ class TestExitCodes:
             ("mobile_robot", {}, {"wheels0": [0.3, -0.2], "dphi": "x", "dpsi": 0.1}, "dphi"),
             ("rolling_ball", {"m": "abc"}, BALL_CONFIG["initial"], "m"),
             ("rolling_ball", {"h": float("nan")}, BALL_CONFIG["initial"], "h"),
+            ("rolling_ball", {"h": True}, BALL_CONFIG["initial"], "h"),
+            ("rolling_ball", {"h": "0.01"}, BALL_CONFIG["initial"], "h"),
+            ("rolling_ball", {}, dict(BALL_CONFIG["initial"], spin=True), "spin"),
+            ("constrained_particle", {}, dict(PARTICLE_INITIAL, q0=["0.2", -0.4, 0.1]), "q0"),
         ],
     )
     def test_malformed_number_is_config_error(self, tmp_path, capsys, system, params, initial, key):

@@ -4,17 +4,18 @@ directly (17 significant digits).
 
 A change to the solver, the kinetic forms or the kernels that moves a path
 by more than GOLDEN_ATOL per coordinate fails here; larger moves must be
-explained and the values re-recorded.  The constrained particle stops at
-step 284 with NoConvergenceError (roundoff in its 1/h^2-scaled rows, a known
-defect); that stop is pinned too, so a fix shows up as a change here.
+explained and the values re-recorded.  The constrained particle's final
+state was recorded later, once the step stopped at its roundoff floor (see
+``StepResult.floor``) instead of failing on roundoff in its 1/h^2-scaled rows.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import nhmech.models as md
 import nhmech.solver as sv
-from nhmech.errors import NoConvergenceError
 
 GOLDEN_STEPS = 400
 GOLDEN_ATOL = 1e-12
@@ -31,6 +32,10 @@ STARTS = {
 
 # the element after GOLDEN_STEPS steps, as NhProblem.to_row
 FINAL = {
+    "constrained_particle": [
+        4.5350863648991409, 19.599999999999607, 19.907518994056808,
+        4.5378035331856772, 19.649999999999604, 19.960843421680085,
+    ],
     "suslov": [
         0.9998875058592529, -0.0001499921876627426, -0.014998437548827398,
         -0.0001499921876627426, 0.99980001041644972, -0.01999791673176848,
@@ -62,22 +67,17 @@ FINAL = {
 }
 
 
-def _start(name):
+@functools.cache
+def golden_run(name):
+    """The system and its GOLDEN_STEPS-step trajectory from STARTS[name]
+    (the long-horizon suite continues it)."""
     p = md.FACTORIES[name]()
-    return p, p.initial_builder(STARTS[name])
+    return p, sv.evolve(p, p.initial_builder(STARTS[name]), GOLDEN_STEPS)
 
 
 @pytest.mark.parametrize("name", sorted(FINAL))
 def test_final_state_matches_golden(name):
-    p, g0 = _start(name)
-    traj = sv.evolve(p, g0, GOLDEN_STEPS)
+    p, traj = golden_run(name)
     got = p.to_row(traj.elements[-1])
     assert got.shape == (len(FINAL[name]),)
     assert np.max(np.abs(got - np.array(FINAL[name]))) <= GOLDEN_ATOL
-
-
-def test_particle_still_stops_at_step_284():
-    p, g0 = _start("constrained_particle")
-    with pytest.raises(NoConvergenceError) as exc:
-        sv.evolve(p, g0, GOLDEN_STEPS)
-    assert exc.value.step_index == 284

@@ -14,7 +14,6 @@ from nhmech.liegroup import (
     cross3,
     rot2,
     se2_Ad,
-    se2_coAd,
     se2_compose,
     se2_element,
     se2_exp,
@@ -26,8 +25,6 @@ from nhmech.liegroup import (
     se2_matrix,
     se2_right_jacobian,
     sinc,
-    so3_Ad,
-    so3_coAd,
     so3_exp,
     so3_hat,
     so3_log,
@@ -126,15 +123,6 @@ def test_so3_log_raises_at_pi():
         so3_log(R)
 
 
-def test_so3_adjoint_is_conjugation():
-    w = np.array([0.4, 0.1, -0.7])
-    xi = np.array([-0.3, 0.9, 0.2])
-    R = so3_exp(w)
-    assert np.allclose(so3_hat(so3_Ad(R, xi)), R @ so3_hat(xi) @ R.T, atol=1e-13)
-    mu = np.array([0.5, -1.0, 0.25])
-    assert np.isclose(so3_coAd(R, mu) @ xi, mu @ so3_Ad(R, xi))
-
-
 # ---------------------------------------------------------------------------
 # SE(2)
 
@@ -212,8 +200,6 @@ def test_se2_adjoint_is_conjugation():
     lhs = se2_hat(se2_Ad(g, xi))
     M = se2_matrix(g)
     assert np.allclose(lhs, M @ se2_hat(xi) @ np.linalg.inv(M), atol=1e-12)
-    mu = np.array([1.1, -0.3, 0.7])
-    assert np.isclose(se2_coAd(g, mu) @ xi, mu @ se2_Ad(g, xi))
 
 
 def test_rot2_orthogonal():

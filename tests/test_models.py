@@ -502,6 +502,28 @@ class TestConfigValidation:
             p.initial_builder({"q0": [0.0, 1.0, 0.0], "velocity": [1.0, 0.0, 0.0]})
 
     @pytest.mark.parametrize(
+        "val, shape, positive, match",
+        [
+            (True, (), False, "a number"),
+            ("0.5", (), False, "a number"),
+            ([0.5], (), False, "a number"),
+            ([1.0, True, 2.0], 3, False, "a list of 3 numbers"),
+            ([[1.0, 2.0], [3.0]], None, False, "numeric"),
+            (10**400, (), False, "finite"),
+            ([1.0, float("inf")], 2, False, "finite"),
+            (0, (), True, "positive"),
+        ],
+    )
+    def test_number_is_strict(self, val, shape, positive, match):
+        with pytest.raises(ConfigError, match=match):
+            md.number(val, "x", shape, positive=positive)
+
+    def test_number_accepts_numpy_and_python_reals(self):
+        assert md.number(np.int64(2), "x") == 2.0
+        got = md.number([1, np.float64(0.5), 2.0], "x", 3, positive=True)
+        assert got.dtype == float and np.array_equal(got, [1.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize(
         "name, pins",
         [
             ("constrained_particle", {"y0": lambda g: g[0][1], "x1": lambda g: g[1][0]}),

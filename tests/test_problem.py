@@ -45,7 +45,6 @@ def _free_problem(dim=2):
             basis=lambda x: np.eye(dim),
             annihilator=lambda x: np.zeros((dim, 0)),
         ),
-        h=h,
     )
 
 
@@ -60,7 +59,7 @@ class TestResidual:
     def test_particle_del_rows_are_difference_equations(self):
         # the two projected rows must equal the second-difference forms
         p = md.make_constrained_particle(h=0.01)
-        h = p.h
+        h = p.params["h"]
         g = (FROZEN_Q0, FROZEN_Q1)
         rng = np.random.default_rng(11)
         q2 = FROZEN_Q2 + 0.01 * rng.normal(size=3)  # off the solution on purpose
@@ -89,7 +88,6 @@ class TestResidual:
             lagrangian=Lagrangian(eval=lambda g: 1.0),
             constraints=p.constraints,
             distribution=p.distribution,
-            h=p.h,
         )
         g = (FROZEN_Q0, FROZEN_Q1)
         assert np.max(np.abs(pb.del_projected(flat, g, (FROZEN_Q1, FROZEN_Q2)))) < 1e-9
@@ -133,7 +131,6 @@ class TestResidual:
                     basis=lambda x, A=A: p.distribution.basis(x) @ A,
                     annihilator=p.distribution.annihilator,
                 ),
-                h=p.h,
             )
             assert np.allclose(pb.del_projected(mixed, g, h_el), A.T @ rows, rtol=1e-9)
 
@@ -210,7 +207,6 @@ class TestMultipliers:
                     [p.distribution.annihilator(x)] * 2
                 ),
             ),
-            h=p.h,
         )
         with pytest.raises(RankDeficientAnnihilator):
             pb.lagrange_multipliers(broken, (FROZEN_Q0, FROZEN_Q1), (FROZEN_Q1, FROZEN_Q2))
