@@ -41,9 +41,10 @@ class RegularityReport:
 def regularity_report(p, g):
     """Point-regularity of the two-point form at g, plus the condition
     estimate of the Newton matrix at the canonical mirror guess."""
-    (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g)
+    frame = pb.StepFrame(p, g)
+    (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     try:
-        J = pb.newton_matrix(p, g, sv.mirror_center(p, g))
+        J = frame.newton_matrix(p.backend.mirror(g))
         _, _, cond = sv.factor_newton_matrix(p, J)
     except NhError:
         cond = np.inf

@@ -5,6 +5,9 @@ A backend bundles the structure maps of one groupoid: ``source``, ``target``,
 fiber chart around any element: ``retract(c, u)`` moves along the
 source-fiber through ``c`` by chart coordinates ``u`` (an ``(fiber_dim,)``
 array), and ``coords(c, g)`` inverts it for ``g`` on the same fiber.
+``mirror(g)``, the solver's first guess, repeats g's displacement: it is
+``retract(identity(target g), coords(identity(source g), g))`` in closed
+form, and raises ChartDomainError where that round trip would.
 
 Elements are plain values (tuples of numpy arrays, rotation matrices, SE(2)
 triples); treat them as immutable.
@@ -91,6 +94,10 @@ class PairGroupoid:
             raise NotComposableError("coords: elements lie on different source fibers")
         return np.asarray(g[1], dtype=float) - np.asarray(c[1], dtype=float)
 
+    def mirror(self, g):
+        q1 = np.asarray(g[1], dtype=float)
+        return (q1, q1 + (q1 - g[0]))
+
     def distance(self, g, h):
         return max(_base_mismatch(g[0], h[0]), _base_mismatch(g[1], h[1]))
 
@@ -108,7 +115,8 @@ class LieGroupGroupoid:
         self.group = group
         self.base_dim = 0
         self.fiber_dim = 3
-        self._mul, self._inv, self._exp, self._log, self._id, self._diff = _GROUPS[group]
+        (self._mul, self._inv, self._exp, self._log, self._id, self._diff,
+         self._check_cut) = _GROUPS[group]
 
     def source(self, g):
         return _POINT
@@ -131,6 +139,10 @@ class LieGroupGroupoid:
     def coords(self, c, g):
         return self._log(self._mul(self._inv(c), g))
 
+    def mirror(self, g):
+        self._check_cut(g)
+        return g
+
     def distance(self, g, h):
         return float(np.max(np.abs(self._diff(g, h))))
 
@@ -142,7 +154,8 @@ def se_diff(g, h):
     return d
 
 
-# (multiply, invert, exp, log, identity, difference) of each Lie group.  The
+# (multiply, invert, exp, log, identity, difference, cut check) of each Lie
+# group; the cut check raises where log does.  The
 # kernels are looked up in ``liegroup`` at call time, so a replacement made
 # there after import is seen.
 _GROUPS = {
@@ -153,6 +166,7 @@ _GROUPS = {
         lambda a: lg.so3_log(a),
         lambda: np.eye(3),
         lambda a, b: a - b,
+        lambda a: lg.so3_axial_angle(a),
     ),
     "se2": (
         lambda a, b: lg.se2_compose(a, b),
@@ -161,6 +175,7 @@ _GROUPS = {
         lambda a: lg.se2_log(a),
         lambda: lg.se2_identity(),
         se_diff,
+        lambda a: lg.se2_check_cut(a),
     ),
 }
 
@@ -200,6 +215,10 @@ class ActionGroupoid:
         if _base_mismatch(c[0], g[0]) > COMPOSE_TOL:
             raise NotComposableError("coords: elements lie on different source fibers")
         return lg.so3_log(c[1].T @ g[1])
+
+    def mirror(self, g):
+        lg.so3_axial_angle(g[1])
+        return (self.target(g), g[1])
 
     def distance(self, g, h):
         return max(_base_mismatch(g[0], h[0]), float(np.max(np.abs(g[1] - h[1]))))
@@ -250,6 +269,10 @@ class AtiyahGroupoid:
         u[:m] = np.asarray(g[1], dtype=float) - np.asarray(c[1], dtype=float)
         u[m:] = self.group_ops.coords(c[2], g[2])
         return u
+
+    def mirror(self, g):
+        p1 = np.asarray(g[1], dtype=float)
+        return (p1, p1 + (p1 - g[0]), self.group_ops.mirror(g[2]))
 
     def distance(self, g, h):
         return max(

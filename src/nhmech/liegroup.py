@@ -125,6 +125,18 @@ def so3_exp(w):
     return np.eye(3) + a * W + b * (W @ W)
 
 
+def so3_axial_angle(R):
+    """axial(R) and the rotation angle of R in [0, pi], by atan2; raises
+    ChartDomainError within 1e-10 of angle pi, the cut of :func:`so3_log`."""
+    ax = axial(R)
+    s = 0.5 * np.linalg.norm(ax)
+    c = 0.5 * (np.trace(R) - 1.0)
+    th = np.arctan2(s, min(max(c, -1.0), 1.0))
+    if np.pi - th < 1e-10:
+        raise ChartDomainError("so3_log: rotation angle at the cut (pi)")
+    return ax, th
+
+
 def so3_log(R):
     """Principal logarithm of a rotation matrix, returned as a 3-vector.
 
@@ -133,10 +145,7 @@ def so3_log(R):
     1e-10 of angle pi where the principal branch breaks down.
     """
     R = np.asarray(R, dtype=float)
-    ax = axial(R)
-    s = 0.5 * np.linalg.norm(ax)
-    c = 0.5 * (np.trace(R) - 1.0)
-    th = np.arctan2(s, min(max(c, -1.0), 1.0))
+    ax, th = so3_axial_angle(R)
     if th < 0.5:
         # w = f * axial/2 with f = th/sin(th)
         if th < 1e-4:
@@ -147,8 +156,6 @@ def so3_log(R):
         return 0.5 * f * ax
     if th < np.pi - 1e-4:
         return (0.5 * th / np.sin(th)) * ax
-    if np.pi - th < 1e-10:
-        raise ChartDomainError("so3_log: rotation angle at the cut (pi)")
     # Near pi: R + I = 2 [cos^2(th/2) I + sin(th/2)cos(th/2) hat(n) + sin^2(th/2) n n^T];
     # the dominant column of R + I is parallel to n.
     B = R + np.eye(3)
@@ -208,11 +215,16 @@ def se2_exp(xi):
     return se2_element(om, a * v1 - b * v2, b * v1 + a * v2)
 
 
+def se2_check_cut(g):
+    """Raise ChartDomainError where :func:`se2_log` does: |theta| >= pi - 1e-10."""
+    if abs(float(g[0])) >= np.pi - 1e-10:
+        raise ChartDomainError("se2_log: rotation angle at the cut (pi)")
+
+
 def se2_log(g):
     """Principal logarithm; raises ChartDomainError at |theta| = pi."""
     th, x, y = [float(c) for c in g]
-    if abs(th) >= np.pi - 1e-10:
-        raise ChartDomainError("se2_log: rotation angle at the cut (pi)")
+    se2_check_cut(g)
     a = sinc(th)
     b = versine_over(th)
     d = a * a + b * b  # = 2(1-cos th)/th^2, positive on the domain

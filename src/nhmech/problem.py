@@ -8,7 +8,7 @@ Euler-Lagrange condition
     left_deriv(L, g, X_a(beta(g))) - right_deriv(L, h, X_a(beta(g))) = 0
 
 over a basis X_a of the distribution at the matching point, together with
-``phi(h) = 0`` for the next element.  ``residual`` stacks the projected rows
+``phi(h) = 0`` for the next element.  ``residual_at`` stacks the projected rows
 first and the constraint rows after them.
 
 Every second-order quantity comes from the mixed second derivative
@@ -26,6 +26,7 @@ wrappers' finiteness check, so each call is preceded by one of its own that
 raises SingularError.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,6 +39,7 @@ from .errors import ConstraintViolationError, RankDeficientAnnihilator, Singular
 
 TOL_CONSTRAINT = 1e-9
 NULLSPACE_RTOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ class NhProblem:
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
+    # the last StepFrame's matching point (as bytes) and its distribution basis
+    basis_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -194,22 +198,37 @@ def _svd(M, what, compute_uv=1):
     return s, vh
 
 
+@functools.cache
+def _gelsd_workspace(m, k):
+    """The cutoff eps * max(m, k) and the dgelsd workspace query (work, iwork,
+    info) for an (m, k) least-squares problem; they depend on the shape only."""
+    cond = EPS * max(m, k)
+    return (cond, *lapack.dgelsd_lwork(m, k, 1, cond))
+
+
 class StepFrame:
     """The quantities of a step from g that depend on g alone, each
     evaluated once: the distribution basis B at the matching point beta(g),
     ``left_grad(g)`` and its projection ``left_grad(g) @ B``.
 
-    It also keeps the right gradient of the last candidate whose residual it
-    evaluated, so the multipliers at the accepted iterate reuse it.
+    The basis at alpha(g) comes from the problem's ``basis_record`` when the
+    previous frame's matching point was alpha(g).  The frame keeps H(g) and
+    the left gradient of phi at g from the regularity test, for a Newton
+    matrix centred at g, and the right gradient of the last candidate, for
+    the multipliers at the accepted iterate.
     """
 
     def __init__(self, p, g):
         self.p = p
         self.g = g
-        self.basis = np.asarray(p.distribution.basis(p.backend.target(g)), dtype=float)
+        self._previous = p.basis_record
+        self.beta = np.asarray(p.backend.target(g), dtype=float)
+        self.basis = np.asarray(p.distribution.basis(self.beta), dtype=float)
+        p.basis_record = (self.beta.tobytes(), self.basis)
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self._last = (None, None)
+        self._at_g = None  # (H(g), left gradient of phi at g)
 
     def del_rows(self, h):
         """Projected discrete Euler-Lagrange rows for a candidate h."""
@@ -229,7 +248,9 @@ class StepFrame:
         the constraint rows differentiate to the left chart gradient of phi.
         """
         p = self.p
-        return np.vstack([-self.basis.T @ p.mixed_hess(center), p.phi_left_jac(center)])
+        at_g = center is self.g and self._at_g
+        H, phi_jac = at_g or (p.mixed_hess(center), p.phi_left_jac(center))
+        return np.vstack([-self.basis.T @ H, phi_jac])
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
@@ -239,12 +260,11 @@ class StepFrame:
         p = self.p
         last, right = self._last
         F = self.left_grad - (right if h is last else p.right_grad(h))
-        A = np.asarray(p.distribution.annihilator(p.backend.target(self.g)), dtype=float)
+        A = np.asarray(p.distribution.annihilator(self.beta), dtype=float)
         _require_finite(F, f"{p.name}: difference covector")
         _require_finite(A, f"{p.name}: annihilator basis")
         m, k = A.shape
-        cond = np.finfo(float).eps * max(m, k)
-        work, iwork, info = lapack.dgelsd_lwork(m, k, 1, cond)
+        cond, work, iwork, info = _gelsd_workspace(m, k)
         if info == 0:
             x, _, rank, info = lapack.dgelsd(A, F, int(work), iwork, cond, False, False)
         if info != 0:
@@ -260,17 +280,14 @@ class StepFrame:
     def regularity_matrices(self):
         """The two pairings of :func:`regularity_matrices` at g."""
         p, g = self.p, self.g
-        Xa = np.asarray(p.distribution.basis(p.backend.source(g)), dtype=float)
-        H = p.mixed_hess(g)
-        G_left = -Xa.T @ H @ left_tangent_basis(p, g)
+        key, Xa = self._previous
+        alpha = np.asarray(p.backend.source(g), dtype=float)
+        if alpha.tobytes() != key:
+            Xa = np.asarray(p.distribution.basis(alpha), dtype=float)
+        H, phi_jac = self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
+        G_left = -Xa.T @ H @ _nullspace(phi_jac)
         G_right = -right_tangent_basis(p, g).T @ H @ self.basis
         return G_left, G_right
-
-
-def del_covector(p, g, h):
-    """Full difference covector F(v) = d_left(L, g, v) - d_right(L, h, v)
-    as components over the fiber chart directions."""
-    return p.left_grad(g) - p.right_grad(h)
 
 
 def del_projected(p, g, h):
@@ -282,14 +299,6 @@ def del_projected(p, g, h):
 def residual_at(p, g, h):
     """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h."""
     return StepFrame(p, g).residual(h)
-
-
-def residual(p, g, u, center=None):
-    """Residual as a function of fiber-chart coordinates u around ``center``
-    (default: the unit over beta(g))."""
-    if center is None:
-        center = p.backend.identity(p.backend.target(g))
-    return residual_at(p, g, p.backend.retract(center, np.asarray(u, dtype=float)))
 
 
 def newton_matrix(p, g, center):

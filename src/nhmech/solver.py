@@ -69,6 +69,7 @@ class StepResult:
     sigma_min_left: float = math.nan  # kernel singular values of the pairings at g
     sigma_min_right: float = math.nan
     floor: float = math.nan  # roundoff floor of the residual; the step stops at max(tol, floor)
+    floor_limited: bool = False  # stopped with tol < residual <= floor
 
 
 @dataclass
@@ -146,14 +147,6 @@ def _assert_point_regular(p, frame):
     return left[0], right[0]
 
 
-def mirror_center(p, g):
-    """First guess for the element after g: g's own displacement repeated,
-    i.e. the coordinates of g in the chart at its source unit, applied at the
-    unit over its target."""
-    bk = p.backend
-    return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
-
-
 def step(p, g, options: Optional[SolverOptions] = None):
     """Advance one step from g; returns a StepResult with the next element.
 
@@ -168,7 +161,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
     frame = pb.StepFrame(p, g)
     sigma_left, sigma_right = _assert_point_regular(p, frame)
 
-    center = mirror_center(p, g)
+    center = bk.mirror(g)  # g's displacement repeated
     if p.domain_guard is not None:
         p.domain_guard(center)
 
@@ -184,7 +177,8 @@ def step(p, g, options: Optional[SolverOptions] = None):
     # (the backward-error bound of a linear solve), so that is where the
     # iteration stops when it lies above the tolerance.
     J = frame.newton_matrix(center)
-    floor = EPS * lapack.dlange("I", J) * max(1.0, float(np.abs(p.to_row(g)).max()))
+    gmax = max(float(np.abs(part).max()) for part in (g if isinstance(g, tuple) else (g,)))
+    floor = EPS * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
     lu, piv, cond_est = factor_newton_matrix(p, J)
     while rnorm > stop:
@@ -251,6 +245,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
         sigma_min_left=sigma_left,
         sigma_min_right=sigma_right,
         floor=floor,
+        floor_limited=rnorm > opts.tol_residual,
     )
 
 
@@ -294,10 +289,3 @@ def legendre_plus(p, g):
     B = np.asarray(p.distribution.basis(x), dtype=float)
     comps = p.left_grad(g) @ B
     return NhCovector(base=np.asarray(x, dtype=float).copy(), components=comps)
-
-
-def hamiltonian_step(p, g, options: Optional[SolverOptions] = None):
-    """One step in momentum form: (outgoing covector of g, outgoing covector
-    of the solved next element)."""
-    res = step(p, g, options)
-    return legendre_plus(p, g), legendre_plus(p, res.next)

@@ -1,5 +1,5 @@
-"""Shared test helpers: hand-eliminated oracles, convergence classifiers and
-the long ball run."""
+"""Shared test helpers: hand-eliminated oracles, the generic first-guess
+oracle, convergence classifiers and the long ball run."""
 
 import numpy as np
 import pytest
@@ -56,6 +56,21 @@ def particle_oracle(q0, q1):
     x2 = (a - y1 * z1 + y1 * mu * x1) / (1 + y1 * mu)
     z2 = z1 + mu * (x2 - x1)
     return np.array([x2, y2, z2])
+
+
+def del_covector(p, g, h):
+    """Full difference covector F(v) = d_left(L, g, v) - d_right(L, h, v)
+    as components over the fiber chart directions."""
+    return p.left_grad(g) - p.right_grad(h)
+
+
+def mirror_center(p, g):
+    """Generic first guess for the element after g, the oracle for the
+    backends' closed-form ``mirror``: the coordinates of g in the chart at
+    its source unit, applied at the unit over its target (a log, then an
+    exp)."""
+    bk = p.backend
+    return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
 
 
 def newton_tail_is_quadratic(history, floor=1e-14):

@@ -357,6 +357,38 @@ class TestCheck:
         assert record["all_points_regular"] is False
         assert record["identity_regular"] is True
 
+    LONG_PARTICLE = {
+        "system": {"name": "constrained_particle"},
+        "initial": PARTICLE_INITIAL,
+        "check": {"samples": 2, "seed": 0, "trajectory_steps": 2000},
+    }
+
+    def test_floor_limited_steps_match_at_their_floor(self, tmp_path, capsys):
+        # late in the run the particle's steps stop at their roundoff floor,
+        # and their Legendre gaps (up to ~7e-9) exceed 10 tol but not 10 floor
+        path = write_config(tmp_path, self.LONG_PARTICLE)
+        _, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        matching = json.loads(out)["legendre_matching"]
+        assert matching["max_gap"] > 10.0 * sv.SolverOptions().tol_residual
+        assert matching["matched"] is True
+
+    def test_perturbed_gap_is_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        legendre_minus = sv.legendre_minus
+
+        def shifted(p, h):
+            # one late, floor-limited step's gap raised by 1e-6
+            cov = legendre_minus(p, h)
+            calls.append(h)
+            if len(calls) == 1900:
+                cov.components = cov.components + 1e-6
+            return cov
+
+        monkeypatch.setattr(sv, "legendre_minus", shifted)
+        path = write_config(tmp_path, self.LONG_PARTICLE)
+        _, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert json.loads(out)["legendre_matching"]["matched"] is False
+
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         data = {
             "system": {"name": "suslov"},

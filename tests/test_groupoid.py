@@ -6,7 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmech.errors import NotComposableError
+from types import SimpleNamespace
+
+from conftest import mirror_center
+
+from nhmech.errors import ChartDomainError, NotComposableError
 from nhmech.groupoid import (
     ActionGroupoid,
     AtiyahGroupoid,
@@ -111,6 +115,50 @@ def test_retract_coords_roundtrip(bk, sample):
         assert np.allclose(bk.coords(c, g), u, atol=1e-9)
         # retract stays on the source fiber
         assert np.allclose(np.asarray(bk.source(g)), np.asarray(bk.source(c)), atol=1e-12)
+
+
+@pytest.mark.parametrize("bk,sample", backends_with_samples())
+def test_mirror_matches_chart_round_trip(bk, sample):
+    # closed form against the generic log-then-exp first guess; on the pair
+    # backend no log or exp is involved and the two agree bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        g = sample(rng)
+        guess, oracle = bk.mirror(g), mirror_center(SimpleNamespace(backend=bk), g)
+        assert bk.distance(guess, oracle) <= (0.0 if isinstance(bk, PairGroupoid) else 1e-14)
+
+
+def _near_cut_elements(angle):
+    """One element per backend with a rotation part at ``angle``."""
+    axis = np.array([0.48, -0.6, 0.64])
+    R = so3_exp(angle * axis)
+    x = np.array([0.6, 0.0, 0.8])
+    pts = (np.array([0.3, -0.1]), np.array([0.35, -0.2]))
+    G = se2_element(angle, 0.2, -0.4)
+    return [
+        (LieGroupGroupoid("so3"), R),
+        (LieGroupGroupoid("se2"), G),
+        (ActionGroupoid(), (x, R)),
+        (AtiyahGroupoid(2, "so3"), (*pts, R)),
+        (AtiyahGroupoid(2, "se2"), (*pts, G)),
+    ]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("d", [0.0, 5e-11, 2e-10, 1e-6])
+def test_mirror_refuses_the_chart_cut_like_the_round_trip(d, sign):
+    # pi - d with d below the 1e-10 cut must raise on both paths, above it
+    # neither may
+    for bk, g in _near_cut_elements(sign * (np.pi - d)):
+        outcomes = []
+        for first_guess in (bk.mirror, lambda g: mirror_center(SimpleNamespace(backend=bk), g)):
+            try:
+                first_guess(g)
+                outcomes.append("returned")
+            except ChartDomainError:
+                outcomes.append("raised")
+        assert outcomes[0] == outcomes[1], (type(bk).__name__, d, sign)
+        assert outcomes[0] == ("raised" if d < 1e-10 else "returned")
 
 
 def test_not_composable_raised():

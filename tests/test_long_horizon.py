@@ -27,11 +27,12 @@ PHI_TOL = 1e-9
 
 def assert_every_step_trusted(p, traj):
     """max|phi| <= PHI_TOL on every element and each step's residual at its
-    stopping level max(tol, floor)."""
+    stopping level max(tol, floor), flagged floor_limited when above tol."""
     tol = sv.SolverOptions().tol_residual
     assert max(float(np.abs(p.phi(g)).max()) for g in traj.elements) <= PHI_TOL
     for res in traj.results:
         assert res.residual_norm <= max(tol, res.floor)
+        assert res.floor_limited == (res.residual_norm > tol)
 
 
 @pytest.mark.parametrize("name", sorted(set(STARTS) - {"rolling_ball"}))
@@ -47,6 +48,14 @@ def test_long_run_from_acceptance_start(name):
 
 def test_ball_long_run(ball_run):
     assert_every_step_trusted(*ball_run)
+
+
+def test_floor_limited_steps(ball_run):
+    # the particle's 1/h^2-scaled rows reach their roundoff floor within its
+    # acceptance run (from step 284 on); the ball's residuals stay below tol
+    _, particle = golden_run("constrained_particle")
+    assert any(res.floor_limited for res in particle.results)
+    assert not any(res.floor_limited for res in ball_run[1].results)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import newton_tail_is_quadratic, particle_oracle
+from conftest import del_covector, newton_tail_is_quadratic, particle_oracle
 from scipy.linalg import lapack
+from test_golden import STARTS
+from test_models import ROTATED_J
 
+import nhmech.groupoid as gpd
 import nhmech.liegroup as lg
 import nhmech.models as md
 import nhmech.problem as pb
@@ -132,12 +135,24 @@ class TestFailureModes:
             sv.evolve(p, g0, 5)
         assert exc.value.step_index == 1
 
+    def test_sleigh_at_the_chart_cut_is_a_chart_domain_error(self):
+        # a step rotation within 1e-10 of pi has no principal log, so the
+        # first guess that repeats it is refused rather than taken on a
+        # wrong branch
+        p = md.make_chaplygin_sleigh()
+        g0 = p.initial_builder({"xi": [np.pi - 5e-11, 0.9]})
+        assert abs(g0[0]) > np.pi - 1e-10
+        with pytest.raises(ChartDomainError) as exc:
+            sv.evolve(p, g0, 3)
+        assert exc.value.step_index == 0
+
     @pytest.mark.parametrize(
         "offset,where", [(1, "two-point pairing"), (2, "Newton matrix")], ids=["pairing", "newton"]
     )
     def test_non_finite_H_is_singular_with_step_index(self, offset, where):
         # H turns NaN at the regularity test of step 2 (offset 1) or at the
-        # first Newton matrix after it (offset 2)
+        # next H call after it (offset 2): the Newton matrix of that step's
+        # second iteration, as the first reuses the regularity test's H
         p, calls = _sleigh_with_bad_hess(np.inf, np.nan)
         g0 = p.initial_builder({"xi": [0.7, 0.9]})
         sv.evolve(p, g0, 2)
@@ -281,13 +296,15 @@ class TestLegendre:
             assert np.allclose(minus.components, -plusinv.components, atol=1e-10)
             assert np.allclose(minus.base, plusinv.base, atol=1e-15)
 
-    def test_hamiltonian_step_returns_outgoing_pair(self):
+    def test_outgoing_momentum_of_the_solved_element(self):
+        # a step in momentum form: the covector leaving the solved element
+        # sits at its target, with components left_grad @ basis there
         p, g = _particle_pair()
-        out_g, out_next = sv.hamiltonian_step(p, g)
         res = sv.step(p, g)
-        assert np.array_equal(out_g.components, sv.legendre_plus(p, g).components)
-        assert np.array_equal(out_next.components, sv.legendre_plus(p, res.next).components)
-        assert np.array_equal(out_next.base, res.next[1])
+        out = sv.legendre_plus(p, res.next)
+        assert np.array_equal(out.base, res.next[1])
+        basis = p.distribution.basis(res.next[1])
+        assert np.array_equal(out.components, p.left_grad(res.next) @ basis)
 
 
 class TestTrajectory:
@@ -308,7 +325,7 @@ def _kernel_cases(name):
     states of a built-in system."""
     p = md.FACTORIES[name]()
     for g in p.sample_states(np.random.default_rng(5), 3):
-        yield p, g, pb.newton_matrix(p, g, sv.mirror_center(p, g))
+        yield p, g, pb.newton_matrix(p, g, p.backend.mirror(g))
 
 
 class TestLapackKernels:
@@ -320,7 +337,7 @@ class TestLapackKernels:
             lu, piv, cond = sv.factor_newton_matrix(p, J)
             ref_lu, ref_piv = scipy.linalg.lu_factor(J)
             assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
-            rhs = pb.residual_at(p, g, sv.mirror_center(p, g))
+            rhs = pb.residual_at(p, g, p.backend.mirror(g))
             du, info = lapack.dgetrs(lu, piv, -rhs)
             assert info == 0
             assert np.array_equal(du, scipy.linalg.lu_solve((ref_lu, ref_piv), -rhs))
@@ -347,7 +364,7 @@ class TestLapackKernels:
     def test_multipliers_bit_identical_to_lstsq(self, name):
         for p, g, _ in _kernel_cases(name):
             h = sv.step(p, g).next
-            F = pb.del_covector(p, g, h)
+            F = del_covector(p, g, h)
             A = np.asarray(p.distribution.annihilator(p.backend.target(g)), dtype=float)
             ref, _, _, _ = np.linalg.lstsq(A, F, rcond=None)
             lam, fit = pb.lagrange_multipliers(p, g, h)
@@ -403,3 +420,57 @@ class TestStepCounts:
         res = sv.step(p, g)
         assert res.backtracks == 0
         assert res.sigma_min_left > 0 and res.sigma_min_right > 0
+
+
+COUNTED_STEPS = 50
+
+
+def _counted(fn, calls):
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return counting
+
+
+class TestCallCounts:
+    """What a step does not recompute, pinned per step over COUNTED_STEPS
+    steps: the first guess needs no chart log, the basis at alpha(g) is the
+    previous step's basis at its beta, and on a Lie group the first Newton
+    matrix reuses the H(g) of the regularity test."""
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_no_chart_coords_in_a_step(self, name, monkeypatch):
+        calls = [0]
+        for cls in (gpd.PairGroupoid, gpd.LieGroupGroupoid, gpd.ActionGroupoid,
+                    gpd.AtiyahGroupoid):
+            monkeypatch.setattr(cls, "coords", _counted(cls.coords, calls))
+        p = md.FACTORIES[name]()
+        g = p.initial_builder(STARTS[name])
+        for _ in range(COUNTED_STEPS):
+            g = sv.step(p, g).next
+            assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", ["veselova", "holonomic_sphere"])
+    def test_one_basis_evaluation_per_step(self, name):
+        p = md.FACTORIES[name]()
+        calls = [0]
+        dist = dataclasses.replace(p.distribution, basis=_counted(p.distribution.basis, calls))
+        p = dataclasses.replace(p, distribution=dist)
+        g = p.initial_builder(STARTS[name])
+        for k in range(COUNTED_STEPS):
+            g = sv.step(p, g).next
+            assert calls[0] == k + 2
+
+    def test_first_newton_matrix_reuses_the_regularity_hessian(self):
+        p = md.make_suslov(J=ROTATED_J)
+        calls = [0]
+        lag = dataclasses.replace(p.lagrangian, mixed_hess=_counted(p.lagrangian.mixed_hess, calls))
+        p = dataclasses.replace(p, lagrangian=lag)
+        g = p.initial_builder(STARTS["suslov"])
+        for _ in range(COUNTED_STEPS):
+            before = calls[0]
+            res = sv.step(p, g)
+            assert res.iterations > 0
+            assert calls[0] - before == 1 + max(0, res.iterations - 1)
+            g = res.next
