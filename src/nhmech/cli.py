@@ -148,6 +148,8 @@ def parse_config(data):
         specs = momentum["specs"]
         if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
             raise ConfigError("momentum.specs must be a list of spec names")
+        if len(set(specs)) < len(specs):
+            raise ConfigError(f"momentum.specs names a spec more than once: {specs}")
     if "tolerance" in momentum:
         md.number(momentum["tolerance"], "momentum.tolerance", positive=True)
 
@@ -327,11 +329,7 @@ def run_simulate(cfg, out_dir, verbose=False):
     if verbose:
         print(f"solved {trajectory.n_steps} step(s) of {problem.name}", file=sys.stderr)
 
-    header, rows = trajectory_table(problem, trajectory)
     traj_name, summary_name = _output_names(cfg.outputs)
-    text = _table_text(header, rows, cfg.outputs.get("format", "csv"))
-    _atomic_write(os.path.join(out_dir, traj_name), text)
-
     summary = {
         "system": problem.name,
         "steps": trajectory.n_steps,
@@ -355,6 +353,10 @@ def run_simulate(cfg, out_dir, verbose=False):
                 drift = max(drift, abs(measured))
         summary["max_momentum_drift"] = drift
 
+    # a run that fails in the summary leaves no file behind
+    header, rows = trajectory_table(problem, trajectory)
+    text = _table_text(header, rows, cfg.outputs.get("format", "csv"))
+    _atomic_write(os.path.join(out_dir, traj_name), text)
     _write_json(os.path.join(out_dir, summary_name), summary)
     return summary
 

@@ -2,6 +2,7 @@
 the reduced-equation consistency test for Chaplygin-type systems.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -10,11 +11,7 @@ import numpy as np
 from . import groupoid as gpd
 from . import problem as pb
 from . import solver as sv
-from .errors import (
-    ChartInversionFailed,
-    NhError,
-    NotInConstraintCone,
-)
+from .errors import ChartInversionFailed, NhError, NotInConstraintCone, SingularError
 
 LAGRANGIAN_SYMMETRY_RTOL = 1e-9
 CONSTRAINT_INVARIANCE_TOL = 1e-9
@@ -134,26 +131,38 @@ class MomentumSpec:
     xi_map: Callable
 
 
+def _momentum(p, spec, g, xi=None):
+    """(beta(g), xi, left gradient of L at g, momentum of g), with the checks
+    of :func:`momentum_value`."""
+    x = p.backend.target(g)
+    if xi is None:
+        xi = np.asarray(spec.xi_map(x), dtype=float)
+    label = f"{p.name}/{spec.name}"
+    v = np.asarray(spec.section(xi, x), dtype=float)
+    B = np.asarray(p.distribution.basis(x), dtype=float)
+    coef, _ = pb.least_squares(B, v, f"{label}: distribution basis", f"{label}: symmetry direction")
+    gap = float(np.max(np.abs(v - B @ coef)))
+    if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
+        raise NotInConstraintCone(
+            f"{label}: direction leaves the constraint distribution "
+            f"at the evaluation point (gap {gap:.3e})"
+        )
+    left_grad = p.left_grad(g)
+    value = float(left_grad @ v)
+    if not math.isfinite(value):
+        raise SingularError(f"{label}: momentum value is {value}")
+    return x, xi, left_grad, value
+
+
 def momentum_value(p, spec, g, xi=None):
     """Nonholonomic momentum of g for the symmetry parameter xi (default: the
     spec's parameter at the matching point beta(g)).
 
     The symmetry direction must take values in the constraint distribution at
-    beta(g); otherwise NotInConstraintCone is raised.
+    beta(g); otherwise NotInConstraintCone is raised.  A non-finite direction,
+    basis or value raises SingularError.
     """
-    x = p.backend.target(g)
-    if xi is None:
-        xi = np.asarray(spec.xi_map(x), dtype=float)
-    v = np.asarray(spec.section(xi, x), dtype=float)
-    B = np.asarray(p.distribution.basis(x), dtype=float)
-    coef, _, _, _ = np.linalg.lstsq(B, v, rcond=None)
-    gap = float(np.max(np.abs(v - B @ coef)))
-    if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
-        raise NotInConstraintCone(
-            f"{p.name}/{spec.name}: direction leaves the constraint distribution "
-            f"at the evaluation point (gap {gap:.3e})"
-        )
-    return p.d_left(g, v)
+    return _momentum(p, spec, g, xi)[3]
 
 
 def invariance_defect(p, spec, g, xi):
@@ -173,18 +182,19 @@ def momentum_drift(p, spec, trajectory):
     predicted = left derivative at g_{k+1} along the section of the parameter
     difference (the discrete evolution identity; exact when the section is
     linear in the parameter and the symmetry identity holds).
+
+    Each element is evaluated once; the predicted change reuses its left
+    gradient.
     """
-    bk = p.backend
     els = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
-    out = []
-    for g, gn in zip(els[:-1], els[1:]):
-        x0 = bk.target(g)
-        x1 = bk.target(gn)
-        xi0 = np.asarray(spec.xi_map(x0), dtype=float)
-        xi1 = np.asarray(spec.xi_map(x1), dtype=float)
-        measured = momentum_value(p, spec, gn, xi1) - momentum_value(p, spec, g, xi0)
-        predicted = p.d_left(gn, spec.section(xi1 - xi0, x1))
-        out.append((float(measured), float(predicted)))
+    out, before = [], None
+    for g in els:
+        x, xi, left_grad, value = _momentum(p, spec, g)
+        if before is not None:
+            xi0, value0 = before
+            predicted = left_grad @ np.asarray(spec.section(xi - xi0, x), dtype=float)
+            out.append((float(value - value0), float(predicted)))
+        before = xi, value
     return out
 
 

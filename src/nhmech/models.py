@@ -432,7 +432,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     def guard(el):
         # keeps Newton off the spurious roots at a rotation by pi, where
         # axial(W) vanishes; small rotations are legal motion
-        tr = float(np.trace(el[1]))
+        tr = float(el[1][0, 0] + el[1][1, 1] + el[1][2, 2])
         if abs(tr + 1.0) < 1e-6:
             raise SingularError(f"veselova: rotation angle at pi (trace {tr:.6f})")
 

@@ -206,6 +206,21 @@ def _gelsd_workspace(m, k):
     return (cond, *lapack.dgelsd_lwork(m, k, 1, cond))
 
 
+def least_squares(A, b, what_a, what_b):
+    """Solution x and rank of the least-squares problem A x = b for a tall (m, k)
+    A: LAPACK gelsd with the cutoff eps * max(m, k) of ``np.linalg.lstsq``,
+    after finiteness checks of b and A (named what_b and what_a)."""
+    _require_finite(b, what_b)
+    _require_finite(A, what_a)
+    m, k = A.shape
+    cond, work, iwork, info = _gelsd_workspace(m, k)
+    if info == 0:
+        x, _, rank, info = lapack.dgelsd(A, b, int(work), iwork, cond, False, False)
+    if info != 0:
+        raise SingularError(f"{what_a}: least squares failed (info {info})")
+    return x[:k], rank
+
+
 class StepFrame:
     """The quantities of a step from g that depend on g alone, each
     evaluated once: the distribution basis B at the matching point beta(g),
@@ -254,26 +269,19 @@ class StepFrame:
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
-        basis at beta(g); least squares (LAPACK gelsd, with the cutoff
-        eps * max(m, n) of ``np.linalg.lstsq``), with the residual of the fit
-        returned for consistency checks."""
+        basis at beta(g), by :func:`least_squares`, with the residual of the
+        fit returned for consistency checks."""
         p = self.p
         last, right = self._last
         F = self.left_grad - (right if h is last else p.right_grad(h))
         A = np.asarray(p.distribution.annihilator(self.beta), dtype=float)
-        _require_finite(F, f"{p.name}: difference covector")
-        _require_finite(A, f"{p.name}: annihilator basis")
-        m, k = A.shape
-        cond, work, iwork, info = _gelsd_workspace(m, k)
-        if info == 0:
-            x, _, rank, info = lapack.dgelsd(A, F, int(work), iwork, cond, False, False)
-        if info != 0:
-            raise SingularError(f"{p.name}: multiplier least squares failed (info {info})")
-        if rank < k:
+        lam, rank = least_squares(
+            A, F, f"{p.name}: annihilator basis", f"{p.name}: difference covector"
+        )
+        if rank < lam.size:
             raise RankDeficientAnnihilator(
-                f"{p.name}: annihilator basis has rank {rank} < {k}"
+                f"{p.name}: annihilator basis has rank {rank} < {lam.size}"
             )
-        lam = x[:k]
         fit = F - A @ lam
         return lam, float(np.abs(fit).max())
 
@@ -288,12 +296,6 @@ class StepFrame:
         G_left = -Xa.T @ H @ _nullspace(phi_jac)
         G_right = -right_tangent_basis(p, g).T @ H @ self.basis
         return G_left, G_right
-
-
-def del_projected(p, g, h):
-    """Projected discrete Euler-Lagrange rows over the distribution basis at
-    the matching point beta(g)."""
-    return StepFrame(p, g).del_rows(h)
 
 
 def residual_at(p, g, h):
@@ -332,12 +334,6 @@ def _nullspace(M, rtol=NULLSPACE_RTOL):
     cutoff = rtol * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].T
-
-
-def left_tangent_basis(p, g):
-    """Basis of the left-invariant directions tangent to the constraint set
-    at g (null space of the left chart gradient of phi)."""
-    return _nullspace(p.phi_left_jac(g))
 
 
 def right_tangent_basis(p, g):

@@ -177,7 +177,8 @@ def step(p, g, options: Optional[SolverOptions] = None):
     # (the backward-error bound of a linear solve), so that is where the
     # iteration stops when it lies above the tolerance.
     J = frame.newton_matrix(center)
-    gmax = max(float(np.abs(part).max()) for part in (g if isinstance(g, tuple) else (g,)))
+    parts = g if isinstance(g, tuple) else (g,)
+    gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
     floor = EPS * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
     lu, piv, cond_est = factor_newton_matrix(p, J)

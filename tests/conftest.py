@@ -1,11 +1,13 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
-oracle, convergence classifiers and the long ball run."""
+oracle, the two-evaluation momentum drift, a call counter, convergence
+classifiers and the long ball run."""
 
 import numpy as np
 import pytest
 
 from nhmech import models as md
 from nhmech import solver as sv
+from nhmech.errors import NotInConstraintCone
 
 BALL_PARAMS = {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}
 BALL_INITIAL = {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0}
@@ -71,6 +73,49 @@ def mirror_center(p, g):
     exp)."""
     bk = p.backend
     return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
+
+
+def momentum_value_oracle(p, spec, g, xi=None):
+    """Momentum of g as ``diagnostics.momentum_value`` computed it before the
+    single-pass drift: its own matching point, basis, ``np.linalg.lstsq``
+    cone check and left gradient."""
+    x = p.backend.target(g)
+    if xi is None:
+        xi = np.asarray(spec.xi_map(x), dtype=float)
+    v = np.asarray(spec.section(xi, x), dtype=float)
+    B = np.asarray(p.distribution.basis(x), dtype=float)
+    coef, _, _, _ = np.linalg.lstsq(B, v, rcond=None)
+    gap = float(np.max(np.abs(v - B @ coef)))
+    if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
+        raise NotInConstraintCone(f"{p.name}/{spec.name}: gap {gap:.3e}")
+    return p.d_left(g, v)
+
+
+def momentum_drift_oracle(p, spec, elements):
+    """Per-step (measured, predicted) momentum changes with every element
+    evaluated twice, as one momentum of each adjacent pair; the oracle for
+    the single-pass ``diagnostics.momentum_drift``."""
+    bk = p.backend
+    out = []
+    for g, gn in zip(elements[:-1], elements[1:]):
+        x0 = bk.target(g)
+        x1 = bk.target(gn)
+        xi0 = np.asarray(spec.xi_map(x0), dtype=float)
+        xi1 = np.asarray(spec.xi_map(x1), dtype=float)
+        measured = momentum_value_oracle(p, spec, gn, xi1) - momentum_value_oracle(p, spec, g, xi0)
+        predicted = p.d_left(gn, spec.section(xi1 - xi0, x1))
+        out.append((float(measured), float(predicted)))
+    return out
+
+
+def counted(fn, calls):
+    """fn, counting its calls in calls[0]."""
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return counting
 
 
 def newton_tail_is_quadratic(history, floor=1e-14):

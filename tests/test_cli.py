@@ -87,6 +87,7 @@ class TestConfigParsing:
             (lambda d: d["solver"].__setitem__("max_iters", 0), "max_iters"),
             (lambda d: d["outputs"].__setitem__("format", "xml"), "format"),
             (lambda d: d["momentum"].__setitem__("specs", "spin"), "list"),
+            (lambda d: d["momentum"].__setitem__("specs", ["spin", "spin"]), "more than once"),
             (lambda d: d["check"].__setitem__("points", {"q0": [0, 0, 0]}), "points"),
             (lambda d: d["check"].__setitem__("seed", -1), "check.seed"),
             (lambda d: d.__setitem__("initial", [1, 2]), "initial"),
@@ -461,6 +462,32 @@ class TestMomentum:
         assert entry["within_tolerance"] is False
         assert entry["max_identity_gap"] > 1e-6
         assert report["within_tolerance"] is False
+
+
+class TestNonFiniteMomentum:
+    """A spec whose section is not finite ends the run with exit 3, naming
+    the spec, and leaves no output file behind."""
+
+    @pytest.mark.parametrize("command", ["simulate", "momentum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_section_exits_3(self, tmp_path, capsys, monkeypatch, command, value):
+        build = cli.build_problem
+
+        def broken(cfg):
+            p = build(cfg)
+            spec = dataclasses.replace(
+                p.momentum_specs["spin"], section=lambda xi, x: np.full(p.n, value)
+            )
+            return dataclasses.replace(p, momentum_specs=dict(p.momentum_specs, spin=spec))
+
+        monkeypatch.setattr(cli, "build_problem", broken)
+        path = write_config(tmp_path, BALL_CONFIG)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli([command, "--config", path, "--out", str(out)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert "rolling_ball/spin" in err
+        assert stdout == ""
+        assert list(out.iterdir()) == []
 
 
 class TestProcessEntry:

@@ -1,14 +1,19 @@
 """Diagnostics tests: regularity and reversibility reports, momentum maps,
 and the reduced-equation route for the Chaplygin-type robot."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from conftest import counted, momentum_drift_oracle, momentum_value_oracle
+from test_golden import STARTS
 
 import nhmech.diagnostics as dg
 import nhmech.models as md
 import nhmech.problem as pb
 import nhmech.solver as sv
-from nhmech.errors import ChartInversionFailed, NotInConstraintCone
+from nhmech.errors import ChartInversionFailed, NotInConstraintCone, SingularError
 
 
 def _factory(name):
@@ -130,6 +135,86 @@ class TestMomentum:
         assert abs(a - 0.4 * b) < 1e-12 * (1 + abs(b))
 
 
+PASS_STEPS = 200
+PASS_SYSTEMS = ["constrained_particle", "rolling_ball"]
+
+
+@functools.cache
+def _pass_runs(name):
+    """PASS_STEPS-step runs from the acceptance start and three sampled
+    starts (rng 0)."""
+    p = md.FACTORIES[name]()
+    starts = [p.initial_builder(STARTS[name])] + p.sample_states(np.random.default_rng(0), 3)
+    return p, [sv.evolve(p, g0, PASS_STEPS).elements for g0 in starts]
+
+
+def _with_section(p, name, value):
+    """p with spec ``name``'s section replaced by one whose entries are all
+    ``value``."""
+    n = p.n
+    spec = dataclasses.replace(
+        p.momentum_specs[name], section=lambda xi, x: np.full(n, value)
+    )
+    return dataclasses.replace(p, momentum_specs=dict(p.momentum_specs, **{name: spec}))
+
+
+class TestMomentumPass:
+    """The single-pass drift against the two-evaluation oracle, what it
+    evaluates per element, and non-finite momenta."""
+
+    @pytest.mark.parametrize("name", PASS_SYSTEMS)
+    def test_drift_and_values_equal_the_oracle(self, name):
+        # plane_translations has a non-constant parameter map
+        p, runs = _pass_runs(name)
+        for elements in runs:
+            for spec in p.momentum_specs.values():
+                assert dg.momentum_drift(p, spec, elements) == momentum_drift_oracle(
+                    p, spec, elements
+                )
+                for g in elements[::20]:
+                    assert dg.momentum_value(p, spec, g) == momentum_value_oracle(p, spec, g)
+
+    @pytest.mark.parametrize("name", PASS_SYSTEMS)
+    def test_each_element_is_evaluated_once(self, name, monkeypatch):
+        p, runs = _pass_runs(name)
+        elements = runs[0][:51]
+        grads, bases, targets = [0], [0], [0]
+        lag = dataclasses.replace(p.lagrangian, left_grad=counted(p.lagrangian.left_grad, grads))
+        dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, bases))
+        q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
+        monkeypatch.setattr(q.backend, "target", counted(q.backend.target, targets))
+        for spec in q.momentum_specs.values():
+            grads[0] = bases[0] = targets[0] = 0
+            assert len(dg.momentum_drift(q, spec, elements)) == len(elements) - 1
+            assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_section_is_singular(self, value):
+        p = _with_section(md.make_rolling_ball(), "spin", value)
+        g = p.initial_builder(STARTS["rolling_ball"])
+        spec = p.momentum_specs["spin"]
+        with pytest.raises(SingularError, match="rolling_ball/spin: symmetry direction"):
+            dg.momentum_value(p, spec, g)
+        with pytest.raises(SingularError, match="rolling_ball/spin"):
+            dg.momentum_drift(p, spec, [g, g])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_basis_or_value_is_singular(self, value):
+        p = md.make_constrained_particle()
+        g = p.initial_builder(STARTS["constrained_particle"])
+        spec = p.momentum_specs["plane_translations"]
+        basis = p.distribution.basis
+        dist = dataclasses.replace(p.distribution, basis=lambda x: basis(x) + value)
+        with pytest.raises(SingularError, match="plane_translations: distribution basis"):
+            dg.momentum_value(dataclasses.replace(p, distribution=dist), spec, g)
+        grad = p.lagrangian.left_grad
+        # the first entry pairs with the section's nonzero first entry
+        bad = np.array([value, 0.0, 0.0])
+        lag = dataclasses.replace(p.lagrangian, left_grad=lambda el: grad(el) + bad)
+        with pytest.raises(SingularError, match="plane_translations: momentum value"):
+            dg.momentum_value(dataclasses.replace(p, lagrangian=lag), spec, g)
+
+
 class TestChaplygin:
     def _solved_robot_pairs(self, n=3):
         p = md.make_mobile_robot()
@@ -164,7 +249,7 @@ class TestChaplygin:
         u[2] = 1e-2
         hp = bk.retract(h, u)
         red = dg.chaplygin_residual(p, g, hp)
-        rows = pb.del_projected(p, g, hp)
+        rows = pb.StepFrame(p, g).del_rows(hp)
         assert np.max(np.abs(red)) > 1e-2
         assert np.max(np.abs(rows)) > 1e-2
 

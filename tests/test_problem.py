@@ -69,7 +69,7 @@ class TestResidual:
         g = (FROZEN_Q0, FROZEN_Q1)
         rng = np.random.default_rng(11)
         q2 = FROZEN_Q2 + 0.01 * rng.normal(size=3)  # off the solution on purpose
-        rows = pb.del_projected(p, g, (FROZEN_Q1, q2))
+        rows = pb.StepFrame(p, g).del_rows((FROZEN_Q1, q2))
         x0, y0, z0 = FROZEN_Q0
         x1, y1, z1 = FROZEN_Q1
         x2, y2, z2 = q2
@@ -96,7 +96,7 @@ class TestResidual:
             distribution=p.distribution,
         )
         g = (FROZEN_Q0, FROZEN_Q1)
-        assert np.max(np.abs(pb.del_projected(flat, g, (FROZEN_Q1, FROZEN_Q2)))) < 1e-9
+        assert np.max(np.abs(pb.StepFrame(flat, g).del_rows((FROZEN_Q1, FROZEN_Q2)))) < 1e-9
 
     def test_non_solution_residual_matches_action_variation(self):
         # two-term action sum differentiated along a constraint direction
@@ -104,7 +104,7 @@ class TestResidual:
         g = (FROZEN_Q0, FROZEN_Q1)
         q2 = FROZEN_Q2 + np.array([0.01, -0.02, 0.015])
         h_el = (FROZEN_Q1, q2)
-        rows = pb.del_projected(p, g, h_el)
+        rows = pb.StepFrame(p, g).del_rows(h_el)
         basis = p.distribution.basis(p.backend.target(g))
         t = 1e-6
         for a in range(p.r):
@@ -121,7 +121,7 @@ class TestResidual:
         p = md.make_constrained_particle(h=0.01)
         g = (FROZEN_Q0, FROZEN_Q1)
         h_el = (FROZEN_Q1, FROZEN_Q2 + np.array([0.02, 0.01, -0.03]))
-        rows = pb.del_projected(p, g, h_el)
+        rows = pb.StepFrame(p, g).del_rows(h_el)
         rng = np.random.default_rng(5)
         for _ in range(10):
             A = rng.normal(size=(2, 2))
@@ -138,7 +138,7 @@ class TestResidual:
                     annihilator=p.distribution.annihilator,
                 ),
             )
-            assert np.allclose(pb.del_projected(mixed, g, h_el), A.T @ rows, rtol=1e-9)
+            assert np.allclose(pb.StepFrame(mixed, g).del_rows(h_el), A.T @ rows, rtol=1e-9)
 
 
 class TestJacobian:

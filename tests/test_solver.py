@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import del_covector, newton_tail_is_quadratic, particle_oracle
+from conftest import counted, del_covector, newton_tail_is_quadratic, particle_oracle
 from scipy.linalg import lapack
 from test_golden import STARTS
 from test_models import ROTATED_J
@@ -425,14 +425,6 @@ class TestStepCounts:
 COUNTED_STEPS = 50
 
 
-def _counted(fn, calls):
-    def counting(*args):
-        calls[0] += 1
-        return fn(*args)
-
-    return counting
-
-
 class TestCallCounts:
     """What a step does not recompute, pinned per step over COUNTED_STEPS
     steps: the first guess needs no chart log, the basis at alpha(g) is the
@@ -444,7 +436,7 @@ class TestCallCounts:
         calls = [0]
         for cls in (gpd.PairGroupoid, gpd.LieGroupGroupoid, gpd.ActionGroupoid,
                     gpd.AtiyahGroupoid):
-            monkeypatch.setattr(cls, "coords", _counted(cls.coords, calls))
+            monkeypatch.setattr(cls, "coords", counted(cls.coords, calls))
         p = md.FACTORIES[name]()
         g = p.initial_builder(STARTS[name])
         for _ in range(COUNTED_STEPS):
@@ -455,7 +447,7 @@ class TestCallCounts:
     def test_one_basis_evaluation_per_step(self, name):
         p = md.FACTORIES[name]()
         calls = [0]
-        dist = dataclasses.replace(p.distribution, basis=_counted(p.distribution.basis, calls))
+        dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, calls))
         p = dataclasses.replace(p, distribution=dist)
         g = p.initial_builder(STARTS[name])
         for k in range(COUNTED_STEPS):
@@ -465,7 +457,7 @@ class TestCallCounts:
     def test_first_newton_matrix_reuses_the_regularity_hessian(self):
         p = md.make_suslov(J=ROTATED_J)
         calls = [0]
-        lag = dataclasses.replace(p.lagrangian, mixed_hess=_counted(p.lagrangian.mixed_hess, calls))
+        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
         p = dataclasses.replace(p, lagrangian=lag)
         g = p.initial_builder(STARTS["suslov"])
         for _ in range(COUNTED_STEPS):
