@@ -13,9 +13,7 @@ crashed run never leaves a partial trajectory behind.
 
 import argparse
 import copy
-import csv
 import inspect
-import io
 import json
 import os
 import sys
@@ -247,7 +245,7 @@ def trajectory_table(problem, trajectory):
     )
     rows = []
     for idx, g in enumerate(trajectory.elements):
-        cells = [idx] + [float(v) for v in problem.to_row(g)]
+        cells = [idx] + problem.to_row(g).tolist()
         if idx == 0:
             cells += [None] * (3 + problem.k)
         else:
@@ -257,27 +255,16 @@ def trajectory_table(problem, trajectory):
                 float(res.residual_norm),
                 float(res.jacobian_condition_estimate),
             ]
-            cells += [float(lam) for lam in res.multipliers]
+            cells += res.multipliers.tolist()
         rows.append(cells)
     return header, rows
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _table_text(header, rows, fmt):
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
-        return buf.getvalue()
+        lines = [",".join(header)]
+        lines += [",".join(["" if c is None else "%.17g" % c for c in row]) for row in rows]
+        return "\n".join(lines) + "\n"
     return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
 
 
@@ -346,12 +333,11 @@ def run_simulate(cfg, out_dir, verbose=False):
             float(r.residual_norm) for r in trajectory.results
         )
     if spec_names:
-        drift = 0.0
-        for name in spec_names:
-            spec = problem.momentum_specs[name]
-            for measured, _ in dg.momentum_drift(problem, spec, trajectory):
-                drift = max(drift, abs(measured))
-        summary["max_momentum_drift"] = drift
+        specs = [problem.momentum_specs[name] for name in spec_names]
+        drifts = dg.momentum_drift(problem, specs, trajectory)
+        summary["max_momentum_drift"] = max(
+            (abs(measured) for pairs in drifts for measured, _ in pairs), default=0.0
+        )
 
     # a run that fails in the summary leaves no file behind
     header, rows = trajectory_table(problem, trajectory)
@@ -440,6 +426,7 @@ def run_check(cfg, out_dir, verbose=False):
             "max_lagrangian_defect": float(rev.max_lagrangian_defect),
             "max_constraint_defect": float(rev.max_constraint_defect),
             "max_dynamics_defect": float(rev.max_dynamics_defect),
+            "solved_steps": rev.solved_steps,
             "declared": rev.declared,
             "consistent": bool(rev.consistent),
         },
@@ -466,12 +453,12 @@ def momentum_report(problem, spec_names, trajectory, tolerance=DEFAULT_MOMENTUM_
     """
     specs = {}
     worst = 0.0
-    for name in spec_names:
-        spec = problem.momentum_specs[name]
+    drifts = dg.momentum_drift(problem, [problem.momentum_specs[n] for n in spec_names], trajectory)
+    for name, pairs in zip(spec_names, drifts):
         rows = []
         max_gap = 0.0
         max_drift = 0.0
-        for k, (measured, predicted) in enumerate(dg.momentum_drift(problem, spec, trajectory)):
+        for k, (measured, predicted) in enumerate(pairs):
             gap = abs(measured - predicted)
             rows.append([k + 1, measured, predicted, gap])
             max_gap = max(max_gap, gap)

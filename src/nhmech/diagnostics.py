@@ -67,6 +67,7 @@ class ReversibilityReport:
     max_lagrangian_defect: float
     max_constraint_defect: float
     max_dynamics_defect: float
+    solved_steps: int  # samples whose step solved; the dynamics check needs one
     declared: Optional[bool]
     consistent: Optional[bool]
 
@@ -74,12 +75,14 @@ class ReversibilityReport:
 def reversibility_report(p, samples, options=None):
     """Three-part reversibility check over sample elements on the constraint
     set: L against inversion, the constraint set against inversion, and (for
-    solved pairs) the residual of the reversed pair.
+    solved pairs) the residual of the reversed pair.  The dynamics count as
+    reversible only when at least one sample's step solved.
     """
     bk = p.backend
     lag_defect = 0.0
     con_defect = 0.0
     dyn_defect = 0.0
+    solved = 0
     lag_scale = 1.0
     for g in samples:
         gi = bk.invert(g)
@@ -93,11 +96,12 @@ def reversibility_report(p, samples, options=None):
             res = sv.step(p, g, options)
         except NhError:
             continue
+        solved += 1
         rev = pb.residual_at(p, bk.invert(res.next), bk.invert(g))
         dyn_defect = max(dyn_defect, float(np.max(np.abs(rev))))
     lag_ok = lag_defect <= LAGRANGIAN_SYMMETRY_RTOL * lag_scale
     con_ok = con_defect <= CONSTRAINT_INVARIANCE_TOL
-    dyn_ok = dyn_defect <= DYNAMICS_REVERSIBILITY_TOL
+    dyn_ok = solved > 0 and dyn_defect <= DYNAMICS_REVERSIBILITY_TOL
     verdict = bool(lag_ok and con_ok and dyn_ok)
     declared = p.declared_reversible
     return ReversibilityReport(
@@ -107,6 +111,7 @@ def reversibility_report(p, samples, options=None):
         max_lagrangian_defect=float(lag_defect),
         max_constraint_defect=float(con_defect),
         max_dynamics_defect=float(dyn_defect),
+        solved_steps=solved,
         declared=declared,
         consistent=None if declared is None else (verdict == declared),
     )
@@ -131,27 +136,34 @@ class MomentumSpec:
     xi_map: Callable
 
 
-def _momentum(p, spec, g, xi=None):
-    """(beta(g), xi, left gradient of L at g, momentum of g), with the checks
-    of :func:`momentum_value`."""
+def _momentum(p, specs, g, xis=None):
+    """(beta(g), parameters, left gradient of L at g, momenta) of g, one
+    parameter and one momentum per spec, with the checks of
+    :func:`momentum_value` for each spec.  The matching point, the basis and
+    the left gradient are evaluated once, and one least-squares call fits
+    every symmetry direction."""
     x = p.backend.target(g)
-    if xi is None:
-        xi = np.asarray(spec.xi_map(x), dtype=float)
-    label = f"{p.name}/{spec.name}"
-    v = np.asarray(spec.section(xi, x), dtype=float)
+    if xis is None:
+        xis = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
+    V = np.array([spec.section(xi, x) for spec, xi in zip(specs, xis)], dtype=float)
+    for spec, v in zip(specs, V):
+        pb.require_finite(v, f"{p.name}/{spec.name}: symmetry direction")
     B = np.asarray(p.distribution.basis(x), dtype=float)
-    coef, _ = pb.least_squares(B, v, f"{label}: distribution basis", f"{label}: symmetry direction")
-    gap = float(np.max(np.abs(v - B @ coef)))
-    if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
-        raise NotInConstraintCone(
-            f"{label}: direction leaves the constraint distribution "
-            f"at the evaluation point (gap {gap:.3e})"
-        )
+    coef, _ = pb.least_squares(B, V.T, f"{p.name}/{specs[0].name}: distribution basis")
+    gaps = np.abs(V.T - B @ coef).max(axis=0)
+    bounds = 1e-10 * (1.0 + np.abs(V).max(axis=1))
     left_grad = p.left_grad(g)
-    value = float(left_grad @ v)
-    if not math.isfinite(value):
-        raise SingularError(f"{label}: momentum value is {value}")
-    return x, xi, left_grad, value
+    values = []
+    for spec, v, gap, bound in zip(specs, V, gaps, bounds):
+        if gap > bound:
+            raise NotInConstraintCone(
+                f"{p.name}/{spec.name}: direction leaves the constraint distribution "
+                f"at the evaluation point (gap {gap:.3e})"
+            )
+        values.append(float(left_grad @ v))
+        if not math.isfinite(values[-1]):
+            raise SingularError(f"{p.name}/{spec.name}: momentum value is {values[-1]}")
+    return x, xis, left_grad, values
 
 
 def momentum_value(p, spec, g, xi=None):
@@ -162,7 +174,7 @@ def momentum_value(p, spec, g, xi=None):
     beta(g); otherwise NotInConstraintCone is raised.  A non-finite direction,
     basis or value raises SingularError.
     """
-    return _momentum(p, spec, g, xi)[3]
+    return _momentum(p, [spec], g, None if xi is None else [xi])[3][0]
 
 
 def invariance_defect(p, spec, g, xi):
@@ -175,26 +187,27 @@ def invariance_defect(p, spec, g, xi):
     return float(lv - rv)
 
 
-def momentum_drift(p, spec, trajectory):
-    """Per-step (measured, predicted) momentum changes along a trajectory.
+def momentum_drift(p, specs, trajectory):
+    """Per-step (measured, predicted) momentum changes along a trajectory, one
+    list of pairs per spec in ``specs``.
 
     measured  = J(g_{k+1}) - J(g_k) with the spec's parameter map;
     predicted = left derivative at g_{k+1} along the section of the parameter
     difference (the discrete evolution identity; exact when the section is
     linear in the parameter and the symmetry identity holds).
 
-    Each element is evaluated once; the predicted change reuses its left
-    gradient.
+    One pass over the trajectory serves every spec: each element is
+    evaluated once, and the predicted change reuses its left gradient.
     """
     els = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
-    out, before = [], None
+    out, before = [[] for _ in specs], None
     for g in els:
-        x, xi, left_grad, value = _momentum(p, spec, g)
+        x, xis, left_grad, values = _momentum(p, specs, g)
         if before is not None:
-            xi0, value0 = before
-            predicted = left_grad @ np.asarray(spec.section(xi - xi0, x), dtype=float)
-            out.append((float(value - value0), float(predicted)))
-        before = xi, value
+            for pairs, spec, xi, value, xi0, value0 in zip(out, specs, xis, values, *before):
+                predicted = left_grad @ np.asarray(spec.section(xi - xi0, x), dtype=float)
+                pairs.append((value - value0, float(predicted)))
+        before = xis, values
     return out
 
 

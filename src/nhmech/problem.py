@@ -181,7 +181,7 @@ class NhProblem:
 # the pieces of one step
 
 
-def _require_finite(M, what):
+def require_finite(M, what):
     """Raise SingularError unless every entry of the array M is finite (the
     LAPACK max-abs norm is NaN or inf exactly when one entry is)."""
     if not math.isfinite(lapack.dlange("M", M)):
@@ -191,7 +191,7 @@ def _require_finite(M, what):
 def _svd(M, what, compute_uv=1):
     """Singular values and right singular vectors (rows of vh) of M by LAPACK
     gesdd, after the finiteness check."""
-    _require_finite(M, what)
+    require_finite(M, what)
     _, s, vh, info = lapack.dgesdd(M, compute_uv=compute_uv)
     if info != 0:
         raise SingularError(f"{what} SVD failed (info {info})")
@@ -199,25 +199,26 @@ def _svd(M, what, compute_uv=1):
 
 
 @functools.cache
-def _gelsd_workspace(m, k):
+def _gelsd_workspace(m, k, nrhs):
     """The cutoff eps * max(m, k) and the dgelsd workspace query (work, iwork,
-    info) for an (m, k) least-squares problem; they depend on the shape only."""
+    info) for an (m, k) least-squares problem with nrhs right-hand sides; they
+    depend on the shape only."""
     cond = EPS * max(m, k)
-    return (cond, *lapack.dgelsd_lwork(m, k, 1, cond))
+    return (cond, *lapack.dgelsd_lwork(m, k, nrhs, cond))
 
 
-def least_squares(A, b, what_a, what_b):
+def least_squares(A, b, what):
     """Solution x and rank of the least-squares problem A x = b for a tall (m, k)
-    A: LAPACK gelsd with the cutoff eps * max(m, k) of ``np.linalg.lstsq``,
-    after finiteness checks of b and A (named what_b and what_a)."""
-    _require_finite(b, what_b)
-    _require_finite(A, what_a)
+    A and a right-hand side b of length m, or one per column of an (m, nrhs)
+    b: LAPACK gelsd with the cutoff eps * max(m, k) of ``np.linalg.lstsq``,
+    after a finiteness check of A (named what).  The caller checks b."""
+    require_finite(A, what)
     m, k = A.shape
-    cond, work, iwork, info = _gelsd_workspace(m, k)
+    cond, work, iwork, info = _gelsd_workspace(m, k, b.size // m)
     if info == 0:
         x, _, rank, info = lapack.dgelsd(A, b, int(work), iwork, cond, False, False)
     if info != 0:
-        raise SingularError(f"{what_a}: least squares failed (info {info})")
+        raise SingularError(f"{what}: least squares failed (info {info})")
     return x[:k], rank
 
 
@@ -274,10 +275,9 @@ class StepFrame:
         p = self.p
         last, right = self._last
         F = self.left_grad - (right if h is last else p.right_grad(h))
+        require_finite(F, f"{p.name}: difference covector")
         A = np.asarray(p.distribution.annihilator(self.beta), dtype=float)
-        lam, rank = least_squares(
-            A, F, f"{p.name}: annihilator basis", f"{p.name}: difference covector"
-        )
+        lam, rank = least_squares(A, F, f"{p.name}: annihilator basis")
         if rank < lam.size:
             raise RankDeficientAnnihilator(
                 f"{p.name}: annihilator basis has rank {rank} < {lam.size}"

@@ -1,6 +1,10 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
-oracle, the two-evaluation momentum drift, a call counter, convergence
-classifiers and the long ball run."""
+oracle, the two-evaluation momentum drift, the cell-by-cell trajectory file,
+a call counter, convergence classifiers and the long ball run."""
+
+import csv
+import io
+import json
 
 import numpy as np
 import pytest
@@ -106,6 +110,48 @@ def momentum_drift_oracle(p, spec, elements):
         predicted = p.d_left(gn, spec.section(xi1 - xi0, x1))
         out.append((float(measured), float(predicted)))
     return out
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def trajectory_text_oracle(problem, trajectory, fmt):
+    """The trajectory file built one cell at a time and written through
+    ``csv.writer`` (csv) or ``json.dumps`` (json); the oracle for
+    ``cli.trajectory_table`` and ``cli._table_text``."""
+    header = (
+        ["step"]
+        + list(problem.coord_names)
+        + ["iterations", "residual_norm", "cond_estimate"]
+        + [f"lambda_{j + 1}" for j in range(problem.k)]
+    )
+    rows = []
+    for idx, g in enumerate(trajectory.elements):
+        cells = [idx] + [float(v) for v in problem.to_row(g)]
+        if idx == 0:
+            cells += [None] * (3 + problem.k)
+        else:
+            res = trajectory.results[idx - 1]
+            cells += [
+                int(res.iterations),
+                float(res.residual_norm),
+                float(res.jacobian_condition_estimate),
+            ]
+            cells += [float(lam) for lam in res.multipliers]
+        rows.append(cells)
+    if fmt == "json":
+        return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(cell) for cell in row])
+    return buf.getvalue()
 
 
 def counted(fn, calls):

@@ -86,7 +86,8 @@ def test_criterion_03_particle_identities():
     assert np.ptp(values) <= 1e-10
 
     spec_plane = p.momentum_specs["plane_translations"]
-    for measured, predicted in dg.momentum_drift(p, spec_plane, trajectory):
+    (drift,) = dg.momentum_drift(p, [spec_plane], trajectory)
+    for measured, predicted in drift:
         assert abs(measured - predicted) <= 1e-9
 
     degenerate = p.initial_builder({"q0": [0.0, -3.0, 0.0], "q1": [1.0, 1.0, -1.0]})

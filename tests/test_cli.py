@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import trajectory_text_oracle
+from test_golden import STARTS
 
 from nhmech import cli
 from nhmech import models as md
@@ -186,6 +188,19 @@ class TestSimulate:
         assert table["rows"][0][14:] == [None] * 5
         assert isinstance(table["rows"][1][14], int)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name, steps",
+        [("rolling_ball", 0), ("rolling_ball", 200)]
+        + [(name, 3) for name in sorted(STARTS) if name != "rolling_ball"],
+    )
+    def test_text_equals_the_cell_by_cell_oracle(self, name, steps, fmt):
+        # the ball rows are those of the README config
+        p = md.FACTORIES[name]()
+        traj = sv.evolve(p, p.initial_builder(STARTS[name]), steps)
+        text = cli._table_text(*cli.trajectory_table(p, traj), fmt)
+        assert text == trajectory_text_oracle(p, traj, fmt)
+
     def test_lf_line_endings(self, tmp_path, capsys):
         path = write_config(tmp_path, BALL_CONFIG)
         run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
@@ -324,6 +339,7 @@ class TestCheck:
         assert code == cli.EXIT_OK
         record = json.loads(out)
         assert record["reversible"] is True
+        assert record["reversibility"]["solved_steps"] == 5
         assert record["identity_regular"] is True
         assert record["legendre_matching"]["matched"] is True
         assert record["legendre_matching"]["max_gap"] < 1e-9

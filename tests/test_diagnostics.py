@@ -72,6 +72,16 @@ class TestReversibility:
         assert rep.dynamics_reversible
         assert rep.max_dynamics_defect < 1e-9
 
+    def test_no_solved_step_is_not_reversible(self):
+        # one Newton iteration solves none of these Veselova steps, so the
+        # dynamics check has no reversed pair to measure
+        p = md.make_veselova()
+        samples = p.sample_states(np.random.default_rng(0), 4)
+        rep = dg.reversibility_report(p, samples, sv.SolverOptions(max_iters=1))
+        assert (rep.solved_steps, rep.dynamics_reversible) == (0, False)
+        rep = dg.reversibility_report(p, samples)
+        assert (rep.solved_steps, rep.dynamics_reversible) == (4, True)
+
     def test_ball_constraint_set_not_inversion_invariant(self):
         p = md.make_rolling_ball()
         samples = p.sample_states(np.random.default_rng(5), 6)
@@ -102,7 +112,7 @@ class TestMomentum:
         p = md.make_constrained_particle(h=0.01)
         g0 = p.initial_builder({"q0": [0.2, -0.4, 0.1], "velocity": [1.1, 0.6]})
         traj = sv.evolve(p, g0, 60)
-        drift = dg.momentum_drift(p, p.momentum_specs["plane_translations"], traj)
+        (drift,) = dg.momentum_drift(p, [p.momentum_specs["plane_translations"]], traj)
         assert max(abs(m - pr) for m, pr in drift) <= 1e-9
 
     def test_ball_momenta_conserved_with_zero_defects(self):
@@ -114,7 +124,7 @@ class TestMomentum:
             assert np.ptp(vals) <= 1e-10
             d = dg.invariance_defect(p, spec, traj.elements[3], np.array([1.0]))
             assert abs(d) <= 1e-12
-            drift = dg.momentum_drift(p, spec, traj)
+        for drift in dg.momentum_drift(p, list(p.momentum_specs.values()), traj):
             assert max(abs(m - pr) for m, pr in drift) <= 1e-9
 
     def test_direction_outside_distribution_raises(self):
@@ -166,27 +176,32 @@ class TestMomentumPass:
     def test_drift_and_values_equal_the_oracle(self, name):
         # plane_translations has a non-constant parameter map
         p, runs = _pass_runs(name)
+        specs = list(p.momentum_specs.values())
         for elements in runs:
-            for spec in p.momentum_specs.values():
-                assert dg.momentum_drift(p, spec, elements) == momentum_drift_oracle(
-                    p, spec, elements
-                )
+            assert dg.momentum_drift(p, specs, elements) == [
+                momentum_drift_oracle(p, spec, elements) for spec in specs
+            ]
+            for spec in specs:
                 for g in elements[::20]:
                     assert dg.momentum_value(p, spec, g) == momentum_value_oracle(p, spec, g)
 
     @pytest.mark.parametrize("name", PASS_SYSTEMS)
     def test_each_element_is_evaluated_once(self, name, monkeypatch):
+        # every map together: one matching point, basis, left gradient and
+        # least-squares fit per element
         p, runs = _pass_runs(name)
         elements = runs[0][:51]
-        grads, bases, targets = [0], [0], [0]
+        grads, bases, targets, fits = [0], [0], [0], [0]
         lag = dataclasses.replace(p.lagrangian, left_grad=counted(p.lagrangian.left_grad, grads))
         dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, bases))
         q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
         monkeypatch.setattr(q.backend, "target", counted(q.backend.target, targets))
-        for spec in q.momentum_specs.values():
-            grads[0] = bases[0] = targets[0] = 0
-            assert len(dg.momentum_drift(q, spec, elements)) == len(elements) - 1
-            assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
+        monkeypatch.setattr(pb, "least_squares", counted(pb.least_squares, fits))
+        specs = list(q.momentum_specs.values())
+        assert len(specs) > 1
+        drift = dg.momentum_drift(q, specs, elements)
+        assert [len(pairs) for pairs in drift] == [len(elements) - 1] * len(specs)
+        assert (grads[0], bases[0], targets[0], fits[0]) == (len(elements),) * 4
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_section_is_singular(self, value):
@@ -195,8 +210,16 @@ class TestMomentumPass:
         spec = p.momentum_specs["spin"]
         with pytest.raises(SingularError, match="rolling_ball/spin: symmetry direction"):
             dg.momentum_value(p, spec, g)
-        with pytest.raises(SingularError, match="rolling_ball/spin"):
-            dg.momentum_drift(p, spec, [g, g])
+        specs = [p.momentum_specs["roll_x"], spec]
+        with pytest.raises(SingularError, match="rolling_ball/spin: symmetry direction"):
+            dg.momentum_drift(p, specs, [g, g])
+
+    def test_direction_outside_distribution_names_its_map(self):
+        p = _with_section(md.make_rolling_ball(), "spin", 1.0)
+        g = p.initial_builder(STARTS["rolling_ball"])
+        specs = [p.momentum_specs["roll_x"], p.momentum_specs["spin"]]
+        with pytest.raises(NotInConstraintCone, match="rolling_ball/spin: direction leaves"):
+            dg.momentum_drift(p, specs, [g, g])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_basis_or_value_is_singular(self, value):

@@ -2,7 +2,8 @@
 constraint set with a residual at max(tol, floor), or the run fails.
 
 Each system runs LONG_STEPS steps from its acceptance start (the ball the
-20000 steps of the acceptance suite's roll), plus two variants whose defaults
+20000 steps of the acceptance suite's roll), and SLOW_STEPS under the
+``slow`` marker (``pytest -m slow``), plus two variants whose defaults
 leave Newton idle (Suslov with a rotated inertia and the robot with an offset
 center of mass: at their defaults every step is uniform motion and converges
 at the first guess).  The particle and Veselova, the two systems that used to
@@ -20,6 +21,7 @@ import nhmech.models as md
 import nhmech.solver as sv
 
 LONG_STEPS = 2000
+SLOW_STEPS = 5000
 SAMPLED_RUNS = 20
 SAMPLED_STEPS = 200
 PHI_TOL = 1e-9
@@ -35,15 +37,25 @@ def assert_every_step_trusted(p, traj):
         assert res.floor_limited == (res.residual_norm > tol)
 
 
-@pytest.mark.parametrize("name", sorted(set(STARTS) - {"rolling_ball"}))
-def test_long_run_from_acceptance_start(name):
+def assert_run_from_acceptance_start(name, steps):
     # stepping is sequential, so continuing the golden run from its last
-    # element is one LONG_STEPS-step run
+    # element is one run of the given number of steps
     p, head = golden_run(name)
-    tail = sv.evolve(p, head.elements[-1], LONG_STEPS - GOLDEN_STEPS)
-    assert tail.n_steps == LONG_STEPS - GOLDEN_STEPS
+    tail = sv.evolve(p, head.elements[-1], steps - GOLDEN_STEPS)
+    assert tail.n_steps == steps - GOLDEN_STEPS
     assert_every_step_trusted(p, head)
     assert_every_step_trusted(p, tail)
+
+
+@pytest.mark.parametrize("name", sorted(set(STARTS) - {"rolling_ball"}))
+def test_long_run_from_acceptance_start(name):
+    assert_run_from_acceptance_start(name, LONG_STEPS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(set(STARTS) - {"rolling_ball"}))
+def test_slow_run_from_acceptance_start(name):
+    assert_run_from_acceptance_start(name, SLOW_STEPS)
 
 
 def test_ball_long_run(ball_run):
