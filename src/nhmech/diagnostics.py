@@ -254,11 +254,6 @@ def _constraint_section_lift(p, x):
     B = np.asarray(p.distribution.basis(x), dtype=float)
     A = gpd.anchor_matrix(p.backend, x)
     P = A @ B
-    if P.shape[0] != P.shape[1]:
-        raise ChartInversionFailed(
-            f"{p.name}: anchor restricted to the distribution is not square "
-            f"(rank {B.shape[1]} vs base dim {P.shape[0]})"
-        )
     try:
         C = np.linalg.solve(P, np.eye(P.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -273,38 +268,28 @@ def chaplygin_residual(p, g, h):
     system: discrete Euler-Lagrange rows of the reduced Lagrangian on the
     base pair groupoid plus the reduction forces, one value per base
     direction.  Vanishes (to chart-inversion accuracy) exactly when the
-    groupoid residual vanishes.
+    groupoid residual vanishes.  A Chaplygin distribution complements the
+    vertical directions, so a rank other than the base dimension is a ValueError.
     """
-    if not p.is_chaplygin:
-        raise ValueError(f"{p.name} is not flagged as a Chaplygin system")
     bk = p.backend
+    if p.r != bk.base_dim:
+        raise ValueError(f"{p.name}: distribution rank {p.r} != base dimension, not Chaplygin")
     L = p.lagrangian.eval
     x = np.asarray(bk.source(g), dtype=float)
     y = np.asarray(bk.target(g), dtype=float)
     z = np.asarray(bk.target(h), dtype=float)
-    m = x.size
+    base = gpd.PairGroupoid(x.size)
     X = _constraint_section_lift(p, y)  # lift of the base directions at the match point
 
+    lag_left = lambda b: L(chi_inverse(p, b[0], b[1], seed=g))  # reduced L near (x, y)
+    lag_right = lambda b: L(chi_inverse(p, b[0], b[1], seed=h))  # and near (y, z)
     tL = REDUCTION_FD_STEP
     tF = 2.0 * REDUCTION_FD_STEP  # independent step so the force terms are not the same samples
-
-    red = np.empty(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-
-        def lag_left(t):
-            return L(chi_inverse(p, x, y + t * e, seed=g))
-
-        def lag_right(t):
-            return L(chi_inverse(p, y - t * e, z, seed=h))
-
-        lvec_red = (lag_left(tL) - lag_left(-tL)) / (2.0 * tL)
-        rvec_red = (lag_right(tL) - lag_right(-tL)) / (2.0 * tL)
-        # vertical correction curves, differenced at the wider step
-        xbar = (lag_left(tF) - lag_left(-tF)) / (2.0 * tF)
-        xprime = (lag_right(tF) - lag_right(-tF)) / (2.0 * tF)
-        force_plus = xbar - p.d_left(g, X[:, i])
-        force_minus = xprime - p.d_right(h, X[:, i])
-        red[i] = lvec_red - rvec_red - force_plus + force_minus
-    return red
+    lvec_red = gpd.left_jacobian(base, lag_left, (x, y), tL)
+    rvec_red = gpd.right_jacobian(base, lag_right, (y, z), tL)
+    # vertical correction curves, differenced at the wider step
+    xbar = gpd.left_jacobian(base, lag_left, (x, y), tF)
+    xprime = gpd.right_jacobian(base, lag_right, (y, z), tF)
+    force_plus = xbar - np.array([p.d_left(g, col) for col in X.T])
+    force_minus = xprime - np.array([p.d_right(h, col) for col in X.T])
+    return lvec_red - rvec_red - force_plus + force_minus

@@ -10,7 +10,9 @@ array), and ``coords(c, g)`` inverts it for ``g`` on the same fiber.
 form, and raises ChartDomainError where that round trip would.
 
 Elements are plain values (tuples of numpy arrays, rotation matrices, SE(2)
-triples); treat them as immutable.
+triples); treat them as immutable.  The backends are the pair groupoid, a Lie
+group over one point, the action groupoid (a base point plus an SO(3)-backend
+element) and the Atiyah groupoid (a pair-backend part plus a Lie-group part).
 
 On top of the charts the module provides central-difference directional
 derivatives of scalar or vector functions along left/right invariant vector
@@ -184,10 +186,11 @@ class ActionGroupoid:
     """Transformation groupoid M x G for a right action of SO(3) on M c R^3.
 
     Elements are tuples (x, R) with source x and target x . R = R^T x
-    (rotations acting on the sphere).
+    (rotations acting on the sphere); R belongs to the SO(3) backend ``group_ops``.
     """
 
     def __init__(self):
+        self.group_ops = LieGroupGroupoid("so3")
         self.base_dim = 3
         self.fiber_dim = 3
 
@@ -200,43 +203,43 @@ class ActionGroupoid:
     def compose(self, g, h):
         if _base_mismatch(self.target(g), h[0]) > COMPOSE_TOL:
             raise NotComposableError("action elements do not match: target(g) != source(h)")
-        return (g[0], g[1] @ h[1])
+        return (g[0], self.group_ops.compose(g[1], h[1]))
 
     def invert(self, g):
-        return (self.target(g), g[1].T)
+        return (self.target(g), self.group_ops.invert(g[1]))
 
     def identity(self, x):
-        return (np.asarray(x, dtype=float).copy(), np.eye(3))
+        return (np.asarray(x, dtype=float).copy(), self.group_ops.identity())
 
     def retract(self, c, u):
-        return (c[0], c[1] @ lg.so3_exp(u))
+        return (c[0], self.group_ops.retract(c[1], u))
 
     def coords(self, c, g):
         if _base_mismatch(c[0], g[0]) > COMPOSE_TOL:
             raise NotComposableError("coords: elements lie on different source fibers")
-        return lg.so3_log(c[1].T @ g[1])
+        return self.group_ops.coords(c[1], g[1])
 
     def mirror(self, g):
-        lg.so3_axial_angle(g[1])
-        return (self.target(g), g[1])
+        return (self.target(g), self.group_ops.mirror(g[1]))
 
     def distance(self, g, h):
-        return max(_base_mismatch(g[0], h[0]), float(np.max(np.abs(g[1] - h[1]))))
+        return max(_base_mismatch(g[0], h[0]), self.group_ops.distance(g[1], h[1]))
 
 
 class AtiyahGroupoid:
     """Trivialized Atiyah groupoid (U x U) x G over U = R^m.
 
-    Elements are tuples (p0, p1, G); composition multiplies the group parts
-    and chains the base pairs.  ``group`` is "so3" or "se2" (one global
+    Elements are tuples (p0, p1, G): each map is the result of the pair
+    backend ``pair`` (which reads only p0, p1) followed by that of the
+    Lie-group backend ``group_ops`` on G ("so3" or "se2", one global
     trivialization per run).
     """
 
     def __init__(self, base_dim, group="so3"):
-        self.base_dim = int(base_dim)
+        self.pair = PairGroupoid(base_dim)
         self.group_ops = LieGroupGroupoid(group)
-        self.group = group
-        self.fiber_dim = self.base_dim + 3
+        self.base_dim = self.pair.base_dim
+        self.fiber_dim = self.base_dim + self.group_ops.fiber_dim
 
     def source(self, g):
         return g[0]
@@ -245,41 +248,27 @@ class AtiyahGroupoid:
         return g[1]
 
     def compose(self, g, h):
-        if _base_mismatch(g[1], h[0]) > COMPOSE_TOL:
-            raise NotComposableError("atiyah elements do not match: target(g) != source(h)")
-        return (g[0], h[1], self.group_ops.compose(g[2], h[2]))
+        return (*self.pair.compose(g, h), self.group_ops.compose(g[2], h[2]))
 
     def invert(self, g):
-        return (g[1], g[0], self.group_ops.invert(g[2]))
+        return (*self.pair.invert(g), self.group_ops.invert(g[2]))
 
     def identity(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x, x.copy(), self.group_ops.identity())
+        return (*self.pair.identity(x), self.group_ops.identity())
 
     def retract(self, c, u):
         u = np.asarray(u, dtype=float)
         m = self.base_dim
-        return (c[0], c[1] + u[:m], self.group_ops.retract(c[2], u[m:]))
+        return (*self.pair.retract(c, u[:m]), self.group_ops.retract(c[2], u[m:]))
 
     def coords(self, c, g):
-        if _base_mismatch(c[0], g[0]) > COMPOSE_TOL:
-            raise NotComposableError("coords: elements lie on different source fibers")
-        m = self.base_dim
-        u = np.empty(self.fiber_dim)
-        u[:m] = np.asarray(g[1], dtype=float) - np.asarray(c[1], dtype=float)
-        u[m:] = self.group_ops.coords(c[2], g[2])
-        return u
+        return np.concatenate((self.pair.coords(c, g), self.group_ops.coords(c[2], g[2])))
 
     def mirror(self, g):
-        p1 = np.asarray(g[1], dtype=float)
-        return (p1, p1 + (p1 - g[0]), self.group_ops.mirror(g[2]))
+        return (*self.pair.mirror(g), self.group_ops.mirror(g[2]))
 
     def distance(self, g, h):
-        return max(
-            _base_mismatch(g[0], h[0]),
-            _base_mismatch(g[1], h[1]),
-            self.group_ops.distance(g[2], h[2]),
-        )
+        return max(self.pair.distance(g, h), self.group_ops.distance(g[2], h[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -763,7 +763,6 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         ),
         params={"m0": m0, "m1": m1, "J": J, "J1": J1, "R": R, "c": c, "l": l, "h": h},
         declared_reversible=True,
-        is_chaplygin=True,
         coord_names=["phi0", "psi0", "phi1", "psi1", "theta", "x", "y"],
         initial_builder=build_initial,
         sample_states=sample,

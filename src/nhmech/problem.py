@@ -98,7 +98,6 @@ class NhProblem:
     declared_reversible: Optional[bool] = None
     momentum_specs: dict = field(default_factory=dict)
     domain_guard: Optional[Callable] = None
-    is_chaplygin: bool = False
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None

@@ -276,9 +276,12 @@ class TestChaplygin:
         assert np.max(np.abs(red)) > 1e-2
         assert np.max(np.abs(rows)) > 1e-2
 
-    def test_rejects_systems_without_reduction_structure(self):
-        p = md.make_chaplygin_sleigh()
-        g = p.initial_builder({"xi": [0.3, 0.4]})
+    # only the robot's distribution has the rank of its base (a complement
+    # of the vertical directions)
+    @pytest.mark.parametrize("name", sorted(set(md.FACTORIES) - {"mobile_robot"}))
+    def test_rejects_systems_without_reduction_structure(self, name):
+        p = _factory(name)
+        g = p.initial_builder(STARTS[name])
         h = sv.step(p, g).next
         with pytest.raises(ValueError):
             dg.chaplygin_residual(p, g, h)

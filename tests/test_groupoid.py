@@ -47,6 +47,7 @@ def backends_with_samples():
     lie_se2 = LieGroupGroupoid("se2")
     act = ActionGroupoid()
     aty = AtiyahGroupoid(2, "so3")
+    aty_se2 = AtiyahGroupoid(2, "se2")
 
     def sample_pair(rng):
         return (rng.normal(size=3), rng.normal(size=3))
@@ -64,12 +65,16 @@ def backends_with_samples():
     def sample_aty(rng):
         return (rng.normal(size=2), rng.normal(size=2), so3_exp(rng.normal(size=3) * 0.8))
 
+    def sample_aty_se2(rng):
+        return (rng.normal(size=2), rng.normal(size=2), se2_element(*rng.normal(size=3)))
+
     return [
         (pair, sample_pair),
         (lie_so3, sample_so3),
         (lie_se2, sample_se2),
         (act, sample_act),
         (aty, sample_aty),
+        (aty_se2, sample_aty_se2),
     ]
 
 
@@ -174,6 +179,20 @@ def test_not_composable_raised():
     e2 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(NotComposableError):
         act.compose((e1, np.eye(3)), (e2, np.eye(3)))
+
+
+def test_coords_refuses_elements_on_different_source_fibers():
+    p0, p1 = np.array([0.3, -0.1]), np.array([0.35, -0.2])
+    R, G = so3_exp(np.array([0.1, 0.2, 0.3])), se2_element(0.1, 0.2, 0.3)
+    e1, e2 = np.eye(3)[:2]
+    for bk, c, g in [
+        (PairGroupoid(2), (p0, p1), (p1, p1)),
+        (ActionGroupoid(), (e1, R), (e2, R)),
+        (AtiyahGroupoid(2, "so3"), (p0, p1, R), (p1, p1, R)),
+        (AtiyahGroupoid(2, "se2"), (p0, p1, G), (p1, p1, G)),
+    ]:
+        with pytest.raises(NotComposableError):
+            bk.coords(c, g)
 
 
 # ---------------------------------------------------------------------------

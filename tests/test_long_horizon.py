@@ -6,10 +6,12 @@ Each system runs LONG_STEPS steps from its acceptance start (the ball the
 ``slow`` marker (``pytest -m slow``), plus two variants whose defaults
 leave Newton idle (Suslov with a rotated inertia and the robot with an offset
 center of mass: at their defaults every step is uniform motion and converges
-at the first guess).  The particle and Veselova, the two systems that used to
-stop for spurious reasons (roundoff in the particle's 1/h^2-scaled rows, a
-Veselova guard against small rotations), also run SAMPLED_RUNS sampled states
-for SAMPLED_STEPS steps each.
+at the first guess).  Every system also runs SAMPLED_RUNS sampled states for
+SAMPLED_STEPS steps each: the particle and Veselova, the two systems that used
+to stop for spurious reasons (roundoff in the particle's 1/h^2-scaled rows, a
+Veselova guard against small rotations), and the ball and the robot, the two
+Atiyah systems, in the default run; Suslov, the sleigh and the sphere under
+the ``slow`` marker.
 """
 
 import numpy as np
@@ -28,13 +30,18 @@ PHI_TOL = 1e-9
 
 
 def assert_every_step_trusted(p, traj):
-    """max|phi| <= PHI_TOL on every element and each step's residual at its
-    stopping level max(tol, floor), flagged floor_limited when above tol."""
+    """max|phi| <= PHI_TOL on every element; each step's residual at its
+    stopping level max(tol, floor), flagged floor_limited when above tol; and
+    criterion 04's Legendre matching held to ten times that stopping level
+    (a floor-limited step matches the momenta only to about its floor)."""
     tol = sv.SolverOptions().tol_residual
     assert max(float(np.abs(p.phi(g)).max()) for g in traj.elements) <= PHI_TOL
-    for res in traj.results:
-        assert res.residual_norm <= max(tol, res.floor)
+    for g, nxt, res in zip(traj.elements, traj.elements[1:], traj.results):
+        stop = max(tol, res.floor)
+        assert res.residual_norm <= stop
         assert res.floor_limited == (res.residual_norm > tol)
+        gap = sv.legendre_plus(p, g).components - sv.legendre_minus(p, nxt).components
+        assert float(np.max(np.abs(gap))) <= 10.0 * stop
 
 
 def assert_run_from_acceptance_start(name, steps):
@@ -87,7 +94,17 @@ def test_newton_active_variant_long_run(factory, start):
 
 @pytest.mark.parametrize(
     "name, seed",
-    [("constrained_particle", 7), ("veselova", 1), ("veselova", 7)],
+    [
+        ("constrained_particle", 7),
+        ("veselova", 1),
+        ("veselova", 7),
+        ("rolling_ball", 7),
+        ("mobile_robot", 7),
+        *(
+            pytest.param(name, 7, marks=pytest.mark.slow)
+            for name in ("suslov", "chaplygin_sleigh", "holonomic_sphere")
+        ),
+    ],
 )
 def test_sampled_runs_complete(name, seed):
     p = md.FACTORIES[name]()
