@@ -11,13 +11,25 @@ Conventions:
 * se(2) basis ``e`` (rotation), ``e1``, ``e2`` (translations) satisfying
   ``[e, e1] = e2`` and ``[e, e2] = -e1``.
 * ``axial(A) = vee(A - A^T)``, so ``Tr(A @ hat(w)) = -axial(A) . w``.
+
+The maps a step calls (exp, log, compose, invert, the chart Jacobians) work
+on fixed 3-element shapes, where a numpy ufunc on a scalar costs more than
+the arithmetic; they read their arguments out as Python floats, compute in
+closed form with ``math`` and build their one result array at the end.
 """
+
+import math
 
 import numpy as np
 
 from .errors import ChartDomainError
 
-_EPS = np.finfo(float).eps
+
+def _floats(a):
+    """The entries of a vector or matrix as (nested lists of) Python floats."""
+    if isinstance(a, np.ndarray):
+        return a.tolist()
+    return np.asarray(a, dtype=float).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +42,7 @@ def sinc(s):
     if abs(s) < 1e-4:
         s2 = s * s
         return 1.0 - s2 / 6.0 + s2 * s2 / 120.0
-    return np.sin(s) / s
+    return math.sin(s) / s
 
 
 def versine_over(s):
@@ -39,20 +51,21 @@ def versine_over(s):
     if abs(s) < 1e-4:
         s2 = s * s
         return s / 2.0 - s * s2 / 24.0 + s * s2 * s2 / 720.0
-    return (1.0 - np.cos(s)) / s
+    return (1.0 - math.cos(s)) / s
 
 
 def rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
 def wrap_angle(theta):
-    """Wrap to (-pi, pi]."""
-    w = np.remainder(theta + np.pi, 2.0 * np.pi) - np.pi
-    if w == -np.pi:
-        w = np.pi
-    return float(w)
+    """Wrap to (-pi, pi]; an angle already in that range comes back as it is."""
+    theta = float(theta)
+    if -math.pi < theta <= math.pi:
+        return theta
+    w = (theta + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w <= -math.pi else w
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +124,46 @@ def axial_left_mul(M):
 
 
 def so3_exp(w):
-    """Rodrigues formula, series-stabilized for small angles."""
-    w = np.asarray(w, dtype=float)
-    th2 = float(w @ w)
-    W = so3_hat(w)
+    """Rodrigues formula I + a hat(w) + b hat(w)^2, series-stabilized for
+    small angles; hat(w)^2 = w w^T - |w|^2 I is written out."""
+    x, y, z = _floats(w)
+    th2 = x * x + y * y + z * z
     if th2 < 1e-8:
         a = 1.0 - th2 / 6.0 + th2 * th2 / 120.0
         b = 0.5 - th2 / 24.0 + th2 * th2 / 720.0
     else:
-        th = np.sqrt(th2)
-        a = np.sin(th) / th
-        b = (1.0 - np.cos(th)) / th2
-    return np.eye(3) + a * W + b * (W @ W)
+        th = math.sqrt(th2)
+        a = math.sin(th) / th
+        b = (1.0 - math.cos(th)) / th2
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), bxy - az, bxz + ay],
+            [bxy + az, 1.0 - b * (x * x + z * z), byz - ax],
+            [bxz - ay, byz + ax, 1.0 - b * (x * x + y * y)],
+        ]
+    )
+
+
+def _axial_angle(R):
+    """The components of axial(R) and the rotation angle of R (nested lists
+    of floats), with the cut check of :func:`so3_axial_angle`."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    x, y, z = r21 - r12, r02 - r20, r10 - r01
+    s = 0.5 * math.hypot(x, y, z)
+    c = 0.5 * (r00 + r11 + r22 - 1.0)
+    th = math.atan2(s, min(max(c, -1.0), 1.0))
+    if math.pi - th < 1e-10:
+        raise ChartDomainError("so3_log: rotation angle at the cut (pi)")
+    return x, y, z, th
 
 
 def so3_axial_angle(R):
     """axial(R) and the rotation angle of R in [0, pi], by atan2; raises
     ChartDomainError within 1e-10 of angle pi, the cut of :func:`so3_log`."""
-    ax = axial(R)
-    s = 0.5 * np.linalg.norm(ax)
-    c = 0.5 * (np.trace(R) - 1.0)
-    th = np.arctan2(s, min(max(c, -1.0), 1.0))
-    if np.pi - th < 1e-10:
-        raise ChartDomainError("so3_log: rotation angle at the cut (pi)")
-    return ax, th
+    x, y, z, th = _axial_angle(_floats(R))
+    return np.array([x, y, z]), th
 
 
 def so3_log(R):
@@ -144,34 +173,30 @@ def so3_log(R):
     axis extraction from R + I near angle pi.  Raises ChartDomainError within
     1e-10 of angle pi where the principal branch breaks down.
     """
-    R = np.asarray(R, dtype=float)
-    ax, th = so3_axial_angle(R)
-    if th < 0.5:
+    x, y, z, th = _axial_angle(_floats(R))
+    if th < math.pi - 1e-4:
         # w = f * axial/2 with f = th/sin(th)
         if th < 1e-4:
             t2 = th * th
             f = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
         else:
-            f = th / np.sin(th)
-        return 0.5 * f * ax
-    if th < np.pi - 1e-4:
-        return (0.5 * th / np.sin(th)) * ax
+            f = th / math.sin(th)
+        k = 0.5 * f
+        return np.array([k * x, k * y, k * z])
     # Near pi: R + I = 2 [cos^2(th/2) I + sin(th/2)cos(th/2) hat(n) + sin^2(th/2) n n^T];
     # the dominant column of R + I is parallel to n.
-    B = R + np.eye(3)
+    B = np.asarray(R, dtype=float) + np.eye(3)
     j = int(np.argmax(np.sum(B * B, axis=0)))
     n = B[:, j]
     n = n / np.linalg.norm(n)
     # axial(R) = 2 sin(th) n fixes the sign while sin(th) > 0.
-    if n @ ax < 0.0:
+    if n[0] * x + n[1] * y + n[2] * z < 0.0:
         n = -n
     return th * n
 
 
 # ---------------------------------------------------------------------------
 # se(2) / SE(2)
-
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def se2_element(theta, x, y):
@@ -184,8 +209,8 @@ def se2_identity():
 
 def se2_matrix(g):
     """Homogeneous 3x3 representative of (theta, x, y)."""
-    th, x, y = g
-    c, s = np.cos(th), np.sin(th)
+    th, x, y = _floats(g)
+    c, s = math.cos(th), math.sin(th)
     return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
 
 
@@ -196,62 +221,60 @@ def se2_hat(xi):
 
 
 def se2_compose(g, h):
-    th, x, y = g
-    t2 = rot2(th) @ np.asarray(h[1:], dtype=float)
-    return se2_element(th + h[0], x + t2[0], y + t2[1])
+    th, x, y = _floats(g)
+    dth, u, v = _floats(h)
+    c, s = math.cos(th), math.sin(th)
+    return np.array([wrap_angle(th + dth), x + (c * u - s * v), y + (s * u + c * v)])
 
 
 def se2_invert(g):
-    th = g[0]
-    t = -(rot2(-th) @ np.asarray(g[1:], dtype=float))
-    return se2_element(-th, t[0], t[1])
+    th, x, y = _floats(g)
+    c, s = math.cos(th), math.sin(th)
+    return np.array([wrap_angle(-th), -(c * x + s * y), s * x - c * y])
 
 
 def se2_exp(xi):
     """Group exponential of (omega, v1, v2)."""
-    om, v1, v2 = [float(c) for c in xi]
+    om, v1, v2 = _floats(xi)
     a = sinc(om)
     b = versine_over(om)
-    return se2_element(om, a * v1 - b * v2, b * v1 + a * v2)
+    return np.array([wrap_angle(om), a * v1 - b * v2, b * v1 + a * v2])
 
 
 def se2_check_cut(g):
     """Raise ChartDomainError where :func:`se2_log` does: |theta| >= pi - 1e-10."""
-    if abs(float(g[0])) >= np.pi - 1e-10:
+    if abs(float(g[0])) >= math.pi - 1e-10:
         raise ChartDomainError("se2_log: rotation angle at the cut (pi)")
 
 
 def se2_log(g):
     """Principal logarithm; raises ChartDomainError at |theta| = pi."""
-    th, x, y = [float(c) for c in g]
     se2_check_cut(g)
+    th, x, y = _floats(g)
     a = sinc(th)
     b = versine_over(th)
     d = a * a + b * b  # = 2(1-cos th)/th^2, positive on the domain
-    v1 = (a * x + b * y) / d
-    v2 = (-b * x + a * y) / d
-    return np.array([th, v1, v2])
+    return np.array([th, (a * x + b * y) / d, (-b * x + a * y) / d])
 
 
 def se2_left_jacobian(g):
     """Jacobian of the triple (theta, x, y) along the left chart at g:
     column j is d/dt of g * exp(t e_j) at t=0."""
-    c, s = np.cos(g[0]), np.sin(g[0])
+    th = float(g[0])
+    c, s = math.cos(th), math.sin(th)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def se2_right_jacobian(g):
     """Jacobian of the triple (theta, x, y) along the right chart at g:
     column j is d/ds of exp(s e_j) * g at s=0."""
-    _, x, y = g
+    _, x, y = _floats(g)
     return np.array([[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]])
 
 
 def se2_Ad(g, xi):
     """Adjoint action on (omega, v): (omega, R(theta) v - omega J t)."""
-    th = g[0]
-    t = np.asarray(g[1:], dtype=float)
-    om = float(xi[0])
-    v = np.asarray(xi[1:], dtype=float)
-    out = rot2(th) @ v - om * (_J2 @ t)
-    return np.array([om, out[0], out[1]])
+    th, x, y = _floats(g)
+    om, v1, v2 = _floats(xi)
+    c, s = math.cos(th), math.sin(th)
+    return np.array([om, c * v1 - s * v2 + om * y, s * v1 + c * v2 - om * x])

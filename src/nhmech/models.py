@@ -99,13 +99,20 @@ def _pair_form(mass, h, dim):
 
 
 def _so3_form(J):
-    """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric."""
+    """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric.
+    For J = c I (the ball) the products J W and W J are formed as c W, which
+    gives the same entries as the matmuls."""
+    c = float(J[0, 0])
+    if np.array_equal(J, c * np.eye(3)):
+        left = right = lambda W: c * W
+    else:
+        left, right = (lambda W: J @ W), (lambda W: W @ J)
     return Lagrangian(
-        eval=lambda W: -float(np.trace(J @ W)),
-        left_grad=lambda W: lg.axial(J @ W),
-        right_grad=lambda W: lg.axial(W @ J),
+        eval=lambda W: -float(np.trace(left(W))),
+        left_grad=lambda W: lg.axial(left(W)),
+        right_grad=lambda W: lg.axial(right(W)),
         # column j is axial(W E_j J), and W E_j = hat(W e_j) W for a rotation
-        mixed_hess=lambda W: lg.axial_left_mul(W @ J) @ W,
+        mixed_hess=lambda W: lg.axial_left_mul(right(W)) @ W,
     )
 
 
@@ -653,8 +660,8 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         ]
     )
     bk = AtiyahGroupoid(2, "se2")
-    dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * np.cos(s) - np.sin(s)) / s**2
-    dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * np.sin(s) - (1 - np.cos(s))) / s**2
+    dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * math.cos(s) - math.sin(s)) / s**2
+    dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * math.sin(s) - (1 - math.cos(s))) / s**2
 
     def _sincs(el):
         p0, p1, g = el
@@ -678,13 +685,14 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     def _phi_jac(el, group_jac):
         dphi, dpsi, s = _sincs(el)
         tot = dphi + dpsi
+        sc, vc, dsc, dv = lg.sinc(s), lg.versine_over(s), dsinc(s), dvc(s)
         rows = np.zeros((3, 5))
         # base columns: both charts shift (dphi, dpsi) by +u
         for j, sgn in ((0, 1.0), (1, -1.0)):
             ds = sgn * R / (2 * c)
             rows[0, j] = R * sgn / (2 * c)
-            rows[1, j] = 0.5 * R * (lg.sinc(s) + tot * dsinc(s) * ds)
-            rows[2, j] = -0.5 * R * (lg.versine_over(s) + tot * dvc(s) * ds)
+            rows[1, j] = 0.5 * R * (sc + tot * dsc * ds)
+            rows[2, j] = -0.5 * R * (vc + tot * dv * ds)
         # group columns: phi is (theta, x, y) plus a function of the wheels
         rows[:, 2:] = group_jac(el[2])
         return rows

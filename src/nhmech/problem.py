@@ -23,7 +23,11 @@ beta(g), the left gradient of L at g) is evaluated once, by a
 and ``regularity_matrices`` are one-line uses of a fresh frame.  The small
 dense kernels (SVD, least squares) call LAPACK directly, which skips the
 wrappers' finiteness check, so each call is preceded by one of its own that
-raises SingularError.
+raises SingularError.  The regularity test's kernels have closed forms for
+the shapes the rank-2 systems give: a Householder complement for the null
+space of a 1x3 constraint gradient (:func:`_row_complement`) and the two
+singular values of a 2x2, 2x3 or 3x2 pairing (:func:`_two_row_sigmas`);
+other shapes go to LAPACK dgesdd.
 """
 
 import functools
@@ -181,10 +185,13 @@ class NhProblem:
 
 
 def require_finite(M, what):
-    """Raise SingularError unless every entry of the array M is finite (the
-    LAPACK max-abs norm is NaN or inf exactly when one entry is)."""
-    if not math.isfinite(lapack.dlange("M", M)):
+    """Raise SingularError unless every entry of the array M is finite; returns
+    the largest magnitude in M (the LAPACK max-abs norm, which is NaN or inf
+    exactly when one entry is)."""
+    scale = lapack.dlange("M", M)
+    if not math.isfinite(scale):
         raise SingularError(f"{what} has non-finite entries")
+    return scale
 
 
 def _svd(M, what, compute_uv=1):
@@ -269,8 +276,7 @@ class StepFrame:
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
-        basis at beta(g), by :func:`least_squares`, with the residual of the
-        fit returned for consistency checks."""
+        basis at beta(g), by :func:`least_squares`."""
         p = self.p
         last, right = self._last
         F = self.left_grad - (right if h is last else p.right_grad(h))
@@ -281,8 +287,7 @@ class StepFrame:
             raise RankDeficientAnnihilator(
                 f"{p.name}: annihilator basis has rank {rank} < {lam.size}"
             )
-        fit = F - A @ lam
-        return lam, float(np.abs(fit).max())
+        return lam
 
     def regularity_matrices(self):
         """The two pairings of :func:`regularity_matrices` at g."""
@@ -315,20 +320,58 @@ def newton_jacobian_fd(p, g, center):
 
 
 def lagrange_multipliers(p, g, h):
-    """Multipliers and fit residual at the next element h (see
-    :meth:`StepFrame.multipliers`)."""
-    return StepFrame(p, g).multipliers(h)
+    """Multipliers at the next element h (see :meth:`StepFrame.multipliers`)
+    and the max-abs residual of their fit, for consistency checks."""
+    frame = StepFrame(p, g)
+    lam = frame.multipliers(h)
+    F = frame.left_grad - p.right_grad(h)
+    A = np.asarray(p.distribution.annihilator(frame.beta), dtype=float)
+    return lam, float(np.abs(F - A @ lam).max())
 
 
 # ---------------------------------------------------------------------------
 # tangent spaces of the constraint set and regularity matrices
 
 
+_OTHER_AXES = ((1, 2), (2, 0), (0, 1))
+
+
+def _row_complement(M):
+    """Orthonormal basis (columns) of the null space of a 1x3 array M, or
+    eye(3) when M is zero.
+
+    With v the row divided by its largest magnitude (so v[k] = +-1 at its
+    largest entry k) and s = |v|, the Householder reflection
+    I - u u^T / (s (s + 1)), u = v + sign(v[k]) s e_k, maps v onto the axis
+    e_k; its other two columns span the plane orthogonal to v.
+    """
+    scale = require_finite(M, "constraint gradient")
+    if scale == 0.0:
+        return np.eye(3)
+    x, y, z = M.tolist()[0]
+    v = [x / scale, y / scale, z / scale]
+    ax, ay, az = abs(v[0]), abs(v[1]), abs(v[2])
+    k = 0 if ax >= ay and ax >= az else (1 if ay >= az else 2)
+    i, j = _OTHER_AXES[k]
+    vi, vj = v[i], v[j]
+    s = math.hypot(*v)
+    d = 1.0 / (s * (s + 1.0))
+    e = -math.copysign(1.0, v[k]) / s  # -u[k] d
+    out = [None, None, None]
+    out[k] = [e * vi, e * vj]
+    out[i] = [1.0 - vi * vi * d, -vi * vj * d]
+    out[j] = [-vj * vi * d, 1.0 - vj * vj * d]
+    return np.array(out)
+
+
 def _nullspace(M, rtol=NULLSPACE_RTOL):
-    """Orthonormal basis (columns) of the right null space of M."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
+    """Orthonormal basis (columns) of the right null space of the 2-D array M:
+    :func:`_row_complement` for a single row of three, else from the SVD."""
+    k, n = M.shape
+    if k == 0:
+        return np.eye(n)
+    if k == 1 and n == 3:
+        return _row_complement(M)
     s, vh = _svd(M, "constraint gradient")
     cutoff = rtol * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
@@ -355,8 +398,35 @@ def regularity_matrices(p, g):
     return StepFrame(p, g).regularity_matrices()
 
 
+def _two_row_sigmas(M):
+    """(sigma_2, sigma_1) of a (2, m) array M, m = 2 or 3, in closed form.
+
+    With a and b the rows of M divided by its largest magnitude,
+    sigma_1^2 = (|a|^2 + |b|^2 + hypot(|a|^2 - |b|^2, 2 a.b)) / 2, and
+    sigma_2 = |a| |b_perp| / sigma_1, where |a| |b_perp| = |a x b| is the
+    hypot of the 2x2 minors of M.
+    """
+    scale = require_finite(M, "two-point pairing")
+    if scale == 0.0:
+        return 0.0, 0.0
+    a, b = M.tolist()
+    if len(a) == 2:
+        a0, a1, b0, b1 = a[0] / scale, a[1] / scale, b[0] / scale, b[1] / scale
+        aa, bb, ab = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, a0 * b0 + a1 * b1
+        wedge = abs(a0 * b1 - a1 * b0)
+    else:
+        a0, a1, a2 = a[0] / scale, a[1] / scale, a[2] / scale
+        b0, b1, b2 = b[0] / scale, b[1] / scale, b[2] / scale
+        aa, bb = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
+        ab = a0 * b0 + a1 * b1 + a2 * b2
+        wedge = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    smax = math.sqrt(0.5 * (aa + bb + math.hypot(aa - bb, 2.0 * ab)))
+    return scale * (wedge / smax), scale * smax
+
+
 def kernel_sigmas(M, rank_needed):
-    """(sigma_{rank_needed}, sigma_max) of a two-point pairing matrix.
+    """(sigma_{rank_needed}, sigma_max) of a two-point pairing matrix, a 2-D
+    array.
 
     The pairing is nondegenerate when it couples all rank_needed distribution
     directions, i.e. when its rank_needed-th singular value is positive.  In
@@ -365,8 +435,13 @@ def kernel_sigmas(M, rank_needed):
     function that does not see that leg, as for a holonomic arrival-point
     constraint) the matrix is rectangular and the surplus directions must not
     count as degeneracy.
+
+    The 2x2, 2x3 and 3x2 pairings with rank_needed = 2 (the r = 2 systems)
+    take the closed form of :func:`_two_row_sigmas`; the rest go to LAPACK.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    m, n = M.shape
+    if rank_needed == 2 and (m, n) in ((2, 2), (2, 3), (3, 2)):
+        return _two_row_sigmas(M if m == 2 else M.T)
     s, _ = _svd(M, "two-point pairing", compute_uv=0)
     smax = float(s[0]) if s.size else 0.0
     if s.size < rank_needed:

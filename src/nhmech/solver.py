@@ -23,9 +23,14 @@ L at g and its projection) is evaluated once and shared by the regularity
 test, every residual, every Newton matrix and the multipliers.  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
-dgecon to factor, dgetrs to solve, dgesdd for the regularity test and dgelsd
-for the multipliers.  Each raw call is preceded by a finiteness check, and a
-non-finite matrix or a LAPACK failure is a SingularError.
+dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
+regularity test needs the null space of a constraint gradient and two
+singular values of each pairing; for a single gradient row of three and for
+the 2x2, 2x3 and 3x2 pairings of the rank-2 systems these are computed in
+closed form, and only the larger shapes (the rolling ball's pairings and
+constraint gradients, the robot's constraint gradients) call dgesdd.  Each
+kernel is preceded by a finiteness check, and a non-finite matrix or a
+LAPACK failure is a SingularError.
 """
 
 import math
@@ -234,7 +239,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
         rnorm = float(np.abs(r).max())
         history.append(rnorm)
 
-    lam, _ = frame.multipliers(center)
+    lam = frame.multipliers(center)
     return StepResult(
         next=center,
         multipliers=lam,

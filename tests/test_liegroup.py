@@ -142,6 +142,26 @@ def test_wrap_angle_range():
     assert wrap_angle(0.3) == pytest.approx(0.3)
 
 
+def test_wrap_angle_returns_in_range_angles_unchanged():
+    for theta in [*np.linspace(-3.1, 3.1, 1001), 0.1, np.pi, np.nextafter(-np.pi, 0.0)]:
+        assert wrap_angle(theta) == theta
+    assert wrap_angle(-np.pi) == np.pi
+
+
+@given(st.floats(-20.0, 20.0, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_wrap_angle_moves_by_whole_turns(theta):
+    w = wrap_angle(theta)
+    assert -np.pi < w <= np.pi
+    turns = (theta - w) / (2 * np.pi)
+    assert abs(turns - round(turns)) <= 4 * np.finfo(float).eps * max(1.0, abs(theta))
+
+
+def test_wrap_angle_out_of_range():
+    assert wrap_angle(3 * np.pi) == pytest.approx(np.pi, abs=1e-15)
+    assert wrap_angle(-7.5) == pytest.approx(-7.5 + 2 * np.pi, abs=1e-15)
+
+
 def test_scalar_series_helpers():
     for s in [1e-9, 1e-5, 1e-3, 0.5]:
         assert np.isclose(sinc(s), np.sin(s) / s, rtol=1e-14)
