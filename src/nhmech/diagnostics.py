@@ -126,12 +126,11 @@ class MomentumSpec:
     """A parametrized family of symmetry directions.
 
     ``section(xi, x)`` returns the fiber direction of the symmetry parameter
-    xi (an array of length ``dim``) at base point x; it must be linear in xi.
+    xi (an array) at base point x; it must be linear in xi.
     ``xi_map(x)`` picks the parameter used along trajectories.
     """
 
     name: str
-    dim: int
     section: Callable
     xi_map: Callable
 
@@ -182,9 +181,8 @@ def invariance_defect(p, spec, g, xi):
     beta(g) minus right derivative along the section at alpha(g)."""
     bk = p.backend
     xi = np.asarray(xi, dtype=float)
-    lv = p.d_left(g, spec.section(xi, bk.target(g)))
-    rv = p.d_right(g, spec.section(xi, bk.source(g)))
-    return float(lv - rv)
+    return float(p.left_grad(g) @ spec.section(xi, bk.target(g))
+                 - p.right_grad(g) @ spec.section(xi, bk.source(g)))
 
 
 def momentum_drift(p, specs, trajectory):
@@ -290,6 +288,6 @@ def chaplygin_residual(p, g, h):
     # vertical correction curves, differenced at the wider step
     xbar = gpd.left_jacobian(base, lag_left, (x, y), tF)
     xprime = gpd.right_jacobian(base, lag_right, (y, z), tF)
-    force_plus = xbar - np.array([p.d_left(g, col) for col in X.T])
-    force_minus = xprime - np.array([p.d_right(h, col) for col in X.T])
+    force_plus = xbar - p.left_grad(g) @ X
+    force_minus = xprime - p.right_grad(h) @ X
     return lvec_red - rvec_red - force_plus + force_minus

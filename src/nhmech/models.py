@@ -243,13 +243,11 @@ def make_constrained_particle(h=0.01):
     specs = {
         "plane_translations": MomentumSpec(
             name="plane_translations",
-            dim=2,
             section=lambda xi, x: np.array([xi[0], 0.0, xi[1]]),
             xi_map=lambda x: np.array([1.0, x[1]]),
         ),
         "y_translation": MomentumSpec(
             name="y_translation",
-            dim=1,
             section=lambda xi, x: np.array([0.0, xi[0], 0.0]),
             xi_map=lambda x: np.array([1.0]),
         ),
@@ -259,7 +257,7 @@ def make_constrained_particle(h=0.01):
         backend=bk,
         lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
-        distribution=Distribution(rank=2, basis=basis, annihilator=annihilator),
+        distribution=Distribution(basis=basis, annihilator=annihilator),
         params={"h": h},
         declared_reversible=True,
         momentum_specs=specs,
@@ -315,9 +313,7 @@ def make_suslov(J=None, h=0.05):
         backend=bk,
         lagrangian=_so3_form(JJ / h),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
-        distribution=Distribution(
-            rank=2, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
-        ),
+        distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"J": JJ, "h": h},
         declared_reversible=True,
         coord_names=names,
@@ -389,9 +385,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
             right_jac=lambda g: phi_grad(g) @ lg.se2_right_jacobian(g),
         ),
         distribution=Distribution(
-            rank=2,
-            basis=basis,
-            annihilator=lambda x: np.array([[0.0], [0.0], [1.0]]),
+            basis=basis, annihilator=lambda x: np.array([[0.0], [0.0], [1.0]])
         ),
         params={"m": m, "a": a, "b": b, "J": J},
         declared_reversible=True,
@@ -481,9 +475,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         ),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
-            rank=2,
-            basis=_complement_basis,
-            annihilator=lambda x: np.asarray(x, dtype=float).reshape(3, 1),
+            basis=_complement_basis, annihilator=lambda x: np.asarray(x, dtype=float).reshape(3, 1)
         ),
         params={"I": II, "m": m, "g": g, "l": l, "e": evec, "h": h},
         declared_reversible=False,
@@ -563,7 +555,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         )
         nw = np.linalg.norm(w)
         if nw > 2.0 - 1e-12:
-            raise ConfigError("initial displacement too large for one step")
+            raise ConfigError("xy0 to xy1 is too large a displacement for one step")
         if nw < 1e-300:
             return (p0, p1, np.eye(3))
         th = np.arcsin(nw / 2.0)
@@ -583,7 +575,6 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         c = np.asarray(coeffs, dtype=float)
         return MomentumSpec(
             name=name,
-            dim=1,
             section=lambda xi, x, c=c: xi[0] * c,
             xi_map=lambda x: np.array([1.0]),
         )
@@ -599,9 +590,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         backend=bk,
         lagrangian=_atiyah_form(_pair_form(m, h, 2), _so3_form((I / (2 * h * h)) * np.eye(3))),
         constraints=ConstraintSet(codim=2, phi=phi, left_jac=phi_left, right_jac=phi_right),
-        distribution=Distribution(
-            rank=3, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
-        ),
+        distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"m": m, "r": r, "I": I, "Omega": Omega, "h": h},
         declared_reversible=False,
         momentum_specs=specs,
@@ -730,7 +719,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         dphi, dpsi = p1 - p0
         s = R * (dphi - dpsi) / (2 * c)
         if abs(s) >= np.pi:
-            raise ConfigError("wheel increment turns the frame past the chart cut")
+            raise ConfigError("wheels0 to wheels1 (dphi/dpsi) turns the frame past the chart cut")
         tot = dphi + dpsi
         g = np.array(
             [
@@ -766,9 +755,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             left_jac=lambda el: _phi_jac(el, lg.se2_left_jacobian),
             right_jac=lambda el: _phi_jac(el, lg.se2_right_jacobian),
         ),
-        distribution=Distribution(
-            rank=2, basis=lambda x: basis_mat, annihilator=lambda x: ann_mat
-        ),
+        distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"m0": m0, "m1": m1, "J": J, "J1": J1, "R": R, "c": c, "l": l, "h": h},
         declared_reversible=True,
         coord_names=["phi0", "psi0", "phi1", "psi1", "theta", "x", "y"],
@@ -838,7 +825,6 @@ def make_holonomic_sphere(h=0.01):
         lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
-            rank=2,
             basis=_complement_basis,
             annihilator=lambda x: 2.0 * np.asarray(x, dtype=float).reshape(3, 1),
         ),

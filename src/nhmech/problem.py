@@ -11,16 +11,17 @@ over a basis X_a of the distribution at the matching point, together with
 ``phi(h) = 0`` for the next element.  ``residual_at`` stacks the projected rows
 first and the constraint rows after them.
 
+The chart derivatives are bound once per problem (see :class:`NhProblem`).
 Every second-order quantity comes from the mixed second derivative
-``NhProblem.mixed_hess``: the Newton matrix (``newton_matrix``) and the two
-regularity pairings (``regularity_matrices``).  ``newton_jacobian_fd`` and
-``groupoid.cross_form`` difference the residual and the Lagrangian directly
-and serve as references for them.
+``NhProblem.mixed_hess``: the Newton matrix (:meth:`StepFrame.newton_matrix`) and the
+two regularity pairings (``regularity_matrices``).  ``newton_jacobian_fd``
+and ``groupoid.cross_form`` difference the residual and the Lagrangian
+directly and serve as references for them.
 
 What a step from g needs that depends on g alone (the distribution basis at
 beta(g), the left gradient of L at g) is evaluated once, by a
-:class:`StepFrame`; ``residual_at``, ``newton_matrix``, ``lagrange_multipliers``
-and ``regularity_matrices`` are one-line uses of a fresh frame.  The small
+:class:`StepFrame`; ``residual_at``, ``lagrange_multipliers`` and
+``regularity_matrices`` are one-line uses of a fresh frame.  The small
 dense kernels (SVD, least squares) call LAPACK directly, which skips the
 wrappers' finiteness check, so each call is preceded by one of its own that
 raises SingularError.  The regularity test's kernels have closed forms for
@@ -48,14 +49,13 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Distribution:
-    """Constraint distribution on the base manifold.
+    """Constraint distribution on the base manifold, of rank r = n - k.
 
     ``basis(x)`` returns an (n, r) array of fiber-chart directions spanning
-    D_c at x; ``annihilator(x)`` returns (n, k) covector components with
-    k = n - r, vanishing on the span.
+    D_c at x; ``annihilator(x)`` returns (n, k) covector components vanishing
+    on the span.
     """
 
-    rank: int
     basis: Callable
     annihilator: Callable
 
@@ -65,7 +65,8 @@ class ConstraintSet:
     """Zero set of phi inside the groupoid, codimension ``codim``.
 
     ``left_jac(g)`` / ``right_jac(g)``, when given, return the (codim, n)
-    arrays of exact left/right chart gradients of the components of phi.
+    float arrays of exact left/right chart gradients of the components of
+    phi; the problem differences phi where they are not given.
     """
 
     codim: int
@@ -78,11 +79,12 @@ class ConstraintSet:
 class Lagrangian:
     """Scalar function on the groupoid with optional exact chart derivatives.
 
-    ``left_grad(g)`` / ``right_grad(g)`` return the (n,) gradients of L in the
-    left/right chart at g.  ``mixed_hess(g)`` returns the (n, n) mixed second
-    derivative H(g), column j being d/dt right_grad(retract(g, t e_j)) at t=0.
-    Left and right translations commute, so the two-point form of L is
-    ``cross(g, a, b) = -a^T H(g) b``.
+    ``left_grad(g)`` / ``right_grad(g)`` return the (n,) float gradients of L
+    in the left/right chart at g.  ``mixed_hess(g)`` returns the (n, n) float
+    mixed second derivative H(g), column j being d/dt
+    right_grad(retract(g, t e_j)) at t=0.  Left and right translations
+    commute, so the two-point form of L is ``cross(g, a, b) = -a^T H(g) b``.
+    The problem differences what is not given (see :class:`NhProblem`).
     """
 
     eval: Callable
@@ -91,8 +93,24 @@ class Lagrangian:
     mixed_hess: Optional[Callable] = None
 
 
+def _accept(g):
+    """The default domain guard: every element is in the domain."""
+
+
 @dataclass
 class NhProblem:
+    """A discrete nonholonomic system on a groupoid backend.
+
+    Building it binds the five chart derivatives a step calls, once:
+    ``left_grad(g)``, ``right_grad(g)`` and ``mixed_hess(g)`` of L and the
+    (k, n) arrays ``phi_left_jac(g)``, ``phi_right_jac(g)``.  Each is the
+    model's callable when the :class:`Lagrangian` or :class:`ConstraintSet`
+    gives one, else a central difference (``mixed_hess`` differences the
+    bound right gradient, at the wider step when that gradient is itself a
+    difference).  ``dataclasses.replace`` binds them again for the copy.
+    ``domain_guard(g)`` raises for an element outside the model's domain.
+    """
+
     name: str
     backend: object
     lagrangian: Lagrangian
@@ -101,12 +119,23 @@ class NhProblem:
     params: dict = field(default_factory=dict)
     declared_reversible: Optional[bool] = None
     momentum_specs: dict = field(default_factory=dict)
-    domain_guard: Optional[Callable] = None
+    domain_guard: Callable = _accept
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
     # the last StepFrame's matching point (as bytes) and its distribution basis
     basis_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        partial, bk = functools.partial, self.backend
+        left, right = gpd.left_jacobian, gpd.right_jacobian
+        lag, con = self.lagrangian, self.constraints
+        self.left_grad = lag.left_grad or partial(left, bk, lag.eval)
+        self.right_grad = lag.right_grad or partial(right, bk, lag.eval)
+        step = gpd.FD_STEP if lag.right_grad else gpd.FD_STEP_OUTER
+        self.mixed_hess = lag.mixed_hess or partial(left, bk, self.right_grad, step=step)
+        self.phi_left_jac = con.left_jac or partial(left, bk, self.phi)
+        self.phi_right_jac = con.right_jac or partial(right, bk, self.phi)
 
     @property
     def n(self):
@@ -114,57 +143,14 @@ class NhProblem:
 
     @property
     def r(self):
-        return self.distribution.rank
+        return self.n - self.k
 
     @property
     def k(self):
         return self.constraints.codim
 
-    # chart derivatives: the analytic one when given, else a difference ------
-    def left_grad(self, g):
-        """Gradient of L in the left chart at g, an (n,) vector."""
-        if self.lagrangian.left_grad is not None:
-            return np.asarray(self.lagrangian.left_grad(g), dtype=float)
-        return gpd.left_jacobian(self.backend, self.lagrangian.eval, g)
-
-    def right_grad(self, g):
-        """Gradient of L in the right chart at g, an (n,) vector."""
-        if self.lagrangian.right_grad is not None:
-            return np.asarray(self.lagrangian.right_grad(g), dtype=float)
-        return gpd.right_jacobian(self.backend, self.lagrangian.eval, g)
-
-    def mixed_hess(self, g):
-        """Mixed second derivative H(g) (see :class:`Lagrangian`); without an
-        analytic one, the right gradient is differenced along the left chart,
-        at the wider step when that gradient is itself a difference quotient."""
-        if self.lagrangian.mixed_hess is not None:
-            return np.asarray(self.lagrangian.mixed_hess(g), dtype=float)
-        exact = self.lagrangian.right_grad is not None
-        step = gpd.FD_STEP if exact else gpd.FD_STEP_OUTER
-        return gpd.left_jacobian(self.backend, self.right_grad, g, step)
-
-    def d_left(self, g, v):
-        """Left derivative of L at g along the chart direction v."""
-        return float(self.left_grad(g) @ np.asarray(v, dtype=float))
-
-    def d_right(self, g, v):
-        """Right derivative of L at g along the chart direction v."""
-        return float(self.right_grad(g) @ np.asarray(v, dtype=float))
-
     def phi(self, g):
         return np.atleast_1d(np.asarray(self.constraints.phi(g), dtype=float))
-
-    def phi_left_jac(self, g):
-        """(k, n) gradients of the components of phi in the left chart at g."""
-        if self.constraints.left_jac is not None:
-            return np.asarray(self.constraints.left_jac(g), dtype=float)
-        return gpd.left_jacobian(self.backend, self.phi, g)
-
-    def phi_right_jac(self, g):
-        """(k, n) gradients of the components of phi in the right chart at g."""
-        if self.constraints.right_jac is not None:
-            return np.asarray(self.constraints.right_jac(g), dtype=float)
-        return gpd.right_jacobian(self.backend, self.phi, g)
 
     def to_row(self, g):
         """The element as one flat row in ``coord_names`` order: its parts
@@ -298,7 +284,7 @@ class StepFrame:
             Xa = np.asarray(p.distribution.basis(alpha), dtype=float)
         H, phi_jac = self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
         G_left = -Xa.T @ H @ _nullspace(phi_jac)
-        G_right = -right_tangent_basis(p, g).T @ H @ self.basis
+        G_right = -_nullspace(p.phi_right_jac(g)).T @ H @ self.basis
         return G_left, G_right
 
 
@@ -307,15 +293,9 @@ def residual_at(p, g, h):
     return StepFrame(p, g).residual(h)
 
 
-def newton_matrix(p, g, center):
-    """Jacobian of the residual in the chart at ``center`` (see
-    :meth:`StepFrame.newton_matrix`)."""
-    return StepFrame(p, g).newton_matrix(center)
-
-
 def newton_jacobian_fd(p, g, center):
     """Central-difference Jacobian of the residual in the chart at ``center``
-    (reference for :func:`newton_matrix`)."""
+    (reference for :meth:`StepFrame.newton_matrix`)."""
     return gpd.left_jacobian(p.backend, lambda h: residual_at(p, g, h), center)
 
 
@@ -376,12 +356,6 @@ def _nullspace(M, rtol=NULLSPACE_RTOL):
     cutoff = rtol * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].T
-
-
-def right_tangent_basis(p, g):
-    """Basis of the right-invariant directions tangent to the constraint set
-    at g (null space of the right chart gradient of phi)."""
-    return _nullspace(p.phi_right_jac(g))
 
 
 def regularity_matrices(p, g):

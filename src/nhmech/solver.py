@@ -161,14 +161,12 @@ def step(p, g, options: Optional[SolverOptions] = None):
     """
     opts = options or SolverOptions()
     bk = p.backend
-    if p.domain_guard is not None:
-        p.domain_guard(g)
+    p.domain_guard(g)
     frame = pb.StepFrame(p, g)
     sigma_left, sigma_right = _assert_point_regular(p, frame)
 
     center = bk.mirror(g)  # g's displacement repeated
-    if p.domain_guard is not None:
-        p.domain_guard(center)
+    p.domain_guard(center)
 
     r = frame.residual(center)
     rnorm = float(np.abs(r).max())
@@ -211,8 +209,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
         for _ in range(MAX_BACKTRACKS + 1):
             try:
                 cand = bk.retract(center, t * du)
-                if p.domain_guard is not None:
-                    p.domain_guard(cand)
+                p.domain_guard(cand)
                 r_try = frame.residual(cand)
             except (SingularError, ChartDomainError, NotComposableError):
                 t *= 0.5

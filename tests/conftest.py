@@ -65,7 +65,7 @@ def particle_oracle(q0, q1):
 
 
 def del_covector(p, g, h):
-    """Full difference covector F(v) = d_left(L, g, v) - d_right(L, h, v)
+    """Full difference covector F(v) = left_grad(g) . v - right_grad(h) . v
     as components over the fiber chart directions."""
     return p.left_grad(g) - p.right_grad(h)
 
@@ -92,7 +92,7 @@ def momentum_value_oracle(p, spec, g, xi=None):
     gap = float(np.max(np.abs(v - B @ coef)))
     if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
         raise NotInConstraintCone(f"{p.name}/{spec.name}: gap {gap:.3e}")
-    return p.d_left(g, v)
+    return float(p.left_grad(g) @ v)
 
 
 def momentum_drift_oracle(p, spec, elements):
@@ -107,7 +107,7 @@ def momentum_drift_oracle(p, spec, elements):
         xi0 = np.asarray(spec.xi_map(x0), dtype=float)
         xi1 = np.asarray(spec.xi_map(x1), dtype=float)
         measured = momentum_value_oracle(p, spec, gn, xi1) - momentum_value_oracle(p, spec, g, xi0)
-        predicted = p.d_left(gn, spec.section(xi1 - xi0, x1))
+        predicted = p.left_grad(gn) @ spec.section(xi1 - xi0, x1)
         out.append((float(measured), float(predicted)))
     return out
 

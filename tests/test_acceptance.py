@@ -168,7 +168,7 @@ def test_criterion_06_lie_group_momentum_form():
         for idx, result in enumerate(trajectory.results):
             g1, g2 = trajectory.elements[idx], result.next
             defect = np.array(
-                [p.d_right(g2, e) - p.d_right(g1, adjoint(g1, e)) for e in np.eye(3)]
+                [p.right_grad(g2) @ e - p.right_grad(g1) @ adjoint(g1, e) for e in np.eye(3)]
             )
             x = p.backend.target(g2)
             B = np.asarray(p.distribution.basis(x), dtype=float)
@@ -249,7 +249,7 @@ def test_criterion_08_action_variation_oracle():
                 direction = B @ rng.normal(size=B.shape[1])
                 direction /= np.linalg.norm(direction)
                 oracle = action_derivative(p, g, nxt, direction)
-                row = p.d_left(g, direction) - p.d_right(nxt, direction)
+                row = p.left_grad(g) @ direction - p.right_grad(nxt) @ direction
                 assert abs(oracle) <= 1e-6, name
                 assert abs(oracle - row) <= 1e-6, name
 

@@ -223,6 +223,20 @@ class TestSimulate:
         assert "rolling_ball" in err
         json.loads(out)
 
+    @pytest.mark.parametrize(
+        "command, note",
+        [("check", "checked rolling_ball: reversible=False"),
+         ("momentum", "momentum check on rolling_ball: max identity gap ")],
+    )
+    def test_verbose_notes_of_check_and_momentum(self, tmp_path, capsys, command, note):
+        path = write_config(tmp_path, BALL_CONFIG)
+        args = [command, "--config", path, "--out", str(tmp_path)]
+        code, out, err = run_cli(args + ["--verbose"], capsys)
+        assert code == cli.EXIT_OK
+        assert err.startswith(note) and err.count("\n") == 1
+        _, quiet_out, quiet_err = run_cli(args, capsys)
+        assert quiet_err == "" and quiet_out == out
+
 
 class TestExitCodes:
     def test_missing_initial_section(self, tmp_path, capsys):
@@ -276,6 +290,96 @@ class TestExitCodes:
         code, _, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_CONFIG
         assert f"config error: {key}" in err
+
+    @pytest.mark.parametrize(
+        "system, params, initial, message",
+        [
+            ("suslov", {"J": [[1, 0, 0], [1, 2, 0], [0, 0, 3]]}, {"omega": [0.4, -0.3]},
+             "J must be a symmetric 3x3 matrix"),
+            ("suslov", {"J": [[1, 0], [0, 2]]}, {"omega": [0.4, -0.3]},
+             "J must be a symmetric 3x3 matrix"),
+            ("veselova", {"I": [[2, 0, 0], [0, -3, 0], [0, 0, 4]]},
+             {"gamma": [0, 0, 1], "omega": [1, 0, 0]}, "I must be positive definite"),
+            ("constrained_particle", {}, {"q1": [0, 0, 0]}, "needs q0"),
+            ("constrained_particle", {}, {"q0": [0, 0, 0]}, "needs q1 or velocity"),
+            ("suslov", {}, {}, "needs omega"),
+            ("chaplygin_sleigh", {}, {}, "needs xi"),
+            ("veselova", {}, {"gamma": [0, 0, 1]}, "needs gamma and omega"),
+            ("veselova", {}, {"gamma": [0, 0, 0], "omega": [1, 0, 0]}, "gamma must be nonzero"),
+            ("rolling_ball", {}, {"xy0": [0, 0]}, "needs xy0 and xy1"),
+            ("rolling_ball", {}, {"xy0": [0, 0], "xy1": [1.5, 0]}, "xy0 to xy1 is too large"),
+            ("mobile_robot", {}, {"dphi": 0.1, "dpsi": 0.1}, "needs wheels0"),
+            ("mobile_robot", {}, {"wheels0": [0, 0], "dphi": 0.1}, "needs wheels1 or dphi/dpsi"),
+            ("mobile_robot", {}, {"wheels0": [0, 0], "dphi": 10.0, "dpsi": -10.0},
+             "wheels0 to wheels1 (dphi/dpsi) turns the frame past the chart cut"),
+            ("holonomic_sphere", {}, {"velocity": [1, 0, 0]}, "needs q0"),
+            ("holonomic_sphere", {}, {"q0": [0, 0, 0], "q1": [0, 0, 1]}, "q0 must be nonzero"),
+            ("holonomic_sphere", {}, {"q0": [0, 0, 1], "q1": [0, 0, 0]}, "q1 must be nonzero"),
+            ("holonomic_sphere", {}, {"q0": [0, 0, 1]}, "needs q1 or velocity"),
+        ],
+        ids=[
+            "suslov-J-asymmetric", "suslov-J-shape", "veselova-I-indefinite",
+            "particle-no-q0", "particle-no-q1", "suslov-no-omega", "sleigh-no-xi",
+            "veselova-no-omega", "veselova-zero-gamma", "ball-no-xy1", "ball-step-too-large",
+            "robot-no-wheels0", "robot-no-wheels1", "robot-past-chart-cut",
+            "sphere-no-q0", "sphere-zero-q0", "sphere-zero-q1", "sphere-no-q1",
+        ],
+    )
+    def test_model_config_error_names_its_key(self, tmp_path, capsys, system, params, initial,
+                                              message):
+        data = {"system": {"name": system, "params": params}, "initial": initial, "steps": 2}
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_robot_wheels1_start_equals_its_increment_start(self):
+        p = md.make_mobile_robot()
+        wheels0, dphi, dpsi = [0.3, -0.2], 0.12, -0.07
+        by_increment = p.initial_builder({"wheels0": wheels0, "dphi": dphi, "dpsi": dpsi})
+        by_wheels1 = p.initial_builder(
+            {"wheels0": wheels0, "wheels1": [wheels0[0] + dphi, wheels0[1] + dpsi]}
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(by_wheels1, by_increment))
+
+    def test_sleigh_start_at_the_chart_cut_fails_the_run(self, tmp_path, capsys):
+        # the first guess repeats a rotation within 1e-10 of pi, which has no
+        # principal log: a ChartDomainError, reported with its step index
+        data = {
+            "system": {"name": "chaplygin_sleigh"},
+            "initial": {"xi": [3.14159265358979, 0.9]},
+            "steps": 3,
+            "outputs": {"trajectory": "traj.csv"},
+        }
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert "run failed at step 0" in err
+        assert out == ""
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_failed_rename_is_io_error_and_leaves_no_temporary(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename {src}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        path = write_config(tmp_path, BALL_CONFIG)
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", path, "--out", str(out)], capsys)
+        assert code == cli.EXIT_IO
+        assert "i/o error" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "momentum"])
+    def test_missing_steps_is_config_error(self, tmp_path, capsys, command):
+        data = copy.deepcopy(BALL_CONFIG)
+        del data["steps"]
+        path = write_config(tmp_path, data)
+        code, _, err = run_cli([command, "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert f"{command} needs a 'steps' count" in err
 
     @pytest.mark.parametrize(
         "outputs, key",

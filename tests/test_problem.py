@@ -1,5 +1,7 @@
 """Problem-layer tests: DEL residual assembly, multipliers, regularity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import del_covector, particle_oracle
@@ -47,7 +49,6 @@ def _free_problem(dim=2):
             right_jac=lambda g: np.zeros((0, dim)),
         ),
         distribution=Distribution(
-            rank=dim,
             basis=lambda x: np.eye(dim),
             annihilator=lambda x: np.zeros((dim, 0)),
         ),
@@ -133,7 +134,6 @@ class TestResidual:
                 lagrangian=p.lagrangian,
                 constraints=p.constraints,
                 distribution=Distribution(
-                    rank=2,
                     basis=lambda x, A=A: p.distribution.basis(x) @ A,
                     annihilator=p.distribution.annihilator,
                 ),
@@ -207,7 +207,6 @@ class TestMultipliers:
             lagrangian=p.lagrangian,
             constraints=p.constraints,
             distribution=Distribution(
-                rank=2,
                 basis=p.distribution.basis,
                 annihilator=lambda x: np.column_stack(
                     [p.distribution.annihilator(x)] * 2
@@ -284,3 +283,38 @@ class TestConstraintAssertion:
         p = md.make_constrained_particle(h=0.01)
         with pytest.raises(ConstraintViolationError):
             p.assert_on_constraint((FROZEN_Q0, FROZEN_Q1 + np.array([0, 0, 0.1])))
+
+
+class TestBoundDerivatives:
+    """A problem binds its chart derivatives once, when it is built."""
+
+    NAMES = ("left_grad", "right_grad", "mixed_hess", "phi_left_jac", "phi_right_jac")
+
+    def test_model_callables_are_bound_as_given(self):
+        p = md.make_rolling_ball()
+        lag, con = p.lagrangian, p.constraints
+        given = (lag.left_grad, lag.right_grad, lag.mixed_hess, con.left_jac, con.right_jac)
+        for name, fn in zip(self.NAMES, given):
+            assert getattr(p, name) is fn
+
+    def test_replace_binds_the_differences_again(self):
+        p = md.make_suslov()
+        g = p.sample_states(np.random.default_rng(4), 1)[0]
+        exact_grads = dataclasses.replace(
+            p, lagrangian=dataclasses.replace(p.lagrangian, mixed_hess=None)
+        )
+        bare = dataclasses.replace(
+            p,
+            lagrangian=Lagrangian(eval=p.lagrangian.eval),
+            constraints=ConstraintSet(codim=p.k, phi=p.constraints.phi),
+        )
+        assert exact_grads.mixed_hess.keywords == {"step": gp.FD_STEP}
+        assert bare.mixed_hess.keywords == {"step": gp.FD_STEP_OUTER}
+        for name in self.NAMES:
+            assert np.allclose(getattr(bare, name)(g), getattr(p, name)(g), atol=1e-5)
+        assert np.array_equal(exact_grads.mixed_hess(g),
+                              gp.left_jacobian(p.backend, p.right_grad, g))
+
+    def test_default_domain_guard_accepts_every_element(self):
+        p = _free_problem()
+        assert p.domain_guard((np.full(2, np.nan), np.full(2, np.inf))) is None

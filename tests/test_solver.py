@@ -135,6 +135,18 @@ class TestFailureModes:
             sv.evolve(p, g0, 5)
         assert exc.value.step_index == 1
 
+    def test_sleigh_line_search_stall_is_no_convergence_with_step_index(self):
+        # a genuine failure: step 0 turns the sleigh to 1.036 rad/step, and
+        # step 1's only root in (-pi, pi] lies past the chart cut from the
+        # first guess, so at the tenth Newton iteration the full step and
+        # all its halvings fail the Armijo test
+        p = md.make_chaplygin_sleigh()
+        g0 = p.sample_states(np.random.default_rng(13), 30)[0]
+        with pytest.raises(NoConvergenceError, match="line search stalled") as exc:
+            sv.evolve(p, g0, 200)
+        assert exc.value.step_index == 1
+        assert exc.value.iterations == 10
+
     def test_sleigh_at_the_chart_cut_is_a_chart_domain_error(self):
         # a step rotation within 1e-10 of pi has no principal log, so the
         # first guess that repeats it is refused rather than taken on a
@@ -325,7 +337,7 @@ def _kernel_cases(name):
     states of a built-in system."""
     p = md.FACTORIES[name]()
     for g in p.sample_states(np.random.default_rng(5), 3):
-        yield p, g, pb.newton_matrix(p, g, p.backend.mirror(g))
+        yield p, g, pb.StepFrame(p, g).newton_matrix(p.backend.mirror(g))
 
 
 class TestLapackKernels:
@@ -414,6 +426,25 @@ class TestStepCounts:
         res = sv.step(q, q.initial_builder({"xi": [1.4, 1.8]}))
         assert res.backtracks == 1
         assert calls[0] == 1 + res.iterations + res.backtracks
+
+    def test_refused_candidate_is_a_backtrack(self):
+        # the guard sees g, then the first guess, then the first full Newton
+        # candidate, which it refuses: the step halves and lands on the same
+        # element as without the guard
+        p = md.make_constrained_particle(h=0.01)
+        g0 = p.initial_builder({"q0": [0, 0, 0], "velocity": [1.0, 0.5]})
+        calls = [0]
+
+        def guard(g):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise ChartDomainError("refused")
+
+        res = sv.step(dataclasses.replace(p, domain_guard=guard), g0)
+        assert res.backtracks == 1
+        assert res.iterations == 2
+        unguarded = sv.step(p, g0)
+        assert all(np.array_equal(a, b) for a, b in zip(res.next, unguarded.next))
 
     def test_no_backtracks_on_full_newton_steps(self):
         p, g = _particle_pair()
