@@ -91,30 +91,37 @@ def so3_vee(A):
 def cross3(a, b):
     """Cross product of two 3-vectors; equal to ``np.cross(a, b)`` bit for bit
     and much cheaper for single vectors."""
-    return np.array(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
+    (a0, a1, a2), (b0, b1, b2) = _floats(a), _floats(b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def axial_floats(A):
+    """The components of :func:`axial` as a list of Python floats."""
+    (_, a01, a02), (a10, _, a12), (a20, a21, _) = _floats(A)
+    return [a21 - a12, a02 - a20, a10 - a01]
 
 
 def axial(A):
     """vee(A - A^T) for an arbitrary 3x3 matrix."""
-    return np.array(
-        [A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]]
-    )
+    return np.array(axial_floats(A))
 
 
 def _trace_minus(A):
     """tr(A) I - A, with each diagonal entry summed from the other two
-    diagonal entries of A rather than cancelled out of the trace."""
+    diagonal entries of A (read once, as floats) rather than cancelled out of
+    the trace."""
+    a00, a11, a22 = A.diagonal().tolist()
     out = -A
-    out[0, 0] = A[1, 1] + A[2, 2]
-    out[1, 1] = A[0, 0] + A[2, 2]
-    out[2, 2] = A[0, 0] + A[1, 1]
+    out[0, 0] = a11 + a22
+    out[1, 1] = a00 + a22
+    out[2, 2] = a00 + a11
     return out
 
 
 def axial_right_mul(M):
-    """The matrix whose column j is ``axial(M @ E_j)``: tr(M) I - M^T."""
+    """The matrix whose column j is ``axial(M @ E_j)``: tr(M) I - M^T.  It
+    comes out column-major; a product with it rounds by that layout, which
+    Veselova's ``gamma @ axial_right_mul(W)`` and its path depend on."""
     return _trace_minus(np.asarray(M, dtype=float).T)
 
 

@@ -12,7 +12,6 @@ Angle-valued wheel coordinates are kept as unwrapped reals; group-part angles
 of SE(2) elements live in (-pi, pi].
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -79,13 +78,22 @@ def _sym_pd(M, what):
 
 # ---------------------------------------------------------------------------
 # the three kinetic forms: every built-in Lagrangian is one of them, a sum of
-# two on an Atiyah element, or one plus a potential term
+# two on an Atiyah element, or one plus a potential term.  A form is the tuple
+# (value, left gradient, right gradient, H), its gradients computed on Python
+# floats and returned as lists; _lagrangian makes the arrays
+
+
+def _lagrangian(lag, lgrad, rgrad, hess):
+    """The Lagrangian of a form (value, list-valued gradients, H)."""
+    return Lagrangian(eval=lag, left_grad=lambda g: np.array(lgrad(g)),
+                      right_grad=lambda g: np.array(rgrad(g)), mixed_hess=hess)
 
 
 def _pair_form(mass, h, dim):
     """mass |q1 - q0|^2 / (2 h^2) on pairs (q0, q1) in R^dim; H is constant.
     Only g[0] and g[1] are read, so an Atiyah element passes as it is."""
-    H = mass * np.eye(dim) / (h * h)
+    hh = h * h
+    H = mass * np.eye(dim) / hh
     H.flags.writeable = False
 
     def lag(g):
@@ -93,32 +101,41 @@ def _pair_form(mass, h, dim):
         return mass * float(d @ d) / (2.0 * h * h)
 
     def grad(g):
-        return mass * (g[1] - g[0]) / (h * h)
+        return [mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())]
 
-    return Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=lambda g: H)
+    return lag, grad, grad, lambda g: H
 
 
 def _so3_form(J):
     """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric.
-    For J = c I (the ball) the products J W and W J are formed as c W, which
-    gives the same entries as the matmuls."""
+    For J = c I (the ball) the products J W and W J are formed as c W, and
+    the gradients axial(c W) from the entries of W, which gives the same
+    values as the matmuls."""
     c = float(J[0, 0])
     if np.array_equal(J, c * np.eye(3)):
         left = right = lambda W: c * W
+
+        def lgrad(W):
+            (_, w01, w02), (w10, _, w12), (w20, w21, _) = W.tolist()
+            return [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
+
+        rgrad = lgrad
     else:
         left, right = (lambda W: J @ W), (lambda W: W @ J)
-    return Lagrangian(
-        eval=lambda W: -float(np.trace(left(W))),
-        left_grad=lambda W: lg.axial(left(W)),
-        right_grad=lambda W: lg.axial(right(W)),
+        lgrad, rgrad = (lambda W: lg.axial_floats(J @ W)), (lambda W: lg.axial_floats(W @ J))
+    return (
+        lambda W: -float(np.trace(left(W))),
+        lgrad,
+        rgrad,
         # column j is axial(W E_j J), and W E_j = hat(W e_j) W for a rotation
-        mixed_hess=lambda W: lg.axial_left_mul(right(W)) @ W,
+        lambda W: lg.axial_left_mul(right(W)) @ W,
     )
 
 
 def _se2_pair(M):
     """Components of v -> Tr(se2_hat(v) @ M) in the (omega, v1, v2) basis."""
-    return np.array([M[0, 1] - M[1, 0], M[2, 0], M[2, 1]])
+    (_, m01, _), (m10, _, _), (m20, m21, _) = M.tolist()
+    return [m01 - m10, m20, m21]
 
 
 def _se2_form(K):
@@ -151,37 +168,29 @@ def _se2_form(K):
             [c * k02 - s * k12, s * k22, c * k22],
         ])
 
-    return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
+    return lag, lgrad, rgrad, hess
 
 
 def _atiyah_form(base, group):
     """base + group on Atiyah elements (p0, p1, G): a pair form on the base
-    points plus a form on the 3-dimensional group part, with a block-diagonal H."""
-    base_hess = base.mixed_hess(None)  # a pair form's H is constant
+    points plus a form on the 3-dimensional group part, with a block-diagonal
+    H and gradients listed base part first."""
+    base_hess = base[3](None)  # a pair form's H is constant
     m = base_hess.shape[0]
     n = m + 3
     base_block = np.zeros((n, n))
     base_block[:m, :m] = base_hess
 
-    def stack(base_grad, group_grad):
-        def grad(el):
-            out = np.empty(n)
-            out[:m] = base_grad(el)
-            out[m:] = group_grad(el[2])
-            return out
-
-        return grad
-
     def hess(el):
         out = base_block.copy()
-        out[m:, m:] = group.mixed_hess(el[2])
+        out[m:, m:] = group[3](el[2])
         return out
 
-    return Lagrangian(
-        eval=lambda el: base.eval(el) + group.eval(el[2]),
-        left_grad=stack(base.left_grad, group.left_grad),
-        right_grad=stack(base.right_grad, group.right_grad),
-        mixed_hess=hess,
+    return _lagrangian(
+        lambda el: base[0](el) + group[0](el[2]),
+        lambda el: base[1](el) + group[1](el[2]),
+        lambda el: base[2](el) + group[2](el[2]),
+        hess,
     )
 
 
@@ -196,18 +205,13 @@ def make_constrained_particle(h=0.01):
     bk = PairGroupoid(3)
 
     def phi(g):
-        q0, q1 = g
-        return np.array(
-            [(q1[2] - q0[2]) / h - 0.5 * (q1[1] + q0[1]) * (q1[0] - q0[0]) / h]
-        )
+        (x0, y0, z0), (x1, y1, z1) = g[0].tolist(), g[1].tolist()
+        return np.array([(z1 - z0) / h - 0.5 * (y1 + y0) * (x1 - x0) / h])
 
-    def phi_left(g):
-        q0, q1 = g
-        return np.array([[-(q1[1] + q0[1]) / (2 * h), -(q1[0] - q0[0]) / (2 * h), 1.0 / h]])
-
-    def phi_right(g):
-        q0, q1 = g
-        return np.array([[-(q1[1] + q0[1]) / (2 * h), (q1[0] - q0[0]) / (2 * h), 1.0 / h]])
+    def phi_jac(g, side):
+        # side -1.0 for the left chart, 1.0 for the right
+        (x0, y0, _), (x1, y1, _) = g[0].tolist(), g[1].tolist()
+        return np.array([[-(y1 + y0) / (2 * h), side * (x1 - x0) / (2 * h), 1.0 / h]])
 
     def basis(x):
         return np.array([[1.0, 0.0], [0.0, 1.0], [x[1], 0.0]])
@@ -255,8 +259,13 @@ def make_constrained_particle(h=0.01):
     return NhProblem(
         name="constrained_particle",
         backend=bk,
-        lagrangian=_pair_form(1.0, h, 3),
-        constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
+        lagrangian=_lagrangian(*_pair_form(1.0, h, 3)),
+        constraints=ConstraintSet(
+            codim=1,
+            phi=phi,
+            left_jac=lambda g: phi_jac(g, -1.0),
+            right_jac=lambda g: phi_jac(g, 1.0),
+        ),
         distribution=Distribution(basis=basis, annihilator=annihilator),
         params={"h": h},
         declared_reversible=True,
@@ -283,13 +292,14 @@ def make_suslov(J=None, h=0.05):
     bk = LieGroupGroupoid("so3")
 
     def phi(W):
-        return np.array([lg.axial(W)[2]])
+        (_, w01, _), (w10, _, _), _ = W.tolist()
+        return np.array([w10 - w01])
 
-    def phi_left(W):
-        return lg.axial_right_mul(W)[2:]
-
-    def phi_right(W):
-        return lg.axial_left_mul(W)[2:]
+    def phi_jac(rows):
+        # row 2 of axial_left_mul: the right chart from the rows of W, the
+        # left from those of W^T
+        (w00, _, _), (_, w11, _), (w20, w21, _) = rows
+        return np.array([[-w20, -w21, w00 + w11]])
 
     basis_mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     ann_mat = np.array([[0.0], [0.0], [1.0]])
@@ -311,8 +321,13 @@ def make_suslov(J=None, h=0.05):
     return NhProblem(
         name="suslov",
         backend=bk,
-        lagrangian=_so3_form(JJ / h),
-        constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
+        lagrangian=_lagrangian(*_so3_form(JJ / h)),
+        constraints=ConstraintSet(
+            codim=1,
+            phi=phi,
+            left_jac=lambda W: phi_jac(zip(*W.tolist())),
+            right_jac=lambda W: phi_jac(W.tolist()),
+        ),
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"J": JJ, "h": h},
         declared_reversible=True,
@@ -344,18 +359,21 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     )
     bk = LieGroupGroupoid("se2")
 
-    kin = _se2_form(K)
+    value, lgrad, rgrad, hess = _se2_form(K)
     half_trace = 0.5 * float(np.trace(K))
 
     def phi(g):
-        th, x, y = g
-        return np.array([x * np.sin(th / 2) - y * np.cos(th / 2)])
+        th, x, y = g.tolist()
+        return np.array([x * math.sin(th / 2) - y * math.cos(th / 2)])
 
-    def phi_grad(g):
-        """Gradient of phi in the triple (theta, x, y), as a 1x3 row."""
-        th, x, y = g
-        sh, ch = np.sin(th / 2), np.cos(th / 2)
-        return np.array([[0.5 * (x * ch + y * sh), sh, -ch]])
+    def phi_jac(g, side):
+        """The left (side 1.0) or right (side -1.0) chart gradient of phi: the
+        gradient (a, sin(th/2), -cos(th/2)) in the triple (theta, x, y), with
+        a = (x cos(th/2) + y sin(th/2))/2, times the SE(2) chart Jacobian,
+        which simplifies to (side a, -side sin(th/2), -cos(th/2))."""
+        th, x, y = g.tolist()
+        sh, ch = math.sin(th / 2), math.cos(th / 2)
+        return np.array([[side * 0.5 * (x * ch + y * sh), -side * sh, -ch]])
 
     def basis(x):
         # blade direction and rotation about the contact point
@@ -377,12 +395,12 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     return NhProblem(
         name="chaplygin_sleigh",
         backend=bk,
-        lagrangian=dataclasses.replace(kin, eval=lambda g: kin.eval(g) - half_trace),
+        lagrangian=_lagrangian(lambda g: value(g) - half_trace, lgrad, rgrad, hess),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
-            left_jac=lambda g: phi_grad(g) @ lg.se2_left_jacobian(g),
-            right_jac=lambda g: phi_grad(g) @ lg.se2_right_jacobian(g),
+            left_jac=lambda g: phi_jac(g, 1.0),
+            right_jac=lambda g: phi_jac(g, -1.0),
         ),
         distribution=Distribution(
             basis=basis, annihilator=lambda x: np.array([[0.0], [0.0], [1.0]])
@@ -410,12 +428,13 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     bk = ActionGroupoid()
     mgl = m * g * l
 
-    kin = _so3_form(TF / h)
+    kin_value, kin_lgrad, kin_rgrad, kin_hess = _so3_form(TF / h)
+    hm = h * mgl
 
     def rgrad(el):
         # the right curve moves gamma too, so only this gradient sees the potential
         gam, W = el
-        return kin.right_grad(W) - h * mgl * lg.cross3(gam, evec)
+        return [a - hm * b for a, b in zip(kin_rgrad(W), lg.cross3(gam, evec).tolist())]
 
     def phi(el):
         gam, W = el
@@ -467,11 +486,11 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     return NhProblem(
         name="veselova",
         backend=bk,
-        lagrangian=Lagrangian(
-            eval=lambda el: kin.eval(el[1]) - h * mgl * float(el[0] @ evec),
-            left_grad=lambda el: kin.left_grad(el[1]),
-            right_grad=rgrad,
-            mixed_hess=lambda el: kin.mixed_hess(el[1]),
+        lagrangian=_lagrangian(
+            lambda el: kin_value(el[1]) - hm * float(el[0] @ evec),
+            lambda el: kin_lgrad(el[1]),
+            rgrad,
+            lambda el: kin_hess(el[1]),
         ),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
@@ -496,29 +515,30 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     m, r, I = (number(v, what, positive=True) for v, what in ((m, "m"), (r, "r"), (I, "I")))
     Omega, h = number(Omega, "Omega"), number(h, "h", positive=True)
     bk = AtiyahGroupoid(2, "so3")
+    rh = r / (2 * h)
 
     def phi(el):
-        p0, p1, W = el
-        ax = lg.axial(W)
+        (x0, y0), (x1, y1) = el[0].tolist(), el[1].tolist()
+        (_, w01, w02), (w10, _, w12), (w20, w21, _) = el[2].tolist()
         return np.array(
             [
-                (p1[0] - p0[0]) / h - (r / (2 * h)) * ax[1] + 0.5 * Omega * (p1[1] + p0[1]),
-                (p1[1] - p0[1]) / h + (r / (2 * h)) * ax[0] - 0.5 * Omega * (p1[0] + p0[0]),
+                (x1 - x0) / h - rh * (w02 - w20) + 0.5 * Omega * (y1 + y0),
+                (y1 - y0) / h + rh * (w21 - w12) - 0.5 * Omega * (x1 + x0),
             ]
         )
 
-    def _phi_jac(base_block, axial_jac):
-        rows = np.zeros((2, 5))
-        rows[:, :2] = base_block
-        rows[0, 2:] = -(r / (2 * h)) * axial_jac[1]
-        rows[1, 2:] = (r / (2 * h)) * axial_jac[0]
-        return rows
-
-    def phi_left(el):
-        return _phi_jac([[1.0 / h, 0.5 * Omega], [-0.5 * Omega, 1.0 / h]], lg.axial_right_mul(el[2]))
-
-    def phi_right(el):
-        return _phi_jac([[1.0 / h, -0.5 * Omega], [0.5 * Omega, 1.0 / h]], lg.axial_left_mul(el[2]))
+    def phi_jac(om, rows):
+        # the base block has om = +-Omega/2 off its diagonal; the rotation
+        # columns are rows 1 (times -r/2h) and 0 (times r/2h) of
+        # axial_left_mul, read from the rows of W for the right chart and of
+        # W^T for the left
+        (w00, w01, w02), (w10, w11, w12), (_, _, w22) = rows
+        return np.array(
+            [
+                [1.0 / h, om, rh * w10, -rh * (w00 + w22), rh * w12],
+                [-om, 1.0 / h, rh * (w11 + w22), -rh * w01, -rh * w02],
+            ]
+        )
 
     basis_mat = np.array(
         [
@@ -589,7 +609,12 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         name="rolling_ball",
         backend=bk,
         lagrangian=_atiyah_form(_pair_form(m, h, 2), _so3_form((I / (2 * h * h)) * np.eye(3))),
-        constraints=ConstraintSet(codim=2, phi=phi, left_jac=phi_left, right_jac=phi_right),
+        constraints=ConstraintSet(
+            codim=2,
+            phi=phi,
+            left_jac=lambda el: phi_jac(0.5 * Omega, zip(*el[2].tolist())),
+            right_jac=lambda el: phi_jac(-0.5 * Omega, el[2].tolist()),
+        ),
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"m": m, "r": r, "I": I, "Omega": Omega, "h": h},
         declared_reversible=False,
@@ -653,19 +678,17 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * math.sin(s) - (1 - math.cos(s))) / s**2
 
     def _sincs(el):
-        p0, p1, g = el
-        dphi = p1[0] - p0[0]
-        dpsi = p1[1] - p0[1]
-        s = R * (dphi - dpsi) / (2 * c)
-        return dphi, dpsi, s
+        (phi0, psi0), (phi1, psi1) = el[0].tolist(), el[1].tolist()
+        dphi, dpsi = phi1 - phi0, psi1 - psi0
+        return dphi, dpsi, R * (dphi - dpsi) / (2 * c)
 
     def phi(el):
-        th, x, y = el[2]
+        th, x, y = el[2].tolist()
         dphi, dpsi, s = _sincs(el)
         tot = dphi + dpsi
         return np.array(
             [
-                th + R * (dphi - dpsi) / (2 * c),
+                th + s,
                 x + 0.5 * R * tot * lg.sinc(s),
                 y - 0.5 * R * tot * lg.versine_over(s),
             ]
@@ -675,16 +698,15 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         dphi, dpsi, s = _sincs(el)
         tot = dphi + dpsi
         sc, vc, dsc, dv = lg.sinc(s), lg.versine_over(s), dsinc(s), dvc(s)
-        rows = np.zeros((3, 5))
-        # base columns: both charts shift (dphi, dpsi) by +u
-        for j, sgn in ((0, 1.0), (1, -1.0)):
-            ds = sgn * R / (2 * c)
-            rows[0, j] = R * sgn / (2 * c)
-            rows[1, j] = 0.5 * R * (sc + tot * dsc * ds)
-            rows[2, j] = -0.5 * R * (vc + tot * dv * ds)
-        # group columns: phi is (theta, x, y) plus a function of the wheels
-        rows[:, 2:] = group_jac(el[2])
-        return rows
+        # base columns: both charts shift (dphi, dpsi) by +u, which moves s by
+        # +-ds; group columns: phi is (theta, x, y) plus a function of the wheels
+        ds = R / (2 * c)
+        base = [
+            [ds, -ds],
+            [0.5 * R * (sc + tot * dsc * ds), 0.5 * R * (sc + tot * dsc * -ds)],
+            [-0.5 * R * (vc + tot * dv * ds), -0.5 * R * (vc + tot * dv * -ds)],
+        ]
+        return np.array([b + j for b, j in zip(base, group_jac(el[2]).tolist())])
 
     basis_mat = np.array(
         [
@@ -784,8 +806,8 @@ def make_holonomic_sphere(h=0.01):
     def phi_left(g):
         return (2.0 * g[1])[None, :]
 
-    def phi_right(g):
-        return np.zeros((1, 3))
+    zero_row = np.zeros((1, 3))
+    zero_row.flags.writeable = False
 
     def build_initial(cfg):
         check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
@@ -822,8 +844,10 @@ def make_holonomic_sphere(h=0.01):
     return NhProblem(
         name="holonomic_sphere",
         backend=bk,
-        lagrangian=_pair_form(1.0, h, 3),
-        constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
+        lagrangian=_lagrangian(*_pair_form(1.0, h, 3)),
+        constraints=ConstraintSet(
+            codim=1, phi=phi, left_jac=phi_left, right_jac=lambda g: zero_row
+        ),
         distribution=Distribution(
             basis=_complement_basis,
             annihilator=lambda x: 2.0 * np.asarray(x, dtype=float).reshape(3, 1),

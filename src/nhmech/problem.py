@@ -62,7 +62,8 @@ class Distribution:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Zero set of phi inside the groupoid, codimension ``codim``.
+    """Zero set of phi inside the groupoid, codimension ``codim``; ``phi(g)``
+    returns a float (codim,) array.
 
     ``left_jac(g)`` / ``right_jac(g)``, when given, return the (codim, n)
     float arrays of exact left/right chart gradients of the components of
@@ -101,9 +102,10 @@ def _accept(g):
 class NhProblem:
     """A discrete nonholonomic system on a groupoid backend.
 
-    Building it binds the five chart derivatives a step calls, once:
-    ``left_grad(g)``, ``right_grad(g)`` and ``mixed_hess(g)`` of L and the
-    (k, n) arrays ``phi_left_jac(g)``, ``phi_right_jac(g)``.  Each is the
+    Building it binds the constraint function ``phi(g)`` (the model's own)
+    and the five chart derivatives a step calls, once: ``left_grad(g)``,
+    ``right_grad(g)`` and ``mixed_hess(g)`` of L and the (k, n) arrays
+    ``phi_left_jac(g)``, ``phi_right_jac(g)``.  Each derivative is the
     model's callable when the :class:`Lagrangian` or :class:`ConstraintSet`
     gives one, else a central difference (``mixed_hess`` differences the
     bound right gradient, at the wider step when that gradient is itself a
@@ -130,6 +132,7 @@ class NhProblem:
         partial, bk = functools.partial, self.backend
         left, right = gpd.left_jacobian, gpd.right_jacobian
         lag, con = self.lagrangian, self.constraints
+        self.phi = con.phi
         self.left_grad = lag.left_grad or partial(left, bk, lag.eval)
         self.right_grad = lag.right_grad or partial(right, bk, lag.eval)
         step = gpd.FD_STEP if lag.right_grad else gpd.FD_STEP_OUTER
@@ -148,9 +151,6 @@ class NhProblem:
     @property
     def k(self):
         return self.constraints.codim
-
-    def phi(self, g):
-        return np.atleast_1d(np.asarray(self.constraints.phi(g), dtype=float))
 
     def to_row(self, g):
         """The element as one flat row in ``coord_names`` order: its parts

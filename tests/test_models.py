@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import del_covector
+from test_golden import golden_run
 
 import nhmech.diagnostics as dg
 import nhmech.groupoid as gpd
@@ -49,6 +50,35 @@ def _samples(p, n=4, seed=2):
     return p.sample_states(np.random.default_rng(seed), n)
 
 
+def _large_rotations(p, n=4, seed=3):
+    """Elements whose rotation part turns by 2.5-3.0 rad either way, where a
+    sign slip in a hand-expanded sin or cos term is no longer small (the
+    samplers reach about 0.3 rad); none for the particle and the sphere.  The
+    robot's wheels turn its frame by the same angle (s = R (dphi - dpsi) / 2c).
+    Every angle stays farther than 1e-4 from pi: the sleigh's half-angle phi
+    flips sign across the SE(2) cut, so a difference taken across it means
+    nothing."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        angle = rng.choice([-1.0, 1.0]) * rng.uniform(2.5, 3.0)
+        axis = rng.normal(size=3)
+        W = lg.so3_exp(angle * axis / np.linalg.norm(axis))
+        turn = lg.se2_element(angle, *rng.normal(size=2))
+        p0, gam = rng.normal(size=2), rng.normal(size=3)
+        wheels = angle * p.params.get("c", 0.0) / p.params.get("R", 1.0)
+        elements = {
+            "suslov": W,
+            "chaplygin_sleigh": turn,
+            "veselova": (gam / np.linalg.norm(gam), W),
+            "rolling_ball": (p0, p0 + 0.01 * rng.normal(size=2), W),
+            "mobile_robot": (p0, p0 + np.array([wheels, -wheels]) + 0.1 * rng.normal(), turn),
+        }
+        if p.name in elements:
+            out.append(elements[p.name])
+    return out
+
+
 def _strip(p, keep_gradients=False):
     """Same problem with every analytic derivative shortcut removed; with
     ``keep_gradients`` only the mixed second derivative goes, so H comes from
@@ -74,7 +104,7 @@ class TestAnalyticDerivatives:
         p = INSTANCES[name]()
         q = _strip(p)
         rng = np.random.default_rng(1)
-        for g in _samples(p):
+        for g in _samples(p) + _large_rotations(p):
             for _ in range(3):
                 v = rng.normal(size=p.n)
                 fl = q.left_grad(g) @ v
@@ -86,7 +116,7 @@ class TestAnalyticDerivatives:
     def test_constraint_jacobians_match_fd(self, name):
         p = md.FACTORIES[name]()
         q = _strip(p)
-        for g in _samples(p):
+        for g in _samples(p) + _large_rotations(p):
             fd_l = q.phi_left_jac(g)
             fd_r = q.phi_right_jac(g)
             scale = 1 + np.max(np.abs(fd_l)) + np.max(np.abs(fd_r))
@@ -125,7 +155,7 @@ class TestAnalyticDerivatives:
         # j = axial(W E_j J), for a symmetric J with no special structure
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 3))
-        kin = md._so3_form(A + A.T)
+        kin = md._lagrangian(*md._so3_form(A + A.T))
         for _ in range(10):
             W = lg.so3_exp(rng.normal(size=3))
             ref = np.column_stack([lg.axial(W @ E @ (A + A.T)) for E in (E1, E2, E3)])
@@ -150,6 +180,33 @@ class TestAnalyticDerivatives:
             G_left, G_right = pb.regularity_matrices(p, g)
             assert _rel_gap(G_left, ref_left) <= 1e-8
             assert _rel_gap(G_right, ref_right) <= 1e-8
+
+
+class TestCallableContract:
+    @pytest.mark.parametrize("name", ALL)
+    def test_float_arrays_of_the_documented_shapes(self, name):
+        # sampled states and the acceptance trajectory; an array that one
+        # call hands out again (a constant H or zero row) must be read-only
+        p, traj = golden_run(name)
+        n, k = p.n, p.k
+        callables = [
+            (p.phi, (k,)),
+            (p.phi_left_jac, (k, n)),
+            (p.phi_right_jac, (k, n)),
+            (p.left_grad, (n,)),
+            (p.right_grad, (n,)),
+            (p.mixed_hess, (n, n)),
+        ]
+        states = _samples(p, 50, seed=5) + _large_rotations(p) + traj.elements
+        for f, shape in callables:
+            first = previous = f(states[0])
+            for g in states:
+                out = f(g)
+                assert isinstance(out, np.ndarray)
+                assert out.dtype == np.float64 and out.shape == shape
+                if np.shares_memory(out, first) or np.shares_memory(out, previous):
+                    assert not out.flags.writeable
+                previous = out
 
 
 class TestDistributionAlgebra:
