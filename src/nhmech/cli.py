@@ -352,16 +352,8 @@ def run_simulate(cfg, out_dir, verbose=False):
 
 
 def _regularity_entry(label, report):
-    regular = bool(report.left_nondegenerate and report.right_nondegenerate)
-    return {
-        "point": label,
-        "regular": regular,
-        "left_nondegenerate": bool(report.left_nondegenerate),
-        "right_nondegenerate": bool(report.right_nondegenerate),
-        "sigma_min_left": float(report.sigma_min_left),
-        "sigma_min_right": float(report.sigma_min_right),
-        "jacobian_condition": float(report.jacobian_condition),
-    }
+    regular = report.left_nondegenerate and report.right_nondegenerate
+    return dict(vars(report), point=label, regular=regular)
 
 
 def run_check(cfg, out_dir, verbose=False):
@@ -419,17 +411,7 @@ def run_check(cfg, out_dir, verbose=False):
         "identity_regular": bool(all(identity_flags)),
         "all_points_regular": bool(all(e["regular"] for e in entries)),
         "reversible": reversible,
-        "reversibility": {
-            "lagrangian_symmetric": bool(rev.lagrangian_symmetric),
-            "constraint_invariant": bool(rev.constraint_invariant),
-            "dynamics_reversible": bool(rev.dynamics_reversible),
-            "max_lagrangian_defect": float(rev.max_lagrangian_defect),
-            "max_constraint_defect": float(rev.max_constraint_defect),
-            "max_dynamics_defect": float(rev.max_dynamics_defect),
-            "solved_steps": rev.solved_steps,
-            "declared": rev.declared,
-            "consistent": bool(rev.consistent),
-        },
+        "reversibility": dict(vars(rev), consistent=bool(rev.consistent)),
         "legendre_matching": matching,
     }
     report_name = cfg.outputs.get("report", "check_report.json")

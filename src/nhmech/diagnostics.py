@@ -11,14 +11,14 @@ import numpy as np
 from . import groupoid as gpd
 from . import problem as pb
 from . import solver as sv
-from .errors import ChartInversionFailed, NhError, NotInConstraintCone, SingularError
+from .errors import (ChartInversionFailed, NhError, NoConvergenceError, NotInConstraintCone,
+                     SingularError)
 
 LAGRANGIAN_SYMMETRY_RTOL = 1e-9
 CONSTRAINT_INVARIANCE_TOL = 1e-9
 DYNAMICS_REVERSIBILITY_TOL = 1e-6
 CHART_INVERSION_TOL = 1e-13
 CHART_INVERSION_MAX_ITERS = 30
-REDUCTION_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,6 @@ REDUCTION_FD_STEP = 1e-5
 
 @dataclass
 class RegularityReport:
-    point: object
     right_nondegenerate: bool
     sigma_min_right: float
     left_nondegenerate: bool
@@ -46,7 +45,6 @@ def regularity_report(p, g):
     except NhError:
         cond = np.inf
     return RegularityReport(
-        point=g,
         right_nondegenerate=sv.is_nondegenerate(rmin, rmax),
         sigma_min_right=float(rmin),
         left_nondegenerate=sv.is_nondegenerate(lmin, lmax),
@@ -215,35 +213,29 @@ def momentum_drift(p, specs, trajectory):
 
 def chi_inverse(p, x, y, seed):
     """Invert the two-point chart g -> (alpha(g), beta(g)) on the constraint
-    set, by Newton iteration in the fiber chart seeded at a nearby element."""
+    set by the solver's Newton iteration on the seed's source fiber, which
+    must lie over x.  A failure to invert is a ChartInversionFailed."""
     bk = p.backend
-    n = p.n
+    if bk.base_dim + p.k != p.n:
+        raise ChartInversionFailed(
+            f"{p.name}: two-point chart is not square "
+            f"({bk.base_dim + p.k} equations, {p.n} unknowns)"
+        )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    off = float(np.abs(x - np.asarray(bk.source(seed), dtype=float)).max(initial=0.0))
+    if off > gpd.COMPOSE_TOL:
+        raise ChartInversionFailed(f"{p.name}: source is {off:.3e} off the seed's source fiber")
 
     def eqs(el):
         return np.concatenate([np.asarray(bk.target(el), dtype=float) - y, p.phi(el)])
 
-    center = seed
-    r = eqs(center)
-    for _ in range(CHART_INVERSION_MAX_ITERS):
-        if float(np.max(np.abs(r))) <= CHART_INVERSION_TOL:
-            return center
-        J = gpd.left_jacobian(bk, eqs, center)
-        if J.shape[0] != n:
-            raise ChartInversionFailed(
-                f"{p.name}: two-point chart is not square here "
-                f"({J.shape[0]} equations, {n} unknowns)"
-            )
-        try:
-            du = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise ChartInversionFailed(f"{p.name}: chart inversion matrix singular: {exc}")
-        center = bk.retract(center, du)
-        r = eqs(center)
-    raise ChartInversionFailed(
-        f"{p.name}: chart inversion did not converge (residual {np.max(np.abs(r)):.3e})"
-    )
+    opts = sv.SolverOptions(tol_residual=CHART_INVERSION_TOL, max_iters=CHART_INVERSION_MAX_ITERS)
+    try:
+        solved = sv.newton(p, eqs, lambda el: gpd.left_jacobian(bk, eqs, el), seed, seed, opts)
+    except (SingularError, NoConvergenceError) as exc:
+        raise ChartInversionFailed(f"{p.name}: chart inversion failed: {exc}") from exc
+    return solved["next"]
 
 
 def _constraint_section_lift(p, x):
@@ -263,31 +255,21 @@ def _constraint_section_lift(p, x):
 
 def chaplygin_residual(p, g, h):
     """Reduced-equation residual of a composable pair (g, h) of a Chaplygin
-    system: discrete Euler-Lagrange rows of the reduced Lagrangian on the
-    base pair groupoid plus the reduction forces, one value per base
-    direction.  Vanishes (to chart-inversion accuracy) exactly when the
-    groupoid residual vanishes.  A Chaplygin distribution complements the
-    vertical directions, so a rank other than the base dimension is a ValueError.
-    """
-    bk = p.backend
-    if p.r != bk.base_dim:
-        raise ValueError(f"{p.name}: distribution rank {p.r} != base dimension, not Chaplygin")
-    L = p.lagrangian.eval
-    x = np.asarray(bk.source(g), dtype=float)
-    y = np.asarray(bk.target(g), dtype=float)
-    z = np.asarray(bk.target(h), dtype=float)
-    base = gpd.PairGroupoid(x.size)
-    X = _constraint_section_lift(p, y)  # lift of the base directions at the match point
+    system, one value per base direction: the discrete Euler-Lagrange rows
+    of the pair along the lift X of the base directions at beta(g),
+    (left_grad(g) - right_grad(h)) . X.
 
-    lag_left = lambda b: L(chi_inverse(p, b[0], b[1], seed=g))  # reduced L near (x, y)
-    lag_right = lambda b: L(chi_inverse(p, b[0], b[1], seed=h))  # and near (y, z)
-    tL = REDUCTION_FD_STEP
-    tF = 2.0 * REDUCTION_FD_STEP  # independent step so the force terms are not the same samples
-    lvec_red = gpd.left_jacobian(base, lag_left, (x, y), tL)
-    rvec_red = gpd.right_jacobian(base, lag_right, (y, z), tL)
-    # vertical correction curves, differenced at the wider step
-    xbar = gpd.left_jacobian(base, lag_left, (x, y), tF)
-    xprime = gpd.right_jacobian(base, lag_right, (y, z), tF)
-    force_plus = xbar - p.left_grad(g) @ X
-    force_minus = xprime - p.right_grad(h) @ X
-    return lvec_red - rvec_red - force_plus + force_minus
+    The reduced equations split these rows as the rows of the reduced
+    Lagrangian on the base pair groupoid plus the reduction forces, and each
+    force is defined as the lifted derivative minus the reduced one
+    (Cortes & Martinez, Nonlinearity 14, 2001), so the split is an identity:
+    the reduced terms cancel, and the sum is the lifted rows.  They vanish
+    exactly when the projected rows of the step do, since X spans the
+    constraint distribution there.  A Chaplygin distribution complements the
+    vertical directions, so a rank other than the base dimension is a
+    ValueError.
+    """
+    if p.r != p.backend.base_dim:
+        raise ValueError(f"{p.name}: distribution rank {p.r} != base dimension, not Chaplygin")
+    X = _constraint_section_lift(p, np.asarray(p.backend.target(g), dtype=float))
+    return (p.left_grad(g) - p.right_grad(h)) @ X

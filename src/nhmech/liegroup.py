@@ -54,11 +54,6 @@ def versine_over(s):
     return (1.0 - math.cos(s)) / s
 
 
-def rot2(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; an angle already in that range comes back as it is."""
     theta = float(theta)

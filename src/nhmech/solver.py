@@ -1,8 +1,9 @@
 """Stepwise solution of the projected discrete Euler-Lagrange equations.
 
 ``step`` advances one element: the unknown is the next element, parametrized
-by fiber-chart coordinates on the source-fiber over the matching point, and a
-damped Newton iteration drives the stacked residual (projected DEL rows, then
+by fiber-chart coordinates on the source-fiber over the matching point, and
+``newton``, the package's one damped Newton loop (``diagnostics.chi_inverse``
+uses it too), drives the stacked residual (projected DEL rows, then
 constraint rows) to tolerance, or to its roundoff floor when that is larger.
 ``evolve`` chains steps into a trajectory.
 
@@ -152,23 +153,13 @@ def _assert_point_regular(p, frame):
     return left[0], right[0]
 
 
-def step(p, g, options: Optional[SolverOptions] = None):
-    """Advance one step from g; returns a StepResult with the next element.
-
-    The current element is assumed to lie on the constraint set (``evolve``
-    checks the initial condition); regularity at g is checked here and a
-    SingularError raised when it fails.
-    """
-    opts = options or SolverOptions()
+def newton(p, residual, jacobian, center, g, opts):
+    """Damped Newton iteration for ``residual`` = 0 on the source fiber of
+    ``center``, with ``jacobian`` its matrix in the chart at an iterate and
+    ``g`` the scale of the roundoff floor; returns the StepResult fields it
+    owns, as a dict."""
     bk = p.backend
-    p.domain_guard(g)
-    frame = pb.StepFrame(p, g)
-    sigma_left, sigma_right = _assert_point_regular(p, frame)
-
-    center = bk.mirror(g)  # g's displacement repeated
-    p.domain_guard(center)
-
-    r = frame.residual(center)
+    r = residual(center)
     rnorm = float(np.abs(r).max())
     if not math.isfinite(rnorm):
         raise SingularError(f"{p.name}: residual at the first guess has non-finite entries")
@@ -179,7 +170,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
     # The residual cannot be evaluated more accurately than about eps |J| |g|
     # (the backward-error bound of a linear solve), so that is where the
     # iteration stops when it lies above the tolerance.
-    J = frame.newton_matrix(center)
+    J = jacobian(center)
     parts = g if isinstance(g, tuple) else (g,)
     gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
     floor = EPS * lapack.dlange("I", J) * max(1.0, gmax)
@@ -194,7 +185,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
                 residual_norm=rnorm,
             )
         if iters:
-            lu, piv, cond_est = factor_newton_matrix(p, frame.newton_matrix(center))
+            lu, piv, cond_est = factor_newton_matrix(p, jacobian(center))
         if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
             raise SingularError(
                 f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
@@ -210,7 +201,7 @@ def step(p, g, options: Optional[SolverOptions] = None):
             try:
                 cand = bk.retract(center, t * du)
                 p.domain_guard(cand)
-                r_try = frame.residual(cand)
+                r_try = residual(cand)
             except (SingularError, ChartDomainError, NotComposableError):
                 t *= 0.5
                 backtracks += 1
@@ -236,20 +227,28 @@ def step(p, g, options: Optional[SolverOptions] = None):
         rnorm = float(np.abs(r).max())
         history.append(rnorm)
 
-    lam = frame.multipliers(center)
-    return StepResult(
-        next=center,
-        multipliers=lam,
-        iterations=iters,
-        residual_norm=rnorm,
-        jacobian_condition_estimate=float(cond_est),
-        residual_history=history,
-        backtracks=backtracks,
-        sigma_min_left=sigma_left,
-        sigma_min_right=sigma_right,
-        floor=floor,
-        floor_limited=rnorm > opts.tol_residual,
-    )
+    return dict(next=center, iterations=iters, residual_norm=rnorm,
+                jacobian_condition_estimate=float(cond_est), residual_history=history,
+                backtracks=backtracks, floor=floor, floor_limited=rnorm > opts.tol_residual)
+
+
+def step(p, g, options: Optional[SolverOptions] = None):
+    """Advance one step from g; returns a StepResult with the next element.
+
+    The current element is assumed to lie on the constraint set (``evolve``
+    checks the initial condition); regularity at g is checked here and a
+    SingularError raised when it fails.
+    """
+    opts = options or SolverOptions()
+    p.domain_guard(g)
+    frame = pb.StepFrame(p, g)
+    sigma_left, sigma_right = _assert_point_regular(p, frame)
+    center = p.backend.mirror(g)  # g's displacement repeated
+    p.domain_guard(center)
+    # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
+    solved = newton(p, frame.residual, frame.newton_matrix, center, g, opts)
+    return StepResult(multipliers=frame.multipliers(solved["next"]),
+                      sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
 
 
 def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):

@@ -256,7 +256,12 @@ def test_criterion_08_action_variation_oracle():
 
 def test_criterion_09_chaplygin_reduction():
     """Robot steps satisfy the reduced wheel equations to 1e-7, and the
-    reduced residual vanishes exactly when the full residual does."""
+    reduced residual vanishes exactly when the full residual does.
+
+    The reduced residual is the pair's discrete Euler-Lagrange rows along
+    the lift of the base directions (reduced rows plus reduction forces, an
+    identity), so this compares those lifted rows with the step's projected
+    rows and constraint rows."""
     p = md.make_mobile_robot()
     trajectory = sv.evolve(p, p.initial_builder(ROBOT_INITIAL), 6)
     pairs = list(zip(trajectory.elements, trajectory.elements[1:]))

@@ -253,6 +253,24 @@ class TestChaplygin:
         rec = dg.chi_inverse(p, bk.source(h), bk.target(h), seed)
         assert bk.distance(rec, h) < 1e-10
 
+    def test_chart_inversion_rejects_a_source_off_the_seed_fiber(self):
+        # retract keeps the seed's source, so no iterate can reach another one
+        p, pairs = self._solved_robot_pairs(1)
+        bk = p.backend
+        _, h = pairs[0]
+        x = np.asarray(bk.source(h), dtype=float) + np.array([1e-3, 0.0])
+        with pytest.raises(ChartInversionFailed, match="source"):
+            dg.chi_inverse(p, x, bk.target(h), seed=h)
+
+    def test_chart_inversion_without_convergence_is_chart_inversion_failed(self, monkeypatch):
+        p, pairs = self._solved_robot_pairs(1)
+        bk = p.backend
+        _, h = pairs[0]
+        seed = bk.retract(h, 1e-3 * np.ones(bk.fiber_dim))
+        monkeypatch.setattr(dg, "CHART_INVERSION_MAX_ITERS", 0)
+        with pytest.raises(ChartInversionFailed, match="no convergence"):
+            dg.chi_inverse(p, bk.source(h), bk.target(h), seed)
+
     def test_chart_not_square_elsewhere(self):
         p = md.make_constrained_particle(h=0.01)
         g = p.initial_builder({"q0": [0.2, -0.4, 0.1], "velocity": [1.1, 0.6]})

@@ -12,7 +12,6 @@ from nhmech.liegroup import (
     axial_left_mul,
     axial_right_mul,
     cross3,
-    rot2,
     se2_Ad,
     se2_compose,
     se2_element,
@@ -220,9 +219,3 @@ def test_se2_adjoint_is_conjugation():
     lhs = se2_hat(se2_Ad(g, xi))
     M = se2_matrix(g)
     assert np.allclose(lhs, M @ se2_hat(xi) @ np.linalg.inv(M), atol=1e-12)
-
-
-def test_rot2_orthogonal():
-    A = rot2(0.61)
-    assert np.allclose(A @ A.T, np.eye(2), atol=1e-15)
-    assert np.isclose(np.linalg.det(A), 1.0)
