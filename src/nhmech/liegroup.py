@@ -15,7 +15,8 @@ Conventions:
 The maps a step calls (exp, log, compose, invert, the chart Jacobians) work
 on fixed 3-element shapes, where a numpy ufunc on a scalar costs more than
 the arithmetic; they read their arguments out as Python floats, compute in
-closed form with ``math`` and build their one result array at the end.
+closed form with ``math`` and build their one result array at the end (the
+SE(2) chart Jacobians return their rows as lists, which their caller extends).
 """
 
 import math
@@ -260,18 +261,18 @@ def se2_log(g):
 
 
 def se2_left_jacobian(g):
-    """Jacobian of the triple (theta, x, y) along the left chart at g:
-    column j is d/dt of g * exp(t e_j) at t=0."""
+    """Jacobian of the triple (theta, x, y) along the left chart at g, as its
+    rows (lists of floats): column j is d/dt of g * exp(t e_j) at t=0."""
     th = float(g[0])
     c, s = math.cos(th), math.sin(th)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
 
 
 def se2_right_jacobian(g):
-    """Jacobian of the triple (theta, x, y) along the right chart at g:
-    column j is d/ds of exp(s e_j) * g at s=0."""
+    """Jacobian of the triple (theta, x, y) along the right chart at g, as its
+    rows (lists of floats): column j is d/ds of exp(s e_j) * g at s=0."""
     _, x, y = _floats(g)
-    return np.array([[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]])
+    return [[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]]
 
 
 def se2_Ad(g, xi):

@@ -56,15 +56,22 @@ def check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
 
 
+_EYE3 = np.eye(3)
+
+
 def _complement_basis(v):
-    """Deterministic orthonormal basis of the plane orthogonal to v in R^3."""
+    """Deterministic orthonormal basis of the plane orthogonal to v in R^3, as
+    a C-ordered (3, 2) array.  Each norm is sqrt(x.dot(x)), as numpy computes
+    a 1-D norm."""
     v = np.asarray(v, dtype=float)
-    vhat = v / np.linalg.norm(v)
-    j = int(np.argmin(np.abs(vhat)))
-    b1 = np.eye(3)[j] - vhat[j] * vhat
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = lg.cross3(vhat, b1)
-    return np.column_stack([b1, b2])
+    vhat = v / math.sqrt(v.dot(v))
+    j = abs(vhat).argmin()
+    b1 = _EYE3[j] - vhat[j] * vhat
+    b1 = b1 / math.sqrt(b1.dot(b1))
+    out = np.empty((3, 2))
+    out[:, 0] = b1
+    out[:, 1] = lg.cross3(vhat, b1)
+    return out
 
 
 def _sym_pd(M, what):
@@ -706,7 +713,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             [0.5 * R * (sc + tot * dsc * ds), 0.5 * R * (sc + tot * dsc * -ds)],
             [-0.5 * R * (vc + tot * dv * ds), -0.5 * R * (vc + tot * dv * -ds)],
         ]
-        return np.array([b + j for b, j in zip(base, group_jac(el[2]).tolist())])
+        return np.array([b + j for b, j in zip(base, group_jac(el[2]))])
 
     basis_mat = np.array(
         [

@@ -24,11 +24,14 @@ beta(g), the left gradient of L at g) is evaluated once, by a
 ``regularity_matrices`` are one-line uses of a fresh frame.  The small
 dense kernels (SVD, least squares) call LAPACK directly, which skips the
 wrappers' finiteness check, so each call is preceded by one of its own that
-raises SingularError.  The regularity test's kernels have closed forms for
-the shapes the rank-2 systems give: a Householder complement for the null
-space of a 1x3 constraint gradient (:func:`_row_complement`) and the two
-singular values of a 2x2, 2x3 or 3x2 pairing (:func:`_two_row_sigmas`);
-other shapes go to LAPACK dgesdd.
+raises SingularError.  The regularity test (:meth:`StepFrame.regularity_sigmas`)
+has closed forms for the rank-2 systems: with one constraint on a
+3-dimensional fiber it projects X^T H off the constraint gradient instead of
+forming a null space (:func:`_projected_sigmas`), and the two singular values
+of that 2x3 matrix or of a 2x2, 2x3 or 3x2 pairing come from one formula
+(:func:`_pair_sigmas`).  The reference pairings (``regularity_matrices``)
+take the null space of a 1x3 gradient from a Householder complement
+(:func:`_row_complement`); other shapes go to LAPACK dgesdd.
 """
 
 import functools
@@ -45,6 +48,7 @@ from .errors import ConstraintViolationError, RankDeficientAnnihilator, Singular
 TOL_CONSTRAINT = 1e-9
 NULLSPACE_RTOL = 1e-10
 EPS = np.finfo(float).eps
+PROJECTION_RTOL = 16 * EPS
 
 
 @dataclass(frozen=True)
@@ -216,8 +220,9 @@ def least_squares(A, b, what):
 
 class StepFrame:
     """The quantities of a step from g that depend on g alone, each
-    evaluated once: the distribution basis B at the matching point beta(g),
-    ``left_grad(g)`` and its projection ``left_grad(g) @ B``.
+    evaluated once: the distribution basis B at the matching point beta(g)
+    (and ``neg_bt`` = -B^T for the Newton matrix), ``left_grad(g)`` and its
+    projection ``left_grad(g) @ B``.
 
     The basis at alpha(g) comes from the problem's ``basis_record`` when the
     previous frame's matching point was alpha(g).  The frame keeps H(g) and
@@ -232,6 +237,7 @@ class StepFrame:
         self._previous = p.basis_record
         self.beta = np.asarray(p.backend.target(g), dtype=float)
         self.basis = np.asarray(p.distribution.basis(self.beta), dtype=float)
+        self.neg_bt = -self.basis.T
         p.basis_record = (self.beta.tobytes(), self.basis)
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
@@ -258,7 +264,7 @@ class StepFrame:
         p = self.p
         at_g = center is self.g and self._at_g
         H, phi_jac = at_g or (p.mixed_hess(center), p.phi_left_jac(center))
-        return np.vstack([-self.basis.T @ H, phi_jac])
+        return np.concatenate((self.neg_bt @ H, phi_jac))
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
@@ -275,17 +281,38 @@ class StepFrame:
             )
         return lam
 
-    def regularity_matrices(self):
-        """The two pairings of :func:`regularity_matrices` at g."""
+    def _pairing_parts(self):
+        """The basis at alpha(g), H(g) and the left gradient of phi at g; the
+        frame keeps the last two for a Newton matrix centred at g."""
         p, g = self.p, self.g
         key, Xa = self._previous
         alpha = np.asarray(p.backend.source(g), dtype=float)
         if alpha.tobytes() != key:
             Xa = np.asarray(p.distribution.basis(alpha), dtype=float)
-        H, phi_jac = self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
+        self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
+        return (Xa, *self._at_g)
+
+    def regularity_matrices(self):
+        """The two pairings of :func:`regularity_matrices` at g."""
+        Xa, H, phi_jac = self._pairing_parts()
         G_left = -Xa.T @ H @ _nullspace(phi_jac)
-        G_right = -_nullspace(p.phi_right_jac(g)).T @ H @ self.basis
+        G_right = -_nullspace(self.p.phi_right_jac(self.g)).T @ H @ self.basis
         return G_left, G_right
+
+    def regularity_sigmas(self):
+        """Kernel singular values of the two pairings at g, as ((smin_left,
+        smax_left), (smin_right, smax_right)) (see :func:`kernel_sigmas`).
+        With one constraint on a 3-dimensional fiber the pairings are not
+        formed: the rows of X^T H and the columns of H B go to
+        :func:`_projected_sigmas` with the left and right gradients of phi."""
+        p = self.p
+        if p.k != 1 or p.n != 3:
+            G_left, G_right = self.regularity_matrices()
+            return kernel_sigmas(G_left, p.r), kernel_sigmas(G_right, p.r)
+        Xa, H, phi_jac = self._pairing_parts()
+        left = _projected_sigmas((Xa.T @ H).tolist(), phi_jac)
+        right = _projected_sigmas((H @ self.basis).T.tolist(), p.phi_right_jac(self.g))
+        return left, right
 
 
 def residual_at(p, g, h):
@@ -372,18 +399,24 @@ def regularity_matrices(p, g):
     return StepFrame(p, g).regularity_matrices()
 
 
-def _two_row_sigmas(M):
-    """(sigma_2, sigma_1) of a (2, m) array M, m = 2 or 3, in closed form.
+def _require_finite_floats(values, what):
+    """Raise SingularError unless every float in ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise SingularError(f"{what} has non-finite entries")
 
-    With a and b the rows of M divided by its largest magnitude,
+
+def _pair_sigmas(a, b):
+    """(sigma_2, sigma_1) of the 2 x m matrix with finite rows a and b (lists
+    of m = 2 or 3 floats), in closed form.
+
+    With a and b divided by the largest magnitude of the matrix,
     sigma_1^2 = (|a|^2 + |b|^2 + hypot(|a|^2 - |b|^2, 2 a.b)) / 2, and
     sigma_2 = |a| |b_perp| / sigma_1, where |a| |b_perp| = |a x b| is the
-    hypot of the 2x2 minors of M.
+    hypot of the 2x2 minors of the matrix.
     """
-    scale = require_finite(M, "two-point pairing")
+    scale = max(map(abs, a + b))
     if scale == 0.0:
         return 0.0, 0.0
-    a, b = M.tolist()
     if len(a) == 2:
         a0, a1, b0, b1 = a[0] / scale, a[1] / scale, b[0] / scale, b[1] / scale
         aa, bb, ab = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, a0 * b0 + a1 * b1
@@ -396,6 +429,33 @@ def _two_row_sigmas(M):
         wedge = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     smax = math.sqrt(0.5 * (aa + bb + math.hypot(aa - bb, 2.0 * ab)))
     return scale * (wedge / smax), scale * smax
+
+
+def _projected_sigmas(rows, grad):
+    """(sigma_2, sigma_1) of a pairing M W, with ``rows`` the two rows of M
+    (lists of three floats) and W an orthonormal basis of the plane orthogonal
+    to the 1x3 constraint gradient ``grad`` (all of R^3 when it is zero).
+
+    M W has the singular values of M (I - u u^T), u = grad / |grad|: each row
+    minus its component along u.  A row whose remainder is at the roundoff of
+    the projection (``PROJECTION_RTOL`` of its largest magnitude) lies along
+    u and is taken as zero, so rows along the gradient give (0, 0).
+    """
+    grad = grad.tolist()[0]
+    _require_finite_floats(grad, "constraint gradient")
+    _require_finite_floats(rows[0] + rows[1], "two-point pairing")
+    norm = math.hypot(*grad)
+    if norm == 0.0:
+        return _pair_sigmas(*rows)
+    u0, u1, u2 = grad[0] / norm, grad[1] / norm, grad[2] / norm
+    projected = []
+    for m0, m1, m2 in rows:
+        d = m0 * u0 + m1 * u1 + m2 * u2
+        row = [m0 - d * u0, m1 - d * u1, m2 - d * u2]
+        if max(map(abs, row)) <= PROJECTION_RTOL * max(abs(m0), abs(m1), abs(m2)):
+            row = [0.0, 0.0, 0.0]
+        projected.append(row)
+    return _pair_sigmas(*projected)
 
 
 def kernel_sigmas(M, rank_needed):
@@ -411,11 +471,13 @@ def kernel_sigmas(M, rank_needed):
     count as degeneracy.
 
     The 2x2, 2x3 and 3x2 pairings with rank_needed = 2 (the r = 2 systems)
-    take the closed form of :func:`_two_row_sigmas`; the rest go to LAPACK.
+    take the closed form of :func:`_pair_sigmas`; the rest go to LAPACK.
     """
     m, n = M.shape
     if rank_needed == 2 and (m, n) in ((2, 2), (2, 3), (3, 2)):
-        return _two_row_sigmas(M if m == 2 else M.T)
+        a, b = (M if m == 2 else M.T).tolist()
+        _require_finite_floats(a + b, "two-point pairing")
+        return _pair_sigmas(a, b)
     s, _ = _svd(M, "two-point pairing", compute_uv=0)
     smax = float(s[0]) if s.size else 0.0
     if s.size < rank_needed:

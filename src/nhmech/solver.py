@@ -11,7 +11,8 @@ Both the Newton matrix and the regularity test come from one object, the
 mixed second derivative H of the discrete Lagrangian
 (``NhProblem.mixed_hess``): the Newton matrix is [-B^T H(center); left
 chart gradient of phi at center], and the two pairings of the two-point form
-are -X^T H(g) W and -V^T H(g) X (``problem.regularity_matrices``).
+are -X^T H(g) W and -V^T H(g) X (``problem.regularity_matrices``, the
+reference for the sigmas the step computes without forming them).
 
 The solver refuses to step from degenerate configurations: before iterating
 it runs the point-regularity test (both kernel conditions of the two-point
@@ -25,9 +26,11 @@ test, every residual, every Newton matrix and the multipliers.  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
 dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
-regularity test needs the null space of a constraint gradient and two
-singular values of each pairing; for a single gradient row of three and for
-the 2x2, 2x3 and 3x2 pairings of the rank-2 systems these are computed in
+regularity test needs two singular values of each pairing.  With one
+constraint on a 3-dimensional fiber (the particle, Suslov, the sleigh,
+Veselova and the sphere) it projects the rows of X^T H and the columns of
+H B off the unit constraint gradients and takes their singular values in
+closed form, with no null-space basis; the robot's 2x2 pairings also have a
 closed form, and only the larger shapes (the rolling ball's pairings and
 constraint gradients, the robot's constraint gradients) call dgesdd.  Each
 kernel is preceded by a finiteness check, and a non-finite matrix or a
@@ -129,8 +132,7 @@ def point_regularity_sigmas(p, g, frame=None):
     must couple all p.r distribution directions to count as nondegenerate.
     ``frame`` is the step's ``problem.StepFrame`` for g, when there is one.
     """
-    G_left, G_right = (frame or pb.StepFrame(p, g)).regularity_matrices()
-    return pb.kernel_sigmas(G_left, p.r), pb.kernel_sigmas(G_right, p.r)
+    return (frame or pb.StepFrame(p, g)).regularity_sigmas()
 
 
 def is_nondegenerate(smin, smax):

@@ -157,9 +157,9 @@ def trajectory_text_oracle(problem, trajectory, fmt):
 def counted(fn, calls):
     """fn, counting its calls in calls[0]."""
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return counting
 

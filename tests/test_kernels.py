@@ -2,15 +2,21 @@
 
 ``problem.kernel_sigmas`` computes the two singular values of a 2x2, 2x3 or
 3x2 pairing in closed form, and ``problem._nullspace`` the null space of a
-1x3 constraint gradient by a Householder reflection.  These tests hold both
-to ``np.linalg.svd`` over scaled, rank-deficient and non-finite inputs, and
-hold the sigmas a step reports to the SVD of its pairings.
+1x3 constraint gradient by a Householder reflection (the reference pairings
+use it).  A step with one constraint on a 3-dimensional fiber forms neither:
+``problem._projected_sigmas`` takes the rows of X^T H (or the columns of
+H B) projected off the unit constraint gradient.  These tests hold the
+kernels to ``np.linalg.svd`` over scaled, rank-deficient and non-finite
+inputs, pin that such a step reaches no null space and no dgesdd, and hold
+the sigmas a step reports to the SVD of its pairings.
 """
 
 import numpy as np
 import pytest
+from conftest import counted
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from test_golden import STARTS
 
 import nhmech.models as md
@@ -134,3 +140,71 @@ def test_step_sigmas_match_svd_of_the_pairings(name):
             ref = np.linalg.svd(G, compute_uv=False)[p.r - 1]
             assert abs(sigma - ref) <= 1e-13 * ref
         g = res.next
+
+
+def complement(grad):
+    """An orthonormal basis (columns) of the plane orthogonal to a nonzero
+    1x3 row, from numpy's SVD; eye(3) for a zero row."""
+    if not np.any(grad):
+        return np.eye(3)
+    return np.linalg.svd(grad)[2][1:].T
+
+
+@given(
+    entries(6), entries(3),
+    st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+    st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+)
+@settings(max_examples=300, deadline=None)
+def test_projected_sigmas_match_svd_of_the_restricted_pairing(rows, grad, scale, grad_scale):
+    M = np.array(rows).reshape(2, 3) * scale
+    grad = np.array([grad]) * grad_scale
+    smin, smax = pb._projected_sigmas(M.tolist(), grad)
+    ref_min, ref_max = svd_sigmas(M @ complement(grad))
+    # both sides round at the scale of M, not of the restricted pairing
+    tol = 16 * EPS * np.linalg.norm(M, 2)
+    assert abs(smax - ref_max) <= tol
+    assert abs(smin - ref_min) <= tol
+
+
+def test_zero_gradient_gives_the_full_pairing():
+    M = np.random.default_rng(4).normal(size=(2, 3))
+    assert pb._projected_sigmas(M.tolist(), np.zeros((1, 3))) == pb.kernel_sigmas(M, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e8, 1e200])
+def test_rows_along_the_gradient_are_degenerate(scale):
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        grad = rng.normal(size=(1, 3)) * scale
+        grad[0, rng.integers(3)] *= rng.choice([0.0, 1.0])
+        along = np.outer(rng.normal(size=2), grad[0] / np.max(np.abs(grad)))
+        assert pb._projected_sigmas(along.tolist(), grad) == (0.0, 0.0)
+        # one row along the gradient leaves a pairing of rank one
+        M = np.vstack([along[:1], rng.normal(size=(1, 3))])
+        smin, smax = pb._projected_sigmas(M.tolist(), grad)
+        assert smin == 0.0 and smax > 0.0
+        assert not sv.is_nondegenerate(smin, smax)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_projected_pairing_raises(bad):
+    rows = [[1.0, 2.0, 0.5], [0.0, 1.0, bad]]
+    with pytest.raises(SingularError, match="two-point pairing has non-finite entries"):
+        pb._projected_sigmas(rows, np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(SingularError, match="constraint gradient has non-finite entries"):
+        pb._projected_sigmas([[1.0, 2.0, 0.5]] * 2, np.array([[1.0, bad, 0.0]]))
+
+
+def test_codimension_one_steps_form_no_null_space(monkeypatch):
+    calls = [0]
+    monkeypatch.setattr(pb, "_nullspace", counted(pb._nullspace, calls))
+    monkeypatch.setattr(lapack, "dgesdd", counted(lapack.dgesdd, calls))
+    for name in sorted(md.FACTORIES):
+        p = md.FACTORIES[name]()
+        g = p.initial_builder(STARTS[name])
+        calls[0] = 0
+        for _ in range(20):
+            g = sv.step(p, g).next
+        # the ball's and the robot's tests still take the SVD path
+        assert (calls[0] == 0) == (p.k == 1 and p.n == 3), name

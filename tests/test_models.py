@@ -226,6 +226,24 @@ class TestDistributionAlgebra:
                 full = np.linalg.svd(np.hstack([B, A]), compute_uv=False)
                 assert full[-1] > 1e-10 * full[0]
 
+    def test_complement_basis_keeps_the_numpy_formula(self):
+        # the sphere's and Veselova's basis enters their residual rows, so its
+        # floats are pinned to the formula written with numpy's norm, argmin
+        # and column_stack
+        def reference(v):
+            vhat = v / np.linalg.norm(v)
+            j = int(np.argmin(np.abs(vhat)))
+            b1 = np.eye(3)[j] - vhat[j] * vhat
+            b1 = b1 / np.linalg.norm(b1)
+            return np.column_stack([b1, np.cross(vhat, b1)])
+
+        rng = np.random.default_rng(12)
+        for _ in range(5000):
+            v = rng.normal(size=3) * 10.0 ** rng.uniform(-5, 5)
+            B = md._complement_basis(v)
+            assert np.array_equal(B, reference(v))
+            assert B.flags.c_contiguous
+
 
 class TestSuslov:
     @staticmethod
