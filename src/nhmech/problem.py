@@ -14,24 +14,24 @@ first and the constraint rows after them.
 The chart derivatives are bound once per problem (see :class:`NhProblem`).
 Every second-order quantity comes from the mixed second derivative
 ``NhProblem.mixed_hess``: the Newton matrix (:meth:`StepFrame.newton_matrix`) and the
-two regularity pairings (``regularity_matrices``).  ``newton_jacobian_fd``
-and ``groupoid.cross_form`` difference the residual and the Lagrangian
-directly and serve as references for them.
+regularity test (:meth:`StepFrame.regularity_sigmas`).  ``newton_jacobian_fd``,
+``groupoid.cross_form`` and the two regularity pairings
+(``regularity_matrices``) serve as references for them.
 
 What a step from g needs that depends on g alone (the distribution basis at
 beta(g), the left gradient of L at g) is evaluated once, by a
 :class:`StepFrame`; ``residual_at``, ``lagrange_multipliers`` and
-``regularity_matrices`` are one-line uses of a fresh frame.  The small
-dense kernels (SVD, least squares) call LAPACK directly, which skips the
-wrappers' finiteness check, so each call is preceded by one of its own that
-raises SingularError.  The regularity test (:meth:`StepFrame.regularity_sigmas`)
-has closed forms for the rank-2 systems: with one constraint on a
-3-dimensional fiber it projects X^T H off the constraint gradient instead of
-forming a null space (:func:`_projected_sigmas`), and the two singular values
-of that 2x3 matrix or of a 2x2, 2x3 or 3x2 pairing come from one formula
-(:func:`_pair_sigmas`).  The reference pairings (``regularity_matrices``)
-take the null space of a 1x3 gradient from a Householder complement
-(:func:`_row_complement`); other shapes go to LAPACK dgesdd.
+``regularity_matrices`` use a fresh frame.  The small dense kernels (QR, SVD,
+least squares) call LAPACK directly, which skips the wrappers' finiteness
+check, so each call is preceded by one of its own that raises SingularError.
+The regularity test forms no pairing and no null space for any system: it
+projects the rows of X^T H and the columns of H B off the row space of the
+constraint gradient (:func:`_projected_sigmas`).  One constraint on a
+3-dimensional fiber takes the unit gradient and the closed-form singular
+values of a 2x3 matrix (:func:`_pair_sigmas`); other gradients take a LAPACK
+QR and dgesdd (:func:`kernel_sigmas`).  The reference pairings take the null
+space of a 1x3 gradient from a Householder complement (:func:`_row_complement`)
+and of other gradients from dgesdd (:func:`_nullspace`).
 """
 
 import functools
@@ -292,26 +292,15 @@ class StepFrame:
         self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
         return (Xa, *self._at_g)
 
-    def regularity_matrices(self):
-        """The two pairings of :func:`regularity_matrices` at g."""
-        Xa, H, phi_jac = self._pairing_parts()
-        G_left = -Xa.T @ H @ _nullspace(phi_jac)
-        G_right = -_nullspace(self.p.phi_right_jac(self.g)).T @ H @ self.basis
-        return G_left, G_right
-
     def regularity_sigmas(self):
         """Kernel singular values of the two pairings at g, as ((smin_left,
-        smax_left), (smin_right, smax_right)) (see :func:`kernel_sigmas`).
-        With one constraint on a 3-dimensional fiber the pairings are not
-        formed: the rows of X^T H and the columns of H B go to
-        :func:`_projected_sigmas` with the left and right gradients of phi."""
-        p = self.p
-        if p.k != 1 or p.n != 3:
-            G_left, G_right = self.regularity_matrices()
-            return kernel_sigmas(G_left, p.r), kernel_sigmas(G_right, p.r)
+        smax_left), (smin_right, smax_right)), with no pairing formed: the
+        rows of X^T H and the columns of H B go to :func:`_projected_sigmas`
+        with the left and right gradients of phi."""
         Xa, H, phi_jac = self._pairing_parts()
-        left = _projected_sigmas((Xa.T @ H).tolist(), phi_jac)
-        right = _projected_sigmas((H @ self.basis).T.tolist(), p.phi_right_jac(self.g))
+        p = self.p
+        left = _projected_sigmas(Xa.T @ H, phi_jac, p.r)
+        right = _projected_sigmas((H @ self.basis).T, p.phi_right_jac(self.g), p.r)
         return left, right
 
 
@@ -395,8 +384,14 @@ def regularity_matrices(p, g):
       left tangent directions at g; its right kernel must be trivial.
     * ``G_right[i, b] = cross(g, V_i, X_b(beta(g)))`` with V_i spanning the
       right tangent directions; its left kernel must be trivial.
+
+    They are the reference for :meth:`StepFrame.regularity_sigmas`.
     """
-    return StepFrame(p, g).regularity_matrices()
+    frame = StepFrame(p, g)
+    Xa, H, phi_jac = frame._pairing_parts()
+    G_left = -Xa.T @ H @ _nullspace(phi_jac)
+    G_right = -_nullspace(p.phi_right_jac(g)).T @ H @ frame.basis
+    return G_left, G_right
 
 
 def _require_finite_floats(values, what):
@@ -406,8 +401,8 @@ def _require_finite_floats(values, what):
 
 
 def _pair_sigmas(a, b):
-    """(sigma_2, sigma_1) of the 2 x m matrix with finite rows a and b (lists
-    of m = 2 or 3 floats), in closed form.
+    """(sigma_2, sigma_1) of the 2x3 matrix with finite rows a and b (lists of
+    three floats), in closed form.
 
     With a and b divided by the largest magnitude of the matrix,
     sigma_1^2 = (|a|^2 + |b|^2 + hypot(|a|^2 - |b|^2, 2 a.b)) / 2, and
@@ -417,50 +412,61 @@ def _pair_sigmas(a, b):
     scale = max(map(abs, a + b))
     if scale == 0.0:
         return 0.0, 0.0
-    if len(a) == 2:
-        a0, a1, b0, b1 = a[0] / scale, a[1] / scale, b[0] / scale, b[1] / scale
-        aa, bb, ab = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, a0 * b0 + a1 * b1
-        wedge = abs(a0 * b1 - a1 * b0)
-    else:
-        a0, a1, a2 = a[0] / scale, a[1] / scale, a[2] / scale
-        b0, b1, b2 = b[0] / scale, b[1] / scale, b[2] / scale
-        aa, bb = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
-        ab = a0 * b0 + a1 * b1 + a2 * b2
-        wedge = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    a0, a1, a2 = a[0] / scale, a[1] / scale, a[2] / scale
+    b0, b1, b2 = b[0] / scale, b[1] / scale, b[2] / scale
+    aa, bb = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
+    ab = a0 * b0 + a1 * b1 + a2 * b2
+    wedge = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     smax = math.sqrt(0.5 * (aa + bb + math.hypot(aa - bb, 2.0 * ab)))
     return scale * (wedge / smax), scale * smax
 
 
-def _projected_sigmas(rows, grad):
-    """(sigma_2, sigma_1) of a pairing M W, with ``rows`` the two rows of M
-    (lists of three floats) and W an orthonormal basis of the plane orthogonal
-    to the 1x3 constraint gradient ``grad`` (all of R^3 when it is zero).
+def _projected_sigmas(M, grad, rank_needed):
+    """(sigma_{rank_needed}, sigma_max) of a pairing M W, with M an (r, n)
+    array and W an orthonormal basis of the null space of the (k, n)
+    constraint gradient ``grad`` (all of R^n when it is zero).
 
-    M W has the singular values of M (I - u u^T), u = grad / |grad|: each row
-    minus its component along u.  A row whose remainder is at the roundoff of
-    the projection (``PROJECTION_RTOL`` of its largest magnitude) lies along
-    u and is taken as zero, so rows along the gradient give (0, 0).
+    M W has the singular values of M (I - Q Q^T), Q an orthonormal basis of
+    the gradient's row space.  A 1x3 gradient takes Q = grad / |grad| on
+    floats and :func:`_pair_sigmas`, with a projected row within
+    ``PROJECTION_RTOL`` of its row's largest magnitude taken as zero (so rows
+    along the gradient give (0, 0)).  Other gradients take Q from a LAPACK QR
+    of grad^T and the sigmas from :func:`kernel_sigmas`; a diagonal entry of
+    R within ``NULLSPACE_RTOL`` of the largest (dependent rows, where Q would
+    miss a null direction) is a SingularError.
     """
-    grad = grad.tolist()[0]
-    _require_finite_floats(grad, "constraint gradient")
-    _require_finite_floats(rows[0] + rows[1], "two-point pairing")
-    norm = math.hypot(*grad)
-    if norm == 0.0:
-        return _pair_sigmas(*rows)
-    u0, u1, u2 = grad[0] / norm, grad[1] / norm, grad[2] / norm
-    projected = []
-    for m0, m1, m2 in rows:
-        d = m0 * u0 + m1 * u1 + m2 * u2
-        row = [m0 - d * u0, m1 - d * u1, m2 - d * u2]
-        if max(map(abs, row)) <= PROJECTION_RTOL * max(abs(m0), abs(m1), abs(m2)):
-            row = [0.0, 0.0, 0.0]
-        projected.append(row)
-    return _pair_sigmas(*projected)
+    if grad.shape == (1, 3):
+        grad, rows = grad.tolist()[0], M.tolist()
+        _require_finite_floats(grad, "constraint gradient")
+        _require_finite_floats(rows[0] + rows[1], "two-point pairing")
+        norm = math.hypot(*grad)
+        if norm == 0.0:
+            return _pair_sigmas(*rows)
+        u0, u1, u2 = grad[0] / norm, grad[1] / norm, grad[2] / norm
+        projected = []
+        for m0, m1, m2 in rows:
+            d = m0 * u0 + m1 * u1 + m2 * u2
+            row = [m0 - d * u0, m1 - d * u1, m2 - d * u2]
+            if max(map(abs, row)) <= PROJECTION_RTOL * max(abs(m0), abs(m1), abs(m2)):
+                row = [0.0, 0.0, 0.0]
+            projected.append(row)
+        return _pair_sigmas(*projected)
+    if require_finite(grad, "constraint gradient") == 0.0:
+        return kernel_sigmas(M, rank_needed)
+    qr, tau, _, info = lapack.dgeqrf(grad.T)
+    if info == 0:
+        diag = list(map(abs, qr.diagonal().tolist()))
+        if min(diag) <= NULLSPACE_RTOL * max(diag):
+            raise SingularError("constraint gradient has linearly dependent rows")
+        Q, _, info = lapack.dorgqr(qr, tau)
+    if info != 0:
+        raise SingularError(f"constraint gradient QR failed (info {info})")
+    return kernel_sigmas(M - (M @ Q) @ Q.T, rank_needed)
 
 
 def kernel_sigmas(M, rank_needed):
     """(sigma_{rank_needed}, sigma_max) of a two-point pairing matrix, a 2-D
-    array.
+    array, from LAPACK dgesdd (singular values only).
 
     The pairing is nondegenerate when it couples all rank_needed distribution
     directions, i.e. when its rank_needed-th singular value is positive.  In
@@ -469,15 +475,7 @@ def kernel_sigmas(M, rank_needed):
     function that does not see that leg, as for a holonomic arrival-point
     constraint) the matrix is rectangular and the surplus directions must not
     count as degeneracy.
-
-    The 2x2, 2x3 and 3x2 pairings with rank_needed = 2 (the r = 2 systems)
-    take the closed form of :func:`_pair_sigmas`; the rest go to LAPACK.
     """
-    m, n = M.shape
-    if rank_needed == 2 and (m, n) in ((2, 2), (2, 3), (3, 2)):
-        a, b = (M if m == 2 else M.T).tolist()
-        _require_finite_floats(a + b, "two-point pairing")
-        return _pair_sigmas(a, b)
     s, _ = _svd(M, "two-point pairing", compute_uv=0)
     smax = float(s[0]) if s.size else 0.0
     if s.size < rank_needed:

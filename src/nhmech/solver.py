@@ -26,15 +26,15 @@ test, every residual, every Newton matrix and the multipliers.  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
 dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
-regularity test needs two singular values of each pairing.  With one
-constraint on a 3-dimensional fiber (the particle, Suslov, the sleigh,
-Veselova and the sphere) it projects the rows of X^T H and the columns of
-H B off the unit constraint gradients and takes their singular values in
-closed form, with no null-space basis; the robot's 2x2 pairings also have a
-closed form, and only the larger shapes (the rolling ball's pairings and
-constraint gradients, the robot's constraint gradients) call dgesdd.  Each
-kernel is preceded by a finiteness check, and a non-finite matrix or a
-LAPACK failure is a SingularError.
+regularity test needs two singular values of each pairing, and it takes them
+the same way for every system, with no null-space basis: the rows of X^T H
+and the columns of H B, projected off the row space of the constraint
+gradient (``problem._projected_sigmas``).  With one constraint on a
+3-dimensional fiber (the particle, Suslov, the sleigh, Veselova and the
+sphere) that is a closed form on floats; the rolling ball and the robot take
+a LAPACK QR (dgeqrf, dorgqr) of each gradient and one values-only dgesdd of
+each projected pairing.  Each kernel is preceded by a finiteness check, and
+a non-finite matrix or a LAPACK failure is a SingularError.
 """
 
 import math
