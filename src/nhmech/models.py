@@ -139,15 +139,17 @@ def _so3_form(J):
     )
 
 
-def _se2_pair(M):
-    """Components of v -> Tr(se2_hat(v) @ M) in the (omega, v1, v2) basis."""
-    (_, m01, _), (m10, _, _), (m20, m21, _) = M.tolist()
-    return [m01 - m10, m20, m21]
-
-
 def _se2_form(K):
     """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
-    W = se2_matrix(g) and K symmetric."""
+    W = se2_matrix(g) and K symmetric.
+
+    With pair(M) = (M01 - M10, M20, M21), the components of
+    v -> Tr(se2_hat(v) M) in the (omega, v1, v2) basis, the left and right
+    gradients are pair(K (W^T W - W)) and pair(W K W^T - W K).  They are
+    written out from (c, s) = (cos theta, sin theta), the translation (x, y)
+    and the entries of K, with (u, v) = R^T (x, y) the translation in the
+    body frame; K01 cancels from both.
+    """
     k_trace = float(K[0, 0] + K[1, 1])
     k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
 
@@ -156,15 +158,22 @@ def _se2_form(K):
         return 0.5 * float(np.trace(D @ K @ D.T))
 
     def lgrad(g):
-        W = lg.se2_matrix(g)
-        return _se2_pair(K @ (W.T @ W - W))
+        th, x, y = g.tolist()
+        c, s = math.cos(th), math.sin(th)
+        u, v = c * x + s * y, c * y - s * x
+        return [k_trace * s + (k02 * v - k12 * u),
+                k02 * (1.0 - c) - k12 * s + k22 * u,
+                k02 * s + k12 * (1.0 - c) + k22 * v]
 
     def rgrad(g):
-        W = lg.se2_matrix(g)
-        return _se2_pair(W @ K @ W.T - W @ K)
+        th, x, y = g.tolist()
+        c, s = math.cos(th), math.sin(th)
+        return [k_trace * s + (k02 * y - k12 * x),
+                k02 * (c - 1.0) - k12 * s + k22 * x,
+                k02 * s + k12 * (c - 1.0) + k22 * y]
 
     def hess(g):
-        # Column j is _se2_pair(S + S^T - P) with P = W E_j K, S = P W^T and
+        # Column j is pair(S + S^T - P) with P = W E_j K, S = P W^T and
         # E_j = se2_hat(e_j).  Row 2 of W E_j is zero and row 2 of W is e_2,
         # so the column is (P10 - P01, P02, P12); only the rotation part of W
         # enters, and K01 cancels.

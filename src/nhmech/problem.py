@@ -21,7 +21,11 @@ regularity test (:meth:`StepFrame.regularity_sigmas`).  ``newton_jacobian_fd``,
 What a step from g needs that depends on g alone (the distribution basis at
 beta(g), the left gradient of L at g) is evaluated once, by a
 :class:`StepFrame`; ``residual_at``, ``lagrange_multipliers`` and
-``regularity_matrices`` use a fresh frame.  The small dense kernels (QR, SVD,
+``regularity_matrices`` use a fresh frame.  Two records on the problem carry
+work from one step to the next: the basis at the last matching point
+(``basis_record``) and H with the left phi gradient at the last element a
+frame took them at (``hess_record``), which is the next step's element when
+a step accepts its first guess.  The small dense kernels (QR, SVD,
 least squares) call LAPACK directly, which skips the wrappers' finiteness
 check, so each call is preceded by one of its own that raises SingularError.
 The regularity test forms no pairing and no null space for any system: it
@@ -113,8 +117,9 @@ class NhProblem:
     model's callable when the :class:`Lagrangian` or :class:`ConstraintSet`
     gives one, else a central difference (``mixed_hess`` differences the
     bound right gradient, at the wider step when that gradient is itself a
-    difference).  ``dataclasses.replace`` binds them again for the copy.
-    ``domain_guard(g)`` raises for an element outside the model's domain.
+    difference).  ``dataclasses.replace`` binds them again for the copy,
+    with empty records.  ``domain_guard(g)`` raises for an element outside
+    the model's domain.
     """
 
     name: str
@@ -131,6 +136,8 @@ class NhProblem:
     sample_states: Optional[Callable] = None
     # the last StepFrame's matching point (as bytes) and its distribution basis
     basis_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (element, (H, left phi gradient)) as a StepFrame last took them
+    hess_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         partial, bk = functools.partial, self.backend
@@ -225,10 +232,10 @@ class StepFrame:
     projection ``left_grad(g) @ B``.
 
     The basis at alpha(g) comes from the problem's ``basis_record`` when the
-    previous frame's matching point was alpha(g).  The frame keeps H(g) and
-    the left gradient of phi at g from the regularity test, for a Newton
-    matrix centred at g, and the right gradient of the last candidate, for
-    the multipliers at the accepted iterate.
+    previous frame's matching point was alpha(g), and H with the left
+    gradient of phi from its ``hess_record`` when they were last taken at the
+    same element (:meth:`_second_order`).  The frame keeps the right gradient
+    of the last candidate, for the multipliers at the accepted iterate.
     """
 
     def __init__(self, p, g):
@@ -242,7 +249,6 @@ class StepFrame:
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self._last = (None, None)
-        self._at_g = None  # (H(g), left gradient of phi at g)
 
     def del_rows(self, h):
         """Projected discrete Euler-Lagrange rows for a candidate h."""
@@ -261,10 +267,22 @@ class StepFrame:
         -right_grad(center) . X_a, so they differentiate to -B^T H(center);
         the constraint rows differentiate to the left chart gradient of phi.
         """
-        p = self.p
-        at_g = center is self.g and self._at_g
-        H, phi_jac = at_g or (p.mixed_hess(center), p.phi_left_jac(center))
+        H, phi_jac = self._second_order(center)
         return np.concatenate((self.neg_bt @ H, phi_jac))
+
+    def _second_order(self, h):
+        """H(h) and the left gradient of phi at h, recorded on the problem.
+
+        The record is keyed by identity, not equality: an element is never
+        modified in place, so the record's element still has the values the
+        pair was taken at, and a copy with equal values evaluates afresh.
+        """
+        p = self.p
+        at, pair = p.hess_record
+        if at is not h:
+            pair = p.mixed_hess(h), p.phi_left_jac(h)
+            p.hess_record = (h, pair)
+        return pair
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
@@ -282,15 +300,13 @@ class StepFrame:
         return lam
 
     def _pairing_parts(self):
-        """The basis at alpha(g), H(g) and the left gradient of phi at g; the
-        frame keeps the last two for a Newton matrix centred at g."""
+        """The basis at alpha(g), H(g) and the left gradient of phi at g."""
         p, g = self.p, self.g
         key, Xa = self._previous
         alpha = np.asarray(p.backend.source(g), dtype=float)
         if alpha.tobytes() != key:
             Xa = np.asarray(p.distribution.basis(alpha), dtype=float)
-        self._at_g = p.mixed_hess(g), p.phi_left_jac(g)
-        return (Xa, *self._at_g)
+        return (Xa, *self._second_order(g))
 
     def regularity_sigmas(self):
         """Kernel singular values of the two pairings at g, as ((smin_left,
@@ -461,6 +477,7 @@ def _projected_sigmas(M, grad, rank_needed):
         Q, _, info = lapack.dorgqr(qr, tau)
     if info != 0:
         raise SingularError(f"constraint gradient QR failed (info {info})")
+    require_finite(M, "two-point pairing")
     return kernel_sigmas(M - (M @ Q) @ Q.T, rank_needed)
 
 

@@ -22,7 +22,10 @@ condition estimate of each Newton matrix computed from its LU factors.
 A step builds one ``problem.StepFrame`` for its current element g, so what
 depends on g alone (the distribution basis at beta(g), the left gradient of
 L at g and its projection) is evaluated once and shared by the regularity
-test, every residual, every Newton matrix and the multipliers.  The matrices
+test, every residual, every Newton matrix and the multipliers.  A Newton
+matrix and the regularity test at the same element share one H and left phi
+gradient (``NhProblem.hess_record``), so a step that accepted its first
+guess hands them to the next step's test.  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
 dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
@@ -155,6 +158,20 @@ def _assert_point_regular(p, frame):
     return left[0], right[0]
 
 
+def _norm_and_merit(r):
+    """(max |r_i|, 1/2 sum r_i^2) of a residual vector, on Python floats.
+
+    Python's ``max`` skips a NaN that is not the first entry, so the max is
+    returned as NaN whenever the sum of squares is NaN: a residual with a NaN
+    anywhere then fails both the finiteness check and the line-search tests.
+    """
+    values = r.tolist()
+    squares = sum(v * v for v in values)
+    if math.isnan(squares):
+        return math.nan, math.nan
+    return max(map(abs, values)), 0.5 * squares
+
+
 def newton(p, residual, jacobian, center, g, opts):
     """Damped Newton iteration for ``residual`` = 0 on the source fiber of
     ``center``, with ``jacobian`` its matrix in the chart at an iterate and
@@ -162,7 +179,7 @@ def newton(p, residual, jacobian, center, g, opts):
     owns, as a dict."""
     bk = p.backend
     r = residual(center)
-    rnorm = float(np.abs(r).max())
+    rnorm, merit = _norm_and_merit(r)
     if not math.isfinite(rnorm):
         raise SingularError(f"{p.name}: residual at the first guess has non-finite entries")
     history = [rnorm]
@@ -196,7 +213,6 @@ def newton(p, residual, jacobian, center, g, opts):
         du, info = lapack.dgetrs(lu, piv, -r)
         if info != 0:
             raise SingularError(f"{p.name}: Newton solve failed (info {info})")
-        merit0 = 0.5 * float(r @ r)
         t = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
@@ -208,12 +224,10 @@ def newton(p, residual, jacobian, center, g, opts):
                 t *= 0.5
                 backtracks += 1
                 continue
-            merit = 0.5 * float(r_try @ r_try)
-            if merit <= (1.0 - 2.0 * ARMIJO_C1 * t) * merit0 or (
-                float(np.abs(r_try).max()) <= stop
-            ):
-                center = cand  # recenter the chart at the accepted iterate
-                r = r_try
+            rnorm_try, merit_try = _norm_and_merit(r_try)
+            if merit_try <= (1.0 - 2.0 * ARMIJO_C1 * t) * merit or rnorm_try <= stop:
+                # recenter the chart at the accepted iterate
+                center, r, rnorm, merit = cand, r_try, rnorm_try, merit_try
                 accepted = True
                 break
             t *= 0.5
@@ -226,7 +240,6 @@ def newton(p, residual, jacobian, center, g, opts):
                 iterations=iters,
                 residual_norm=rnorm,
             )
-        rnorm = float(np.abs(r).max())
         history.append(rnorm)
 
     return dict(next=center, iterations=iters, residual_norm=rnorm,

@@ -228,9 +228,9 @@ def test_non_finite_projected_pairing_raises(bad):
         pb._projected_sigmas(np.array([[1.0, 2.0, 0.5]] * 2), np.array([[1.0, bad, 0.0]]), 2)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the projection
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_projected_pairing_of_several_constraints_raises(bad):
+    # the pairing is checked before the projection, so no inf * 0 warning
     rng = np.random.default_rng(9)
     M, grad = rng.normal(size=(2, 5)), rng.normal(size=(3, 5))
     M[1, 3] = bad

@@ -98,6 +98,11 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _se2_pair(M):
+    """Components of v -> Tr(se2_hat(v) @ M) in the (omega, v1, v2) basis."""
+    return np.array([M[0, 1] - M[1, 0], M[2, 0], M[2, 1]])
+
+
 class TestAnalyticDerivatives:
     @pytest.mark.parametrize("name", INSTANCES)
     def test_lagrangian_gradients_match_fd(self, name):
@@ -180,6 +185,39 @@ class TestAnalyticDerivatives:
             G_left, G_right = pb.regularity_matrices(p, g)
             assert _rel_gap(G_left, ref_left) <= 1e-8
             assert _rel_gap(G_right, ref_right) <= 1e-8
+
+    def test_se2_form_gradients_match_the_matrix_form(self):
+        """The closed-form SE(2) gradients against pair(K (W^T W - W)) and
+        pair(W K W^T - W K), with pair(M) = (M01 - M10, M20, M21), from the
+        same floats c, s, x, y and K.
+
+        Bound, with u = eps/2, kappa = max |K_ij| and rho = 1 + |x| + |y|:
+        every row and column of W has absolute sum at most 2 rho, so the
+        entries of |W| |K| are below 2 kappa rho and those of |W| |K| |W^T|
+        (or |K| |W^T| |W|) below 4 kappa rho^2.  The two chained 3-term
+        products err by at most 6u times the latter (12 eps kappa rho^2), the
+        single product by 3u times the former (3 eps kappa rho^2), and the
+        subtraction rounds an entry below 6 kappa rho^2 (3 eps kappa rho^2):
+        each of M01, M10 is within 18 eps kappa rho^2, and their rounded
+        difference within 42 eps kappa rho^2.  The closed form sums at most
+        five products below kappa rho each, within 6 eps kappa rho.  So the
+        two differ by at most 48 eps kappa rho^2; the test allows 64.
+        """
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            A = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-2, 2)
+            K = A + A.T
+            assert K[0, 1] != 0.0 and K[0, 2] != 0.0
+            _, lgrad, rgrad, _ = md._se2_form(K)
+            scale = 10.0 ** rng.uniform(-1, 1)
+            g = np.array([rng.uniform(-np.pi, np.pi), *(rng.normal(size=2) * scale)])
+            W = lg.se2_matrix(g)
+            rho = 1.0 + abs(g[1]) + abs(g[2])
+            tol = 64 * np.finfo(float).eps * np.max(np.abs(K)) * rho * rho
+            left = _se2_pair(K @ (W.T @ W - W))
+            right = _se2_pair(W @ K @ W.T - W @ K)
+            assert np.max(np.abs(np.subtract(lgrad(g), left))) <= tol
+            assert np.max(np.abs(np.subtract(rgrad(g), right))) <= tol
 
 
 class TestCallableContract:

@@ -453,14 +453,73 @@ class TestStepCounts:
         assert res.sigma_min_left > 0 and res.sigma_min_right > 0
 
 
+class TestNewtonBookkeeping:
+    """The loop's max-abs norms and merits on floats: a NaN anywhere in a
+    residual behaves as a NaN max does, and the history lists the max-abs
+    norm of each accepted residual."""
+
+    @staticmethod
+    def _run(residuals):
+        """newton on the particle's pair backend with J = I and residuals
+        returned in call order; returns the result and the residuals seen."""
+        p, g = _particle_pair()
+        seen = []
+
+        def residual(h):
+            seen.append(np.array(residuals[len(seen)]))
+            return seen[-1]
+
+        res = sv.newton(p, residual, lambda h: np.eye(3), p.backend.mirror(g), g,
+                        sv.SolverOptions())
+        return res, seen
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_anywhere_in_the_first_guess_is_singular(self, where):
+        r = [1e-3, 0.0, 0.0]
+        r[where] = np.nan
+        with pytest.raises(SingularError, match="first guess has non-finite entries"):
+            self._run([r])
+
+    def test_trial_with_a_nan_past_its_first_entry_is_rejected(self):
+        # the full step's residual is [0, nan, 0]: its max skipping the NaN
+        # would be 0, below the stop, so only a NaN max keeps it out
+        res, seen = self._run([[1e-3, 0.0, 0.0], [0.0, np.nan, 0.0], [1e-12, 0.0, 0.0]])
+        assert (res["iterations"], res["backtracks"]) == (1, 1)
+        assert res["residual_history"] == [float(np.abs(r).max()) for r in (seen[0], seen[2])]
+
+    def test_history_is_the_max_abs_of_each_accepted_residual(self):
+        # a sleigh step that rejects one trial point: the accepted iterates
+        # are the centers of the Newton matrices and the step's result
+        p = md.make_chaplygin_sleigh()
+        g = p.initial_builder({"xi": [1.4, 1.8]})
+        frame = pb.StepFrame(p, g)
+        seen, centers = [], []
+
+        def residual(h):
+            seen.append((h, frame.residual(h)))
+            return seen[-1][1]
+
+        def jacobian(h):
+            centers.append(h)
+            return frame.newton_matrix(h)
+
+        res = sv.newton(p, residual, jacobian, p.backend.mirror(g), g, sv.SolverOptions())
+        assert res["backtracks"] == 1 and res["iterations"] >= 2
+        accepted = centers + [res["next"]]
+        expected = [float(np.abs(r).max()) for h, r in seen if any(h is a for a in accepted)]
+        assert res["residual_history"] == expected
+
+
 COUNTED_STEPS = 50
 
 
 class TestCallCounts:
     """What a step does not recompute, pinned per step over COUNTED_STEPS
     steps: the first guess needs no chart log, the basis at alpha(g) is the
-    previous step's basis at its beta, and on a Lie group the first Newton
-    matrix reuses the H(g) of the regularity test."""
+    previous step's basis at its beta, on a Lie group the first Newton
+    matrix reuses the H(g) of the regularity test, and a step that accepts
+    its first guess hands the H and phi gradient of its Newton matrix to the
+    next step's regularity test."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_no_chart_coords_in_a_step(self, name, monkeypatch):
@@ -497,3 +556,50 @@ class TestCallCounts:
             assert res.iterations > 0
             assert calls[0] - before == 1 + max(0, res.iterations - 1)
             g = res.next
+
+    @staticmethod
+    def _counting_h_and_phi_jac(name):
+        """The system with counted mixed_hess and phi_left_jac, and their
+        running call counts."""
+        p = md.FACTORIES[name]()
+        hess, jac = [0], [0]
+        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, hess))
+        con = dataclasses.replace(p.constraints, left_jac=counted(p.constraints.left_jac, jac))
+        return dataclasses.replace(p, lagrangian=lag, constraints=con), hess, jac
+
+    @pytest.mark.parametrize("name, per_step", [("suslov", 0), ("mobile_robot", 1)])
+    def test_accepted_first_guess_carries_h_to_the_next_regularity_test(self, name, per_step):
+        # a step that accepts its first guess returns the center of its only
+        # Newton matrix, so the next step's regularity test reuses that
+        # matrix's H and phi gradient; on a Lie group the first guess is g
+        # itself, whose Newton matrix already reuses the test's pair
+        p, hess, jac = self._counting_h_and_phi_jac(name)
+        g = sv.step(p, p.initial_builder(STARTS[name])).next
+        for _ in range(COUNTED_STEPS):
+            carried = sv.point_regularity_sigmas(p, g)
+            fresh = sv.point_regularity_sigmas(dataclasses.replace(p), g)
+            assert carried == fresh
+            before = hess[0], jac[0]
+            res = sv.step(p, g)
+            assert res.iterations == 0
+            assert (hess[0] - before[0], jac[0] - before[1]) == (per_step, per_step)
+            assert (res.sigma_min_left, res.sigma_min_right) == (fresh[0][0], fresh[1][0])
+            g = res.next
+
+    @pytest.mark.parametrize("name, calls", [("suslov", 1), ("mobile_robot", 2)])
+    def test_equal_copy_of_the_accepted_element_evaluates_afresh(self, name, calls):
+        # the record is keyed by identity: a copy of the element with the
+        # same values is not its center, so its test evaluates H and the
+        # phi gradient again (and the robot's Newton matrix once more), and
+        # the step is the same
+        p, hess, jac = self._counting_h_and_phi_jac(name)
+        g = sv.step(p, p.initial_builder(STARTS[name])).next
+        copy = tuple(a.copy() for a in g) if isinstance(g, tuple) else g.copy()
+        before = hess[0], jac[0]
+        from_copy = sv.step(p, copy)
+        assert (hess[0] - before[0], jac[0] - before[1]) == (calls, calls)
+        from_g = sv.step(p, g)
+        assert np.array_equal(p.to_row(from_copy.next), p.to_row(from_g.next))
+        assert np.array_equal(from_copy.multipliers, from_g.multipliers)
+        for f in dataclasses.fields(sv.StepResult)[2:]:
+            assert getattr(from_copy, f.name) == getattr(from_g, f.name)
