@@ -9,6 +9,12 @@ Exit codes: 0 success, 2 config error, 3 solver failure (singular matrix or
 no convergence, with the failing step index in the message), 4 I/O error.
 Output files are written to a temporary name and renamed into place, so a
 crashed run never leaves a partial trajectory behind.
+
+The post-step passes of ``simulate`` work on the whole trajectory at once:
+the element parts are stacked into rows once (``NhProblem.to_rows``), the
+worst |phi| is one max over the stacked constraint values, every csv row
+after row zero is one format string, and the momentum maps are checked in
+blocks (``diagnostics.momentum_drift``).
 """
 
 import argparse
@@ -243,27 +249,27 @@ def trajectory_table(problem, trajectory):
         + ["iterations", "residual_norm", "cond_estimate"]
         + [f"lambda_{j + 1}" for j in range(problem.k)]
     )
-    rows = []
-    for idx, g in enumerate(trajectory.elements):
-        cells = [idx] + problem.to_row(g).tolist()
-        if idx == 0:
-            cells += [None] * (3 + problem.k)
-        else:
-            res = trajectory.results[idx - 1]
-            cells += [
-                int(res.iterations),
-                float(res.residual_norm),
-                float(res.jacobian_condition_estimate),
-            ]
-            cells += res.multipliers.tolist()
-        rows.append(cells)
+    rows = [[idx] + row for idx, row in enumerate(problem.to_rows(trajectory.elements).tolist())]
+    rows[0] += [None] * (3 + problem.k)
+    for row, res in zip(rows[1:], trajectory.results):
+        row += [
+            int(res.iterations),
+            float(res.residual_norm),
+            float(res.jacobian_condition_estimate),
+        ]
+        row += res.multipliers.tolist()
     return header, rows
 
 
 def _table_text(header, rows, fmt):
+    """The trajectory file's text.  A csv cell is ``%.17g`` of its value
+    (empty for None, which only row zero holds), so each later row takes
+    one format string."""
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(["" if c is None else "%.17g" % c for c in row]) for row in rows]
+        lines += [",".join(["" if c is None else "%.17g" % c for c in row]) for row in rows[:1]]
+        line = ",".join(["%.17g"] * len(header))
+        lines += [line % tuple(row) for row in rows[1:]]
         return "\n".join(lines) + "\n"
     return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
 
@@ -298,7 +304,7 @@ def _write_json(path, record):
 def _max_constraint_violation(problem, trajectory):
     if problem.k == 0:
         return 0.0
-    return max(float(np.max(np.abs(problem.phi(g)))) for g in trajectory.elements)
+    return float(np.abs(np.array([problem.phi(g) for g in trajectory.elements])).max())
 
 
 # ---------------------------------------------------------------------------

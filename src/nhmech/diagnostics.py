@@ -1,5 +1,11 @@
 """Diagnostics: regularity reports, reversibility checks, momentum maps, and
 the reduced-equation consistency test for Chaplygin-type systems.
+
+The momentum pass (:func:`momentum_drift`, :func:`momentum_value`) calls the
+model per element and checks per block: the symmetry directions and bases
+of up to ``MOMENTUM_BLOCK`` elements fill two stacks, whose finiteness and
+distance from the constraint distribution are checked with one array
+operation each (:func:`_block_momenta`).
 """
 
 import math
@@ -19,6 +25,8 @@ CONSTRAINT_INVARIANCE_TOL = 1e-9
 DYNAMICS_REVERSIBILITY_TOL = 1e-6
 CHART_INVERSION_TOL = 1e-13
 CHART_INVERSION_MAX_ITERS = 30
+# elements per stack of the momentum pass (its transient memory)
+MOMENTUM_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +141,105 @@ class MomentumSpec:
     xi_map: Callable
 
 
-def _momentum(p, specs, g, xis=None):
-    """(beta(g), parameters, left gradient of L at g, momenta) of g, one
-    parameter and one momentum per spec, with the checks of
-    :func:`momentum_value` for each spec.  The matching point, the basis and
-    the left gradient are evaluated once, and one least-squares call fits
-    every symmetry direction."""
-    x = p.backend.target(g)
-    if xis is None:
-        xis = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
-    V = np.array([spec.section(xi, x) for spec, xi in zip(specs, xis)], dtype=float)
-    for spec, v in zip(specs, V):
-        pb.require_finite(v, f"{p.name}/{spec.name}: symmetry direction")
-    B = np.asarray(p.distribution.basis(x), dtype=float)
-    coef, _ = pb.least_squares(B, V.T, f"{p.name}/{specs[0].name}: distribution basis")
-    gaps = np.abs(V.T - B @ coef).max(axis=0)
-    bounds = 1e-10 * (1.0 + np.abs(V).max(axis=1))
-    left_grad = p.left_grad(g)
-    values = []
-    for spec, v, gap, bound in zip(specs, V, gaps, bounds):
-        if gap > bound:
-            raise NotInConstraintCone(
-                f"{p.name}/{spec.name}: direction leaves the constraint distribution "
-                f"at the evaluation point (gap {gap:.3e})"
-            )
-        values.append(float(left_grad @ v))
-        if not math.isfinite(values[-1]):
-            raise SingularError(f"{p.name}/{spec.name}: momentum value is {values[-1]}")
-    return x, xis, left_grad, values
+def _cone_gaps(p, specs, V, B):
+    """Max-abs gap of each direction V[i, j] from the column space of its
+    basis B[i], for stacks V (m, s, n) and B (m, n, r) of finite entries.
+
+    One stacked SVD gives the bases' left singular vectors; a singular value
+    at or below eps * max(n, r) times the largest counts as zero, the cutoff
+    of :func:`problem.least_squares`, so a rank-deficient basis spans what
+    it spans there.  The gap is that of the direction minus its projection.
+    """
+    try:
+        U, sig, _ = np.linalg.svd(B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"{p.name}/{specs[0].name}: distribution basis SVD failed") from exc
+    U = U * (sig > pb.EPS * max(B.shape[1:]) * sig[:, :1])[:, None, :]
+    return np.abs(V - (V @ U) @ U.transpose(0, 2, 1)).max(axis=2)
+
+
+def _block_momenta(p, specs, V, B, lefts):
+    """Momenta (one list of floats per element, one float per spec) of the
+    first ``len(lefts)`` elements of a block, from their stacked symmetry
+    directions V, bases B and left gradients ``lefts``.
+
+    The finiteness checks and the cone gaps (:func:`_cone_gaps`) run once
+    for the block; the value of each spec is ``float(left_grad @ v)``.  The
+    first failing element raises, with the checks of :func:`momentum_value`
+    in its order: every direction finite, the basis finite, then per spec
+    the gap within 1e-10 (1 + max|v|) and the value finite.
+    """
+    m = len(lefts)
+    V, B = V[:m], B[:m]
+    finite = np.isfinite(V).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+    f = m if finite.all() else int(finite.argmin())
+    gaps = _cone_gaps(p, specs, V[:f], B[:f]).tolist()
+    bounds = (1e-10 * (1.0 + np.abs(V[:f]).max(axis=2))).tolist()
+    out = []
+    for i, left in enumerate(lefts):
+        if i == f:  # one of these raises
+            for spec, v in zip(specs, V[i]):
+                pb.require_finite(v, f"{p.name}/{spec.name}: symmetry direction")
+            pb.require_finite(B[i], f"{p.name}/{specs[0].name}: distribution basis")
+        values = []
+        for spec, v, gap, bound in zip(specs, V[i], gaps[i], bounds[i]):
+            if gap > bound:
+                raise NotInConstraintCone(
+                    f"{p.name}/{spec.name}: direction leaves the constraint distribution "
+                    f"at the evaluation point (gap {gap:.3e})"
+                )
+            values.append(float(left @ v))
+            if not math.isfinite(values[-1]):
+                raise SingularError(f"{p.name}/{spec.name}: momentum value is {values[-1]}")
+        out.append(values)
+    return out
+
+
+def _momentum_pass(p, specs, elements, xis=None):
+    """One pass over ``elements`` for every spec: the (measured, predicted)
+    pairs of each adjacent pair of elements, one list per spec (see
+    :func:`momentum_drift`), and the momenta of the last element.
+
+    Per element only the model callables run (the matching point, each
+    spec's parameter, or ``xis`` when given, and symmetry direction, the
+    basis, the left gradient and the section of the parameter difference),
+    and the dot products with the left gradient.  The directions and bases
+    fill stacks of MOMENTUM_BLOCK elements, whose checks run once per block
+    (:func:`_block_momenta`), so the first failing element in trajectory
+    order raises.  A callable that raises at an element does so after the
+    checks of the block's elements before it.
+    """
+    bk, size = p.backend, max(1, min(len(elements), MOMENTUM_BLOCK))
+    V = np.empty((size, len(specs), p.n))
+    B = np.empty((size, p.n, p.r))
+    pairs, xis_before, values_before = [[] for _ in specs], None, None
+    for start in range(0, len(elements), size):
+        lefts, changes = [], []
+        try:
+            for i, g in enumerate(elements[start:start + size]):
+                x = bk.target(g)
+                xi_now = xis
+                if xi_now is None:
+                    xi_now = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
+                for j, (spec, xi) in enumerate(zip(specs, xi_now)):
+                    V[i, j] = spec.section(xi, x)
+                B[i] = p.distribution.basis(x)
+                left, change = p.left_grad(g), None
+                if xis_before is not None:
+                    change = [np.asarray(spec.section(xi - xi_before, x), dtype=float)
+                              for spec, xi, xi_before in zip(specs, xi_now, xis_before)]
+                lefts.append(left)
+                changes.append(change)
+                xis_before = xi_now
+        except Exception:
+            _block_momenta(p, specs, V, B, lefts)
+            raise
+        for left, change, values in zip(lefts, changes, _block_momenta(p, specs, V, B, lefts)):
+            if change is not None:
+                for out, d, value, value_before in zip(pairs, change, values, values_before):
+                    out.append((value - value_before, float(left @ d)))
+            values_before = values
+    return pairs, values_before
 
 
 def momentum_value(p, spec, g, xi=None):
@@ -171,7 +250,7 @@ def momentum_value(p, spec, g, xi=None):
     beta(g); otherwise NotInConstraintCone is raised.  A non-finite direction,
     basis or value raises SingularError.
     """
-    return _momentum(p, [spec], g, None if xi is None else [xi])[3][0]
+    return _momentum_pass(p, [spec], [g], None if xi is None else [xi])[1][0]
 
 
 def invariance_defect(p, spec, g, xi):
@@ -192,19 +271,12 @@ def momentum_drift(p, specs, trajectory):
     difference (the discrete evolution identity; exact when the section is
     linear in the parameter and the symmetry identity holds).
 
-    One pass over the trajectory serves every spec: each element is
-    evaluated once, and the predicted change reuses its left gradient.
+    One pass over the trajectory serves every spec: each element's model
+    callables run once, the predicted change reuses its left gradient, and
+    the checks of :func:`momentum_value` run once per block of elements.
     """
     els = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
-    out, before = [[] for _ in specs], None
-    for g in els:
-        x, xis, left_grad, values = _momentum(p, specs, g)
-        if before is not None:
-            for pairs, spec, xi, value, xi0, value0 in zip(out, specs, xis, values, *before):
-                predicted = left_grad @ np.asarray(spec.section(xi - xi0, x), dtype=float)
-                pairs.append((value - value0, float(predicted)))
-        before = xis, values
-    return out
+    return _momentum_pass(p, specs, els)[0]
 
 
 # ---------------------------------------------------------------------------

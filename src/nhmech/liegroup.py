@@ -68,22 +68,6 @@ def wrap_angle(theta):
 # so(3) / SO(3)
 
 
-def so3_hat(w):
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def so3_vee(A):
-    """Inverse of hat on antisymmetric matrices (reads the lower triangle)."""
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
-
-
 def cross3(a, b):
     """Cross product of two 3-vectors; equal to ``np.cross(a, b)`` bit for bit
     and much cheaper for single vectors."""
@@ -202,10 +186,6 @@ def so3_log(R):
 # se(2) / SE(2)
 
 
-def se2_element(theta, x, y):
-    return np.array([wrap_angle(theta), float(x), float(y)])
-
-
 def se2_identity():
     return np.zeros(3)
 
@@ -273,11 +253,3 @@ def se2_right_jacobian(g):
     rows (lists of floats): column j is d/ds of exp(s e_j) * g at s=0."""
     _, x, y = _floats(g)
     return [[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]]
-
-
-def se2_Ad(g, xi):
-    """Adjoint action on (omega, v): (omega, R(theta) v - omega J t)."""
-    th, x, y = _floats(g)
-    om, v1, v2 = _floats(xi)
-    c, s = math.cos(th), math.sin(th)
-    return np.array([om, c * v1 - s * v2 + om * y, s * v1 + c * v2 - om * x])

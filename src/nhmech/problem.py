@@ -163,11 +163,20 @@ class NhProblem:
     def k(self):
         return self.constraints.codim
 
+    def to_rows(self, elements):
+        """A non-empty sequence of elements as the rows of one float array,
+        each row in ``coord_names`` order: the element's parts (or the
+        element itself when it is not a tuple), each flattened.  Each part
+        is stacked across the elements once."""
+        n = len(elements)
+        parts = zip(*elements) if isinstance(elements[0], tuple) else (elements,)
+        rows = [np.array(part, dtype=float).reshape(n, -1) for part in parts]
+        return np.concatenate(rows, axis=1)
+
     def to_row(self, g):
-        """The element as one flat row in ``coord_names`` order: its parts
-        (or the element itself when it is not a tuple), each flattened."""
-        parts = g if isinstance(g, tuple) else (g,)
-        return np.concatenate([np.ravel(np.asarray(part, dtype=float)) for part in parts])
+        """The element as one flat row in ``coord_names`` order (see
+        :meth:`to_rows`)."""
+        return self.to_rows([g])[0]
 
     def assert_on_constraint(self, g, tol=TOL_CONSTRAINT, label="element"):
         v = float(np.max(np.abs(self.phi(g)))) if self.k else 0.0

@@ -1,10 +1,13 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
 oracle, the two-evaluation momentum drift, the cell-by-cell trajectory file,
-a call counter, convergence classifiers and the long ball run."""
+a call counter, convergence classifiers, the long ball run, and the SO(3)
+and SE(2) constructors only the tests use (hat, vee, a wrapped SE(2) triple
+and the SE(2) adjoint)."""
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from nhmech import models as md
 from nhmech import solver as sv
 from nhmech.errors import NotInConstraintCone
+from nhmech.liegroup import wrap_angle
 
 BALL_PARAMS = {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}
 BALL_INITIAL = {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0}
@@ -112,6 +116,41 @@ def momentum_drift_oracle(p, spec, elements):
     return out
 
 
+def so3_hat(w):
+    w = np.asarray(w, dtype=float)
+    return np.array(
+        [
+            [0.0, -w[2], w[1]],
+            [w[2], 0.0, -w[0]],
+            [-w[1], w[0], 0.0],
+        ]
+    )
+
+
+def so3_vee(A):
+    """Inverse of hat on antisymmetric matrices (reads the lower triangle)."""
+    return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def se2_element(theta, x, y):
+    return np.array([wrap_angle(theta), float(x), float(y)])
+
+
+def se2_Ad(g, xi):
+    """Adjoint action on (omega, v): (omega, R(theta) v - omega J t)."""
+    th, x, y = (float(a) for a in g)
+    om, v1, v2 = (float(a) for a in xi)
+    c, s = math.cos(th), math.sin(th)
+    return np.array([om, c * v1 - s * v2 + om * y, s * v1 + c * v2 - om * x])
+
+
+def row_oracle(g):
+    """The element as one flat row, part by part; the oracle for
+    ``NhProblem.to_rows``."""
+    parts = g if isinstance(g, tuple) else (g,)
+    return np.concatenate([np.ravel(np.asarray(part, dtype=float)) for part in parts])
+
+
 def _csv_cell(value):
     if value is None:
         return ""
@@ -132,7 +171,7 @@ def trajectory_text_oracle(problem, trajectory, fmt):
     )
     rows = []
     for idx, g in enumerate(trajectory.elements):
-        cells = [idx] + [float(v) for v in problem.to_row(g)]
+        cells = [idx] + [float(v) for v in row_oracle(g)]
         if idx == 0:
             cells += [None] * (3 + problem.k)
         else:

@@ -9,7 +9,7 @@ achieves; the suite does not record the measured margins.
 import numpy as np
 import pytest
 
-from conftest import BALL_INITIAL, BALL_PARAMS, newton_tail_is_quadratic
+from conftest import BALL_INITIAL, BALL_PARAMS, newton_tail_is_quadratic, se2_Ad
 from nhmech import diagnostics as dg
 from nhmech import liegroup as lg
 from nhmech import models as md
@@ -161,7 +161,7 @@ def test_criterion_06_lie_group_momentum_form():
     annihilator with exactly the solver's multipliers."""
     runs = [
         (md.make_suslov(J=ROTATED_J), {"omega": [0.4, -0.3]}, lambda g, xi: g @ xi),
-        (md.make_chaplygin_sleigh(), SLEIGH_INITIAL, lg.se2_Ad),
+        (md.make_chaplygin_sleigh(), SLEIGH_INITIAL, se2_Ad),
     ]
     for p, initial, adjoint in runs:
         trajectory = sv.evolve(p, p.initial_builder(initial), 10)

@@ -191,7 +191,7 @@ class TestSimulate:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "name, steps",
-        [("rolling_ball", 0), ("rolling_ball", 200)]
+        [("rolling_ball", 0), ("rolling_ball", 200), ("suslov", 200), ("chaplygin_sleigh", 200)]
         + [(name, 3) for name in sorted(STARTS) if name != "rolling_ball"],
     )
     def test_text_equals_the_cell_by_cell_oracle(self, name, steps, fmt):

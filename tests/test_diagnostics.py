@@ -187,21 +187,27 @@ class TestMomentumPass:
 
     @pytest.mark.parametrize("name", PASS_SYSTEMS)
     def test_each_element_is_evaluated_once(self, name, monkeypatch):
-        # every map together: one matching point, basis, left gradient and
-        # least-squares fit per element
+        # every map together: one matching point, basis and left gradient
+        # per element, and one batched cone fit per block of elements
         p, runs = _pass_runs(name)
         elements = runs[0][:51]
-        grads, bases, targets, fits = [0], [0], [0], [0]
-        lag = dataclasses.replace(p.lagrangian, left_grad=counted(p.lagrangian.left_grad, grads))
-        dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, bases))
-        q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
-        monkeypatch.setattr(q.backend, "target", counted(q.backend.target, targets))
-        monkeypatch.setattr(pb, "least_squares", counted(pb.least_squares, fits))
-        specs = list(q.momentum_specs.values())
+        specs = list(p.momentum_specs.values())
         assert len(specs) > 1
-        drift = dg.momentum_drift(q, specs, elements)
-        assert [len(pairs) for pairs in drift] == [len(elements) - 1] * len(specs)
-        assert (grads[0], bases[0], targets[0], fits[0]) == (len(elements),) * 4
+        expected = dg.momentum_drift(p, specs, elements)
+        for block in (16, dg.MOMENTUM_BLOCK):
+            grads, bases, targets, fits = [0], [0], [0], [0]
+            grad = counted(p.lagrangian.left_grad, grads)
+            lag = dataclasses.replace(p.lagrangian, left_grad=grad)
+            dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, bases))
+            q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
+            with monkeypatch.context() as patch:
+                patch.setattr(q.backend, "target", counted(q.backend.target, targets))
+                patch.setattr(dg, "_cone_gaps", counted(dg._cone_gaps, fits))
+                patch.setattr(dg, "MOMENTUM_BLOCK", block)
+                drift = dg.momentum_drift(q, list(q.momentum_specs.values()), elements)
+            assert drift == expected
+            assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
+            assert fits[0] == -(-len(elements) // block)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_section_is_singular(self, value):
@@ -236,6 +242,105 @@ class TestMomentumPass:
         lag = dataclasses.replace(p.lagrangian, left_grad=lambda el: grad(el) + bad)
         with pytest.raises(SingularError, match="plane_translations: momentum value"):
             dg.momentum_value(dataclasses.replace(p, lagrangian=lag), spec, g)
+
+
+OFF_CONE = np.array([0.0, 0.0, 1.0])  # vertical: no particle basis column reaches it
+NOT_FINITE = np.array([np.nan, 0.0, 0.0])
+
+
+def _planted(p, elements, sections=(), bases=()):
+    """p with some sections and bases replaced at the matching points of
+    chosen elements: ``sections`` holds (index, spec name, direction) and
+    ``bases`` holds (index, basis); the other calls go to the model."""
+    def key(i):
+        return np.asarray(p.backend.target(elements[i]), dtype=float).tobytes()
+
+    specs = dict(p.momentum_specs)
+    for name in {name for _, name, _ in sections}:
+        planted = {key(i): v for i, n, v in sections if n == name}
+        section = specs[name].section
+        specs[name] = dataclasses.replace(
+            specs[name],
+            section=lambda xi, x, planted=planted, section=section: planted.get(
+                np.asarray(x, dtype=float).tobytes(), section(xi, x)
+            ),
+        )
+    planted_bases = {key(i): b for i, b in bases}
+    basis = p.distribution.basis
+    dist = dataclasses.replace(
+        p.distribution,
+        basis=lambda x: planted_bases.get(np.asarray(x, dtype=float).tobytes(), basis(x)),
+    )
+    return dataclasses.replace(p, momentum_specs=specs, distribution=dist)
+
+
+LONG_STEPS = 600
+
+
+@functools.cache
+def _long_particle_run():
+    """A LONG_STEPS-step particle run from the acceptance start: longer than
+    two momentum blocks, with the non-constant plane_translations parameter."""
+    p = md.make_constrained_particle()
+    return p, sv.evolve(p, p.initial_builder(STARTS["constrained_particle"]), LONG_STEPS).elements
+
+
+class TestMomentumErrorOrder:
+    """The first failing element in trajectory order raises, whatever the
+    kinds of failure after it, across and within momentum blocks."""
+
+    PLANE, Y = "plane_translations", "y_translation"
+    OFF = "constrained_particle/{}: direction leaves"
+    SINGULAR = "constrained_particle/{}: {}"
+
+    def _drift(self, p, elements):
+        return dg.momentum_drift(p, [p.momentum_specs[n] for n in (self.PLANE, self.Y)], elements)
+
+    def test_off_cone_direction_before_non_finite_section(self):
+        p, elements = _long_particle_run()
+        elements = elements[:6]
+        q = _planted(p, elements, [(2, self.Y, OFF_CONE), (4, self.PLANE, NOT_FINITE)])
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.Y)):
+            self._drift(q, elements)
+        q = _planted(p, elements, [(2, self.Y, NOT_FINITE), (4, self.PLANE, OFF_CONE)])
+        with pytest.raises(SingularError, match=self.SINGULAR.format(self.Y, "symmetry")):
+            self._drift(q, elements)
+
+    def test_off_cone_direction_before_non_finite_basis(self):
+        p, elements = _long_particle_run()
+        elements = elements[:6]
+        bad_basis = np.full((3, 2), np.nan)
+        q = _planted(p, elements, [(1, self.Y, OFF_CONE)], [(3, bad_basis)])
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.Y)):
+            self._drift(q, elements)
+        # the basis message names the first map
+        q = _planted(p, elements, [(3, self.Y, OFF_CONE)], [(1, bad_basis)])
+        with pytest.raises(SingularError, match=self.SINGULAR.format(self.PLANE, "distribution")):
+            self._drift(q, elements)
+
+    def test_drift_across_blocks_equals_the_oracle(self):
+        p, elements = _long_particle_run()
+        assert len(elements) > 2 * dg.MOMENTUM_BLOCK
+        specs = [p.momentum_specs[n] for n in (self.PLANE, self.Y)]
+        assert dg.momentum_drift(p, specs, elements) == [
+            momentum_drift_oracle(p, spec, elements) for spec in specs
+        ]
+
+    @pytest.mark.parametrize("first", [dg.MOMENTUM_BLOCK - 1, dg.MOMENTUM_BLOCK + 40])
+    def test_failure_in_a_later_block_names_its_element(self, first):
+        # the later map fails first, so the message tells the element apart
+        # from the other map's failure one element later
+        p, elements = _long_particle_run()
+        q = _planted(p, elements, [(first, self.Y, OFF_CONE), (first + 1, self.PLANE, OFF_CONE)])
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.Y)):
+            self._drift(q, elements)
+        q = _planted(p, elements, [(first, self.Y, NOT_FINITE),
+                                   (first + 1, self.PLANE, NOT_FINITE)])
+        with pytest.raises(SingularError, match=self.SINGULAR.format(self.Y, "symmetry")):
+            self._drift(q, elements)
+        q = _planted(p, elements, [(first, self.PLANE, OFF_CONE), (first + 1, self.Y, NOT_FINITE)])
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.PLANE)):
+            self._drift(q, elements)
 
 
 class TestChaplygin:

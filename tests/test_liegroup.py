@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import se2_Ad, se2_element, so3_hat, so3_vee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +13,7 @@ from nhmech.liegroup import (
     axial_left_mul,
     axial_right_mul,
     cross3,
-    se2_Ad,
     se2_compose,
-    se2_element,
     se2_exp,
     se2_hat,
     se2_identity,
@@ -25,9 +24,7 @@ from nhmech.liegroup import (
     se2_right_jacobian,
     sinc,
     so3_exp,
-    so3_hat,
     so3_log,
-    so3_vee,
     versine_over,
     wrap_angle,
 )

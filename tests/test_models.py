@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import del_covector
+from conftest import del_covector, row_oracle, se2_Ad, se2_element, so3_hat
 from test_golden import golden_run
 
 import nhmech.diagnostics as dg
@@ -24,9 +24,9 @@ from nhmech.problem import ConstraintSet, Lagrangian
 
 ALL = sorted(md.FACTORIES)
 
-E1 = lg.so3_hat(np.array([1.0, 0.0, 0.0]))
-E2 = lg.so3_hat(np.array([0.0, 1.0, 0.0]))
-E3 = lg.so3_hat(np.array([0.0, 0.0, 1.0]))
+E1 = so3_hat(np.array([1.0, 0.0, 0.0]))
+E2 = so3_hat(np.array([0.0, 1.0, 0.0]))
+E3 = so3_hat(np.array([0.0, 0.0, 1.0]))
 
 _ROT = lg.so3_exp(np.array([0.2, 0.3, 0.1]))
 ROTATED_J = _ROT @ np.diag([1.0, 2.0, 3.0]) @ _ROT.T
@@ -64,7 +64,7 @@ def _large_rotations(p, n=4, seed=3):
         angle = rng.choice([-1.0, 1.0]) * rng.uniform(2.5, 3.0)
         axis = rng.normal(size=3)
         W = lg.so3_exp(angle * axis / np.linalg.norm(axis))
-        turn = lg.se2_element(angle, *rng.normal(size=2))
+        turn = se2_element(angle, *rng.normal(size=2))
         p0, gam = rng.normal(size=2), rng.normal(size=3)
         wheels = angle * p.params.get("c", 0.0) / p.params.get("R", 1.0)
         elements = {
@@ -585,7 +585,7 @@ class TestMomentumForm:
         for g1, g2 in zip(traj.elements, traj.elements[1:]):
             for a in range(2):
                 xi = B[:, a]
-                defect = p.right_grad(g2) @ xi - p.right_grad(g1) @ lg.se2_Ad(g1, xi)
+                defect = p.right_grad(g2) @ xi - p.right_grad(g1) @ se2_Ad(g1, xi)
                 assert abs(defect) < 1e-9
 
     def test_full_transport_defect_reproduces_multipliers(self):
@@ -662,3 +662,13 @@ class TestConfigValidation:
         assert len(row) == len(p.coord_names)
         assert len(set(p.coord_names)) == len(p.coord_names)
         assert all(np.isfinite(row))
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_rows_stack_the_single_rows(self, name):
+        # bare-array elements (Suslov's SO(3), the sleigh's SE(2) triple)
+        # and tuples of parts stack alike
+        p = md.FACTORIES[name]()
+        elements = _samples(p, 5, seed=3)
+        rows = p.to_rows(elements)
+        assert np.array_equal(rows, np.array([p.to_row(g) for g in elements]))
+        assert np.array_equal(rows, np.array([row_oracle(g) for g in elements]))
