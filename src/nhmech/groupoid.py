@@ -114,7 +114,6 @@ class LieGroupGroupoid:
     def __init__(self, group="so3"):
         if group not in _GROUPS:
             raise ValueError("group must be 'so3' or 'se2'")
-        self.group = group
         self.base_dim = 0
         self.fiber_dim = 3
         (self._mul, self._inv, self._exp, self._log, self._id, self._diff,

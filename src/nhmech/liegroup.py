@@ -197,12 +197,6 @@ def se2_matrix(g):
     return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
 
 
-def se2_hat(xi):
-    """Algebra element (omega, v1, v2) as a 3x3 matrix."""
-    om, v1, v2 = xi
-    return np.array([[0.0, -om, v1], [om, 0.0, v2], [0.0, 0.0, 0.0]])
-
-
 def se2_compose(g, h):
     th, x, y = _floats(g)
     dth, u, v = _floats(h)

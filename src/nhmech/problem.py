@@ -33,9 +33,8 @@ projects the rows of X^T H and the columns of H B off the row space of the
 constraint gradient (:func:`_projected_sigmas`).  One constraint on a
 3-dimensional fiber takes the unit gradient and the closed-form singular
 values of a 2x3 matrix (:func:`_pair_sigmas`); other gradients take a LAPACK
-QR and dgesdd (:func:`kernel_sigmas`).  The reference pairings take the null
-space of a 1x3 gradient from a Householder complement (:func:`_row_complement`)
-and of other gradients from dgesdd (:func:`_nullspace`).
+QR and dgesdd (:func:`kernel_sigmas`).  The reference pairings take their
+tangent bases from ``scipy.linalg.null_space``.
 """
 
 import functools
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, null_space
 
 from . import groupoid as gpd
 from .errors import ConstraintViolationError, RankDeficientAnnihilator, SingularError
@@ -200,16 +199,6 @@ def require_finite(M, what):
     return scale
 
 
-def _svd(M, what, compute_uv=1):
-    """Singular values and right singular vectors (rows of vh) of M by LAPACK
-    gesdd, after the finiteness check."""
-    require_finite(M, what)
-    _, s, vh, info = lapack.dgesdd(M, compute_uv=compute_uv)
-    if info != 0:
-        raise SingularError(f"{what} SVD failed (info {info})")
-    return s, vh
-
-
 @functools.cache
 def _gelsd_workspace(m, k, nrhs):
     """The cutoff eps * max(m, k) and the dgelsd workspace query (work, iwork,
@@ -351,52 +340,7 @@ def lagrange_multipliers(p, g, h):
 
 
 # ---------------------------------------------------------------------------
-# tangent spaces of the constraint set and regularity matrices
-
-
-_OTHER_AXES = ((1, 2), (2, 0), (0, 1))
-
-
-def _row_complement(M):
-    """Orthonormal basis (columns) of the null space of a 1x3 array M, or
-    eye(3) when M is zero.
-
-    With v the row divided by its largest magnitude (so v[k] = +-1 at its
-    largest entry k) and s = |v|, the Householder reflection
-    I - u u^T / (s (s + 1)), u = v + sign(v[k]) s e_k, maps v onto the axis
-    e_k; its other two columns span the plane orthogonal to v.
-    """
-    scale = require_finite(M, "constraint gradient")
-    if scale == 0.0:
-        return np.eye(3)
-    x, y, z = M.tolist()[0]
-    v = [x / scale, y / scale, z / scale]
-    ax, ay, az = abs(v[0]), abs(v[1]), abs(v[2])
-    k = 0 if ax >= ay and ax >= az else (1 if ay >= az else 2)
-    i, j = _OTHER_AXES[k]
-    vi, vj = v[i], v[j]
-    s = math.hypot(*v)
-    d = 1.0 / (s * (s + 1.0))
-    e = -math.copysign(1.0, v[k]) / s  # -u[k] d
-    out = [None, None, None]
-    out[k] = [e * vi, e * vj]
-    out[i] = [1.0 - vi * vi * d, -vi * vj * d]
-    out[j] = [-vj * vi * d, 1.0 - vj * vj * d]
-    return np.array(out)
-
-
-def _nullspace(M, rtol=NULLSPACE_RTOL):
-    """Orthonormal basis (columns) of the right null space of the 2-D array M:
-    :func:`_row_complement` for a single row of three, else from the SVD."""
-    k, n = M.shape
-    if k == 0:
-        return np.eye(n)
-    if k == 1 and n == 3:
-        return _row_complement(M)
-    s, vh = _svd(M, "constraint gradient")
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].T
+# regularity pairings and their singular values
 
 
 def regularity_matrices(p, g):
@@ -410,12 +354,15 @@ def regularity_matrices(p, g):
     * ``G_right[i, b] = cross(g, V_i, X_b(beta(g)))`` with V_i spanning the
       right tangent directions; its left kernel must be trivial.
 
+    W and V are ``scipy.linalg.null_space`` of the left and right constraint
+    gradients (all of R^n for a zero gradient).
+
     They are the reference for :meth:`StepFrame.regularity_sigmas`.
     """
     frame = StepFrame(p, g)
     Xa, H, phi_jac = frame._pairing_parts()
-    G_left = -Xa.T @ H @ _nullspace(phi_jac)
-    G_right = -_nullspace(p.phi_right_jac(g)).T @ H @ frame.basis
+    G_left = -Xa.T @ H @ null_space(phi_jac)
+    G_right = -null_space(p.phi_right_jac(g)).T @ H @ frame.basis
     return G_left, G_right
 
 
@@ -502,7 +449,10 @@ def kernel_sigmas(M, rank_needed):
     constraint) the matrix is rectangular and the surplus directions must not
     count as degeneracy.
     """
-    s, _ = _svd(M, "two-point pairing", compute_uv=0)
+    require_finite(M, "two-point pairing")
+    _, s, _, info = lapack.dgesdd(M, compute_uv=0)
+    if info != 0:
+        raise SingularError(f"two-point pairing SVD failed (info {info})")
     smax = float(s[0]) if s.size else 0.0
     if s.size < rank_needed:
         return 0.0, smax

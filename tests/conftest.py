@@ -1,8 +1,8 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
 oracle, the two-evaluation momentum drift, the cell-by-cell trajectory file,
 a call counter, convergence classifiers, the long ball run, and the SO(3)
-and SE(2) constructors only the tests use (hat, vee, a wrapped SE(2) triple
-and the SE(2) adjoint)."""
+and SE(2) constructors only the tests use (the SO(3) hat and vee, the SE(2)
+hat, a wrapped SE(2) triple and the SE(2) adjoint)."""
 
 import csv
 import io
@@ -134,6 +134,12 @@ def so3_vee(A):
 
 def se2_element(theta, x, y):
     return np.array([wrap_angle(theta), float(x), float(y)])
+
+
+def se2_hat(xi):
+    """Algebra element (omega, v1, v2) as a 3x3 matrix."""
+    om, v1, v2 = xi
+    return np.array([[0.0, -om, v1], [om, 0.0, v2], [0.0, 0.0, 0.0]])
 
 
 def se2_Ad(g, xi):

@@ -15,9 +15,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_traced_smoke_run_is_correct_on_every_workload():
+    # seed 3, as in bench/test_smoke.py, so that the run's trace files do not
+    # overwrite those of a --seed 0 run
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload", "all", "--smoke",
-         "--trace", "1"],
+         "--seed", "3", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from conftest import mirror_center, se2_element, so3_hat
+from conftest import mirror_center, se2_element, se2_hat, so3_hat
 
 from nhmech.errors import ChartDomainError, NotComposableError
 from nhmech.groupoid import (
@@ -28,7 +28,6 @@ from nhmech.liegroup import (
     axial,
     axial_left_mul,
     axial_right_mul,
-    se2_hat,
     se2_left_jacobian,
     se2_matrix,
     se2_right_jacobian,

@@ -5,12 +5,12 @@ takes the rows of X^T H (or the columns of H B) projected off the row space
 of the constraint gradient.  A 1x3 gradient takes the unit gradient and the
 closed-form singular values of a 2x3 matrix (``problem._pair_sigmas``);
 other gradients take a LAPACK QR and ``problem.kernel_sigmas``, a
-values-only dgesdd.  The reference pairings take their null spaces from
-``problem._nullspace``: a Householder complement for a 1x3 gradient, dgesdd
-otherwise.  These tests hold the kernels to ``np.linalg.svd`` over scaled,
-rank-deficient and non-finite inputs, pin that no step reaches a null space
-or a dgesdd with singular vectors, and hold the sigmas a step reports to the
-SVD of its pairings.
+values-only dgesdd.  The reference pairings (``problem.regularity_matrices``)
+take their tangent bases from ``scipy.linalg.null_space``.  These tests hold
+the kernels to ``np.linalg.svd`` over scaled, rank-deficient and non-finite
+inputs, pin that no step forms a null space or calls dgesdd for singular
+vectors, and hold the sigmas of steps and of sampled states to the SVD of
+the reference pairings.
 """
 
 import numpy as np
@@ -105,33 +105,6 @@ def test_non_finite_pairing_raises(shape, bad):
         pb.kernel_sigmas(M, 2)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gradient_row_raises(bad):
-    with pytest.raises(SingularError, match="constraint gradient has non-finite entries"):
-        pb._nullspace(np.array([[1.0, bad, 0.0]]))
-
-
-@given(entries(3), st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]))
-@settings(max_examples=300, deadline=None)
-def test_row_null_space_is_orthonormal_and_annihilated(row, scale):
-    row = np.array([row]) * scale
-    N = pb._nullspace(row)
-    if not np.any(row):
-        assert np.array_equal(N, np.eye(3))
-        return
-    assert N.shape == (3, 2)
-    assert np.max(np.abs(N.T @ N - np.eye(2))) <= 4 * EPS
-    unit = row / np.max(np.abs(row))
-    assert np.max(np.abs(unit @ N)) <= 4 * EPS
-    # the same plane as the SVD's null space
-    _, _, vh = np.linalg.svd(unit)
-    assert np.max(np.abs(N @ N.T - vh[1:].T @ vh[1:])) <= 8 * EPS
-
-
-def test_zero_row_gives_identity():
-    assert np.array_equal(pb._nullspace(np.zeros((1, 3))), np.eye(3))
-
-
 @pytest.mark.parametrize("name", sorted(md.FACTORIES))
 def test_step_sigmas_match_svd_of_the_pairings(name):
     p = md.FACTORIES[name]()
@@ -142,14 +115,15 @@ def test_step_sigmas_match_svd_of_the_pairings(name):
             ref = np.linalg.svd(G, compute_uv=False)[p.r - 1]
             assert abs(sigma - ref) <= 1e-13 * ref
         g = res.next
-
-
-def complement(grad):
-    """An orthonormal basis (columns) of the null space of a (k, n) gradient
-    of full row rank, from an SVD; eye(n) for a zero gradient."""
-    if not np.any(grad):
-        return np.eye(grad.shape[1])
-    return null_space(grad)
+    # sampled states, off the paths the acceptance starts take
+    for g in p.sample_states(np.random.default_rng(12), 40):
+        pairings = pb.regularity_matrices(p, g)
+        if name == "holonomic_sphere":  # a zero right gradient: the whole fiber
+            assert pairings[1].shape == (p.n, p.r)
+        for G, (smin, smax) in zip(pairings, sv.point_regularity_sigmas(p, g)):
+            ref = np.linalg.svd(G, compute_uv=False)
+            assert abs(smax - ref[0]) <= 1e-14 * ref[0]
+            assert abs(smin - ref[p.r - 1]) <= 1e-14 * ref[0]
 
 
 @given(entries(6), entries(3), st.sampled_from(SCALES), st.sampled_from(SCALES))
@@ -158,7 +132,7 @@ def test_projected_sigmas_match_svd_of_the_restricted_pairing(rows, grad, scale,
     M = np.array(rows).reshape(2, 3) * scale
     grad = np.array([grad]) * grad_scale
     smin, smax = pb._projected_sigmas(M, grad, 2)
-    ref_min, ref_max = svd_sigmas(M @ complement(grad))
+    ref_min, ref_max = svd_sigmas(M @ null_space(grad))
     # both sides round at the scale of M, not of the restricted pairing
     tol = 16 * EPS * np.linalg.norm(M, 2)
     assert abs(smax - ref_max) <= tol
@@ -178,7 +152,7 @@ def test_projected_sigmas_of_several_constraints_match_svd(shape, data, scale, g
     M = np.array(data.draw(entries(r * n))).reshape(r, n) * scale
     grad = grad * grad_scale
     smin, smax = pb._projected_sigmas(M, grad, r)
-    ref = np.linalg.svd(M @ complement(grad), compute_uv=False)
+    ref = np.linalg.svd(M @ null_space(grad), compute_uv=False)
     tol = 16 * EPS * np.linalg.norm(M, 2)
     assert abs(smax - ref[0]) <= tol
     assert abs(smin - ref[r - 1]) <= tol
@@ -243,7 +217,7 @@ def test_non_finite_projected_pairing_of_several_constraints_raises(bad):
 
 def test_steps_form_no_null_space(monkeypatch):
     nullspaces, svds = [0], []
-    monkeypatch.setattr(pb, "_nullspace", counted(pb._nullspace, nullspaces))
+    monkeypatch.setattr(pb, "null_space", counted(pb.null_space, nullspaces))
     dgesdd = lapack.dgesdd
 
     def recorded_dgesdd(*args, **kwargs):

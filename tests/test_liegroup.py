@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import se2_Ad, se2_element, so3_hat, so3_vee
+from conftest import se2_Ad, se2_element, se2_hat, so3_hat, so3_vee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from nhmech.liegroup import (
     cross3,
     se2_compose,
     se2_exp,
-    se2_hat,
     se2_identity,
     se2_invert,
     se2_left_jacobian,

@@ -365,12 +365,6 @@ class TestLapackKernels:
                 smin, smax = pb.kernel_sigmas(G, p.r)
                 assert abs(smax - s[0]) <= 1e-14 * s[0]
                 assert abs(smin - s[p.r - 1]) <= 1e-14 * s[0]
-            for M in (p.phi_left_jac(g), p.phi_right_jac(g)):
-                N = pb._nullspace(M)
-                _, s, vh = np.linalg.svd(M)
-                ref = vh[int(np.sum(s > pb.NULLSPACE_RTOL * s[0])):].T
-                assert N.shape == ref.shape
-                assert np.max(np.abs(N @ N.T - ref @ ref.T)) <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_multipliers_bit_identical_to_lstsq(self, name):
