@@ -27,8 +27,10 @@ class SingularError(NhError):
     Raised when the point-regularity test fails at the current element, when
     the Newton matrix condition estimate exceeds the configured limit, when a
     matrix or the first residual of a step has non-finite entries or a LAPACK
-    routine reports failure, or when a model's domain guard rejects the
-    configuration.
+    routine reports failure, or when a model callable refuses an element
+    outside the model's domain (Veselova's constraint at a rotation by pi).
+    A Newton trial point refused this way makes the line search halve the
+    step.
     """
 
 

@@ -167,7 +167,7 @@ _GROUPS = {
         lambda a: lg.so3_log(a),
         lambda: np.eye(3),
         lambda a, b: a - b,
-        lambda a: lg.so3_axial_angle(a),
+        lambda a: lg.so3_check_cut(a),
     ),
     "se2": (
         lambda a, b: lg.se2_compose(a, b),
@@ -274,10 +274,6 @@ class AtiyahGroupoid:
 # directional derivatives
 
 
-def left_curve(bk, g, t, v):
-    return bk.retract(g, t * v)
-
-
 def right_curve(bk, g, s, v):
     e_x = bk.identity(bk.source(g))
     return bk.compose(bk.invert(bk.retract(e_x, -s * v)), g)
@@ -297,7 +293,7 @@ def left_deriv(bk, f, g, v, step=FD_STEP):
     ``f`` may be scalar or vector valued; the result has the shape of f."""
     v = np.asarray(v, dtype=float)
     scale = float(np.linalg.norm(v))
-    return _directional(f, lambda t: left_curve(bk, g, t, v), scale, step)
+    return _directional(f, lambda t: bk.retract(g, t * v), scale, step)
 
 
 def right_deriv(bk, f, g, v, step=FD_STEP):

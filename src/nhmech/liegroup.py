@@ -135,7 +135,7 @@ def so3_exp(w):
 
 def _axial_angle(R):
     """The components of axial(R) and the rotation angle of R (nested lists
-    of floats), with the cut check of :func:`so3_axial_angle`."""
+    of floats), with the cut check of :func:`so3_check_cut`."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     x, y, z = r21 - r12, r02 - r20, r10 - r01
     s = 0.5 * math.hypot(x, y, z)
@@ -146,11 +146,10 @@ def _axial_angle(R):
     return x, y, z, th
 
 
-def so3_axial_angle(R):
-    """axial(R) and the rotation angle of R in [0, pi], by atan2; raises
-    ChartDomainError within 1e-10 of angle pi, the cut of :func:`so3_log`."""
-    x, y, z, th = _axial_angle(_floats(R))
-    return np.array([x, y, z]), th
+def so3_check_cut(R):
+    """Raise ChartDomainError where :func:`so3_log` does: within 1e-10 of
+    rotation angle pi."""
+    _axial_angle(_floats(R))
 
 
 def so3_log(R):

@@ -319,6 +319,7 @@ def make_suslov(J=None, h=0.05):
 
     basis_mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     ann_mat = np.array([[0.0], [0.0], [1.0]])
+    basis_mat.flags.writeable = ann_mat.flags.writeable = False
 
     def build_initial(cfg):
         check_keys(cfg, {"omega"}, "initial")
@@ -453,7 +454,12 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         return [a - hm * b for a, b in zip(kin_rgrad(W), lg.cross3(gam, evec).tolist())]
 
     def phi(el):
+        # axial(W) vanishes at a rotation by pi too: refusing that spurious
+        # branch keeps Newton off its roots (small rotations are legal motion)
         gam, W = el
+        tr = float(W[0, 0] + W[1, 1] + W[2, 2])
+        if abs(tr + 1.0) < 1e-6:
+            raise SingularError(f"veselova: rotation angle at pi (trace {tr:.6f})")
         return np.array([float(gam @ lg.axial(W))])
 
     def phi_left(el):
@@ -464,13 +470,6 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         # the right curve moves gamma too: d gamma = gamma x v
         gam, W = el
         return (lg.cross3(gam, lg.axial(W)) + gam @ lg.axial_left_mul(W))[None, :]
-
-    def guard(el):
-        # keeps Newton off the spurious roots at a rotation by pi, where
-        # axial(W) vanishes; small rotations are legal motion
-        tr = float(el[1][0, 0] + el[1][1, 1] + el[1][2, 2])
-        if abs(tr + 1.0) < 1e-6:
-            raise SingularError(f"veselova: rotation angle at pi (trace {tr:.6f})")
 
     def build_initial(cfg):
         check_keys(cfg, {"gamma", "omega"}, "initial")
@@ -510,11 +509,10 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         ),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
-            basis=_complement_basis, annihilator=lambda x: np.asarray(x, dtype=float).reshape(3, 1)
+            basis=_complement_basis, annihilator=lambda x: np.array(x, dtype=float).reshape(3, 1)
         ),
         params={"I": II, "m": m, "g": g, "l": l, "e": evec, "h": h},
         declared_reversible=False,
-        domain_guard=guard,
         coord_names=names,
         initial_builder=build_initial,
         sample_states=sample,
@@ -574,6 +572,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
             [0.0, 0.0],
         ]
     )
+    basis_mat.flags.writeable = ann_mat.flags.writeable = False
 
     def build_initial(cfg):
         check_keys(cfg, {"xy0", "xy1", "spin"}, "initial")
@@ -742,6 +741,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             [0.0, 0.0, 1.0],
         ]
     )
+    basis_mat.flags.writeable = ann_mat.flags.writeable = False
 
     def build_initial(cfg):
         check_keys(cfg, {"wheels0", "wheels1", "dphi", "dpsi"}, "initial")

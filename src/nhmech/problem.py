@@ -101,10 +101,6 @@ class Lagrangian:
     mixed_hess: Optional[Callable] = None
 
 
-def _accept(g):
-    """The default domain guard: every element is in the domain."""
-
-
 @dataclass
 class NhProblem:
     """A discrete nonholonomic system on a groupoid backend.
@@ -117,8 +113,9 @@ class NhProblem:
     gives one, else a central difference (``mixed_hess`` differences the
     bound right gradient, at the wider step when that gradient is itself a
     difference).  ``dataclasses.replace`` binds them again for the copy,
-    with empty records.  ``domain_guard(g)`` raises for an element outside
-    the model's domain.
+    with empty records.  A model callable may raise SingularError at an
+    element outside the model's domain; the line search halves a Newton step
+    whose trial point it refuses.
     """
 
     name: str
@@ -129,7 +126,6 @@ class NhProblem:
     params: dict = field(default_factory=dict)
     declared_reversible: Optional[bool] = None
     momentum_specs: dict = field(default_factory=dict)
-    domain_guard: Callable = _accept
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
@@ -200,22 +196,22 @@ def require_finite(M, what):
 
 
 @functools.cache
-def _gelsd_workspace(m, k, nrhs):
+def _gelsd_workspace(m, k):
     """The cutoff eps * max(m, k) and the dgelsd workspace query (work, iwork,
-    info) for an (m, k) least-squares problem with nrhs right-hand sides; they
+    info) for an (m, k) least-squares problem with one right-hand side; they
     depend on the shape only."""
     cond = EPS * max(m, k)
-    return (cond, *lapack.dgelsd_lwork(m, k, nrhs, cond))
+    return (cond, *lapack.dgelsd_lwork(m, k, 1, cond))
 
 
 def least_squares(A, b, what):
     """Solution x and rank of the least-squares problem A x = b for a tall (m, k)
-    A and a right-hand side b of length m, or one per column of an (m, nrhs)
-    b: LAPACK gelsd with the cutoff eps * max(m, k) of ``np.linalg.lstsq``,
-    after a finiteness check of A (named what).  The caller checks b."""
+    A and a right-hand side b of length m: LAPACK gelsd with the cutoff
+    eps * max(m, k) of ``np.linalg.lstsq``, after a finiteness check of A
+    (named what).  The caller checks b."""
     require_finite(A, what)
     m, k = A.shape
-    cond, work, iwork, info = _gelsd_workspace(m, k, b.size // m)
+    cond, work, iwork, info = _gelsd_workspace(m, k)
     if info == 0:
         x, _, rank, info = lapack.dgelsd(A, b, int(work), iwork, cond, False, False)
     if info != 0:

@@ -218,7 +218,6 @@ def newton(p, residual, jacobian, center, g, opts):
         for _ in range(MAX_BACKTRACKS + 1):
             try:
                 cand = bk.retract(center, t * du)
-                p.domain_guard(cand)
                 r_try = residual(cand)
             except (SingularError, ChartDomainError, NotComposableError):
                 t *= 0.5
@@ -255,11 +254,9 @@ def step(p, g, options: Optional[SolverOptions] = None):
     SingularError raised when it fails.
     """
     opts = options or SolverOptions()
-    p.domain_guard(g)
     frame = pb.StepFrame(p, g)
     sigma_left, sigma_right = _assert_point_regular(p, frame)
     center = p.backend.mirror(g)  # g's displacement repeated
-    p.domain_guard(center)
     # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
     solved = newton(p, frame.residual, frame.newton_matrix, center, g, opts)
     return StepResult(multipliers=frame.multipliers(solved["next"]),

@@ -359,6 +359,19 @@ class TestExitCodes:
         assert out == ""
         assert not (tmp_path / "traj.csv").exists()
 
+    def test_veselova_start_at_a_half_turn_fails_without_a_step_index(self, tmp_path, capsys):
+        # phi refuses the start itself, in the initial constraint check
+        data = {
+            "system": {"name": "veselova"},
+            "initial": {"gamma": [0.0, 0.0, 1.0], "omega": [(np.pi - 1e-5) / 0.05, 0.0, 0.0]},
+            "steps": 3,
+        }
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("solver failure: veselova: rotation angle at pi")
+        assert out == ""
+
     def test_failed_rename_is_io_error_and_leaves_no_temporary(self, tmp_path, capsys,
                                                                monkeypatch):
         def refuse(src, dst):

@@ -13,7 +13,8 @@ import nhmech.diagnostics as dg
 import nhmech.models as md
 import nhmech.problem as pb
 import nhmech.solver as sv
-from nhmech.errors import ChartInversionFailed, NotInConstraintCone, SingularError
+from nhmech.errors import (ChartDomainError, ChartInversionFailed, NotInConstraintCone,
+                           SingularError)
 
 
 def _factory(name):
@@ -51,6 +52,20 @@ class TestRegularityReport:
         rep = dg.regularity_report(p, g)
         assert not rep.right_nondegenerate
         assert rep.left_nondegenerate
+
+    def test_mirror_at_the_chart_cut_reports_an_infinite_condition(self):
+        # the sleigh turned by pi lies on its constraint set and passes the
+        # point test, but its mirror guess has no principal log
+        p = md.make_chaplygin_sleigh()
+        g = np.array([np.pi, 0.0, 0.0])
+        assert p.phi(g) == pytest.approx([0.0], abs=1e-15)
+        with pytest.raises(ChartDomainError):
+            p.backend.mirror(g)
+        rep = dg.regularity_report(p, g)
+        assert rep.left_nondegenerate and rep.right_nondegenerate
+        assert rep.sigma_min_left == pytest.approx(0.0946, abs=1e-4)
+        assert rep.sigma_min_right == pytest.approx(0.0946, abs=1e-4)
+        assert rep.jacobian_condition == np.inf
 
 
 class TestReversibility:
@@ -274,6 +289,25 @@ def _planted(p, elements, sections=(), bases=()):
     return dataclasses.replace(p, momentum_specs=specs, distribution=dist)
 
 
+class _Refused(Exception):
+    """What a model callable of the error-order tests raises."""
+
+
+def _refusing(p, elements, index, name):
+    """p whose map ``name`` raises _Refused from its section at the matching
+    point of elements[index]."""
+    at = np.asarray(p.backend.target(elements[index]), dtype=float).tobytes()
+    spec = p.momentum_specs[name]
+
+    def section(xi, x):
+        if np.asarray(x, dtype=float).tobytes() == at:
+            raise _Refused(f"section refused at element {index}")
+        return spec.section(xi, x)
+
+    specs = {**p.momentum_specs, name: dataclasses.replace(spec, section=section)}
+    return dataclasses.replace(p, momentum_specs=specs)
+
+
 LONG_STEPS = 600
 
 
@@ -317,6 +351,35 @@ class TestMomentumErrorOrder:
         q = _planted(p, elements, [(3, self.Y, OFF_CONE)], [(1, bad_basis)])
         with pytest.raises(SingularError, match=self.SINGULAR.format(self.PLANE, "distribution")):
             self._drift(q, elements)
+
+    def test_off_cone_direction_before_a_raising_section(self):
+        # the section raises while the block is still being filled; the
+        # checks of the elements before it run first
+        p, elements = _long_particle_run()
+        elements = elements[:6]
+        q = _refusing(_planted(p, elements, [(1, self.Y, OFF_CONE)]), elements, 4, self.PLANE)
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.Y)):
+            self._drift(q, elements)
+
+    def test_raising_section_after_clean_elements_propagates(self):
+        p, elements = _long_particle_run()
+        elements = elements[:6]
+        with pytest.raises(_Refused, match="element 3"):
+            self._drift(_refusing(p, elements, 3, self.PLANE), elements)
+
+    @pytest.mark.parametrize("off, refused", [(10, 16), (17, 20)])
+    def test_earlier_failure_wins_over_a_raising_section(self, off, refused, monkeypatch):
+        # blocks of 16: an off-cone direction in block one against a raise
+        # at the first element of block two, and both inside block two
+        monkeypatch.setattr(dg, "MOMENTUM_BLOCK", 16)
+        p, elements = _long_particle_run()
+        elements = elements[:40]
+        q = _refusing(_planted(p, elements, [(off, self.Y, OFF_CONE)]), elements, refused,
+                      self.PLANE)
+        with pytest.raises(NotInConstraintCone, match=self.OFF.format(self.Y)):
+            self._drift(q, elements)
+        with pytest.raises(_Refused, match=f"element {refused}"):
+            self._drift(_refusing(p, elements, refused, self.PLANE), elements)
 
     def test_drift_across_blocks_equals_the_oracle(self):
         p, elements = _long_particle_run()

@@ -224,22 +224,26 @@ class TestAnalyticDerivatives:
 class TestCallableContract:
     @pytest.mark.parametrize("name", ALL)
     def test_float_arrays_of_the_documented_shapes(self, name):
-        # sampled states and the acceptance trajectory; an array that one
-        # call hands out again (a constant H or zero row) must be read-only
+        # sampled states and the acceptance trajectory, and their base
+        # points for the distribution; an array that one call hands out
+        # again (a constant H, zero row or basis) must be read-only
         p, traj = golden_run(name)
         n, k = p.n, p.k
-        callables = [
-            (p.phi, (k,)),
-            (p.phi_left_jac, (k, n)),
-            (p.phi_right_jac, (k, n)),
-            (p.left_grad, (n,)),
-            (p.right_grad, (n,)),
-            (p.mixed_hess, (n, n)),
-        ]
         states = _samples(p, 50, seed=5) + _large_rotations(p) + traj.elements
-        for f, shape in callables:
-            first = previous = f(states[0])
-            for g in states:
+        bases = [p.backend.target(g) for g in states]
+        callables = [
+            (p.phi, (k,), states),
+            (p.phi_left_jac, (k, n), states),
+            (p.phi_right_jac, (k, n), states),
+            (p.left_grad, (n,), states),
+            (p.right_grad, (n,), states),
+            (p.mixed_hess, (n, n), states),
+            (p.distribution.basis, (n, p.r), bases),
+            (p.distribution.annihilator, (n, k), bases),
+        ]
+        for f, shape, points in callables:
+            first = previous = f(points[0])
+            for g in points:
                 out = f(g)
                 assert isinstance(out, np.ndarray)
                 assert out.dtype == np.float64 and out.shape == shape
@@ -432,6 +436,43 @@ class TestVeselova:
         W = lg.so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
         with pytest.raises(SingularError):
             sv.step(p, (gam, W))
+
+    @staticmethod
+    def _turned(angle):
+        # on the constraint set: axial(W) lies along e1, orthogonal to gamma
+        return np.array([0.0, 0.0, 1.0]), lg.so3_exp(angle * np.array([1.0, 0.0, 0.0]))
+
+    def test_phi_refuses_the_half_turn_band(self):
+        # |tr W + 1| < 1e-6 from pi - 1.41e-3 rad on; 2e-3 short of pi is outside
+        p = md.make_veselova()
+        for gap in (1e-3, 5e-4, 1e-5, 0.0):
+            with pytest.raises(SingularError, match="rotation angle at pi"):
+                p.phi(self._turned(np.pi - gap))
+        assert p.phi(self._turned(np.pi - 2e-3)) == pytest.approx([0.0], abs=1e-15)
+
+    def test_step_into_the_half_turn_band_is_refused_by_phi(self):
+        # the action backend's first guess keeps W, so the step's first
+        # residual meets the refusal
+        p = md.make_veselova()
+        with pytest.raises(SingularError, match="rotation angle at pi"):
+            sv.step(p, self._turned(np.pi - 1e-5))
+
+    def test_start_in_the_half_turn_band_fails_the_initial_check(self):
+        p = md.make_veselova()
+        g0 = self._turned(np.pi - 1e-5)
+        with pytest.raises(SingularError, match="rotation angle at pi") as exc:
+            sv.evolve(p, g0, 3)
+        assert exc.value.step_index is None
+        with pytest.raises(SingularError, match="rotation angle at pi"):
+            p.assert_on_constraint(g0)
+        with pytest.raises(SingularError, match="rotation angle at pi"):
+            dg.reversibility_report(p, [g0])
+
+    def test_step_within_the_cut_tolerance_of_pi_is_degenerate(self):
+        # the regularity test at g runs before any phi call
+        p = md.make_veselova()
+        with pytest.raises(SingularError, match="two-point form degenerate"):
+            sv.step(p, self._turned(np.pi - 1e-11))
 
 
 class TestRollingBall:

@@ -314,7 +314,3 @@ class TestBoundDerivatives:
             assert np.allclose(getattr(bare, name)(g), getattr(p, name)(g), atol=1e-5)
         assert np.array_equal(exact_grads.mixed_hess(g),
                               gp.left_jacobian(p.backend, p.right_grad, g))
-
-    def test_default_domain_guard_accepts_every_element(self):
-        p = _free_problem()
-        assert p.domain_guard((np.full(2, np.nan), np.full(2, np.inf))) is None

@@ -125,11 +125,16 @@ class TestFailureModes:
         assert exc.value.residual_norm > 0
 
     def test_domain_guard_error_carries_step_index(self):
-        def guard(g):
+        # step 1's first guess has q1.x = 0.3, which the constraint refuses
+        # outside the line search
+        def phi(g):
             if g[1][0] > 0.25:
                 raise ChartDomainError("left the test window")
+            return base.phi(g)
 
-        p = dataclasses.replace(md.make_constrained_particle(h=0.01), domain_guard=guard)
+        p = md.make_constrained_particle(h=0.01)
+        base = p.constraints
+        p = dataclasses.replace(p, constraints=dataclasses.replace(base, phi=phi))
         g0 = p.initial_builder({"q0": [0.0, 0.0, 0.0], "q1": [0.1, 0.0, 0.0]})
         with pytest.raises(ChartDomainError) as exc:
             sv.evolve(p, g0, 5)
@@ -422,19 +427,22 @@ class TestStepCounts:
         assert calls[0] == 1 + res.iterations + res.backtracks
 
     def test_refused_candidate_is_a_backtrack(self):
-        # the guard sees g, then the first guess, then the first full Newton
-        # candidate, which it refuses: the step halves and lands on the same
-        # element as without the guard
+        # phi sees the first guess, then the first full Newton candidate,
+        # which it refuses: the step halves and lands on the same element as
+        # without the refusal
         p = md.make_constrained_particle(h=0.01)
         g0 = p.initial_builder({"q0": [0, 0, 0], "velocity": [1.0, 0.5]})
+        base = p.constraints
         calls = [0]
 
-        def guard(g):
+        def phi(g):
             calls[0] += 1
-            if calls[0] == 3:
+            if calls[0] == 2:
                 raise ChartDomainError("refused")
+            return base.phi(g)
 
-        res = sv.step(dataclasses.replace(p, domain_guard=guard), g0)
+        refusing = dataclasses.replace(base, phi=phi)
+        res = sv.step(dataclasses.replace(p, constraints=refusing), g0)
         assert res.backtracks == 1
         assert res.iterations == 2
         unguarded = sv.step(p, g0)
