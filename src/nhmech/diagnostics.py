@@ -1,11 +1,12 @@
 """Diagnostics: regularity reports, reversibility checks, momentum maps, and
 the reduced-equation consistency test for Chaplygin-type systems.
 
-The momentum pass (:func:`momentum_drift`, :func:`momentum_value`) calls the
-model per element and checks per block: the symmetry directions and bases
-of up to ``MOMENTUM_BLOCK`` elements fill two stacks, whose finiteness and
-distance from the constraint distribution are checked with one array
-operation each (:func:`_block_momenta`).
+The momentum pass (:func:`momentum_drift`, :func:`max_momentum_drift`,
+:func:`momentum_value`) calls the model per element and checks per block:
+the symmetry directions and bases of up to ``MOMENTUM_BLOCK`` elements fill
+two stacks, whose finiteness and distance from the constraint distribution
+are checked with one array operation each (:func:`_block_momenta`).  Only
+:func:`momentum_drift` computes the predicted changes.
 """
 
 import math
@@ -195,24 +196,27 @@ def _block_momenta(p, specs, V, B, lefts):
     return out
 
 
-def _momentum_pass(p, specs, elements, xis=None):
-    """One pass over ``elements`` for every spec: the (measured, predicted)
-    pairs of each adjacent pair of elements, one list per spec (see
-    :func:`momentum_drift`), and the momenta of the last element.
+def _momentum_pass(p, specs, trajectory, xis=None, predict=False):
+    """One pass over a trajectory (or a sequence of elements) for every spec:
+    the momenta of each element (one list of floats per element, one float
+    per spec) and, with ``predict``, the predicted change across each
+    adjacent pair of elements (one list per pair, one float per spec; see
+    :func:`momentum_drift`), else None.
 
     Per element only the model callables run (the matching point, each
     spec's parameter, or ``xis`` when given, and symmetry direction, the
-    basis, the left gradient and the section of the parameter difference),
-    and the dot products with the left gradient.  The directions and bases
-    fill stacks of MOMENTUM_BLOCK elements, whose checks run once per block
-    (:func:`_block_momenta`), so the first failing element in trajectory
-    order raises.  A callable that raises at an element does so after the
-    checks of the block's elements before it.
+    basis, the left gradient and, with ``predict``, the section of the
+    parameter difference), and the dot products with the left gradient.  The
+    directions and bases fill stacks of MOMENTUM_BLOCK elements, whose checks
+    run once per block (:func:`_block_momenta`), so the first failing element
+    in trajectory order raises.  A callable that raises at an element does so
+    after the checks of the block's elements before it.
     """
+    elements = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
     bk, size = p.backend, max(1, min(len(elements), MOMENTUM_BLOCK))
     V = np.empty((size, len(specs), p.n))
     B = np.empty((size, p.n, p.r))
-    pairs, xis_before, values_before = [[] for _ in specs], None, None
+    values, predicted, xis_before = [], [] if predict else None, None
     for start in range(0, len(elements), size):
         lefts, changes = [], []
         try:
@@ -225,7 +229,7 @@ def _momentum_pass(p, specs, elements, xis=None):
                     V[i, j] = spec.section(xi, x)
                 B[i] = p.distribution.basis(x)
                 left, change = p.left_grad(g), None
-                if xis_before is not None:
+                if predict and xis_before is not None:
                     change = [np.asarray(spec.section(xi - xi_before, x), dtype=float)
                               for spec, xi, xi_before in zip(specs, xi_now, xis_before)]
                 lefts.append(left)
@@ -234,12 +238,11 @@ def _momentum_pass(p, specs, elements, xis=None):
         except Exception:
             _block_momenta(p, specs, V, B, lefts)
             raise
-        for left, change, values in zip(lefts, changes, _block_momenta(p, specs, V, B, lefts)):
-            if change is not None:
-                for out, d, value, value_before in zip(pairs, change, values, values_before):
-                    out.append((value - value_before, float(left @ d)))
-            values_before = values
-    return pairs, values_before
+        values += _block_momenta(p, specs, V, B, lefts)
+        if predict:
+            predicted += [[float(left @ d) for d in change]
+                          for left, change in zip(lefts, changes) if change is not None]
+    return values, predicted
 
 
 def momentum_value(p, spec, g, xi=None):
@@ -250,7 +253,7 @@ def momentum_value(p, spec, g, xi=None):
     beta(g); otherwise NotInConstraintCone is raised.  A non-finite direction,
     basis or value raises SingularError.
     """
-    return _momentum_pass(p, [spec], [g], None if xi is None else [xi])[1][0]
+    return _momentum_pass(p, [spec], [g], None if xi is None else [xi])[0][0][0]
 
 
 def invariance_defect(p, spec, g, xi):
@@ -274,9 +277,26 @@ def momentum_drift(p, specs, trajectory):
     One pass over the trajectory serves every spec: each element's model
     callables run once, the predicted change reuses its left gradient, and
     the checks of :func:`momentum_value` run once per block of elements.
+    The predicted changes cost one more section call per map and element;
+    :func:`max_momentum_drift` reads the measured changes without them.
     """
-    els = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
-    return _momentum_pass(p, specs, els)[0]
+    values, predicted = _momentum_pass(p, specs, trajectory, predict=True)
+    return [
+        [(after[j] - before[j], change[j])
+         for before, after, change in zip(values, values[1:], predicted)]
+        for j in range(len(specs))
+    ]
+
+
+def max_momentum_drift(p, specs, trajectory):
+    """The largest |measured| change of :func:`momentum_drift` over every
+    spec and step (0.0 for fewer than two elements), from the same pass and
+    checks without the predicted changes."""
+    values = _momentum_pass(p, specs, trajectory)[0]
+    return max(
+        (abs(a - b) for before, after in zip(values, values[1:]) for a, b in zip(after, before)),
+        default=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

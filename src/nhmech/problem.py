@@ -32,9 +32,11 @@ The regularity test forms no pairing and no null space for any system: it
 projects the rows of X^T H and the columns of H B off the row space of the
 constraint gradient (:func:`_projected_sigmas`).  One constraint on a
 3-dimensional fiber takes the unit gradient and the closed-form singular
-values of a 2x3 matrix (:func:`_pair_sigmas`); other gradients take a LAPACK
-QR and dgesdd (:func:`kernel_sigmas`).  The reference pairings take their
-tangent bases from ``scipy.linalg.null_space``.
+values of a 2x3 matrix (:func:`_pair_sigmas`); other gradients apply the
+orthogonal factor of a LAPACK QR to the pairing without forming it (dgeqrf,
+dormqr), and the restricted block takes the same closed form when it is 2x2
+and dgesdd otherwise (:func:`kernel_sigmas`).  The reference pairings take
+their tangent bases from ``scipy.linalg.null_space``.
 """
 
 import functools
@@ -398,10 +400,16 @@ def _projected_sigmas(M, grad, rank_needed):
     the gradient's row space.  A 1x3 gradient takes Q = grad / |grad| on
     floats and :func:`_pair_sigmas`, with a projected row within
     ``PROJECTION_RTOL`` of its row's largest magnitude taken as zero (so rows
-    along the gradient give (0, 0)).  Other gradients take Q from a LAPACK QR
-    of grad^T and the sigmas from :func:`kernel_sigmas`; a diagonal entry of
-    R within ``NULLSPACE_RTOL`` of the largest (dependent rows, where Q would
-    miss a null direction) is a SingularError.
+    along the gradient give (0, 0)).  Other gradients take a LAPACK QR of
+    grad^T (dgeqrf) and apply the transpose of its full orthogonal factor to
+    M^T (dormqr) without forming it: the first k rows of the product lie
+    along the gradient's row space and the last n - k are (M W)^T.  A 2x2
+    block takes :func:`_pair_sigmas` with a zero third column, any other
+    :func:`kernel_sigmas`.  A diagonal entry of R within ``NULLSPACE_RTOL``
+    of the largest (dependent rows, where the factor would miss a null
+    direction) is a SingularError.  dormqr gets LAPACK's minimum workspace,
+    one entry per row of M: with fewer reflectors than its block size it
+    runs unblocked and reads no more.
     """
     if grad.shape == (1, 3):
         grad, rows = grad.tolist()[0], M.tolist()
@@ -426,11 +434,16 @@ def _projected_sigmas(M, grad, rank_needed):
         diag = list(map(abs, qr.diagonal().tolist()))
         if min(diag) <= NULLSPACE_RTOL * max(diag):
             raise SingularError("constraint gradient has linearly dependent rows")
-        Q, _, info = lapack.dorgqr(qr, tau)
+        require_finite(M, "two-point pairing")
+        rotated, _, info = lapack.dormqr("L", "T", qr, tau, M.T, max(1, M.shape[0]))
     if info != 0:
         raise SingularError(f"constraint gradient QR failed (info {info})")
-    require_finite(M, "two-point pairing")
-    return kernel_sigmas(M - (M @ Q) @ Q.T, rank_needed)
+    block = rotated[tau.size:]
+    if block.shape == (2, 2):
+        (a0, a1), (b0, b1) = block.tolist()
+        _require_finite_floats((a0, a1, b0, b1), "two-point pairing")
+        return _pair_sigmas([a0, a1, 0.0], [b0, b1, 0.0])
+    return kernel_sigmas(block, rank_needed)
 
 
 def kernel_sigmas(M, rank_needed):

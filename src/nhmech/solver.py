@@ -34,10 +34,12 @@ the same way for every system, with no null-space basis: the rows of X^T H
 and the columns of H B, projected off the row space of the constraint
 gradient (``problem._projected_sigmas``).  With one constraint on a
 3-dimensional fiber (the particle, Suslov, the sleigh, Veselova and the
-sphere) that is a closed form on floats; the rolling ball and the robot take
-a LAPACK QR (dgeqrf, dorgqr) of each gradient and one values-only dgesdd of
-each projected pairing.  Each kernel is preceded by a finiteness check, and
-a non-finite matrix or a LAPACK failure is a SingularError.
+sphere) that is a closed form on floats.  The rolling ball and the robot
+take a LAPACK QR of each gradient (dgeqrf) and apply its orthogonal factor
+to the pairing without forming it (dormqr); the robot's restricted 2x2
+block takes the same closed form, the ball's 3x3 block one values-only
+dgesdd.  Each kernel is preceded by a finiteness check, and a non-finite
+matrix or a LAPACK failure is a SingularError.
 """
 
 import math

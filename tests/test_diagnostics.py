@@ -203,26 +203,50 @@ class TestMomentumPass:
     @pytest.mark.parametrize("name", PASS_SYSTEMS)
     def test_each_element_is_evaluated_once(self, name, monkeypatch):
         # every map together: one matching point, basis and left gradient
-        # per element, and one batched cone fit per block of elements
+        # per element, and one batched cone fit per block of elements; each
+        # map's section once per element, and once more per step for the
+        # predicted change, which max_momentum_drift does not compute
         p, runs = _pass_runs(name)
         elements = runs[0][:51]
+        steps = len(elements) - 1
         specs = list(p.momentum_specs.values())
         assert len(specs) > 1
-        expected = dg.momentum_drift(p, specs, elements)
+        passes = [(dg.momentum_drift, dg.momentum_drift(p, specs, elements), 2 * steps + 1),
+                  (dg.max_momentum_drift, dg.max_momentum_drift(p, specs, elements), steps + 1)]
         for block in (16, dg.MOMENTUM_BLOCK):
-            grads, bases, targets, fits = [0], [0], [0], [0]
-            grad = counted(p.lagrangian.left_grad, grads)
-            lag = dataclasses.replace(p.lagrangian, left_grad=grad)
-            dist = dataclasses.replace(p.distribution, basis=counted(p.distribution.basis, bases))
-            q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
-            with monkeypatch.context() as patch:
-                patch.setattr(q.backend, "target", counted(q.backend.target, targets))
-                patch.setattr(dg, "_cone_gaps", counted(dg._cone_gaps, fits))
-                patch.setattr(dg, "MOMENTUM_BLOCK", block)
-                drift = dg.momentum_drift(q, list(q.momentum_specs.values()), elements)
-            assert drift == expected
-            assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
-            assert fits[0] == -(-len(elements) // block)
+            for momentum_pass, expected, sections_per_map in passes:
+                grads, bases, targets, fits = [0], [0], [0], [0]
+                sections = {spec.name: [0] for spec in specs}
+                grad = counted(p.lagrangian.left_grad, grads)
+                lag = dataclasses.replace(p.lagrangian, left_grad=grad)
+                dist = dataclasses.replace(p.distribution,
+                                           basis=counted(p.distribution.basis, bases))
+                counted_specs = [
+                    dataclasses.replace(spec, section=counted(spec.section, sections[spec.name]))
+                    for spec in specs
+                ]
+                q = dataclasses.replace(p, lagrangian=lag, distribution=dist)
+                with monkeypatch.context() as patch:
+                    patch.setattr(q.backend, "target", counted(q.backend.target, targets))
+                    patch.setattr(dg, "_cone_gaps", counted(dg._cone_gaps, fits))
+                    patch.setattr(dg, "MOMENTUM_BLOCK", block)
+                    result = momentum_pass(q, counted_specs, elements)
+                assert result == expected
+                assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
+                assert fits[0] == -(-len(elements) // block)
+                assert sections == {spec.name: [sections_per_map] for spec in specs}
+
+    @pytest.mark.parametrize("name", PASS_SYSTEMS)
+    def test_max_drift_is_the_largest_measured_change(self, name):
+        # simulate's summary value, on every system that has maps
+        assert PASS_SYSTEMS == sorted(n for n in md.FACTORIES if _factory(n).momentum_specs)
+        p, runs = _pass_runs(name)
+        specs = list(p.momentum_specs.values())
+        for elements in runs:
+            drift = dg.momentum_drift(p, specs, elements)
+            measured = [abs(change) for pairs in drift for change, _ in pairs]
+            assert dg.max_momentum_drift(p, specs, elements) == max(measured)
+        assert dg.max_momentum_drift(p, specs, runs[0][:1]) == 0.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_section_is_singular(self, value):

@@ -4,13 +4,15 @@ A step forms no pairing and no null space: ``problem._projected_sigmas``
 takes the rows of X^T H (or the columns of H B) projected off the row space
 of the constraint gradient.  A 1x3 gradient takes the unit gradient and the
 closed-form singular values of a 2x3 matrix (``problem._pair_sigmas``);
-other gradients take a LAPACK QR and ``problem.kernel_sigmas``, a
-values-only dgesdd.  The reference pairings (``problem.regularity_matrices``)
+other gradients apply the orthogonal factor of a LAPACK QR to the pairing
+without forming it (dgeqrf, dormqr), and the restricted block takes the same
+closed form when it is 2x2 and ``problem.kernel_sigmas``, a values-only
+dgesdd, otherwise.  The reference pairings (``problem.regularity_matrices``)
 take their tangent bases from ``scipy.linalg.null_space``.  These tests hold
 the kernels to ``np.linalg.svd`` over scaled, rank-deficient and non-finite
-inputs, pin that no step forms a null space or calls dgesdd for singular
-vectors, and hold the sigmas of steps and of sampled states to the SVD of
-the reference pairings.
+inputs, pin that no step forms a null space or an orthogonal factor or calls
+dgesdd for singular vectors, and hold the sigmas of steps and of sampled
+states to the SVD of the reference pairings.
 """
 
 import numpy as np
@@ -139,7 +141,7 @@ def test_projected_sigmas_match_svd_of_the_restricted_pairing(rows, grad, scale,
     assert abs(smin - ref_min) <= tol
 
 
-@given(st.sampled_from([(2, 5), (3, 5)]), st.data(),
+@given(st.sampled_from([(2, 5), (3, 5), (1, 5), (2, 3), (2, 4)]), st.data(),
        st.sampled_from(SCALES), st.sampled_from(SCALES))
 @settings(max_examples=300, deadline=None)
 def test_projected_sigmas_of_several_constraints_match_svd(shape, data, scale, grad_scale):
@@ -202,6 +204,20 @@ def test_non_finite_projected_pairing_raises(bad):
         pb._projected_sigmas(np.array([[1.0, 2.0, 0.5]] * 2), np.array([[1.0, bad, 0.0]]), 2)
 
 
+@pytest.mark.parametrize("kernel", ["dgeqrf", "dormqr"])
+def test_failed_gradient_qr_raises(kernel, monkeypatch):
+    # LAPACK reports an illegal argument through a negative info
+    lapack_kernel = getattr(lapack, kernel)
+
+    def failing(*args, **kwargs):
+        return (*lapack_kernel(*args, **kwargs)[:-1], -4)
+
+    monkeypatch.setattr(lapack, kernel, failing)
+    rng = np.random.default_rng(10)
+    with pytest.raises(SingularError, match=r"constraint gradient QR failed \(info -4\)"):
+        pb._projected_sigmas(rng.normal(size=(3, 5)), rng.normal(size=(2, 5)), 3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_projected_pairing_of_several_constraints_raises(bad):
     # the pairing is checked before the projection, so no inf * 0 warning
@@ -216,8 +232,9 @@ def test_non_finite_projected_pairing_of_several_constraints_raises(bad):
 
 
 def test_steps_form_no_null_space(monkeypatch):
-    nullspaces, svds = [0], []
+    nullspaces, orthogonal_factors, svds = [0], [0], []
     monkeypatch.setattr(pb, "null_space", counted(pb.null_space, nullspaces))
+    monkeypatch.setattr(lapack, "dorgqr", counted(lapack.dorgqr, orthogonal_factors))
     dgesdd = lapack.dgesdd
 
     def recorded_dgesdd(*args, **kwargs):
@@ -232,6 +249,8 @@ def test_steps_form_no_null_space(monkeypatch):
         for _ in range(20):
             g = sv.step(p, g).next
         assert nullspaces == [0], name
-        # one values-only SVD per projected pairing of the ball and the
-        # robot; the closed form for one constraint on a 3-dimensional fiber
-        assert svds == [0] * (0 if (p.k, p.n) == (1, 3) else 2 * 20), name
+        assert orthogonal_factors == [0], name
+        # one values-only SVD per projected pairing of the ball (3x3 blocks);
+        # the closed form for the robot's 2x2 blocks and for one constraint
+        # on a 3-dimensional fiber
+        assert svds == [0] * (2 * 20 if name == "rolling_ball" else 0), name
