@@ -24,11 +24,11 @@ class ChartDomainError(NhError):
 class SingularError(NhError):
     """Degenerate configuration: the step map is not well defined here.
 
-    Raised when the point-regularity test fails at the current element, when
-    the Newton matrix condition estimate exceeds the configured limit, when a
-    matrix or the first residual of a step has non-finite entries or a LAPACK
-    routine reports failure, or when a model callable refuses an element
-    outside the model's domain (Veselova's constraint at a rotation by pi).
+    Raised when a regularity pairing degenerates, when the Newton matrix
+    condition estimate exceeds the configured limit, when a matrix or the
+    first residual of a step has non-finite entries or a LAPACK routine
+    reports failure, or when a model callable refuses an element outside
+    the model's domain (Veselova's constraint at a rotation by pi).
     A Newton trial point refused this way makes the line search halve the
     step.
     """

@@ -13,19 +13,20 @@ first and the constraint rows after them.
 
 The chart derivatives are bound once per problem (see :class:`NhProblem`).
 Every second-order quantity comes from the mixed second derivative
-``NhProblem.mixed_hess``: the Newton matrix (:meth:`StepFrame.newton_matrix`) and the
-regularity test (:meth:`StepFrame.regularity_sigmas`).  ``newton_jacobian_fd``,
+``NhProblem.mixed_hess``: the Newton matrix (:meth:`StepFrame.newton_matrix`)
+and the regularity tests (:meth:`StepFrame.right_sigmas` at g,
+:meth:`StepFrame.left_sigmas` at the step's root).  ``newton_jacobian_fd``,
 ``groupoid.cross_form`` and the two regularity pairings
 (``regularity_matrices``) serve as references for them.
 
-What a step from g needs that depends on g alone (the distribution basis at
+What a step from g needs that depends on g alone (the distribution basis B at
 beta(g), the left gradient of L at g) is evaluated once, by a
-:class:`StepFrame`; ``residual_at``, ``lagrange_multipliers`` and
-``regularity_matrices`` use a fresh frame.  Two records on the problem carry
-work from one step to the next: the basis at the last matching point
-(``basis_record``) and H with the left phi gradient at the last element a
-frame took them at (``hess_record``), which is the next step's element when
-a step accepts its first guess.  The small dense kernels (QR, SVD,
+:class:`StepFrame`; ``residual_at`` and ``lagrange_multipliers`` use a fresh
+frame.  B is also the basis at alpha(h) of every candidate h, so the left
+pairing at the step's root takes it.  One record on the problem carries work
+from one step to the next: H with the left phi gradient at the last element a
+frame took them at (``hess_record``), which is the next step's element once
+the left test has run at the root.  The small dense kernels (QR, SVD,
 least squares) call LAPACK directly, which skips the wrappers' finiteness
 check, so each call is preceded by one of its own that raises SingularError.
 The regularity test forms no pairing and no null space for any system: it
@@ -115,7 +116,7 @@ class NhProblem:
     gives one, else a central difference (``mixed_hess`` differences the
     bound right gradient, at the wider step when that gradient is itself a
     difference).  ``dataclasses.replace`` binds them again for the copy,
-    with empty records.  A model callable may raise SingularError at an
+    with an empty record.  A model callable may raise SingularError at an
     element outside the model's domain; the line search halves a Newton step
     whose trial point it refuses.
     """
@@ -131,8 +132,6 @@ class NhProblem:
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
-    # the last StepFrame's matching point (as bytes) and its distribution basis
-    basis_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # (element, (H, left phi gradient)) as a StepFrame last took them
     hess_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -227,21 +226,18 @@ class StepFrame:
     (and ``neg_bt`` = -B^T for the Newton matrix), ``left_grad(g)`` and its
     projection ``left_grad(g) @ B``.
 
-    The basis at alpha(g) comes from the problem's ``basis_record`` when the
-    previous frame's matching point was alpha(g), and H with the left
-    gradient of phi from its ``hess_record`` when they were last taken at the
-    same element (:meth:`_second_order`).  The frame keeps the right gradient
-    of the last candidate, for the multipliers at the accepted iterate.
+    H with the left gradient of phi come from the problem's ``hess_record``
+    when they were last taken at the same element (:meth:`_second_order`).
+    The frame keeps the right gradient of the last candidate, for the
+    multipliers at the accepted iterate.
     """
 
     def __init__(self, p, g):
         self.p = p
         self.g = g
-        self._previous = p.basis_record
         self.beta = np.asarray(p.backend.target(g), dtype=float)
         self.basis = np.asarray(p.distribution.basis(self.beta), dtype=float)
         self.neg_bt = -self.basis.T
-        p.basis_record = (self.beta.tobytes(), self.basis)
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self._last = (None, None)
@@ -295,25 +291,18 @@ class StepFrame:
             )
         return lam
 
-    def _pairing_parts(self):
-        """The basis at alpha(g), H(g) and the left gradient of phi at g."""
-        p, g = self.p, self.g
-        key, Xa = self._previous
-        alpha = np.asarray(p.backend.source(g), dtype=float)
-        if alpha.tobytes() != key:
-            Xa = np.asarray(p.distribution.basis(alpha), dtype=float)
-        return (Xa, *self._second_order(g))
+    def right_sigmas(self):
+        """Kernel singular values (smin, smax) of the right pairing at g, with
+        no pairing formed: :func:`_projected_sigmas` of the columns of H B."""
+        H, _ = self._second_order(self.g)
+        return _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g), self.p.r)
 
-    def regularity_sigmas(self):
-        """Kernel singular values of the two pairings at g, as ((smin_left,
-        smax_left), (smin_right, smax_right)), with no pairing formed: the
-        rows of X^T H and the columns of H B go to :func:`_projected_sigmas`
-        with the left and right gradients of phi."""
-        Xa, H, phi_jac = self._pairing_parts()
-        p = self.p
-        left = _projected_sigmas(Xa.T @ H, phi_jac, p.r)
-        right = _projected_sigmas((H @ self.basis).T, p.phi_right_jac(self.g), p.r)
-        return left, right
+    def left_sigmas(self, h, basis=None):
+        """The same for the left pairing at h, from the rows of X^T H(h), with
+        X = ``basis`` or else B (the basis at alpha(h) for a root h)."""
+        H, phi_jac = self._second_order(h)
+        X = self.basis if basis is None else basis
+        return _projected_sigmas(X.T @ H, phi_jac, self.p.r)
 
 
 def residual_at(p, g, h):
@@ -355,12 +344,14 @@ def regularity_matrices(p, g):
     W and V are ``scipy.linalg.null_space`` of the left and right constraint
     gradients (all of R^n for a zero gradient).
 
-    They are the reference for :meth:`StepFrame.regularity_sigmas`.
+    They are the reference for :meth:`StepFrame.left_sigmas` and
+    :meth:`StepFrame.right_sigmas`.
     """
-    frame = StepFrame(p, g)
-    Xa, H, phi_jac = frame._pairing_parts()
-    G_left = -Xa.T @ H @ null_space(phi_jac)
-    G_right = -null_space(p.phi_right_jac(g)).T @ H @ frame.basis
+    Xa, B = (np.asarray(p.distribution.basis(np.asarray(x, dtype=float)), dtype=float)
+             for x in (p.backend.source(g), p.backend.target(g)))
+    H = p.mixed_hess(g)
+    G_left = -Xa.T @ H @ null_space(p.phi_left_jac(g))
+    G_right = -null_space(p.phi_right_jac(g)).T @ H @ B
     return G_left, G_right
 
 

@@ -14,18 +14,18 @@ chart gradient of phi at center], and the two pairings of the two-point form
 are -X^T H(g) W and -V^T H(g) X (``problem.regularity_matrices``, the
 reference for the sigmas the step computes without forming them).
 
-The solver refuses to step from degenerate configurations: before iterating
-it runs the point-regularity test (both kernel conditions of the two-point
-form) at the current element, and during iteration it monitors a 1-norm
-condition estimate of each Newton matrix computed from its LU factors.
+The solver refuses degenerate steps: it tests the right pairing at the
+current element before iterating and the left pairing at the accepted root
+after, and during iteration it monitors a 1-norm condition estimate of each
+Newton matrix computed from its LU factors.
 
 A step builds one ``problem.StepFrame`` for its current element g, so what
-depends on g alone (the distribution basis at beta(g), the left gradient of
-L at g and its projection) is evaluated once and shared by the regularity
-test, every residual, every Newton matrix and the multipliers.  A Newton
-matrix and the regularity test at the same element share one H and left phi
-gradient (``NhProblem.hess_record``), so a step that accepted its first
-guess hands them to the next step's test.  The matrices
+depends on g alone (the distribution basis at beta(g), which is the basis at
+alpha of the root, the left gradient of L at g and its projection) is
+evaluated once and shared by both tests, every residual, every Newton matrix
+and the multipliers.  A Newton matrix and a test at the same element share
+one H and left phi gradient (``NhProblem.hess_record``), so the left test at
+a root hands them to the next step's right test.  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
 dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
@@ -80,8 +80,8 @@ class StepResult:
     jacobian_condition_estimate: float
     residual_history: list = field(default_factory=list)
     backtracks: int = 0  # line-search trial points rejected over the step
-    sigma_min_left: float = math.nan  # kernel singular values of the pairings at g
-    sigma_min_right: float = math.nan
+    sigma_min_left: float = math.nan  # kernel singular value of the left pairing at next
+    sigma_min_right: float = math.nan  # kernel singular value of the right pairing at g
     floor: float = math.nan  # roundoff floor of the residual; the step stops at max(tol, floor)
     floor_limited: bool = False  # stopped with tol < residual <= floor
 
@@ -135,9 +135,12 @@ def point_regularity_sigmas(p, g, frame=None):
 
     Returns ((smin_left, smax_left), (smin_right, smax_right)); each pairing
     must couple all p.r distribution directions to count as nondegenerate.
-    ``frame`` is the step's ``problem.StepFrame`` for g, when there is one.
+    ``frame`` is a ``problem.StepFrame`` for g, when there is one; the basis
+    at alpha(g) is evaluated here.
     """
-    return (frame or pb.StepFrame(p, g)).regularity_sigmas()
+    frame = frame or pb.StepFrame(p, g)
+    Xa = np.asarray(p.distribution.basis(np.asarray(p.backend.source(g), dtype=float)), dtype=float)
+    return frame.left_sigmas(g, Xa), frame.right_sigmas()
 
 
 def is_nondegenerate(smin, smax):
@@ -147,17 +150,16 @@ def is_nondegenerate(smin, smax):
     return smin > REGULARITY_RTOL * max(smax, 1e-300)
 
 
-def _assert_point_regular(p, frame):
-    """Run the point-regularity test at the frame's element; returns
-    (smin_left, smin_right)."""
-    left, right = point_regularity_sigmas(p, frame.g, frame)
-    for side, (smin, smax) in (("right", right), ("left", left)):
-        if not is_nondegenerate(smin, smax):
-            raise SingularError(
-                f"{p.name}: two-point form degenerate at the current element "
-                f"({side} pairing sigma_min = {smin:.3e})"
-            )
-    return left[0], right[0]
+def _assert_regular(p, side, sigmas, where):
+    """The smin of ``sigmas`` = (smin, smax), the kernel singular values of
+    the ``side`` pairing at ``where``; a degenerate pairing is a SingularError."""
+    smin, smax = sigmas
+    if not is_nondegenerate(smin, smax):
+        raise SingularError(
+            f"{p.name}: two-point form degenerate at the {where} "
+            f"({side} pairing sigma_min = {smin:.3e})"
+        )
+    return smin
 
 
 def _norm_and_merit(r):
@@ -252,16 +254,19 @@ def step(p, g, options: Optional[SolverOptions] = None):
     """Advance one step from g; returns a StepResult with the next element.
 
     The current element is assumed to lie on the constraint set (``evolve``
-    checks the initial condition); regularity at g is checked here and a
-    SingularError raised when it fails.
+    checks the initial condition).  The right pairing is tested at g before
+    Newton and the left pairing at the accepted root after it; either failing
+    is a SingularError.
     """
     opts = options or SolverOptions()
     frame = pb.StepFrame(p, g)
-    sigma_left, sigma_right = _assert_point_regular(p, frame)
+    sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
     center = p.backend.mirror(g)  # g's displacement repeated
     # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
     solved = newton(p, frame.residual, frame.newton_matrix, center, g, opts)
-    return StepResult(multipliers=frame.multipliers(solved["next"]),
+    h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
+    sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
+    return StepResult(multipliers=frame.multipliers(h),
                       sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
 
 

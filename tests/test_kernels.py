@@ -112,8 +112,10 @@ def test_step_sigmas_match_svd_of_the_pairings(name):
     p = md.FACTORIES[name]()
     g = p.initial_builder(STARTS[name])
     for _ in range(200):
+        # the left pairing is tested at the step's root, the right one at g
         res = sv.step(p, g)
-        for G, sigma in zip(pb.regularity_matrices(p, g), (res.sigma_min_left, res.sigma_min_right)):
+        pairings = pb.regularity_matrices(p, res.next)[0], pb.regularity_matrices(p, g)[1]
+        for G, sigma in zip(pairings, (res.sigma_min_left, res.sigma_min_right)):
             ref = np.linalg.svd(G, compute_uv=False)[p.r - 1]
             assert abs(sigma - ref) <= 1e-13 * ref
         g = res.next
@@ -216,6 +218,21 @@ def test_failed_gradient_qr_raises(kernel, monkeypatch):
     rng = np.random.default_rng(10)
     with pytest.raises(SingularError, match=r"constraint gradient QR failed \(info -4\)"):
         pb._projected_sigmas(rng.normal(size=(3, 5)), rng.normal(size=(2, 5)), 3)
+
+
+def test_failed_svd_raises(monkeypatch):
+    dgesdd = lapack.dgesdd
+    monkeypatch.setattr(lapack, "dgesdd", lambda *a, **k: (*dgesdd(*a, **k)[:-1], 2))
+    with pytest.raises(SingularError, match=r"two-point pairing SVD failed \(info 2\)"):
+        pb.kernel_sigmas(np.random.default_rng(11).normal(size=(3, 3)), 3)
+
+
+def test_failed_least_squares_raises(monkeypatch):
+    dgelsd = lapack.dgelsd
+    monkeypatch.setattr(lapack, "dgelsd", lambda *a, **k: (*dgelsd(*a, **k)[:-1], 1))
+    rng = np.random.default_rng(12)
+    with pytest.raises(SingularError, match=r"annihilator: least squares failed \(info 1\)"):
+        pb.least_squares(rng.normal(size=(3, 2)), rng.normal(size=3), "annihilator")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

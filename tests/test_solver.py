@@ -163,20 +163,63 @@ class TestFailureModes:
             sv.evolve(p, g0, 3)
         assert exc.value.step_index == 0
 
-    @pytest.mark.parametrize(
-        "offset,where", [(1, "two-point pairing"), (2, "Newton matrix")], ids=["pairing", "newton"]
-    )
-    def test_non_finite_H_is_singular_with_step_index(self, offset, where):
-        # H turns NaN at the regularity test of step 2 (offset 1) or at the
-        # next H call after it (offset 2): the Newton matrix of that step's
-        # second iteration, as the first reuses the regularity test's H
+    @pytest.mark.parametrize("where", ["two-point pairing", "Newton matrix"],
+                             ids=["pairing", "newton"])
+    def test_non_finite_H_is_singular_with_step_index(self, where):
+        # step 2's right test and first Newton matrix reuse the H that step
+        # 1's left test took at its root, so step 2 takes one H per later
+        # Newton matrix and one for the left test at its own root; H turns
+        # NaN at that step's last H call (the left test) or at its first
+        # (the Newton matrix of its second iteration)
         p, calls = _sleigh_with_bad_hess(np.inf, np.nan)
         g0 = p.initial_builder({"xi": [0.7, 0.9]})
-        sv.evolve(p, g0, 2)
-        p, _ = _sleigh_with_bad_hess(calls[0] + offset, np.nan)
+        g2 = sv.evolve(p, g0, 2).elements[-1]
+        before = calls[0]
+        iters = sv.step(p, g2).iterations
+        assert iters >= 2 and calls[0] - before == iters
+        p, _ = _sleigh_with_bad_hess(before + (iters if where == "two-point pairing" else 1), np.nan)
         with pytest.raises(SingularError, match=where) as exc:
             sv.evolve(p, g0, 4)
         assert exc.value.step_index == 2
+
+    def test_degenerate_root_fails_at_the_step_that_found_it(self, monkeypatch):
+        # the left test of step k runs at step k's root, so a degenerate root
+        # is step k's failure, not step k + 1's
+        left_sigmas, calls = pb.StepFrame.left_sigmas, [0]
+
+        def degenerate_at_step_3(frame, h, basis=None):
+            calls[0] += 1
+            return (0.0, 1.0) if calls[0] == 4 else left_sigmas(frame, h, basis)
+
+        monkeypatch.setattr(pb.StepFrame, "left_sigmas", degenerate_at_step_3)
+        p, g0 = _particle_pair()
+        with pytest.raises(SingularError, match=r"degenerate at the next element \(left pairing") as exc:
+            sv.evolve(p, g0, 6)
+        assert exc.value.step_index == 3
+
+    def test_start_with_a_degenerate_left_pairing_steps(self):
+        # the left pairing at g0 belongs to the step into g0, which never ran,
+        # so evolve does not test it. On the pair groupoid the step from g0
+        # reads H(g0) in its right test only (its first guess is not g0), so
+        # removing the left pairing's kernel direction w from H(g0) keeps the
+        # right pairing regular and the path unchanged
+        p, g0 = _particle_pair()
+        lag = p.lagrangian
+        w = scipy.linalg.null_space(p.phi_left_jac(g0))[:, 0]
+
+        def hess(g):
+            H = lag.mixed_hess(g)
+            return H - np.outer(H @ w, w) if g is g0 else H
+
+        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess))
+        (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(q, g0)
+        assert not sv.is_nondegenerate(lmin, lmax)
+        assert sv.is_nondegenerate(rmin, rmax)
+        traj, ref = sv.evolve(q, g0, 5), sv.evolve(p, g0, 5)
+        assert np.array_equal(q.to_rows(traj.elements), p.to_rows(ref.elements))
+        (lmin, lmax), _ = sv.point_regularity_sigmas(q, traj.elements[1])
+        assert sv.is_nondegenerate(lmin, lmax)
+        assert traj.results[0].sigma_min_left == ref.results[0].sigma_min_left == lmin
 
     def test_non_finite_first_residual_is_singular_error(self):
         # NaN > tol is False, so a NaN residual must not read as converged
@@ -346,7 +389,8 @@ def _kernel_cases(name):
 
 
 class TestLapackKernels:
-    """The raw LAPACK calls of a step against the numpy/scipy wrappers."""
+    """The raw LAPACK calls of a step against the numpy/scipy wrappers, and
+    what a step makes of their failures."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_lu_and_solve_bit_identical_to_scipy(self, name):
@@ -397,6 +441,29 @@ class TestLapackKernels:
             with pytest.raises(SingularError, match="non-finite"):
                 sv.factor_newton_matrix(p, np.array([[1.0, bad], [0.0, 1.0]]))
 
+    def test_illegal_factorization_argument_is_singular_error(self, monkeypatch):
+        # LAPACK reports an illegal argument through a negative info
+        dgetrf = lapack.dgetrf
+        monkeypatch.setattr(lapack, "dgetrf", lambda *a, **k: (*dgetrf(*a, **k)[:-1], -4))
+        p = md.make_chaplygin_sleigh()
+        with pytest.raises(SingularError, match=r"factorization failed \(info -4\)"):
+            sv.factor_newton_matrix(p, np.eye(2))
+
+    @pytest.mark.parametrize("rcond, info", [(0.5, -2), (0.0, 0), (-1.0, 0), (np.nan, 0)])
+    def test_failed_condition_estimate_is_inf(self, rcond, info, monkeypatch):
+        monkeypatch.setattr(lapack, "dgecon", lambda *a, **k: (rcond, info))
+        p = md.make_chaplygin_sleigh()
+        lu, piv, cond = sv.factor_newton_matrix(p, np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert cond == np.inf
+        assert np.array_equal(lu, scipy.linalg.lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]]))[0])
+
+    def test_failed_newton_solve_is_singular_error(self, monkeypatch):
+        dgetrs = lapack.dgetrs
+        monkeypatch.setattr(lapack, "dgetrs", lambda *a, **k: (dgetrs(*a, **k)[0], -3))
+        p = md.make_chaplygin_sleigh()
+        with pytest.raises(SingularError, match=r"Newton solve failed \(info -3\)"):
+            sv.step(p, p.initial_builder({"xi": [0.7, 0.9]}))
+
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_step_reports_what_it_solved(self, name):
         opts = sv.SolverOptions()
@@ -404,8 +471,19 @@ class TestLapackKernels:
             res = sv.step(p, g, opts)
             assert np.array_equal(res.multipliers, pb.lagrange_multipliers(p, g, res.next)[0])
             assert float(np.max(np.abs(pb.residual_at(p, g, res.next)))) <= opts.tol_residual
-            (lmin, _), (rmin, _) = sv.point_regularity_sigmas(p, g)
+            # the left pairing at the root, the right one at g
+            (lmin, _), _ = sv.point_regularity_sigmas(p, res.next)
+            _, (rmin, _) = sv.point_regularity_sigmas(p, g)
             assert (res.sigma_min_left, res.sigma_min_right) == (lmin, rmin)
+
+
+@pytest.mark.parametrize("name", sorted(md.FACTORIES))
+def test_every_root_is_certified_by_its_own_step(name):
+    # each step's left sigma is the point test of its root, the last one too
+    p = md.FACTORIES[name]()
+    traj = sv.evolve(p, p.initial_builder(STARTS[name]), 20)
+    for res, h in zip(traj.results, traj.elements[1:]):
+        assert res.sigma_min_left == sv.point_regularity_sigmas(p, h)[0][0]
 
 
 class TestStepCounts:
@@ -517,11 +595,12 @@ COUNTED_STEPS = 50
 
 class TestCallCounts:
     """What a step does not recompute, pinned per step over COUNTED_STEPS
-    steps: the first guess needs no chart log, the basis at alpha(g) is the
-    previous step's basis at its beta, on a Lie group the first Newton
-    matrix reuses the H(g) of the regularity test, and a step that accepts
-    its first guess hands the H and phi gradient of its Newton matrix to the
-    next step's regularity test."""
+    steps: the first guess needs no chart log, the basis at beta(g) serves
+    the left test at the root too, the left test's H and phi gradient at
+    the root serve the next step's right test, on a Lie group the first
+    Newton matrix reuses the H(g) of the right test, and a step that accepts
+    its first guess hands the H and phi gradient of its Newton matrix to its
+    own left test."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_no_chart_coords_in_a_step(self, name, monkeypatch):
@@ -544,7 +623,7 @@ class TestCallCounts:
         g = p.initial_builder(STARTS[name])
         for k in range(COUNTED_STEPS):
             g = sv.step(p, g).next
-            assert calls[0] == k + 2
+            assert calls[0] == k + 1
 
     def test_first_newton_matrix_reuses_the_regularity_hessian(self):
         p = md.make_suslov(J=ROTATED_J)
@@ -552,11 +631,14 @@ class TestCallCounts:
         lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
         p = dataclasses.replace(p, lagrangian=lag)
         g = p.initial_builder(STARTS["suslov"])
-        for _ in range(COUNTED_STEPS):
+        for k in range(COUNTED_STEPS):
             before = calls[0]
             res = sv.step(p, g)
             assert res.iterations > 0
-            assert calls[0] - before == 1 + max(0, res.iterations - 1)
+            # one H per Newton matrix after the first and one for the left
+            # test at the root; the first step also takes H(g0) for its right
+            # test, which later steps read from the previous left test
+            assert calls[0] - before == (k == 0) + 1 + max(0, res.iterations - 1)
             g = res.next
 
     @staticmethod
@@ -572,20 +654,23 @@ class TestCallCounts:
     @pytest.mark.parametrize("name, per_step", [("suslov", 0), ("mobile_robot", 1)])
     def test_accepted_first_guess_carries_h_to_the_next_regularity_test(self, name, per_step):
         # a step that accepts its first guess returns the center of its only
-        # Newton matrix, so the next step's regularity test reuses that
-        # matrix's H and phi gradient; on a Lie group the first guess is g
-        # itself, whose Newton matrix already reuses the test's pair
+        # Newton matrix, so its left test at that root reuses the matrix's H
+        # and phi gradient, and the next step's right test reuses them again;
+        # on a Lie group the first guess is g itself, whose pair the right
+        # test took
         p, hess, jac = self._counting_h_and_phi_jac(name)
         g = sv.step(p, p.initial_builder(STARTS[name])).next
         for _ in range(COUNTED_STEPS):
-            carried = sv.point_regularity_sigmas(p, g)
-            fresh = sv.point_regularity_sigmas(dataclasses.replace(p), g)
-            assert carried == fresh
             before = hess[0], jac[0]
             res = sv.step(p, g)
             assert res.iterations == 0
             assert (hess[0] - before[0], jac[0] - before[1]) == (per_step, per_step)
-            assert (res.sigma_min_left, res.sigma_min_right) == (fresh[0][0], fresh[1][0])
+            # the carried pair gives the sigmas a fresh record gives, at the root
+            carried = sv.point_regularity_sigmas(p, res.next)
+            fresh = sv.point_regularity_sigmas(dataclasses.replace(p), res.next)
+            assert carried == fresh
+            assert res.sigma_min_left == fresh[0][0]
+            assert res.sigma_min_right == sv.point_regularity_sigmas(dataclasses.replace(p), g)[1][0]
             g = res.next
 
     @pytest.mark.parametrize("name, calls", [("suslov", 1), ("mobile_robot", 2)])
