@@ -79,6 +79,12 @@ class ReversibilityReport:
     consistent: Optional[bool]
 
 
+def _worst(defect, value):
+    """max(defect, value), NaN once either is NaN: a NaN defect fails its
+    check (Python's ``max`` would keep its first argument)."""
+    return math.nan if math.isnan(defect) or math.isnan(value) else max(defect, value)
+
+
 def reversibility_report(p, samples, options=None):
     """Three-part reversibility check over sample elements on the constraint
     set: L against inversion, the constraint set against inversion, and (for
@@ -95,9 +101,9 @@ def reversibility_report(p, samples, options=None):
         gi = bk.invert(g)
         lv = p.lagrangian.eval(g)
         lag_scale = max(lag_scale, abs(lv))
-        lag_defect = max(lag_defect, abs(lv - p.lagrangian.eval(gi)))
+        lag_defect = _worst(lag_defect, abs(lv - p.lagrangian.eval(gi)))
         if p.k:
-            con_defect = max(con_defect, float(np.max(np.abs(p.phi(gi)))))
+            con_defect = _worst(con_defect, float(np.max(np.abs(p.phi(gi)))))
     for g in samples:
         try:
             res = sv.step(p, g, options)
@@ -105,7 +111,7 @@ def reversibility_report(p, samples, options=None):
             continue
         solved += 1
         rev = pb.residual_at(p, bk.invert(res.next), bk.invert(g))
-        dyn_defect = max(dyn_defect, float(np.max(np.abs(rev))))
+        dyn_defect = _worst(dyn_defect, float(np.max(np.abs(rev))))
     lag_ok = lag_defect <= LAGRANGIAN_SYMMETRY_RTOL * lag_scale
     con_ok = con_defect <= CONSTRAINT_INVARIANCE_TOL
     dyn_ok = solved > 0 and dyn_defect <= DYNAMICS_REVERSIBILITY_TOL

@@ -176,7 +176,7 @@ class NhProblem:
 
     def assert_on_constraint(self, g, tol=TOL_CONSTRAINT, label="element"):
         v = float(np.max(np.abs(self.phi(g)))) if self.k else 0.0
-        if v > tol:
+        if not v <= tol:  # a NaN |phi| is off the constraint set too
             raise ConstraintViolationError(
                 f"{self.name}: {label} violates the discrete constraints (|phi| = {v:.3e})"
             )

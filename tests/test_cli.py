@@ -5,13 +5,15 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from conftest import trajectory_text_oracle
+from conftest import counted, trajectory_text_oracle
 from test_golden import STARTS
 
 from nhmech import cli
+from nhmech import diagnostics as dg
 from nhmech import models as md
 from nhmech import problem as pb
 from nhmech import solver as sv
@@ -424,6 +426,24 @@ class TestExitCodes:
         code, _, _ = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_CONFIG
 
+    def test_nan_constraint_value_at_the_start_is_config_error(self, tmp_path, capsys):
+        # |phi| overflows to NaN here; the start must fail its constraint check
+        data = {
+            "system": {"name": "constrained_particle"},
+            "initial": {"q0": [0, 1e308, 0], "q1": [1e308, 1e308, 1e308]},
+            "steps": 3,
+            "outputs": {"trajectory": "traj.csv"},
+        }
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(["simulate", "--config", path, "--out", str(out)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert "|phi| = nan" in err
+        assert stdout == ""
+        assert not (out / "traj.csv").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["simulate", "--config", str(tmp_path / "absent.json")], capsys
@@ -523,10 +543,11 @@ class TestCheck:
         _, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
         assert json.loads(out)["legendre_matching"]["matched"] is False
 
-    def test_report_file_matches_stdout(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_report_file_matches_stdout(self, tmp_path, capsys, name):
         data = {
-            "system": {"name": "suslov"},
-            "initial": {"omega": [0.4, -0.3]},
+            "system": {"name": name},
+            "initial": STARTS[name],
             "check": {"samples": 3, "seed": 0, "trajectory_steps": 5},
         }
         path = write_config(tmp_path, data)
@@ -535,6 +556,35 @@ class TestCheck:
         on_disk = json.loads((tmp_path / "check_report.json").read_text(encoding="utf-8"))
         record.pop("report")
         assert on_disk == record
+
+    # a Lie group is a groupoid over one point, so its samples share one
+    # identity element; the particle's samples have distinct targets
+    @pytest.mark.parametrize("name, identity_reports",
+                             [("suslov", 1), ("chaplygin_sleigh", 1), ("constrained_particle", 5)])
+    def test_one_identity_report_per_base_point(self, tmp_path, capsys, monkeypatch, name,
+                                                identity_reports):
+        count = [0]
+        monkeypatch.setattr(dg, "regularity_report", counted(dg.regularity_report, count))
+        data = {"system": {"name": name}, "check": {"samples": 5, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, _, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert count[0] == 5 + identity_reports
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_identity_entries_equal_fresh_reports(self, tmp_path, capsys, name):
+        n, seed = 4, 2
+        data = {"system": {"name": name},
+                "check": {"samples": n, "seed": seed, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        entries = {e["point"]: e for e in json.loads(out)["regularity"]}
+        p = md.FACTORIES[name]()
+        bk = p.backend
+        for i, g in enumerate(p.sample_states(np.random.default_rng(seed), n)):
+            fresh = dg.regularity_report(p, bk.identity(bk.target(g)))
+            assert entries[f"identity_{i}"] == cli._regularity_entry(f"identity_{i}", fresh)
 
 
 class TestMomentum:
@@ -624,6 +674,20 @@ class TestNonFiniteMomentum:
 
 
 class TestProcessEntry:
+    def test_usage_error_leaves_the_shared_parser_working(self, tmp_path, capsys):
+        # the parser is built once and shared by every later call; a
+        # --verbose call followed by a quiet one is in
+        # test_verbose_notes_of_check_and_momentum
+        assert cli._build_parser() is cli._build_parser()
+        path = write_config(tmp_path, BALL_CONFIG)
+        args = ["simulate", "--config", path, "--out", str(tmp_path)]
+        code, out, _ = run_cli(args, capsys)
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["simulate", "--verbose"])
+        assert usage.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert run_cli(args, capsys) == (cli.EXIT_OK, out, "")
+
     def test_module_invocation(self, tmp_path):
         path = write_config(tmp_path, BALL_CONFIG)
         proc = subprocess.run(

@@ -3,6 +3,7 @@ and the reduced-equation route for the Chaplygin-type robot."""
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ class TestReversibility:
         rep = dg.reversibility_report(p, samples)
         assert not rep.constraint_invariant
         assert rep.max_constraint_defect > 1e-3
+
+    def test_nan_lagrangian_at_an_inverted_sample_is_not_symmetric(self):
+        # Python's max(defect, nan) keeps the defect, which read a NaN as 0
+        p = md.make_suslov()
+        samples = p.sample_states(np.random.default_rng(7), 4)
+        at = np.asarray(p.backend.invert(samples[1]), dtype=float).tobytes()
+        lagrangian = p.lagrangian.eval
+        lag = dataclasses.replace(
+            p.lagrangian,
+            eval=lambda g: math.nan if np.asarray(g, dtype=float).tobytes() == at
+            else lagrangian(g),
+        )
+        rep = dg.reversibility_report(dataclasses.replace(p, lagrangian=lag), samples)
+        assert math.isnan(rep.max_lagrangian_defect)
+        assert rep.lagrangian_symmetric is False
+        assert rep.constraint_invariant and rep.dynamics_reversible
+        assert rep.consistent is False
+        assert dg.reversibility_report(p, samples).lagrangian_symmetric is True
 
     @pytest.mark.parametrize("name", ["suslov", "chaplygin_sleigh"])
     def test_step_conjugated_by_inversion_is_inverse_step(self, name):
@@ -281,6 +300,17 @@ class TestMomentumPass:
         lag = dataclasses.replace(p.lagrangian, left_grad=lambda el: grad(el) + bad)
         with pytest.raises(SingularError, match="plane_translations: momentum value"):
             dg.momentum_value(dataclasses.replace(p, lagrangian=lag), spec, g)
+
+    def test_failed_basis_svd_is_singular(self, monkeypatch):
+        p = md.make_rolling_ball()
+        g = p.initial_builder(STARTS["rolling_ball"])
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(SingularError, match="rolling_ball/spin: distribution basis SVD failed"):
+            dg.momentum_value(p, p.momentum_specs["spin"], g)
 
 
 OFF_CONE = np.array([0.0, 0.0, 1.0])  # vertical: no particle basis column reaches it
@@ -462,6 +492,18 @@ class TestChaplygin:
         monkeypatch.setattr(dg, "CHART_INVERSION_MAX_ITERS", 0)
         with pytest.raises(ChartInversionFailed, match="no convergence"):
             dg.chi_inverse(p, bk.source(h), bk.target(h), seed)
+
+    def test_singular_anchor_restriction_is_chart_inversion_failed(self, monkeypatch):
+        p, pairs = self._solved_robot_pairs(1)
+        g, h = pairs[0]
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(ChartInversionFailed,
+                           match="anchor restricted to the distribution is singular"):
+            dg.chaplygin_residual(p, g, h)
 
     def test_chart_not_square_elsewhere(self):
         p = md.make_constrained_particle(h=0.01)

@@ -347,6 +347,11 @@ def test_jacobian_columns_are_directional_derivs(bk, sample):
             assert grad[j] == deriv(bk, f, g, e)
 
 
+def test_lie_group_backend_knows_only_so3_and_se2():
+    with pytest.raises(ValueError, match="so3.*se2"):
+        LieGroupGroupoid("so4")
+
+
 def test_chart_matrices_match_difference_jacobians():
     so3 = LieGroupGroupoid("so3")
     W = so3_exp(np.array([0.4, -0.7, 0.2]))

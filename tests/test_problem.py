@@ -284,6 +284,14 @@ class TestConstraintAssertion:
         with pytest.raises(ConstraintViolationError):
             p.assert_on_constraint((FROZEN_Q0, FROZEN_Q1 + np.array([0, 0, 0.1])))
 
+    def test_nan_constraint_value_raises(self):
+        # NaN > tol is False: a NaN |phi| must not pass as on the constraint
+        p = md.make_constrained_particle(h=0.01)
+        g = (FROZEN_Q0, np.array([np.nan, 0.0, 0.0]))
+        assert np.isnan(p.phi(g)).all()
+        with pytest.raises(ConstraintViolationError, match=r"\|phi\| = nan"):
+            p.assert_on_constraint(g)
+
 
 class TestBoundDerivatives:
     """A problem binds its chart derivatives once, when it is built."""
