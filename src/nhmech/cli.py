@@ -24,6 +24,7 @@ import copy
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import models as md
+from . import problem as pb
 from . import solver as sv
 from .errors import (
     ConfigError,
@@ -358,8 +360,13 @@ def run_simulate(cfg, out_dir, verbose=False):
 
 
 def _regularity_entry(label, report):
+    """The report's entry; an infinite condition estimate (a guess outside
+    the chart or a singular Newton matrix) is None, JSON's null."""
     regular = report.left_nondegenerate and report.right_nondegenerate
-    return dict(vars(report), point=label, regular=regular)
+    entry = dict(vars(report), point=label, regular=regular)
+    if not math.isfinite(entry["jacobian_condition"]):
+        entry["jacobian_condition"] = None
+    return entry
 
 
 def run_check(cfg, out_dir, verbose=False):
@@ -371,11 +378,15 @@ def run_check(cfg, out_dir, verbose=False):
     samples = problem.sample_states(rng, n_samples)
 
     # the identity element depends on the base point alone: one report per
-    # distinct point (a Lie group's samples all share its one point)
+    # distinct point (a Lie group's samples all share its one point); each
+    # sample's frame serves its report and its reversibility step
     entries = []
     identities = {}
+    frames = []
     for idx, g in enumerate(samples):
-        entries.append(_regularity_entry(f"sample_{idx}", dg.regularity_report(problem, g)))
+        frames.append(pb.StepFrame(problem, g))
+        report = dg.regularity_report(problem, g, frames[-1])
+        entries.append(_regularity_entry(f"sample_{idx}", report))
         x = problem.backend.target(g)
         key = np.asarray(x, dtype=float).tobytes()
         if key not in identities:
@@ -385,7 +396,7 @@ def run_check(cfg, out_dir, verbose=False):
         g = problem.initial_builder(point)
         entries.append(_regularity_entry(f"point_{idx}", dg.regularity_report(problem, g)))
 
-    rev = dg.reversibility_report(problem, samples, options=options)
+    rev = dg.reversibility_report(problem, samples, options=options, frames=frames)
     # Structural verdict: the time-reversed system coincides with the original
     # exactly when the Lagrangian is inversion-symmetric and the constraint set
     # is inversion-invariant.  The measured dynamics defect is reported too but

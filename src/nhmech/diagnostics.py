@@ -43,14 +43,17 @@ class RegularityReport:
     jacobian_condition: float
 
 
-def regularity_report(p, g):
+def regularity_report(p, g, frame=None):
     """Point-regularity of the two-point form at g, plus the condition
-    estimate of the Newton matrix at the canonical mirror guess."""
-    frame = pb.StepFrame(p, g)
+    estimate of the Newton matrix at the canonical mirror guess.
+
+    ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
+    fresh one; a step from g that takes the same frame reuses its right test,
+    its guess and the Newton matrix there."""
+    frame = pb.step_frame(p, g, frame)
     (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     try:
-        J = frame.newton_matrix(p.backend.mirror(g))
-        _, _, cond = sv.factor_newton_matrix(p, J)
+        _, _, cond = sv.factor_newton_matrix(p, frame.newton_matrix(frame.guess()))
     except NhError:
         cond = np.inf
     return RegularityReport(
@@ -85,11 +88,15 @@ def _worst(defect, value):
     return math.nan if math.isnan(defect) or math.isnan(value) else max(defect, value)
 
 
-def reversibility_report(p, samples, options=None):
+def reversibility_report(p, samples, options=None, frames=None):
     """Three-part reversibility check over sample elements on the constraint
     set: L against inversion, the constraint set against inversion, and (for
     solved pairs) the residual of the reversed pair.  The dynamics count as
     reversible only when at least one sample's step solved.
+
+    ``frames``, when given, holds one ``problem.StepFrame`` per sample, in
+    order, for that sample's step (see ``solver.step``); a count other than
+    the samples' is a ValueError.
     """
     bk = p.backend
     lag_defect = 0.0
@@ -104,9 +111,10 @@ def reversibility_report(p, samples, options=None):
         lag_defect = _worst(lag_defect, abs(lv - p.lagrangian.eval(gi)))
         if p.k:
             con_defect = _worst(con_defect, float(np.max(np.abs(p.phi(gi)))))
-    for g in samples:
+    frames = [None] * len(samples) if frames is None else frames
+    for g, frame in zip(samples, frames, strict=True):
         try:
-            res = sv.step(p, g, options)
+            res = sv.step(p, g, options, frame)
         except NhError:
             continue
         solved += 1

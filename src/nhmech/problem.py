@@ -20,10 +20,12 @@ and the regularity tests (:meth:`StepFrame.right_sigmas` at g,
 (``regularity_matrices``) serve as references for them.
 
 What a step from g needs that depends on g alone (the distribution basis B at
-beta(g), the left gradient of L at g) is evaluated once, by a
-:class:`StepFrame`; ``residual_at`` and ``lagrange_multipliers`` use a fresh
-frame.  B is also the basis at alpha(h) of every candidate h, so the left
-pairing at the step's root takes it.  One record on the problem carries work
+beta(g), the left gradient of L at g, and on first use the right test, the
+mirror guess and the Newton matrix there) is evaluated once, by a
+:class:`StepFrame`; ``step_frame`` checks a frame handed in, and
+``residual_at`` and ``lagrange_multipliers`` use a fresh frame.  B is also
+the basis at alpha(h) of every candidate h, so the left pairing at the
+step's root takes it.  One record on the problem carries work
 from one step to the next: H with the left phi gradient at the last element a
 frame took them at (``hess_record``), which is the next step's element once
 the left test has run at the root.  The small dense kernels (QR, SVD,
@@ -226,6 +228,13 @@ class StepFrame:
     (and ``neg_bt`` = -B^T for the Newton matrix), ``left_grad(g)`` and its
     projection ``left_grad(g) @ B``.
 
+    Three more are evaluated on first use and kept on the frame, so a
+    regularity report and a step from g that share one frame take each once:
+    the right test (:meth:`right_sigmas`), the mirror guess (:meth:`guess`)
+    and the Newton matrix at that guess, which :meth:`newton_matrix` returns,
+    read-only, whenever its center is the guess.  A call that raises keeps
+    nothing, so the next call raises again.
+
     H with the left gradient of phi come from the problem's ``hess_record``
     when they were last taken at the same element (:meth:`_second_order`).
     The frame keeps the right gradient of the last candidate, for the
@@ -241,6 +250,14 @@ class StepFrame:
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self._last = (None, None)
+        self._right = self._guess = self._at_guess = None
+
+    def guess(self):
+        """The first guess of a step from g, ``backend.mirror(g)`` (g's
+        displacement repeated)."""
+        if self._guess is None:
+            self._guess = self.p.backend.mirror(self.g)
+        return self._guess
 
     def del_rows(self, h):
         """Projected discrete Euler-Lagrange rows for a candidate h."""
@@ -259,8 +276,17 @@ class StepFrame:
         -right_grad(center) . X_a, so they differentiate to -B^T H(center);
         the constraint rows differentiate to the left chart gradient of phi.
         """
-        H, phi_jac = self._second_order(center)
-        return np.concatenate((self.neg_bt @ H, phi_jac))
+        if center is not self._guess:
+            H, phi_jac = self._second_order(center)
+            return np.concatenate((self.neg_bt @ H, phi_jac))
+        if self._at_guess is None:
+            pair = self._second_order(center)
+            J = np.concatenate((self.neg_bt @ pair[0], pair[1]))
+            J.setflags(write=False)
+            self._at_guess = (J, pair)
+        else:  # the record as evaluating the pair would leave it
+            self.p.hess_record = (center, self._at_guess[1])
+        return self._at_guess[0]
 
     def _second_order(self, h):
         """H(h) and the left gradient of phi at h, recorded on the problem.
@@ -294,8 +320,11 @@ class StepFrame:
     def right_sigmas(self):
         """Kernel singular values (smin, smax) of the right pairing at g, with
         no pairing formed: :func:`_projected_sigmas` of the columns of H B."""
-        H, _ = self._second_order(self.g)
-        return _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g), self.p.r)
+        if self._right is None:
+            H, _ = self._second_order(self.g)
+            self._right = _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g),
+                                            self.p.r)
+        return self._right
 
     def left_sigmas(self, h, basis=None):
         """The same for the left pairing at h, from the rows of X^T H(h), with
@@ -303,6 +332,16 @@ class StepFrame:
         H, phi_jac = self._second_order(h)
         X = self.basis if basis is None else basis
         return _projected_sigmas(X.T @ H, phi_jac, self.p.r)
+
+
+def step_frame(p, g, frame=None):
+    """``frame`` when it was built for g on p, a fresh :class:`StepFrame`
+    when it is None; a frame of another element or problem is a ValueError."""
+    if frame is None:
+        return StepFrame(p, g)
+    if frame.g is not g or frame.p is not p:
+        raise ValueError(f"{p.name}: the step frame was built for another element or problem")
+    return frame
 
 
 def residual_at(p, g, h):

@@ -19,7 +19,7 @@ current element before iterating and the left pairing at the accepted root
 after, and during iteration it monitors a 1-norm condition estimate of each
 Newton matrix computed from its LU factors.
 
-A step builds one ``problem.StepFrame`` for its current element g, so what
+A step builds or takes one ``problem.StepFrame`` for its element g, so what
 depends on g alone (the distribution basis at beta(g), which is the basis at
 alpha of the root, the left gradient of L at g and its projection) is
 evaluated once and shared by both tests, every residual, every Newton matrix
@@ -138,7 +138,7 @@ def point_regularity_sigmas(p, g, frame=None):
     ``frame`` is a ``problem.StepFrame`` for g, when there is one; the basis
     at alpha(g) is evaluated here.
     """
-    frame = frame or pb.StepFrame(p, g)
+    frame = pb.step_frame(p, g, frame)
     Xa = np.asarray(p.distribution.basis(np.asarray(p.backend.source(g), dtype=float)), dtype=float)
     return frame.left_sigmas(g, Xa), frame.right_sigmas()
 
@@ -250,18 +250,24 @@ def newton(p, residual, jacobian, center, g, opts):
                 backtracks=backtracks, floor=floor, floor_limited=rnorm > opts.tol_residual)
 
 
-def step(p, g, options: Optional[SolverOptions] = None):
+def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     """Advance one step from g; returns a StepResult with the next element.
 
     The current element is assumed to lie on the constraint set (``evolve``
     checks the initial condition).  The right pairing is tested at g before
     Newton and the left pairing at the accepted root after it; either failing
     is a SingularError.
+
+    ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
+    fresh one (another element's frame is a ValueError).  A frame that a
+    ``diagnostics.regularity_report`` has used hands the step its right
+    test, its first guess and the Newton matrix there; the step evaluates
+    them in the same order either way, so the result is the same.
     """
     opts = options or SolverOptions()
-    frame = pb.StepFrame(p, g)
+    frame = pb.step_frame(p, g, frame)
     sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
-    center = p.backend.mirror(g)  # g's displacement repeated
+    center = frame.guess()  # g's displacement repeated
     # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
     solved = newton(p, frame.residual, frame.newton_matrix, center, g, opts)
     h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -387,6 +388,30 @@ class TestExitCodes:
         assert "i/o error" in err
         assert list(out.iterdir()) == []
 
+    def test_failed_rename_and_cleanup_raise_the_rename_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse_rename(src, dst):
+            raise PermissionError(f"cannot rename {src}")
+
+        def refuse_removal(path):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse_rename)
+        monkeypatch.setattr(cli.os, "unlink", refuse_removal)
+        with pytest.raises(PermissionError, match="cannot rename"):
+            cli._atomic_write(str(tmp_path / "file.txt"), "text")
+        path = write_config(tmp_path, BALL_CONFIG)
+        code, _, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path / "out")],
+                               capsys)
+        assert code == cli.EXIT_IO
+        assert err.startswith("i/o error: cannot rename")
+
+    def test_unconstrained_problem_has_no_constraint_violation(self):
+        p = md.make_constrained_particle()
+        trajectory = sv.evolve(p, p.initial_builder(PARTICLE_INITIAL), 2)
+        free = dataclasses.replace(p, constraints=pb.ConstraintSet(codim=0, phi=p.phi))
+        assert cli._max_constraint_violation(free, trajectory) == 0.0
+
     @pytest.mark.parametrize("command", ["simulate", "momentum"])
     def test_missing_steps_is_config_error(self, tmp_path, capsys, command):
         data = copy.deepcopy(BALL_CONFIG)
@@ -585,6 +610,66 @@ class TestCheck:
         for i, g in enumerate(p.sample_states(np.random.default_rng(seed), n)):
             fresh = dg.regularity_report(p, bk.identity(bk.target(g)))
             assert entries[f"identity_{i}"] == cli._regularity_entry(f"identity_{i}", fresh)
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_one_right_gradient_and_one_guess_per_sample(self, tmp_path, capsys, monkeypatch,
+                                                         name):
+        # a sample's report and its reversibility step share one frame, so
+        # each sample's right phi gradient and mirror guess are taken once
+        n, samples, calls = 6, [], {"phi_right_jac": 0, "mirror": 0}
+
+        def at_samples(label, fn):
+            def counting(g, *args):
+                calls[label] += any(g is s for s in samples)
+                return fn(g, *args)
+            return counting
+
+        build = cli.build_problem
+
+        def built(cfg):
+            p = build(cfg)
+            sample_states = p.sample_states
+
+            def sampled(rng, count):
+                samples.extend(sample_states(rng, count))
+                return samples
+
+            p.sample_states = sampled
+            p.phi_right_jac = at_samples("phi_right_jac", p.phi_right_jac)
+            monkeypatch.setattr(p.backend, "mirror", at_samples("mirror", p.backend.mirror))
+            return p
+
+        monkeypatch.setattr(cli, "build_problem", built)
+        data = {"system": {"name": name}, "initial": STARTS[name],
+                "check": {"samples": n, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, _, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert len(samples) == n
+        assert calls == {"phi_right_jac": n, "mirror": n}
+
+    def test_infinite_condition_is_written_as_null(self, tmp_path, capsys):
+        # the sleigh turning by pi per step: its mirror guess has no
+        # principal log, so its report's condition estimate is infinite
+        point = {"xi": [math.pi, 0.5]}
+        data = {"system": {"name": "chaplygin_sleigh"}, "initial": {"xi": [0.7, 0.9]},
+                "check": {"samples": 1, "seed": 0, "trajectory_steps": 2, "points": [point]}}
+        path = write_config(tmp_path, data)
+        code, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        p = md.make_chaplygin_sleigh()
+        fresh = dg.regularity_report(p, p.initial_builder(point))
+        assert fresh.jacobian_condition == math.inf
+        assert fresh.left_nondegenerate and fresh.right_nondegenerate
+        on_disk = (tmp_path / "check_report.json").read_text(encoding="utf-8")
+        for text in (out, on_disk):
+            entries = {e["point"]: e for e in json.loads(text, parse_constant=refuse)["regularity"]}
+            assert entries["point_0"]["jacobian_condition"] is None
+            assert entries["point_0"]["regular"] is True
 
 
 class TestMomentum:

@@ -14,7 +14,7 @@ import nhmech.diagnostics as dg
 import nhmech.models as md
 import nhmech.problem as pb
 import nhmech.solver as sv
-from nhmech.errors import (ChartDomainError, ChartInversionFailed, NotInConstraintCone,
+from nhmech.errors import (ChartDomainError, ChartInversionFailed, NhError, NotInConstraintCone,
                            SingularError)
 
 
@@ -131,6 +131,120 @@ class TestReversibility:
             h = sv.step(p, g).next
             back = sv.step(p, bk.invert(h)).next
             assert bk.distance(back, bk.invert(g)) < 1e-8
+
+
+def _same(a, b):
+    """Equal values: tuples part by part, arrays by ``np.array_equal``,
+    anything else by ``==``."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _step_or_error(p, g, frame=None):
+    """The step from g, or the type and message of the NhError it raises."""
+    try:
+        return sv.step(p, g, frame=frame)
+    except NhError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedFrame:
+    """A sample's report and its step sharing one StepFrame (as ``check``
+    shares them) give the reports, the step and the errors of fresh frames."""
+
+    @staticmethod
+    def _samples(p):
+        return p.sample_states(np.random.default_rng(12), 10)
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_report_then_step_from_one_frame(self, name):
+        p = _factory(name)
+        for g in self._samples(p):
+            frame = pb.StepFrame(p, g)
+            assert dg.regularity_report(p, g, frame) == dg.regularity_report(p, g)
+            shared = _step_or_error(p, g, frame)
+            fresh = _step_or_error(dataclasses.replace(p), g)
+            if isinstance(fresh, tuple):
+                assert shared == fresh
+                continue
+            for f in dataclasses.fields(sv.StepResult):
+                assert _same(getattr(shared, f.name), getattr(fresh, f.name)), f.name
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_reversibility_report_with_the_reports_frames(self, name):
+        p = _factory(name)
+        samples = self._samples(p)
+        frames = [pb.StepFrame(p, g) for g in samples]
+        for g, frame in zip(samples, frames):
+            dg.regularity_report(p, g, frame)
+        fresh = dg.reversibility_report(dataclasses.replace(p), samples)
+        assert dg.reversibility_report(p, samples, frames=frames) == fresh
+
+    @pytest.mark.parametrize("name, fresh_calls", [("suslov", 1), ("mobile_robot", 2)])
+    def test_step_accepting_the_reports_guess_takes_no_hessian(self, name, fresh_calls):
+        # these steps accept their first guess: a fresh step takes H at g for
+        # its right test and at the guess for its Newton matrix (g itself on
+        # a Lie group), and its left test at the root reads the second.  From
+        # the report's frame the step takes neither, even after an identity
+        # report has moved the problem's record (as in ``check``), and its
+        # left test reads the pair of the kept Newton matrix.
+        p = _factory(name)
+        calls = [0]
+        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
+        p = dataclasses.replace(p, lagrangian=lag)
+        bk = p.backend
+        for g in self._samples(p):
+            frame = pb.StepFrame(p, g)
+            dg.regularity_report(p, g, frame)
+            counts = []
+            for shared in (frame, None):
+                dg.regularity_report(p, bk.identity(bk.target(g)))
+                before = calls[0]
+                assert sv.step(p, g, frame=shared).iterations == 0
+                counts.append(calls[0] - before)
+            assert counts == [0, fresh_calls]
+
+    def test_newton_matrix_at_the_guess_is_kept_read_only(self):
+        p = _factory("rolling_ball")
+        g = p.initial_builder(STARTS["rolling_ball"])
+        frame = pb.StepFrame(p, g)
+        J = frame.newton_matrix(frame.guess())
+        assert frame.guess() is frame.guess()
+        assert frame.newton_matrix(frame.guess()) is J
+        assert not J.flags.writeable
+        assert np.array_equal(J, pb.StepFrame(p, g).newton_matrix(p.backend.mirror(g)))
+
+    def test_frame_of_another_element_is_a_value_error(self):
+        p = _factory("suslov")
+        g0, g1 = self._samples(p)[:2]
+        frame = pb.StepFrame(p, g0)
+        with pytest.raises(ValueError, match="another element"):
+            sv.step(p, g1, frame=frame)
+        with pytest.raises(ValueError, match="another element"):
+            dg.regularity_report(p, g1, frame)
+        with pytest.raises(ValueError, match="another element"):
+            dg.reversibility_report(p, [g1], frames=[frame])
+        # keyed by identity: an equal copy is another element
+        with pytest.raises(ValueError, match="another element"):
+            sv.step(p, g0.copy(), frame=frame)
+        with pytest.raises(ValueError, match="another element"):
+            sv.step(dataclasses.replace(p), g0, frame=frame)
+        with pytest.raises(ValueError):
+            dg.reversibility_report(p, [g0, g1], frames=[frame])
+
+    def test_guess_outside_the_chart_fails_the_shared_step_as_a_fresh_one(self):
+        p = md.make_chaplygin_sleigh()
+        g = p.initial_builder({"xi": [np.pi, 0.5]})
+        frame = pb.StepFrame(p, g)
+        assert dg.regularity_report(p, g, frame).jacobian_condition == np.inf
+        with pytest.raises(ChartDomainError) as shared:
+            sv.step(p, g, frame=frame)
+        with pytest.raises(ChartDomainError) as fresh:
+            sv.step(dataclasses.replace(p), g)
+        assert str(shared.value) == str(fresh.value)
 
 
 class TestMomentum:

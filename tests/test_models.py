@@ -519,6 +519,11 @@ class TestRollingBall:
         ang = np.arctan2(crosses, dots)
         assert np.max(np.abs(ang - ang[0])) < 1e-12
 
+    def test_reference_path_of_zero_steps_is_its_start(self):
+        pts = md.closed_form_ball(self.PARAMS, [0.99, 1.0], [1.0, 0.99], 0)
+        assert pts.shape == (1, 2)
+        assert np.array_equal(pts[0], [0.99, 1.0])
+
     def test_reference_path_is_straight_without_table_rotation(self):
         params = dict(self.PARAMS, Omega=0.0)
         pts = md.closed_form_ball(params, [0.0, 0.0], [0.01, -0.02], 40)
