@@ -199,7 +199,7 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8, bad syntax, too long an integer
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return parse_config(data)
 

@@ -20,15 +20,16 @@ and the regularity tests (:meth:`StepFrame.right_sigmas` at g,
 (``regularity_matrices``) serve as references for them.
 
 What a step from g needs that depends on g alone (the distribution basis B at
-beta(g), the left gradient of L at g, and on first use the right test, the
-mirror guess and the Newton matrix there) is evaluated once, by a
-:class:`StepFrame`; ``step_frame`` checks a frame handed in, and
-``residual_at`` and ``lagrange_multipliers`` use a fresh frame.  B is also
-the basis at alpha(h) of every candidate h, so the left pairing at the
-step's root takes it.  One record on the problem carries work
-from one step to the next: H with the left phi gradient at the last element a
-frame took them at (``hess_record``), which is the next step's element once
-the left test has run at the root.  The small dense kernels (QR, SVD,
+beta(g), the left gradient of L at g, and on first use the right test and
+the mirror guess) is evaluated once, by a :class:`StepFrame`; ``step_frame``
+checks a frame handed in, and ``residual_at`` and ``lagrange_multipliers``
+use a fresh frame.  B is also the basis at alpha(h) of every candidate h, so
+the left pairing at the step's root takes it.  Each frame keeps one record:
+H with the left phi gradient at the last element it took them at, which is
+the step's root once the left test has run there.  ``solver.evolve`` hands
+that record to the next step's frame, whose element the root is; the frame
+of a bare ``solver.step`` call starts empty, so a loop of them takes one more
+H per step.  The small dense kernels (QR, SVD,
 least squares) call LAPACK directly, which skips the wrappers' finiteness
 check, so each call is preceded by one of its own that raises SingularError.
 The regularity test forms no pairing and no null space for any system: it
@@ -117,10 +118,11 @@ class NhProblem:
     model's callable when the :class:`Lagrangian` or :class:`ConstraintSet`
     gives one, else a central difference (``mixed_hess`` differences the
     bound right gradient, at the wider step when that gradient is itself a
-    difference).  ``dataclasses.replace`` binds them again for the copy,
-    with an empty record.  A model callable may raise SingularError at an
-    element outside the model's domain; the line search halves a Newton step
-    whose trial point it refuses.
+    difference).  ``dataclasses.replace`` binds them again for the copy.  A
+    model callable may raise SingularError at an element outside the model's
+    domain; the line search halves a Newton step whose trial point it refuses.
+    The problem keeps no state between steps: the H a step's left test takes
+    at its root is recorded on that step's :class:`StepFrame`.
     """
 
     name: str
@@ -134,8 +136,6 @@ class NhProblem:
     coord_names: Optional[list] = None
     initial_builder: Optional[Callable] = None
     sample_states: Optional[Callable] = None
-    # (element, (H, left phi gradient)) as a StepFrame last took them
-    hess_record: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         partial, bk = functools.partial, self.backend
@@ -228,20 +228,21 @@ class StepFrame:
     (and ``neg_bt`` = -B^T for the Newton matrix), ``left_grad(g)`` and its
     projection ``left_grad(g) @ B``.
 
-    Three more are evaluated on first use and kept on the frame, so a
+    Two more are evaluated on first use and kept on the frame, so a
     regularity report and a step from g that share one frame take each once:
-    the right test (:meth:`right_sigmas`), the mirror guess (:meth:`guess`)
-    and the Newton matrix at that guess, which :meth:`newton_matrix` returns,
-    read-only, whenever its center is the guess.  A call that raises keeps
-    nothing, so the next call raises again.
+    the right test (:meth:`right_sigmas`) and the mirror guess
+    (:meth:`guess`).  A call that raises keeps nothing, so the next call
+    raises again.
 
-    H with the left gradient of phi come from the problem's ``hess_record``
-    when they were last taken at the same element (:meth:`_second_order`).
-    The frame keeps the right gradient of the last candidate, for the
-    multipliers at the accepted iterate.
+    ``record`` is the element at which the frame last took H with the left
+    gradient of phi, and that pair (:meth:`_second_order`); it starts as
+    the ``record`` handed in, which ``solver.evolve`` takes from the previous
+    step's frame (a bare ``solver.step`` call's frame starts empty, and takes
+    H at g once more).  The frame keeps the right gradient of the last
+    candidate, for the multipliers at the accepted iterate.
     """
 
-    def __init__(self, p, g):
+    def __init__(self, p, g, record=(None, None)):
         self.p = p
         self.g = g
         self.beta = np.asarray(p.backend.target(g), dtype=float)
@@ -249,8 +250,9 @@ class StepFrame:
         self.neg_bt = -self.basis.T
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
+        self.record = record
         self._last = (None, None)
-        self._right = self._guess = self._at_guess = None
+        self._right = self._guess = None
 
     def guess(self):
         """The first guess of a step from g, ``backend.mirror(g)`` (g's
@@ -276,30 +278,20 @@ class StepFrame:
         -right_grad(center) . X_a, so they differentiate to -B^T H(center);
         the constraint rows differentiate to the left chart gradient of phi.
         """
-        if center is not self._guess:
-            H, phi_jac = self._second_order(center)
-            return np.concatenate((self.neg_bt @ H, phi_jac))
-        if self._at_guess is None:
-            pair = self._second_order(center)
-            J = np.concatenate((self.neg_bt @ pair[0], pair[1]))
-            J.setflags(write=False)
-            self._at_guess = (J, pair)
-        else:  # the record as evaluating the pair would leave it
-            self.p.hess_record = (center, self._at_guess[1])
-        return self._at_guess[0]
+        H, phi_jac = self._second_order(center)
+        return np.concatenate((self.neg_bt @ H, phi_jac))
 
     def _second_order(self, h):
-        """H(h) and the left gradient of phi at h, recorded on the problem.
+        """H(h) and the left gradient of phi at h, kept in the frame's record.
 
         The record is keyed by identity, not equality: an element is never
         modified in place, so the record's element still has the values the
         pair was taken at, and a copy with equal values evaluates afresh.
         """
-        p = self.p
-        at, pair = p.hess_record
+        at, pair = self.record
         if at is not h:
-            pair = p.mixed_hess(h), p.phi_left_jac(h)
-            p.hess_record = (h, pair)
+            pair = self.p.mixed_hess(h), self.p.phi_left_jac(h)
+            self.record = (h, pair)
         return pair
 
     def multipliers(self, h):

@@ -24,8 +24,9 @@ depends on g alone (the distribution basis at beta(g), which is the basis at
 alpha of the root, the left gradient of L at g and its projection) is
 evaluated once and shared by both tests, every residual, every Newton matrix
 and the multipliers.  A Newton matrix and a test at the same element share
-one H and left phi gradient (``NhProblem.hess_record``), so the left test at
-a root hands them to the next step's right test.  The matrices
+one H and left phi gradient, kept in the frame's record; ``evolve`` hands it
+to the next step's frame, so the left test at a root serves the next right
+test (bare ``step`` calls take one more H per step).  The matrices
 are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
 routine they call, so the step calls LAPACK directly: dlange, dgetrf and
 dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
@@ -261,8 +262,8 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one (another element's frame is a ValueError).  A frame that a
     ``diagnostics.regularity_report`` has used hands the step its right
-    test, its first guess and the Newton matrix there; the step evaluates
-    them in the same order either way, so the result is the same.
+    test, its first guess and the H there; the step evaluates them in the
+    same order either way, so the result is the same.
     """
     opts = options or SolverOptions()
     frame = pb.step_frame(p, g, frame)
@@ -279,16 +280,21 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
 def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     """Chain ``n_steps`` steps from g0 (checked against the constraints once).
 
-    Any solver error is re-raised with ``step_index`` set to the failing step.
+    Each step's frame starts with the record of the frame before it (see
+    ``problem.StepFrame``).  Any solver error, in a step or in building its
+    frame, is re-raised with ``step_index`` set to the failing step.
     """
     opts = options or SolverOptions()
     p.assert_on_constraint(g0, label="initial element")
     elements = [g0]
     results = []
     g = g0
+    record = (None, None)
     for k in range(int(n_steps)):
         try:
-            res = step(p, g, opts)
+            frame = pb.StepFrame(p, g, record)
+            res = step(p, g, opts, frame)
+            record = frame.record
         except NhError as exc:
             exc.step_index = k
             raise

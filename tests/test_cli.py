@@ -113,6 +113,20 @@ class TestConfigParsing:
         assert code == cli.EXIT_CONFIG
         assert "config error" in err
 
+    @pytest.mark.parametrize("content, match", [
+        (b"\xff\xfe{}", "not valid JSON: 'utf-8' codec can't decode"),
+        (b'{"steps": ' + b"1" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
+    ], ids=["not_utf8", "integer_too_long"])
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys, content, match):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=match):
+            cli.load_config(str(path))
+        code, out, err = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path)],
+                                 capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == "" and err.startswith("config error") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_row_count_and_header(self, tmp_path, capsys):

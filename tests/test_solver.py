@@ -45,6 +45,29 @@ def _sleigh_with_bad_hess(first_bad_call, factor):
     return dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess)), calls
 
 
+def _evolve_counted(monkeypatch, p, g0, n_steps, *counts):
+    """``sv.evolve(p, g0, n_steps)`` with ``sv.step`` wrapped (evolve looks it
+    up by name); returns the trajectory and, per step, its result with the
+    running values of ``counts`` (one-element lists) when the step before it
+    returned (when evolve was called, for step 0) and when it returned."""
+    step, per_step = sv.step, []
+    last = [tuple(c[0] for c in counts)]
+
+    def counted_step(*args, **kwargs):
+        res = step(*args, **kwargs)
+        now = tuple(c[0] for c in counts)
+        per_step.append((res, last[0], now))
+        last[0] = now
+        return res
+
+    monkeypatch.setattr(sv, "step", counted_step)
+    return sv.evolve(p, g0, n_steps), per_step
+
+
+def _growth(before, after):
+    return tuple(a - b for a, b in zip(after, before))
+
+
 class TestStep:
     def test_matches_elimination_oracle(self):
         p, g = _particle_pair()
@@ -165,21 +188,50 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("where", ["two-point pairing", "Newton matrix"],
                              ids=["pairing", "newton"])
-    def test_non_finite_H_is_singular_with_step_index(self, where):
-        # step 2's right test and first Newton matrix reuse the H that step
-        # 1's left test took at its root, so step 2 takes one H per later
-        # Newton matrix and one for the left test at its own root; H turns
-        # NaN at that step's last H call (the left test) or at its first
-        # (the Newton matrix of its second iteration)
+    def test_non_finite_H_is_singular_with_step_index(self, where, monkeypatch):
+        # in evolve, step 2's right test and first Newton matrix reuse the H
+        # that step 1's left test took at its root, so step 2 takes one H per
+        # later Newton matrix and one for the left test at its own root; H
+        # turns NaN at that step's last H call (the left test) or at its
+        # first (the Newton matrix of its second iteration)
         p, calls = _sleigh_with_bad_hess(np.inf, np.nan)
         g0 = p.initial_builder({"xi": [0.7, 0.9]})
-        g2 = sv.evolve(p, g0, 2).elements[-1]
-        before = calls[0]
-        iters = sv.step(p, g2).iterations
-        assert iters >= 2 and calls[0] - before == iters
-        p, _ = _sleigh_with_bad_hess(before + (iters if where == "two-point pairing" else 1), np.nan)
+        _, steps = _evolve_counted(monkeypatch, p, g0, 3, calls)
+        res, (before,), (after,) = steps[2]
+        assert res.iterations >= 2 and after - before == res.iterations
+        first_bad = before + (res.iterations if where == "two-point pairing" else 1)
+        p, _ = _sleigh_with_bad_hess(first_bad, np.nan)
         with pytest.raises(SingularError, match=where) as exc:
             sv.evolve(p, g0, 4)
+        assert exc.value.step_index == 2
+
+    @pytest.mark.parametrize("part", ["basis", "left_grad"])
+    def test_failure_building_a_frame_carries_step_index(self, part):
+        # evolve builds each step's frame (the basis at beta(g), the left
+        # gradient at g) inside the step it tags: a callable that refuses
+        # step 2's element fails step 2
+        p, g0 = _particle_pair()
+        bad = sv.evolve(p, g0, 3).elements[2]
+
+        def refusing(fn, is_bad):
+            def wrapped(arg):
+                if is_bad(arg):
+                    raise SingularError("refused step 2's element")
+                return fn(arg)
+            return wrapped
+
+        if part == "basis":
+            at = np.asarray(p.backend.target(bad), dtype=float)
+            basis = refusing(p.distribution.basis, lambda x: np.array_equal(x, at))
+            q = dataclasses.replace(p, distribution=dataclasses.replace(p.distribution,
+                                                                        basis=basis))
+        else:
+            grad = refusing(p.lagrangian.left_grad,
+                            lambda g: np.array_equal(p.to_row(g), p.to_row(bad)))
+            q = dataclasses.replace(p, lagrangian=dataclasses.replace(p.lagrangian,
+                                                                      left_grad=grad))
+        with pytest.raises(SingularError, match="refused") as exc:
+            sv.evolve(q, g0, 5)
         assert exc.value.step_index == 2
 
     def test_degenerate_root_fails_at_the_step_that_found_it(self, monkeypatch):
@@ -591,16 +643,20 @@ class TestNewtonBookkeeping:
 
 
 COUNTED_STEPS = 50
+# H calls of a 200-step evolve from the golden start
+EVOLVE_H_CALLS = {"constrained_particle": 401, "suslov": 1, "chaplygin_sleigh": 68,
+                  "veselova": 601, "rolling_ball": 601, "mobile_robot": 201,
+                  "holonomic_sphere": 601}
 
 
 class TestCallCounts:
     """What a step does not recompute, pinned per step over COUNTED_STEPS
     steps: the first guess needs no chart log, the basis at beta(g) serves
-    the left test at the root too, the left test's H and phi gradient at
-    the root serve the next step's right test, on a Lie group the first
-    Newton matrix reuses the H(g) of the right test, and a step that accepts
-    its first guess hands the H and phi gradient of its Newton matrix to its
-    own left test."""
+    the left test at the root too, in evolve the left test's H and phi
+    gradient at the root serve the next step's right test, on a Lie group
+    the first Newton matrix reuses the H(g) of the right test, and a step
+    that accepts its first guess hands the H and phi gradient of its Newton
+    matrix to its own left test."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_no_chart_coords_in_a_step(self, name, monkeypatch):
@@ -625,21 +681,33 @@ class TestCallCounts:
             g = sv.step(p, g).next
             assert calls[0] == k + 1
 
-    def test_first_newton_matrix_reuses_the_regularity_hessian(self):
+    def test_first_newton_matrix_reuses_the_regularity_hessian(self, monkeypatch):
         p = md.make_suslov(J=ROTATED_J)
         calls = [0]
         lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
         p = dataclasses.replace(p, lagrangian=lag)
-        g = p.initial_builder(STARTS["suslov"])
-        for k in range(COUNTED_STEPS):
-            before = calls[0]
-            res = sv.step(p, g)
+        g0 = p.initial_builder(STARTS["suslov"])
+        _, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS, calls)
+        for k, (res, before, after) in enumerate(steps):
             assert res.iterations > 0
             # one H per Newton matrix after the first and one for the left
             # test at the root; the first step also takes H(g0) for its right
             # test, which later steps read from the previous left test
-            assert calls[0] - before == (k == 0) + 1 + max(0, res.iterations - 1)
-            g = res.next
+            assert _growth(before, after) == ((k == 0) + 1 + max(0, res.iterations - 1),)
+
+    @pytest.mark.parametrize("name", sorted(EVOLVE_H_CALLS))
+    def test_evolve_carries_h_from_step_to_step(self, name):
+        # evolve hands each step's record to the next step's frame; a loop of
+        # bare steps starts every frame empty, so each step after the first
+        # takes H at its element once more, and the path is the same
+        p, hess, _ = self._counting_h_and_phi_jac(name)
+        g = g0 = p.initial_builder(STARTS[name])
+        traj = sv.evolve(p, g0, 200)
+        assert hess[0] == EVOLVE_H_CALLS[name]
+        for res in traj.results:
+            g = sv.step(p, g).next
+            assert np.array_equal(p.to_row(g), p.to_row(res.next))
+        assert hess[0] == 2 * EVOLVE_H_CALLS[name] + 199
 
     @staticmethod
     def _counting_h_and_phi_jac(name):
@@ -652,40 +720,44 @@ class TestCallCounts:
         return dataclasses.replace(p, lagrangian=lag, constraints=con), hess, jac
 
     @pytest.mark.parametrize("name, per_step", [("suslov", 0), ("mobile_robot", 1)])
-    def test_accepted_first_guess_carries_h_to_the_next_regularity_test(self, name, per_step):
+    def test_accepted_first_guess_carries_h_to_the_next_regularity_test(self, name, per_step,
+                                                                        monkeypatch):
         # a step that accepts its first guess returns the center of its only
         # Newton matrix, so its left test at that root reuses the matrix's H
-        # and phi gradient, and the next step's right test reuses them again;
-        # on a Lie group the first guess is g itself, whose pair the right
-        # test took
+        # and phi gradient, and evolve hands them to the next step's right
+        # test; on a Lie group the first guess is g itself, whose pair the
+        # right test took
         p, hess, jac = self._counting_h_and_phi_jac(name)
-        g = sv.step(p, p.initial_builder(STARTS[name])).next
-        for _ in range(COUNTED_STEPS):
-            before = hess[0], jac[0]
-            res = sv.step(p, g)
+        g0 = p.initial_builder(STARTS[name])
+        traj, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS + 1, hess, jac)
+        for g, (res, before, after) in zip(traj.elements[1:], steps[1:]):
             assert res.iterations == 0
-            assert (hess[0] - before[0], jac[0] - before[1]) == (per_step, per_step)
-            # the carried pair gives the sigmas a fresh record gives, at the root
-            carried = sv.point_regularity_sigmas(p, res.next)
-            fresh = sv.point_regularity_sigmas(dataclasses.replace(p), res.next)
-            assert carried == fresh
-            assert res.sigma_min_left == fresh[0][0]
-            assert res.sigma_min_right == sv.point_regularity_sigmas(dataclasses.replace(p), g)[1][0]
-            g = res.next
+            assert _growth(before, after) == (per_step, per_step)
+            # the carried pair gives the sigmas a fresh frame gives
+            assert res.sigma_min_left == sv.point_regularity_sigmas(p, res.next)[0][0]
+            assert res.sigma_min_right == sv.point_regularity_sigmas(p, g)[1][0]
 
     @pytest.mark.parametrize("name, calls", [("suslov", 1), ("mobile_robot", 2)])
     def test_equal_copy_of_the_accepted_element_evaluates_afresh(self, name, calls):
-        # the record is keyed by identity: a copy of the element with the
-        # same values is not its center, so its test evaluates H and the
-        # phi gradient again (and the robot's Newton matrix once more), and
-        # the step is the same
+        # the record is keyed by identity: handed the record of the step
+        # into g, a frame for a copy of g with the same values evaluates H
+        # and the phi gradient again (and the robot's Newton matrix once
+        # more), a frame for g itself one fewer, and the steps are the same
         p, hess, jac = self._counting_h_and_phi_jac(name)
-        g = sv.step(p, p.initial_builder(STARTS[name])).next
+        g0 = p.initial_builder(STARTS[name])
+        into = pb.StepFrame(p, g0)
+        g = sv.step(p, g0, frame=into).next
         copy = tuple(a.copy() for a in g) if isinstance(g, tuple) else g.copy()
-        before = hess[0], jac[0]
-        from_copy = sv.step(p, copy)
-        assert (hess[0] - before[0], jac[0] - before[1]) == (calls, calls)
-        from_g = sv.step(p, g)
+
+        def step_from(start):
+            before = hess[0], jac[0]
+            res = sv.step(p, start, frame=pb.StepFrame(p, start, into.record))
+            return res, (hess[0] - before[0], jac[0] - before[1])
+
+        from_copy, taken = step_from(copy)
+        assert taken == (calls, calls)
+        from_g, taken = step_from(g)
+        assert taken == (calls - 1, calls - 1)
         assert np.array_equal(p.to_row(from_copy.next), p.to_row(from_g.next))
         assert np.array_equal(from_copy.multipliers, from_g.multipliers)
         for f in dataclasses.fields(sv.StepResult)[2:]:
