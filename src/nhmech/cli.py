@@ -68,11 +68,8 @@ DEFAULT_CHECK_STEPS = 25
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration.
-
-    ``raw`` holds a deep copy of the parsed JSON document, so that
-    ``serialize_config(parse_config(d)) == d`` for every valid ``d``.
-    """
+    """Validated run configuration, built from a deep copy of the parsed JSON
+    document, so it shares no object with the caller's document."""
 
     system: str
     params: dict
@@ -82,7 +79,6 @@ class RunConfig:
     outputs: dict
     momentum: dict
     check: dict
-    raw: dict
 
 
 def _expect_mapping(value, where):
@@ -112,7 +108,7 @@ def _output_names(outputs):
 
 def parse_config(data):
     """Validate a parsed JSON document and return a :class:`RunConfig`."""
-    data = _expect_mapping(data, "config")
+    data = copy.deepcopy(_expect_mapping(data, "config"))
     md.check_keys(data, _TOP_KEYS, "config")
 
     system = _expect_mapping(data.get("system", None), "system")
@@ -177,22 +173,8 @@ def parse_config(data):
         for point in points:
             _expect_mapping(point, "check.points entry")
 
-    return RunConfig(
-        system=name,
-        params=dict(params),
-        initial=initial,
-        steps=steps,
-        solver=dict(solver),
-        outputs=dict(outputs),
-        momentum=dict(momentum),
-        check=dict(check),
-        raw=copy.deepcopy(data),
-    )
-
-
-def serialize_config(cfg):
-    """Inverse of :func:`parse_config` on valid documents."""
-    return copy.deepcopy(cfg.raw)
+    return RunConfig(system=name, params=params, initial=initial, steps=steps, solver=solver,
+                     outputs=outputs, momentum=momentum, check=check)
 
 
 def load_config(path):
@@ -216,10 +198,6 @@ def build_initial(problem, cfg):
     if cfg.initial is None:
         raise ConfigError("this command needs an 'initial' section in the config")
     return problem.initial_builder(cfg.initial)
-
-
-def solver_options(cfg):
-    return sv.SolverOptions(**cfg.solver)
 
 
 def _resolve_spec_names(problem, cfg, require=False):
@@ -322,7 +300,7 @@ def run_simulate(cfg, out_dir, verbose=False):
         raise ConfigError("simulate needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg)
     g0 = build_initial(problem, cfg)
-    options = solver_options(cfg)
+    options = sv.SolverOptions(**cfg.solver)
     trajectory = sv.evolve(problem, g0, cfg.steps, options)
     if verbose:
         print(f"solved {trajectory.n_steps} step(s) of {problem.name}", file=sys.stderr)
@@ -371,7 +349,7 @@ def _regularity_entry(label, report):
 
 def run_check(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
-    options = solver_options(cfg)
+    options = sv.SolverOptions(**cfg.solver)
     n_samples = cfg.check.get("samples", DEFAULT_CHECK_SAMPLES)
     seed = cfg.check.get("seed", 0)
     rng = np.random.default_rng(seed)
@@ -432,7 +410,7 @@ def run_check(cfg, out_dir, verbose=False):
                                 for r in identities.values()),
         "all_points_regular": bool(all(e["regular"] for e in entries)),
         "reversible": reversible,
-        "reversibility": dict(vars(rev), consistent=bool(rev.consistent)),
+        "reversibility": vars(rev),
         "legendre_matching": matching,
     }
     report_name = cfg.outputs.get("report", "check_report.json")
@@ -487,7 +465,7 @@ def run_momentum(cfg, out_dir, verbose=False):
         raise ConfigError("momentum needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg, require=True)
     g0 = build_initial(problem, cfg)
-    trajectory = sv.evolve(problem, g0, cfg.steps, solver_options(cfg))
+    trajectory = sv.evolve(problem, g0, cfg.steps, sv.SolverOptions(**cfg.solver))
     tolerance = cfg.momentum.get("tolerance", DEFAULT_MOMENTUM_TOL)
     report = momentum_report(problem, spec_names, trajectory, tolerance)
     report["system"] = problem.name
@@ -549,15 +527,11 @@ def main(argv=None):
     except (ConfigError, ConstraintViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularError, NoConvergenceError) as exc:
-        step = getattr(exc, "step_index", None)
-        where = f" at step {step}" if step is not None else ""
-        print(f"solver failure{where}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except NhError as exc:
-        step = getattr(exc, "step_index", None)
-        where = f" at step {step}" if step is not None else ""
-        print(f"run failed{where}: {exc}", file=sys.stderr)
+        solver_failure = isinstance(exc, (SingularError, NoConvergenceError))
+        kind = "solver failure" if solver_failure else "run failed"
+        where = f" at step {exc.step_index}" if exc.step_index is not None else ""
+        print(f"{kind}{where}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

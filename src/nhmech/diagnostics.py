@@ -1,16 +1,13 @@
 """Diagnostics: regularity reports, reversibility checks, momentum maps, and
 the reduced-equation consistency test for Chaplygin-type systems.
 
-The momentum pass (:func:`momentum_drift`, :func:`max_momentum_drift`,
-:func:`momentum_value`) calls the model per element and checks per block:
-the symmetry directions and bases of up to ``MOMENTUM_BLOCK`` elements fill
-two stacks, whose finiteness and distance from the constraint distribution
-are checked with one array operation each (:func:`_block_momenta`).  Only
-:func:`momentum_drift` computes the predicted changes.
+The momentum pass (:func:`_momentum_pass`) serves :func:`momentum_drift`,
+:func:`max_momentum_drift` and :func:`momentum_value`, and checks its
+elements in blocks; the README ("Library use") gives the design.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,21 +101,20 @@ def reversibility_report(p, samples, options=None, frames=None):
     dyn_defect = 0.0
     solved = 0
     lag_scale = 1.0
-    for g in samples:
+    frames = [None] * len(samples) if frames is None else frames
+    for g, frame in zip(samples, frames, strict=True):
         gi = bk.invert(g)
         lv = p.lagrangian.eval(g)
         lag_scale = max(lag_scale, abs(lv))
         lag_defect = _worst(lag_defect, abs(lv - p.lagrangian.eval(gi)))
         if p.k:
             con_defect = _worst(con_defect, float(np.max(np.abs(p.phi(gi)))))
-    frames = [None] * len(samples) if frames is None else frames
-    for g, frame in zip(samples, frames, strict=True):
         try:
             res = sv.step(p, g, options, frame)
         except NhError:
             continue
         solved += 1
-        rev = pb.residual_at(p, bk.invert(res.next), bk.invert(g))
+        rev = pb.residual_at(p, bk.invert(res.next), gi)
         dyn_defect = _worst(dyn_defect, float(np.max(np.abs(rev))))
     lag_ok = lag_defect <= LAGRANGIAN_SYMMETRY_RTOL * lag_scale
     con_ok = con_defect <= CONSTRAINT_INVARIANCE_TOL
@@ -210,21 +206,14 @@ def _block_momenta(p, specs, V, B, lefts):
     return out
 
 
-def _momentum_pass(p, specs, trajectory, xis=None, predict=False):
-    """One pass over a trajectory (or a sequence of elements) for every spec:
-    the momenta of each element (one list of floats per element, one float
-    per spec) and, with ``predict``, the predicted change across each
-    adjacent pair of elements (one list per pair, one float per spec; see
-    :func:`momentum_drift`), else None.
-
-    Per element only the model callables run (the matching point, each
-    spec's parameter, or ``xis`` when given, and symmetry direction, the
-    basis, the left gradient and, with ``predict``, the section of the
-    parameter difference), and the dot products with the left gradient.  The
-    directions and bases fill stacks of MOMENTUM_BLOCK elements, whose checks
-    run once per block (:func:`_block_momenta`), so the first failing element
-    in trajectory order raises.  A callable that raises at an element does so
-    after the checks of the block's elements before it.
+def _momentum_pass(p, specs, trajectory, predict=False):
+    """The momenta of every element of a trajectory (or a sequence of
+    elements), one list of floats per element with one float per spec, and,
+    with ``predict``, the predicted change across each adjacent pair (one
+    list per pair; see :func:`momentum_drift`), else None.  The checks run
+    per block of MOMENTUM_BLOCK elements (:func:`_block_momenta`), so the
+    first failing element raises, and a model callable that raises does so
+    after the checks of the elements before it in its block.
     """
     elements = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
     bk, size = p.backend, max(1, min(len(elements), MOMENTUM_BLOCK))
@@ -236,9 +225,7 @@ def _momentum_pass(p, specs, trajectory, xis=None, predict=False):
         try:
             for i, g in enumerate(elements[start:start + size]):
                 x = bk.target(g)
-                xi_now = xis
-                if xi_now is None:
-                    xi_now = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
+                xi_now = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
                 for j, (spec, xi) in enumerate(zip(specs, xi_now)):
                     V[i, j] = spec.section(xi, x)
                 B[i] = p.distribution.basis(x)
@@ -267,7 +254,9 @@ def momentum_value(p, spec, g, xi=None):
     beta(g); otherwise NotInConstraintCone is raised.  A non-finite direction,
     basis or value raises SingularError.
     """
-    return _momentum_pass(p, [spec], [g], None if xi is None else [xi])[0][0][0]
+    if xi is not None:
+        spec = replace(spec, xi_map=lambda x: xi)
+    return _momentum_pass(p, [spec], [g])[0][0][0]
 
 
 def invariance_defect(p, spec, g, xi):
@@ -286,13 +275,8 @@ def momentum_drift(p, specs, trajectory):
     measured  = J(g_{k+1}) - J(g_k) with the spec's parameter map;
     predicted = left derivative at g_{k+1} along the section of the parameter
     difference (the discrete evolution identity; exact when the section is
-    linear in the parameter and the symmetry identity holds).
-
-    One pass over the trajectory serves every spec: each element's model
-    callables run once, the predicted change reuses its left gradient, and
-    the checks of :func:`momentum_value` run once per block of elements.
-    The predicted changes cost one more section call per map and element;
-    :func:`max_momentum_drift` reads the measured changes without them.
+    linear in the parameter and the symmetry identity holds).  One pass
+    (:func:`_momentum_pass`) serves every spec.
     """
     values, predicted = _momentum_pass(p, specs, trajectory, predict=True)
     return [

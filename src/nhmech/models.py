@@ -675,12 +675,17 @@ def closed_form_ball(params, xy0, xy1, n_steps):
 def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.05):
     """Planar robot driven by two wheels of radius R mounted a distance c from
     the symmetry axis; l is the center-of-mass offset along the axis (the
-    symmetric robot has l = 0).  Pure rolling of both wheels."""
-    m0, m1, J, l = number(m0, "m0"), number(m1, "m1"), number(J, "J"), number(l, "l")
+    symmetric robot has l = 0).  Pure rolling of both wheels.  The frame's
+    kinetic energy 1/2 (J w^2 + (m0 + 2 m1) |v|^2 + 2 m0 l w v_2) must be
+    positive definite: m0, m1 and J positive and J (m0 + 2 m1) > (m0 l)^2."""
+    m0, m1, J = (number(v, what, positive=True) for v, what in ((m0, "m0"), (m1, "m1"), (J, "J")))
+    l = number(l, "l")
     J1, R, c, h = (
         number(v, what, positive=True) for v, what in ((J1, "J1"), (R, "R"), (c, "c"), (h, "h"))
     )
     mtot = m0 + 2.0 * m1
+    if not J * mtot > (m0 * l) * (m0 * l):
+        raise ConfigError("J (m0 + 2 m1) must exceed (m0 l)^2 (positive definite kinetic energy)")
     K = np.array(
         [
             [J / 2, 0.0, m0 * l],

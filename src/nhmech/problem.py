@@ -8,39 +8,11 @@ Euler-Lagrange condition
     left_deriv(L, g, X_a(beta(g))) - right_deriv(L, h, X_a(beta(g))) = 0
 
 over a basis X_a of the distribution at the matching point, together with
-``phi(h) = 0`` for the next element.  ``residual_at`` stacks the projected rows
-first and the constraint rows after them.
-
-The chart derivatives are bound once per problem (see :class:`NhProblem`).
-Every second-order quantity comes from the mixed second derivative
-``NhProblem.mixed_hess``: the Newton matrix (:meth:`StepFrame.newton_matrix`)
-and the regularity tests (:meth:`StepFrame.right_sigmas` at g,
-:meth:`StepFrame.left_sigmas` at the step's root).  ``newton_jacobian_fd``,
-``groupoid.cross_form`` and the two regularity pairings
-(``regularity_matrices``) serve as references for them.
-
-What a step from g needs that depends on g alone (the distribution basis B at
-beta(g), the left gradient of L at g, and on first use the right test and
-the mirror guess) is evaluated once, by a :class:`StepFrame`; ``step_frame``
-checks a frame handed in, and ``residual_at`` and ``lagrange_multipliers``
-use a fresh frame.  B is also the basis at alpha(h) of every candidate h, so
-the left pairing at the step's root takes it.  Each frame keeps one record:
-H with the left phi gradient at the last element it took them at, which is
-the step's root once the left test has run there.  ``solver.evolve`` hands
-that record to the next step's frame, whose element the root is; the frame
-of a bare ``solver.step`` call starts empty, so a loop of them takes one more
-H per step.  The small dense kernels (QR, SVD,
-least squares) call LAPACK directly, which skips the wrappers' finiteness
-check, so each call is preceded by one of its own that raises SingularError.
-The regularity test forms no pairing and no null space for any system: it
-projects the rows of X^T H and the columns of H B off the row space of the
-constraint gradient (:func:`_projected_sigmas`).  One constraint on a
-3-dimensional fiber takes the unit gradient and the closed-form singular
-values of a 2x3 matrix (:func:`_pair_sigmas`); other gradients apply the
-orthogonal factor of a LAPACK QR to the pairing without forming it (dgeqrf,
-dormqr), and the restricted block takes the same closed form when it is 2x2
-and dgesdd otherwise (:func:`kernel_sigmas`).  The reference pairings take
-their tangent bases from ``scipy.linalg.null_space``.
+``phi(h) = 0``; ``residual_at`` stacks the projected rows first and the
+constraint rows after them.  A :class:`StepFrame` evaluates once what a step
+from g needs of g alone; ``newton_jacobian_fd``, ``groupoid.cross_form`` and
+``regularity_matrices`` are the references for its Newton matrix and tests.
+The README ("Built-in systems", "Library use") gives the design.
 """
 
 import functools
@@ -111,18 +83,14 @@ class Lagrangian:
 class NhProblem:
     """A discrete nonholonomic system on a groupoid backend.
 
-    Building it binds the constraint function ``phi(g)`` (the model's own)
-    and the five chart derivatives a step calls, once: ``left_grad(g)``,
-    ``right_grad(g)`` and ``mixed_hess(g)`` of L and the (k, n) arrays
-    ``phi_left_jac(g)``, ``phi_right_jac(g)``.  Each derivative is the
-    model's callable when the :class:`Lagrangian` or :class:`ConstraintSet`
-    gives one, else a central difference (``mixed_hess`` differences the
-    bound right gradient, at the wider step when that gradient is itself a
-    difference).  ``dataclasses.replace`` binds them again for the copy.  A
-    model callable may raise SingularError at an element outside the model's
-    domain; the line search halves a Newton step whose trial point it refuses.
-    The problem keeps no state between steps: the H a step's left test takes
-    at its root is recorded on that step's :class:`StepFrame`.
+    Building it binds ``phi(g)`` (the model's own) and the five chart
+    derivatives a step calls: ``left_grad``, ``right_grad`` and
+    ``mixed_hess`` of L and the (k, n) ``phi_left_jac``, ``phi_right_jac``,
+    each the model's callable where one is given, else a central difference
+    (``mixed_hess`` at the wider step when the right gradient is itself a
+    difference); ``dataclasses.replace`` binds them again.  It keeps no state
+    between steps.  The README ("Built-in systems") gives the contract of the
+    model callables.
     """
 
     name: str
@@ -224,22 +192,14 @@ def least_squares(A, b, what):
 
 class StepFrame:
     """The quantities of a step from g that depend on g alone, each
-    evaluated once: the distribution basis B at the matching point beta(g)
-    (and ``neg_bt`` = -B^T for the Newton matrix), ``left_grad(g)`` and its
-    projection ``left_grad(g) @ B``.
-
-    Two more are evaluated on first use and kept on the frame, so a
-    regularity report and a step from g that share one frame take each once:
+    evaluated once: the distribution basis B at beta(g) (and ``neg_bt`` =
+    -B^T), ``left_grad(g)`` and its projection ``left_rows``; on first use,
     the right test (:meth:`right_sigmas`) and the mirror guess
-    (:meth:`guess`).  A call that raises keeps nothing, so the next call
-    raises again.
-
-    ``record`` is the element at which the frame last took H with the left
-    gradient of phi, and that pair (:meth:`_second_order`); it starts as
-    the ``record`` handed in, which ``solver.evolve`` takes from the previous
-    step's frame (a bare ``solver.step`` call's frame starts empty, and takes
-    H at g once more).  The frame keeps the right gradient of the last
-    candidate, for the multipliers at the accepted iterate.
+    (:meth:`guess`), which a call that raises does not keep.  ``record`` is
+    (element, (H, left phi gradient)) at the last element the frame took
+    them at (:meth:`_second_order`), starting as the record handed in.  The
+    frame keeps the right gradient of the last candidate for
+    :meth:`multipliers`.  The README ("Library use") gives the reasons.
     """
 
     def __init__(self, p, g, record=(None, None)):

@@ -1,46 +1,18 @@
 """Stepwise solution of the projected discrete Euler-Lagrange equations.
 
-``step`` advances one element: the unknown is the next element, parametrized
-by fiber-chart coordinates on the source-fiber over the matching point, and
+``step`` advances one element: the unknown is the next element, in
+fiber-chart coordinates on the source fiber over the matching point, and
 ``newton``, the package's one damped Newton loop (``diagnostics.chi_inverse``
 uses it too), drives the stacked residual (projected DEL rows, then
 constraint rows) to tolerance, or to its roundoff floor when that is larger.
-``evolve`` chains steps into a trajectory.
-
-Both the Newton matrix and the regularity test come from one object, the
-mixed second derivative H of the discrete Lagrangian
-(``NhProblem.mixed_hess``): the Newton matrix is [-B^T H(center); left
-chart gradient of phi at center], and the two pairings of the two-point form
-are -X^T H(g) W and -V^T H(g) X (``problem.regularity_matrices``, the
-reference for the sigmas the step computes without forming them).
-
-The solver refuses degenerate steps: it tests the right pairing at the
-current element before iterating and the left pairing at the accepted root
-after, and during iteration it monitors a 1-norm condition estimate of each
-Newton matrix computed from its LU factors.
-
-A step builds or takes one ``problem.StepFrame`` for its element g, so what
-depends on g alone (the distribution basis at beta(g), which is the basis at
-alpha of the root, the left gradient of L at g and its projection) is
-evaluated once and shared by both tests, every residual, every Newton matrix
-and the multipliers.  A Newton matrix and a test at the same element share
-one H and left phi gradient, kept in the frame's record; ``evolve`` hands it
-to the next step's frame, so the left test at a root serves the next right
-test (bare ``step`` calls take one more H per step).  The matrices
-are 2x2 to 5x5, where the numpy/scipy wrappers cost several times the LAPACK
-routine they call, so the step calls LAPACK directly: dlange, dgetrf and
-dgecon to factor, dgetrs to solve and dgelsd for the multipliers.  The
-regularity test needs two singular values of each pairing, and it takes them
-the same way for every system, with no null-space basis: the rows of X^T H
-and the columns of H B, projected off the row space of the constraint
-gradient (``problem._projected_sigmas``).  With one constraint on a
-3-dimensional fiber (the particle, Suslov, the sleigh, Veselova and the
-sphere) that is a closed form on floats.  The rolling ball and the robot
-take a LAPACK QR of each gradient (dgeqrf) and apply its orthogonal factor
-to the pairing without forming it (dormqr); the robot's restricted 2x2
-block takes the same closed form, the ball's 3x3 block one values-only
-dgesdd.  Each kernel is preceded by a finiteness check, and a non-finite
-matrix or a LAPACK failure is a SingularError.
+``evolve`` chains steps into a trajectory.  A step tests the right pairing
+at g before Newton and the left pairing at its root after it, and holds the
+1-norm condition estimate of each Newton matrix, from its LU factors, to
+``cond_limit``.  The Newton matrix and both tests come from H
+(``NhProblem.mixed_hess``) on one ``problem.StepFrame``, and the step calls
+LAPACK directly, each kernel after a finiteness check of its own; a
+non-finite matrix or a LAPACK failure is a SingularError.  The README
+("Library use") gives the design and the reasons for it.
 """
 
 import math
@@ -317,8 +289,7 @@ def legendre_minus(p, h):
 
 
 def legendre_plus(p, g):
-    """Outgoing momentum at beta(g): components left_deriv(L, g, X_a)."""
-    x = p.backend.target(g)
-    B = np.asarray(p.distribution.basis(x), dtype=float)
-    comps = p.left_grad(g) @ B
-    return NhCovector(base=np.asarray(x, dtype=float).copy(), components=comps)
+    """Outgoing momentum at beta(g): components left_deriv(L, g, X_a), the
+    projected left gradient of a step frame from g."""
+    frame = pb.StepFrame(p, g)
+    return NhCovector(base=frame.beta.copy(), components=frame.left_rows)

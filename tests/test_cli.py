@@ -50,17 +50,17 @@ def run_cli(args, capsys):
 
 
 class TestConfigParsing:
-    def test_roundtrip_is_identity(self):
-        cfg = cli.parse_config(BALL_CONFIG)
-        assert cli.serialize_config(cfg) == BALL_CONFIG
-        again = cli.parse_config(cli.serialize_config(cfg))
-        assert again == cfg
-
     def test_parse_does_not_alias_the_input(self):
         data = copy.deepcopy(BALL_CONFIG)
+        data["system"] = {"name": "suslov", "params": {"J": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}}
+        data["check"]["points"] = [copy.deepcopy(BALL_CONFIG["initial"])]
         cfg = cli.parse_config(data)
-        data["steps"] = 99
-        assert cfg.raw["steps"] == 5
+        before = copy.deepcopy(cfg)
+        data["initial"]["spin"] = 1.0
+        data["check"]["points"][0]["spin"] = 1.0
+        data["momentum"]["specs"].append("plane")
+        data["system"]["params"]["J"][0][0] = 5
+        assert cfg == before
 
     @pytest.mark.parametrize(
         "mutate",
@@ -333,6 +333,11 @@ class TestExitCodes:
             ("holonomic_sphere", {}, {"q0": [0, 0, 0], "q1": [0, 0, 1]}, "q0 must be nonzero"),
             ("holonomic_sphere", {}, {"q0": [0, 0, 1], "q1": [0, 0, 0]}, "q1 must be nonzero"),
             ("holonomic_sphere", {}, {"q0": [0, 0, 1]}, "needs q1 or velocity"),
+            ("mobile_robot", {"J": -0.6}, STARTS["mobile_robot"], "J must be positive"),
+            ("mobile_robot", {"m0": 0.0}, STARTS["mobile_robot"], "m0 must be positive"),
+            ("mobile_robot", {"m1": -0.25}, STARTS["mobile_robot"], "m1 must be positive"),
+            ("mobile_robot", {"l": 5.0}, STARTS["mobile_robot"],
+             "J (m0 + 2 m1) must exceed (m0 l)^2"),
         ],
         ids=[
             "suslov-J-asymmetric", "suslov-J-shape", "veselova-I-indefinite",
@@ -340,6 +345,7 @@ class TestExitCodes:
             "veselova-no-omega", "veselova-zero-gamma", "ball-no-xy1", "ball-step-too-large",
             "robot-no-wheels0", "robot-no-wheels1", "robot-past-chart-cut",
             "sphere-no-q0", "sphere-zero-q0", "sphere-zero-q1", "sphere-no-q1",
+            "robot-J-negative", "robot-m0-zero", "robot-m1-negative", "robot-indefinite-offset",
         ],
     )
     def test_model_config_error_names_its_key(self, tmp_path, capsys, system, params, initial,
@@ -661,6 +667,32 @@ class TestCheck:
         assert code == cli.EXIT_OK
         assert len(samples) == n
         assert calls == {"phi_right_jac": n, "mirror": n}
+
+    def test_undeclared_problem_writes_consistent_null(self, tmp_path, capsys, monkeypatch):
+        build = cli.build_problem
+        monkeypatch.setattr(cli, "build_problem",
+                            lambda cfg: dataclasses.replace(build(cfg), declared_reversible=None))
+        data = {"system": {"name": "suslov"}, "check": {"samples": 2, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        on_disk = (tmp_path / "check_report.json").read_text(encoding="utf-8")
+        for text in (out, on_disk):
+            reversibility = json.loads(text)["reversibility"]
+            assert reversibility["declared"] is None
+            assert reversibility["consistent"] is None
+
+    def test_legendre_trajectory_from_a_fold_exits_3(self, tmp_path, capsys):
+        # with no initial section the Legendre trajectory starts at sample 0,
+        # whose second step stalls at a fold of the evolution operator
+        data = {"system": {"name": "chaplygin_sleigh"},
+                "check": {"samples": 40, "seed": 3, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert "at step 1" in err
+        assert out == ""
+        assert not (tmp_path / "check_report.json").exists()
 
     def test_infinite_condition_is_written_as_null(self, tmp_path, capsys):
         # the sleigh turning by pi per step: its mirror guess has no
