@@ -87,10 +87,10 @@ def _expect_mapping(value, where):
     return value
 
 
-def _expect_int(value, where, minimum=None):
+def _expect_int(value, where, minimum):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where} must be an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
     return value
 

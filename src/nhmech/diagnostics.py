@@ -8,7 +8,7 @@ elements in blocks; the README ("Library use") gives the design.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -136,20 +136,6 @@ def reversibility_report(p, samples, options=None, frames=None):
 
 # ---------------------------------------------------------------------------
 # momentum maps
-
-
-@dataclass(frozen=True)
-class MomentumSpec:
-    """A parametrized family of symmetry directions.
-
-    ``section(xi, x)`` returns the fiber direction of the symmetry parameter
-    xi (an array) at base point x; it must be linear in xi.
-    ``xi_map(x)`` picks the parameter used along trajectories.
-    """
-
-    name: str
-    section: Callable
-    xi_map: Callable
 
 
 def _cone_gaps(p, specs, V, B):

@@ -100,9 +100,6 @@ class PairGroupoid:
         q1 = np.asarray(g[1], dtype=float)
         return (q1, q1 + (q1 - g[0]))
 
-    def distance(self, g, h):
-        return max(_base_mismatch(g[0], h[0]), _base_mismatch(g[1], h[1]))
-
 
 class LieGroupGroupoid:
     """A Lie group as a groupoid over a single point.
@@ -116,8 +113,7 @@ class LieGroupGroupoid:
             raise ValueError("group must be 'so3' or 'se2'")
         self.base_dim = 0
         self.fiber_dim = 3
-        (self._mul, self._inv, self._exp, self._log, self._id, self._diff,
-         self._check_cut) = _GROUPS[group]
+        self._mul, self._inv, self._exp, self._log, self._id, self._check_cut = _GROUPS[group]
 
     def source(self, g):
         return _POINT
@@ -144,21 +140,10 @@ class LieGroupGroupoid:
         self._check_cut(g)
         return g
 
-    def distance(self, g, h):
-        return float(np.max(np.abs(self._diff(g, h))))
 
-
-def se_diff(g, h):
-    """Componentwise difference of SE(2) triples with the angle wrapped."""
-    d = np.asarray(g, dtype=float) - np.asarray(h, dtype=float)
-    d[0] = lg.wrap_angle(d[0])
-    return d
-
-
-# (multiply, invert, exp, log, identity, difference, cut check) of each Lie
-# group; the cut check raises where log does.  The
-# kernels are looked up in ``liegroup`` at call time, so a replacement made
-# there after import is seen.
+# (multiply, invert, exp, log, identity, cut check) of each Lie group; the
+# cut check raises where log does.  The kernels are looked up in ``liegroup``
+# at call time, so a replacement made there after import is seen.
 _GROUPS = {
     "so3": (
         lambda a, b: a @ b,
@@ -166,7 +151,6 @@ _GROUPS = {
         lambda u: lg.so3_exp(u),
         lambda a: lg.so3_log(a),
         lambda: np.eye(3),
-        lambda a, b: a - b,
         lambda a: lg.so3_check_cut(a),
     ),
     "se2": (
@@ -175,7 +159,6 @@ _GROUPS = {
         lambda u: lg.se2_exp(u),
         lambda a: lg.se2_log(a),
         lambda: lg.se2_identity(),
-        se_diff,
         lambda a: lg.se2_check_cut(a),
     ),
 }
@@ -221,9 +204,6 @@ class ActionGroupoid:
     def mirror(self, g):
         return (self.target(g), self.group_ops.mirror(g[1]))
 
-    def distance(self, g, h):
-        return max(_base_mismatch(g[0], h[0]), self.group_ops.distance(g[1], h[1]))
-
 
 class AtiyahGroupoid:
     """Trivialized Atiyah groupoid (U x U) x G over U = R^m.
@@ -265,9 +245,6 @@ class AtiyahGroupoid:
 
     def mirror(self, g):
         return (*self.pair.mirror(g), self.group_ops.mirror(g[2]))
-
-    def distance(self, g, h):
-        return max(self.pair.distance(g, h), self.group_ops.distance(g[2], h[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ of SE(2) elements live in (-pi, pi].
 """
 
 import math
+import sys
 
 import numpy as np
 
 from . import liegroup as lg
 from .errors import ConfigError, SingularError
 from .groupoid import ActionGroupoid, AtiyahGroupoid, LieGroupGroupoid, PairGroupoid
-from .problem import ConstraintSet, Distribution, Lagrangian, NhProblem
-from .diagnostics import MomentumSpec
+from .problem import ConstraintSet, Distribution, Lagrangian, MomentumSpec, NhProblem
 
 
 def number(val, what, shape=(), positive=False):
@@ -98,8 +98,12 @@ def _lagrangian(lag, lgrad, rgrad, hess):
 
 def _pair_form(mass, h, dim):
     """mass |q1 - q0|^2 / (2 h^2) on pairs (q0, q1) in R^dim; H is constant.
-    Only g[0] and g[1] are read, so an Atiyah element passes as it is."""
+    Only g[0] and g[1] are read, so an Atiyah element passes as it is.  An h
+    whose h^2 underflows (below the smallest normal float) is a ConfigError,
+    raised before a factory builds any other 1/h^2 term."""
     hh = h * h
+    if hh < sys.float_info.min:
+        raise ConfigError(f"h = {h!r} is too small: h^2 underflows")
     H = mass * np.eye(dim) / hh
     H.flags.writeable = False
 
@@ -111,6 +115,16 @@ def _pair_form(mass, h, dim):
         return [mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())]
 
     return lag, grad, grad, lambda g: H
+
+
+def _body_rate_exp(h, w):
+    """so3_exp(h w) for a configured body rate w (a list of 3 floats), on the
+    floats h w would give; a ConfigError naming omega where h w has a
+    non-finite squared norm, on which so3_exp fails."""
+    u = [h * x for x in w]
+    if not math.isfinite(sum(x * x for x in u)):
+        raise ConfigError("omega is too large: h omega has a non-finite squared norm")
+    return lg.so3_exp(np.array(u))
 
 
 def _so3_form(J):
@@ -326,7 +340,7 @@ def make_suslov(J=None, h=0.05):
         if "omega" not in cfg:
             raise ConfigError("initial needs omega (two components, body axes 1 and 2)")
         w = number(cfg["omega"], "omega", 2)
-        return lg.so3_exp(h * np.array([w[0], w[1], 0.0]))
+        return _body_rate_exp(h, [*w.tolist(), 0.0])
 
     def sample(rng, count):
         return [
@@ -482,7 +496,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         gam = gam / nrm
         w = number(cfg["omega"], "omega", 3)
         w = w - (w @ gam) * gam
-        return (gam, lg.so3_exp(h * w))
+        return (gam, _body_rate_exp(h, w.tolist()))
 
     def sample(rng, count):
         out = []

@@ -46,6 +46,20 @@ class Distribution:
 
 
 @dataclass(frozen=True)
+class MomentumSpec:
+    """A parametrized family of symmetry directions.
+
+    ``section(xi, x)`` returns the fiber direction of the symmetry parameter
+    xi (an array) at base point x; it must be linear in xi.
+    ``xi_map(x)`` picks the parameter used along trajectories.
+    """
+
+    name: str
+    section: Callable
+    xi_map: Callable
+
+
+@dataclass(frozen=True)
 class ConstraintSet:
     """Zero set of phi inside the groupoid, codimension ``codim``; ``phi(g)``
     returns a float (codim,) array.

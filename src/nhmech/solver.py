@@ -34,7 +34,6 @@ from .errors import (
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
 REGULARITY_RTOL = 1e-10
-EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -149,6 +148,18 @@ def _norm_and_merit(r):
     return max(map(abs, values)), 0.5 * squares
 
 
+def _factor_within_limit(p, J, opts):
+    """:func:`factor_newton_matrix` of J; a condition estimate that is not
+    finite or exceeds ``opts.cond_limit`` is a SingularError."""
+    lu, piv, cond_est = factor_newton_matrix(p, J)
+    if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
+        raise SingularError(
+            f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
+            f"exceeds limit {opts.cond_limit:.1e}"
+        )
+    return lu, piv, cond_est
+
+
 def newton(p, residual, jacobian, center, g, opts):
     """Damped Newton iteration for ``residual`` = 0 on the source fiber of
     ``center``, with ``jacobian`` its matrix in the chart at an iterate and
@@ -169,9 +180,9 @@ def newton(p, residual, jacobian, center, g, opts):
     J = jacobian(center)
     parts = g if isinstance(g, tuple) else (g,)
     gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
-    floor = EPS * lapack.dlange("I", J) * max(1.0, gmax)
+    floor = pb.EPS * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
-    lu, piv, cond_est = factor_newton_matrix(p, J)
+    lu, piv, cond_est = _factor_within_limit(p, J, opts)
     while rnorm > stop:
         if iters >= opts.max_iters:
             raise NoConvergenceError(
@@ -181,12 +192,7 @@ def newton(p, residual, jacobian, center, g, opts):
                 residual_norm=rnorm,
             )
         if iters:
-            lu, piv, cond_est = factor_newton_matrix(p, jacobian(center))
-        if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
-            raise SingularError(
-                f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
-                f"exceeds limit {opts.cond_limit:.1e}"
-            )
+            lu, piv, cond_est = _factor_within_limit(p, jacobian(center), opts)
         du, info = lapack.dgetrs(lu, piv, -r)
         if info != 0:
             raise SingularError(f"{p.name}: Newton solve failed (info {info})")

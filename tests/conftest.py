@@ -1,8 +1,9 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
 oracle, the two-evaluation momentum drift, the cell-by-cell trajectory file,
-a call counter, convergence classifiers, the long ball run, and the SO(3)
-and SE(2) constructors only the tests use (the SO(3) hat and vee, the SE(2)
-hat, a wrapped SE(2) triple and the SE(2) adjoint)."""
+an element gap read through the chart, a call counter, convergence
+classifiers, the long ball run, and the SO(3) and SE(2) constructors only the
+tests use (the SO(3) hat and vee, the SE(2) hat, a wrapped SE(2) triple and
+the SE(2) adjoint)."""
 
 import csv
 import io
@@ -15,6 +16,7 @@ import pytest
 from nhmech import models as md
 from nhmech import solver as sv
 from nhmech.errors import NotInConstraintCone
+from nhmech.groupoid import COMPOSE_TOL
 from nhmech.liegroup import wrap_angle
 
 BALL_PARAMS = {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}
@@ -81,6 +83,16 @@ def mirror_center(p, g):
     exp)."""
     bk = p.backend
     return bk.retract(bk.identity(bk.target(g)), bk.coords(bk.identity(bk.source(g)), g))
+
+
+def element_gap(bk, a, b):
+    """Gap between elements a and b of backend bk: the max gap of their
+    source points when that exceeds COMPOSE_TOL, else the larger of it and
+    max |coords(a, b)| (exactly |target b - target a| on the pair backend)."""
+    gap = float(np.max(np.abs(np.asarray(bk.source(a)) - bk.source(b)), initial=0.0))
+    if gap > COMPOSE_TOL:
+        return gap
+    return max(gap, float(np.max(np.abs(bk.coords(a, b)))))
 
 
 def momentum_value_oracle(p, spec, g, xi=None):

@@ -338,6 +338,14 @@ class TestExitCodes:
             ("mobile_robot", {"m1": -0.25}, STARTS["mobile_robot"], "m1 must be positive"),
             ("mobile_robot", {"l": 5.0}, STARTS["mobile_robot"],
              "J (m0 + 2 m1) must exceed (m0 l)^2"),
+            ("suslov", {}, {"omega": [1e200, 0]}, "omega is too large"),
+            ("veselova", {}, {"gamma": [0, 0, 1], "omega": [1e200, 0, 0]}, "omega is too large"),
+            ("constrained_particle", {"h": 1e-200}, STARTS["constrained_particle"],
+             "h = 1e-200 is too small"),
+            ("rolling_ball", {"h": 1e-200}, STARTS["rolling_ball"], "h = 1e-200 is too small"),
+            ("mobile_robot", {"h": 1e-160}, STARTS["mobile_robot"], "h = 1e-160 is too small"),
+            ("holonomic_sphere", {"h": 1e-160}, STARTS["holonomic_sphere"],
+             "h = 1e-160 is too small"),
         ],
         ids=[
             "suslov-J-asymmetric", "suslov-J-shape", "veselova-I-indefinite",
@@ -346,6 +354,8 @@ class TestExitCodes:
             "robot-no-wheels0", "robot-no-wheels1", "robot-past-chart-cut",
             "sphere-no-q0", "sphere-zero-q0", "sphere-zero-q1", "sphere-no-q1",
             "robot-J-negative", "robot-m0-zero", "robot-m1-negative", "robot-indefinite-offset",
+            "suslov-omega-overflow", "veselova-omega-overflow", "particle-h-underflow",
+            "ball-h-underflow", "robot-h-subnormal-square", "sphere-h-subnormal-square",
         ],
     )
     def test_model_config_error_names_its_key(self, tmp_path, capsys, system, params, initial,

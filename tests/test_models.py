@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import del_covector, row_oracle, se2_Ad, se2_element, so3_hat
+from conftest import del_covector, element_gap, row_oracle, se2_Ad, se2_element, so3_hat
 from scipy.linalg import null_space
 from test_golden import golden_run
 
@@ -347,7 +347,7 @@ class TestSuslov:
         for res in traj.results:
             assert res.iterations == 0
         for W in traj.elements[1:]:
-            assert p.backend.distance(W, traj.elements[0]) < 1e-12
+            assert element_gap(p.backend, W, traj.elements[0]) < 1e-12
 
 
 class TestChaplyginSleigh:
@@ -591,7 +591,7 @@ class TestMobileRobot:
         g0 = p.initial_builder({"wheels0": [0.7, 0.1], "dphi": 0.0, "dpsi": 0.0})
         traj = sv.evolve(p, g0, 3)
         for e in traj.elements:
-            assert p.backend.distance(e, g0) < 1e-14
+            assert element_gap(p.backend, e, g0) < 1e-14
 
 
 class TestHolonomicSphere:
@@ -676,6 +676,15 @@ class TestConfigValidation:
     def test_number_is_strict(self, val, shape, positive, match):
         with pytest.raises(ConfigError, match=match):
             md.number(val, "x", shape, positive=positive)
+
+    def test_large_body_rate_with_a_finite_square_is_unchanged(self):
+        # the h omega overflow check refuses only what so3_exp fails on; a
+        # large rate below it, or one along gamma, builds as before
+        p, h = md.make_suslov(), 0.05
+        W = p.initial_builder({"omega": [1e150, -3.0]})
+        assert np.array_equal(W, lg.so3_exp(h * np.array([1e150, -3.0, 0.0])))
+        gam, W = md.make_veselova().initial_builder({"gamma": [1, 0, 0], "omega": [1e200, 0, 0]})
+        assert np.array_equal(W, np.eye(3))
 
     def test_number_accepts_numpy_and_python_reals(self):
         assert md.number(np.int64(2), "x") == 2.0
