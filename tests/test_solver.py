@@ -134,8 +134,13 @@ class TestFailureModes:
             sv.evolve(p, g, 3)
         assert exc.value.step_index == 0
 
-    @pytest.mark.parametrize("name", ["constrained_particle", "suslov", "mobile_robot"])
-    def test_tiny_cond_limit_trips(self, name):
+    def test_tiny_cond_limit_trips(self):
+        p, g = _particle_pair()
+        with pytest.raises(SingularError, match="condition"):
+            sv.step(p, g, sv.SolverOptions(cond_limit=1.0))
+
+    @pytest.mark.parametrize("name", ["suslov", "mobile_robot"])
+    def test_tiny_cond_limit_trips_on_an_accepted_first_guess(self, name):
         # Suslov and the robot accept their mirror guess in 0 iterations, so
         # only the check on the first matrix can trip there
         p = md.FACTORIES[name]()
