@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,21 +65,6 @@ DEFAULT_CHECK_STEPS = 25
 # Config parsing
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration, built from a deep copy of the parsed JSON
-    document, so it shares no object with the caller's document."""
-
-    system: str
-    params: dict
-    initial: dict
-    steps: int
-    solver: dict
-    outputs: dict
-    momentum: dict
-    check: dict
-
-
 def _expect_mapping(value, where):
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -100,14 +84,11 @@ def _is_file_name(name):
     return isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
 
 
-def _output_names(outputs):
-    """The (trajectory, summary) file names simulate writes, defaults included."""
-    fmt = outputs.get("format", "csv")
-    return outputs.get("trajectory", "trajectory." + fmt), outputs.get("summary", "summary.json")
-
-
 def parse_config(data):
-    """Validate a parsed JSON document and return a :class:`RunConfig`."""
+    """Validate a parsed JSON document and return a deep copy of it, so it
+    shares no object with the caller's document, with every section present
+    and every defaulted setting filled in (``initial`` and ``steps`` are None
+    when absent).  The runners read this document."""
     data = copy.deepcopy(_expect_mapping(data, "config"))
     md.check_keys(data, _TOP_KEYS, "config")
 
@@ -117,18 +98,15 @@ def parse_config(data):
     if not isinstance(name, str) or name not in md.FACTORIES:
         known = ", ".join(sorted(md.FACTORIES))
         raise ConfigError(f"system.name must be one of: {known}")
-    params = _expect_mapping(system.get("params", {}), "system.params")
+    params = _expect_mapping(system.setdefault("params", {}), "system.params")
     md.check_keys(params, inspect.signature(md.FACTORIES[name]).parameters, "system.params")
 
-    initial = data.get("initial")
-    if initial is not None:
-        _expect_mapping(initial, "initial")
+    if data.setdefault("initial", None) is not None:
+        _expect_mapping(data["initial"], "initial")
+    if data.setdefault("steps", None) is not None:
+        _expect_int(data["steps"], "steps", minimum=0)
 
-    steps = data.get("steps")
-    if steps is not None:
-        _expect_int(steps, "steps", minimum=0)
-
-    solver = _expect_mapping(data.get("solver", {}), "solver")
+    solver = _expect_mapping(data.setdefault("solver", {}), "solver")
     md.check_keys(solver, _SOLVER_KEYS, "solver")
     for key, value in solver.items():
         if key == "max_iters":
@@ -136,18 +114,18 @@ def parse_config(data):
         else:
             md.number(value, f"solver.{key}", positive=True)
 
-    outputs = _expect_mapping(data.get("outputs", {}), "outputs")
+    outputs = _expect_mapping(data.setdefault("outputs", {}), "outputs")
     md.check_keys(outputs, _OUTPUT_KEYS, "outputs")
     for key in ("trajectory", "summary", "report"):
         if key in outputs and not _is_file_name(outputs[key]):
             raise ConfigError(f"outputs.{key} must be a plain file name (no directory part)")
-    if outputs.get("format", "csv") not in _FORMATS:
+    if outputs.setdefault("format", "csv") not in _FORMATS:
         raise ConfigError("outputs.format must be 'csv' or 'json'")
-    traj_name, summary_name = _output_names(outputs)
-    if traj_name == summary_name:
+    traj_name = outputs.setdefault("trajectory", "trajectory." + outputs["format"])
+    if traj_name == outputs.setdefault("summary", "summary.json"):
         raise ConfigError(f"outputs.trajectory and outputs.summary are both {traj_name!r}")
 
-    momentum = _expect_mapping(data.get("momentum", {}), "momentum")
+    momentum = _expect_mapping(data.setdefault("momentum", {}), "momentum")
     md.check_keys(momentum, _MOMENTUM_KEYS, "momentum")
     if "specs" in momentum:
         specs = momentum["specs"]
@@ -155,26 +133,21 @@ def parse_config(data):
             raise ConfigError("momentum.specs must be a list of spec names")
         if len(set(specs)) < len(specs):
             raise ConfigError(f"momentum.specs names a spec more than once: {specs}")
-    if "tolerance" in momentum:
-        md.number(momentum["tolerance"], "momentum.tolerance", positive=True)
+    md.number(momentum.setdefault("tolerance", DEFAULT_MOMENTUM_TOL), "momentum.tolerance",
+              positive=True)
 
-    check = _expect_mapping(data.get("check", {}), "check")
+    check = _expect_mapping(data.setdefault("check", {}), "check")
     md.check_keys(check, _CHECK_KEYS, "check")
-    if "samples" in check:
-        _expect_int(check["samples"], "check.samples", minimum=1)
-    if "seed" in check:
-        _expect_int(check["seed"], "check.seed", minimum=0)
-    if "trajectory_steps" in check:
-        _expect_int(check["trajectory_steps"], "check.trajectory_steps", minimum=1)
-    if "points" in check:
-        points = check["points"]
-        if not isinstance(points, list):
-            raise ConfigError("check.points must be a list of initial-state objects")
-        for point in points:
-            _expect_mapping(point, "check.points entry")
-
-    return RunConfig(system=name, params=params, initial=initial, steps=steps, solver=solver,
-                     outputs=outputs, momentum=momentum, check=check)
+    _expect_int(check.setdefault("samples", DEFAULT_CHECK_SAMPLES), "check.samples", minimum=1)
+    _expect_int(check.setdefault("seed", 0), "check.seed", minimum=0)
+    _expect_int(check.setdefault("trajectory_steps", DEFAULT_CHECK_STEPS),
+                "check.trajectory_steps", minimum=1)
+    points = check.setdefault("points", [])
+    if not isinstance(points, list):
+        raise ConfigError("check.points must be a list of initial-state objects")
+    for point in points:
+        _expect_mapping(point, "check.points entry")
+    return data
 
 
 def load_config(path):
@@ -191,17 +164,17 @@ def load_config(path):
 
 
 def build_problem(cfg):
-    return md.FACTORIES[cfg.system](**cfg.params)
+    return md.FACTORIES[cfg["system"]["name"]](**cfg["system"]["params"])
 
 
 def build_initial(problem, cfg):
-    if cfg.initial is None:
+    if cfg["initial"] is None:
         raise ConfigError("this command needs an 'initial' section in the config")
-    return problem.initial_builder(cfg.initial)
+    return problem.initial_builder(cfg["initial"])
 
 
 def _resolve_spec_names(problem, cfg, require=False):
-    names = cfg.momentum.get("specs")
+    names = cfg["momentum"].get("specs")
     if names is None:
         names = sorted(problem.momentum_specs)
     unknown = [n for n in names if n not in problem.momentum_specs]
@@ -296,20 +269,20 @@ def _max_constraint_violation(problem, trajectory):
 
 def run_simulate(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
-    if cfg.steps is None:
+    if cfg["steps"] is None:
         raise ConfigError("simulate needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg)
     g0 = build_initial(problem, cfg)
-    options = sv.SolverOptions(**cfg.solver)
-    trajectory = sv.evolve(problem, g0, cfg.steps, options)
+    options = sv.SolverOptions(**cfg["solver"])
+    trajectory = sv.evolve(problem, g0, cfg["steps"], options)
     if verbose:
         print(f"solved {trajectory.n_steps} step(s) of {problem.name}", file=sys.stderr)
 
-    traj_name, summary_name = _output_names(cfg.outputs)
+    outputs = cfg["outputs"]
     summary = {
         "system": problem.name,
         "steps": trajectory.n_steps,
-        "trajectory": traj_name,
+        "trajectory": outputs["trajectory"],
         "final_state": {
             name: float(value)
             for name, value in zip(problem.coord_names, problem.to_row(trajectory.elements[-1]))
@@ -327,9 +300,9 @@ def run_simulate(cfg, out_dir, verbose=False):
 
     # a run that fails in the summary leaves no file behind
     header, rows = trajectory_table(problem, trajectory)
-    text = _table_text(header, rows, cfg.outputs.get("format", "csv"))
-    _atomic_write(os.path.join(out_dir, traj_name), text)
-    _write_json(os.path.join(out_dir, summary_name), summary)
+    text = _table_text(header, rows, outputs["format"])
+    _atomic_write(os.path.join(out_dir, outputs["trajectory"]), text)
+    _write_json(os.path.join(out_dir, outputs["summary"]), summary)
     return summary
 
 
@@ -349,11 +322,9 @@ def _regularity_entry(label, report):
 
 def run_check(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
-    options = sv.SolverOptions(**cfg.solver)
-    n_samples = cfg.check.get("samples", DEFAULT_CHECK_SAMPLES)
-    seed = cfg.check.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    samples = problem.sample_states(rng, n_samples)
+    options = sv.SolverOptions(**cfg["solver"])
+    check = cfg["check"]
+    samples = problem.sample_states(np.random.default_rng(check["seed"]), check["samples"])
 
     # the identity element depends on the base point alone: one report per
     # distinct point (a Lie group's samples all share its one point); each
@@ -370,8 +341,9 @@ def run_check(cfg, out_dir, verbose=False):
         if key not in identities:
             identities[key] = dg.regularity_report(problem, problem.backend.identity(x))
         entries.append(_regularity_entry(f"identity_{idx}", identities[key]))
-    for idx, point in enumerate(cfg.check.get("points", [])):
+    for idx, point in enumerate(check["points"]):
         g = problem.initial_builder(point)
+        problem.assert_on_constraint(g, label=f"check.points[{idx}]")
         entries.append(_regularity_entry(f"point_{idx}", dg.regularity_report(problem, g)))
 
     rev = dg.reversibility_report(problem, samples, options=options, frames=frames)
@@ -382,9 +354,8 @@ def run_check(cfg, out_dir, verbose=False):
     # produce reversible-looking pairs on the sampled window).
     reversible = bool(rev.lagrangian_symmetric and rev.constraint_invariant)
 
-    steps = cfg.check.get("trajectory_steps", DEFAULT_CHECK_STEPS)
-    g0 = build_initial(problem, cfg) if cfg.initial is not None else samples[0]
-    trajectory = sv.evolve(problem, g0, steps, options)
+    g0 = build_initial(problem, cfg) if cfg["initial"] is not None else samples[0]
+    trajectory = sv.evolve(problem, g0, check["trajectory_steps"], options)
     # a step that stopped at its roundoff floor matches the transforms only
     # to about that floor, so each gap is held to its own step's stop level
     gaps, matched = [], True
@@ -403,8 +374,8 @@ def run_check(cfg, out_dir, verbose=False):
 
     report = {
         "system": problem.name,
-        "samples": n_samples,
-        "seed": seed,
+        "samples": check["samples"],
+        "seed": check["seed"],
         "regularity": entries,
         "identity_regular": all(r.left_nondegenerate and r.right_nondegenerate
                                 for r in identities.values()),
@@ -413,7 +384,7 @@ def run_check(cfg, out_dir, verbose=False):
         "reversibility": vars(rev),
         "legendre_matching": matching,
     }
-    report_name = cfg.outputs.get("report", "check_report.json")
+    report_name = cfg["outputs"].get("report", "check_report.json")
     _write_json(os.path.join(out_dir, report_name), report)
     if verbose:
         print(f"checked {problem.name}: reversible={reversible}", file=sys.stderr)
@@ -461,17 +432,16 @@ def momentum_report(problem, spec_names, trajectory, tolerance=DEFAULT_MOMENTUM_
 
 def run_momentum(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
-    if cfg.steps is None:
+    if cfg["steps"] is None:
         raise ConfigError("momentum needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg, require=True)
     g0 = build_initial(problem, cfg)
-    trajectory = sv.evolve(problem, g0, cfg.steps, sv.SolverOptions(**cfg.solver))
-    tolerance = cfg.momentum.get("tolerance", DEFAULT_MOMENTUM_TOL)
-    report = momentum_report(problem, spec_names, trajectory, tolerance)
+    trajectory = sv.evolve(problem, g0, cfg["steps"], sv.SolverOptions(**cfg["solver"]))
+    report = momentum_report(problem, spec_names, trajectory, cfg["momentum"]["tolerance"])
     report["system"] = problem.name
     report["steps"] = trajectory.n_steps
 
-    report_name = cfg.outputs.get("report", "momentum_report.json")
+    report_name = cfg["outputs"].get("report", "momentum_report.json")
     _write_json(os.path.join(out_dir, report_name), report)
     if verbose:
         print(

@@ -62,6 +62,27 @@ class TestConfigParsing:
         data["system"]["params"]["J"][0][0] = 5
         assert cfg == before
 
+    def test_parse_fills_every_default(self):
+        assert cli.parse_config({"system": {"name": "suslov"}}) == {
+            "system": {"name": "suslov", "params": {}},
+            "initial": None,
+            "steps": None,
+            "solver": {},
+            "outputs": {"format": "csv", "trajectory": "trajectory.csv",
+                        "summary": "summary.json"},
+            "momentum": {"tolerance": 1e-9},
+            "check": {"samples": 8, "seed": 0, "trajectory_steps": 25, "points": []},
+        }
+        json_format = {"system": {"name": "suslov"}, "outputs": {"format": "json"}}
+        assert cli.parse_config(json_format)["outputs"] == {
+            "format": "json", "trajectory": "trajectory.json", "summary": "summary.json"
+        }
+
+    def test_parse_keeps_given_values_and_is_idempotent(self):
+        cfg = cli.parse_config(BALL_CONFIG)
+        assert cfg == dict(BALL_CONFIG, check=dict(BALL_CONFIG["check"], points=[]))
+        assert cli.parse_config(cfg) == cfg
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -346,6 +367,19 @@ class TestExitCodes:
             ("mobile_robot", {"h": 1e-160}, STARTS["mobile_robot"], "h = 1e-160 is too small"),
             ("holonomic_sphere", {"h": 1e-160}, STARTS["holonomic_sphere"],
              "h = 1e-160 is too small"),
+            ("veselova", {}, {"gamma": [1, 1, 1], "omega": [1.7e308] * 3}, "omega is too large"),
+            ("veselova", {}, {"gamma": [1.7e308] * 3, "omega": [1, 0, 0]}, "gamma is too large"),
+            ("holonomic_sphere", {}, {"q0": [0, 0, 1], "velocity": [1.7e308, 1.7e308, 0]},
+             "the element built from q0, velocity is not finite"),
+            ("constrained_particle", {}, {"q0": [0, 0, 0], "velocity": [1.7e308, 1.7e308]},
+             "the element built from q0, velocity is not finite"),
+            ("rolling_ball", {}, {"xy0": [1.7e308, -1.7e308], "xy1": [1.7e308, 1.7e308]},
+             "the element built from xy0, xy1 is not finite"),
+            ("rolling_ball", {}, {"xy0": [0, 0], "xy1": [1.7e308, 0]}, "xy0 to xy1 is too large"),
+            ("mobile_robot", {}, {"wheels0": [-1.7e308] * 2, "wheels1": [1.7e308] * 2},
+             "the element built from wheels0, wheels1 is not finite"),
+            ("mobile_robot", {}, {"wheels0": [0, 0], "dphi": 1.7e308, "dpsi": -1.7e308},
+             "turns the frame past the chart cut"),
         ],
         ids=[
             "suslov-J-asymmetric", "suslov-J-shape", "veselova-I-indefinite",
@@ -356,6 +390,9 @@ class TestExitCodes:
             "robot-J-negative", "robot-m0-zero", "robot-m1-negative", "robot-indefinite-offset",
             "suslov-omega-overflow", "veselova-omega-overflow", "particle-h-underflow",
             "ball-h-underflow", "robot-h-subnormal-square", "sphere-h-subnormal-square",
+            "veselova-projected-omega-overflow", "veselova-gamma-norm-overflow",
+            "sphere-velocity-overflow", "particle-velocity-overflow", "ball-xy-overflow",
+            "ball-xy-inf-step", "robot-wheels-overflow", "robot-inf-turn",
         ],
     )
     def test_model_config_error_names_its_key(self, tmp_path, capsys, system, params, initial,
@@ -565,6 +602,23 @@ class TestCheck:
         assert flagged and flagged[0]["regular"] is False
         assert record["all_points_regular"] is False
         assert record["identity_regular"] is True
+
+    def test_off_constraint_point_is_a_config_error(self, tmp_path, capsys):
+        # |phi| = 50: a point off the constraint set is refused as an
+        # evolve refuses its initial element, before any report is written
+        data = {
+            "system": {"name": "constrained_particle"},
+            "check": {"samples": 2, "points": [DEGENERATE_POINT, {"q0": [0, 0, 0],
+                                                                  "q1": [1, 1, 1]}]},
+        }
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == "" and err == (
+            "config error: constrained_particle: check.points[1] violates the discrete "
+            "constraints (|phi| = 5.000e+01)\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     LONG_PARTICLE = {
         "system": {"name": "constrained_particle"},

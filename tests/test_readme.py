@@ -1,5 +1,6 @@
-"""The README's examples run as written: the "Library use" block executes and
-the JSON config of the command-line section passes the config validator."""
+"""The README's examples run as written: the "Library use" block executes,
+the JSON config of the command-line section passes the config validator, and
+the config-key table states the defaults the validator fills in."""
 
 import json
 import pathlib
@@ -28,4 +29,30 @@ def test_library_use_block_runs(capsys):
 def test_command_line_config_is_valid():
     data = json.loads(_block("## Command line", "json"))
     cfg = cli.parse_config(data)
-    assert cfg.system == "rolling_ball"
+    assert cfg["system"]["name"] == "rolling_ball"
+    assert cli.parse_config(cfg) == cfg
+
+
+def test_config_key_table_matches_the_parser():
+    section = README.split("\n## Command line\n", 1)[1]
+    block = section.split("\n| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \| (.*?) \|", block, re.M)
+    table = dict(rows)
+    assert len(table) == len(rows)
+    # every key of the schema has a row
+    sections = {"system": cli._SYSTEM_KEYS, "solver": cli._SOLVER_KEYS,
+                "outputs": cli._OUTPUT_KEYS, "momentum": cli._MOMENTUM_KEYS,
+                "check": cli._CHECK_KEYS}
+    keys = {f"{name}.{key}" for name, group in sections.items() for key in group}
+    assert set(table) == keys | (cli._TOP_KEYS - set(sections))
+    # a default written as one JSON value is the one parse_config fills in
+    stated = {key: json.loads(cell[1:-1]) for key, cell in table.items()
+              if re.fullmatch(r"`[^`]+`", cell)}
+    filled = {}
+    for name, value in cli.parse_config({"system": {"name": "suslov"}}).items():
+        if name in sections:
+            filled.update({f"{name}.{key}": v for key, v in value.items()})
+        else:
+            filled[name] = value
+    del filled["system.name"]
+    assert stated == filled
