@@ -253,8 +253,24 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_json(path, record):
-    _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+def _write_json(path, record, **stdout):
+    """Write ``json.dumps(record, indent=2, sort_keys=True)`` and a newline
+    to ``path``, and return that text for ``record`` with the members
+    ``stdout`` added or replaced.  Each member is encoded once, as its own
+    indented JSON shifted two spaces right (JSON escapes a newline in a
+    string, so every line break is indentation)."""
+
+    def encoded(members):
+        return {key: f"  {json.dumps(key)}: "
+                     + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+                for key, value in members.items()}
+
+    def document(texts):
+        return "{\n" + ",\n".join(texts[key] for key in sorted(texts)) + "\n}"
+
+    written = encoded(record)
+    _atomic_write(path, document(written) + "\n")
+    return document({**written, **encoded(stdout)})
 
 
 def _max_constraint_violation(problem, trajectory):
@@ -302,8 +318,7 @@ def run_simulate(cfg, out_dir, verbose=False):
     header, rows = trajectory_table(problem, trajectory)
     text = _table_text(header, rows, outputs["format"])
     _atomic_write(os.path.join(out_dir, outputs["trajectory"]), text)
-    _write_json(os.path.join(out_dir, outputs["summary"]), summary)
-    return summary
+    return _write_json(os.path.join(out_dir, outputs["summary"]), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +400,10 @@ def run_check(cfg, out_dir, verbose=False):
         "legendre_matching": matching,
     }
     report_name = cfg["outputs"].get("report", "check_report.json")
-    _write_json(os.path.join(out_dir, report_name), report)
+    text = _write_json(os.path.join(out_dir, report_name), report, report=report_name)
     if verbose:
         print(f"checked {problem.name}: reversible={reversible}", file=sys.stderr)
-    report["report"] = report_name
-    return report
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +456,19 @@ def run_momentum(cfg, out_dir, verbose=False):
     report["steps"] = trajectory.n_steps
 
     report_name = cfg["outputs"].get("report", "momentum_report.json")
-    _write_json(os.path.join(out_dir, report_name), report)
+    specs = {
+        name: {key: value for key, value in entry.items() if key != "rows"}
+        for name, entry in report["specs"].items()
+    }
+    text = _write_json(os.path.join(out_dir, report_name), report, specs=specs,
+                       report=report_name)
     if verbose:
         print(
             f"momentum check on {problem.name}: "
             f"max identity gap {report['max_identity_gap']:.3e}",
             file=sys.stderr,
         )
-
-    record = {key: value for key, value in report.items() if key != "specs"}
-    record["specs"] = {
-        name: {key: value for key, value in entry.items() if key != "rows"}
-        for name, entry in report["specs"].items()
-    }
-    record["report"] = report_name
-    return record
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +495,7 @@ def _build_parser():
     return parser
 
 
+# each runner writes its files and returns the JSON text that main prints
 _RUNNERS = {"simulate": run_simulate, "check": run_check, "momentum": run_momentum}
 
 
@@ -491,8 +504,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        record = _RUNNERS[args.command](cfg, args.out, verbose=args.verbose)
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(_RUNNERS[args.command](cfg, args.out, verbose=args.verbose))
         return EXIT_OK
     except (ConfigError, ConstraintViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -611,9 +611,11 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         check_keys(cfg, {"xy0", "xy1", "spin"}, "initial")
         if "xy0" not in cfg or "xy1" not in cfg:
             raise ConfigError("initial needs xy0 and xy1")
-        p0 = number(cfg["xy0"], "xy0", 2)
-        p1 = number(cfg["xy1"], "xy1", 2)
-        w3 = number(cfg.get("spin", 0.0), "spin")
+        return start(number(cfg["xy0"], "xy0", 2), number(cfg["xy1"], "xy1", 2),
+                     number(cfg.get("spin", 0.0), "spin"))
+
+    # the element from checked values; the sampler's draws come here directly
+    def start(p0, p1, w3):
         w = np.array(
             [
                 (2 * h / r) * (0.5 * Omega * (p1[0] + p0[0]) - (p1[1] - p0[1]) / h),
@@ -633,10 +635,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         out = []
         for _ in range(count):
             p0 = rng.normal(size=2)
-            p1 = p0 + h * rng.normal(size=2) * 0.5
-            out.append(
-                build_initial({"xy0": p0, "xy1": p1, "spin": rng.normal() * 0.3})
-            )
+            out.append(start(p0, p0 + h * rng.normal(size=2) * 0.5, rng.normal() * 0.3))
         return out
 
     def const_spec(name, coeffs):
@@ -792,6 +791,10 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             p1 = p0 + np.array([number(cfg["dphi"], "dphi"), number(cfg["dpsi"], "dpsi")])
         else:
             raise ConfigError("initial needs wheels1 or dphi/dpsi")
+        return start(p0, p1)
+
+    # the element from checked values; the sampler's draws come here directly
+    def start(p0, p1):
         dphi, dpsi = p1 - p0
         s = R * (dphi - dpsi) / (2 * c)
         if abs(s) >= np.pi:
@@ -810,15 +813,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         out = []
         for _ in range(count):
             p0 = rng.normal(size=2)
-            out.append(
-                build_initial(
-                    {
-                        "wheels0": p0,
-                        "dphi": rng.normal() * 0.4,
-                        "dpsi": rng.normal() * 0.4,
-                    }
-                )
-            )
+            out.append(start(p0, p0 + np.array([rng.normal() * 0.4, rng.normal() * 0.4])))
         return out
 
     return NhProblem(
@@ -863,36 +858,37 @@ def make_holonomic_sphere(h=0.01):
     zero_row = np.zeros((1, 3))
     zero_row.flags.writeable = False
 
+    def unit(q, key):
+        n = np.linalg.norm(q)
+        if n < 1e-12:
+            raise ConfigError(f"{key} must be nonzero")
+        if n == math.inf:
+            raise ConfigError(f"{key} is too large: its squared norm overflows")
+        return q / n
+
     def build_initial(cfg):
         check_keys(cfg, {"q0", "q1", "velocity"}, "initial")
         if "q0" not in cfg:
             raise ConfigError("initial needs q0")
-        q0 = number(cfg["q0"], "q0", 3)
-        n0 = np.linalg.norm(q0)
-        if n0 < 1e-12:
-            raise ConfigError("q0 must be nonzero")
-        q0 = q0 / n0
+        q0 = unit(number(cfg["q0"], "q0", 3), "q0")
         if "q1" in cfg:
-            q1 = number(cfg["q1"], "q1", 3)
-            n1 = np.linalg.norm(q1)
-            if n1 < 1e-12:
-                raise ConfigError("q1 must be nonzero")
-            q1 = q1 / n1
-        elif "velocity" in cfg:
-            v = number(cfg["velocity"], "velocity", 3)
-            v = v - (v @ q0) * q0
-            sp = np.linalg.norm(v)
-            q1 = q0 if sp < 1e-300 else np.cos(h * sp) * q0 + np.sin(h * sp) * v / sp
-        else:
-            raise ConfigError("initial needs q1 or velocity")
-        return (q0, q1)
+            return (q0, unit(number(cfg["q1"], "q1", 3), "q1"))
+        if "velocity" in cfg:
+            return start(q0, number(cfg["velocity"], "velocity", 3))
+        raise ConfigError("initial needs q1 or velocity")
+
+    # the element from checked values; the sampler's draws come here directly
+    def start(q0, v):
+        v = v - (v @ q0) * q0
+        sp = np.linalg.norm(v)
+        return (q0, q0 if sp < 1e-300 else np.cos(h * sp) * q0 + np.sin(h * sp) * v / sp)
 
     def sample(rng, count):
         out = []
         for _ in range(count):
             q0 = rng.normal(size=3)
             q0 = q0 / np.linalg.norm(q0)
-            out.append(build_initial({"q0": q0, "velocity": rng.normal(size=3)}))
+            out.append(start(unit(q0, "q0"), rng.normal(size=3)))
         return out
 
     return NhProblem(

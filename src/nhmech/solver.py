@@ -176,11 +176,12 @@ def newton(p, residual, jacobian, center, g, opts):
 
     # The residual cannot be evaluated more accurately than about eps |J| |g|
     # (the backward-error bound of a linear solve), so that is where the
-    # iteration stops when it lies above the tolerance.
+    # iteration stops when it lies above the tolerance.  The product is on
+    # Python floats, so a floor that overflows is inf without a warning.
     J = jacobian(center)
     parts = g if isinstance(g, tuple) else (g,)
     gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
-    floor = pb.EPS * lapack.dlange("I", J) * max(1.0, gmax)
+    floor = float(pb.EPS) * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
     lu, piv, cond_est = _factor_within_limit(p, J, opts)
     while rnorm > stop:

@@ -1,5 +1,5 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
-oracle, the two-evaluation momentum drift, the cell-by-cell trajectory file,
+oracle, the one-loop reversibility walk, the two-evaluation momentum drift, the cell-by-cell trajectory file,
 an element gap read through the chart, a call counter, convergence
 classifiers, the long ball run, and the SO(3) and SE(2) constructors only the
 tests use (the SO(3) hat and vee, the SE(2) hat, a wrapped SE(2) triple and
@@ -13,9 +13,11 @@ import math
 import numpy as np
 import pytest
 
+from nhmech import diagnostics as dg
 from nhmech import models as md
+from nhmech import problem as pb
 from nhmech import solver as sv
-from nhmech.errors import NotInConstraintCone
+from nhmech.errors import NhError, NotInConstraintCone
 from nhmech.groupoid import COMPOSE_TOL
 from nhmech.liegroup import wrap_angle
 
@@ -109,6 +111,44 @@ def momentum_value_oracle(p, spec, g, xi=None):
     if gap > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
         raise NotInConstraintCone(f"{p.name}/{spec.name}: gap {gap:.3e}")
     return float(p.left_grad(g) @ v)
+
+
+def reversibility_oracle(p, samples, options=None, frames=None):
+    """``diagnostics.reversibility_report`` as one loop, each sample's step
+    right after its L and phi evaluations; the oracle for the two-pass walk."""
+    bk = p.backend
+    lag_defect = con_defect = dyn_defect = 0.0
+    solved, lag_scale = 0, 1.0
+    frames = [None] * len(samples) if frames is None else frames
+    for g, frame in zip(samples, frames, strict=True):
+        gi = bk.invert(g)
+        lv = p.lagrangian.eval(g)
+        lag_scale = max(lag_scale, abs(lv))
+        lag_defect = dg._worst(lag_defect, abs(lv - p.lagrangian.eval(gi)))
+        if p.k:
+            con_defect = dg._worst(con_defect, float(np.max(np.abs(p.phi(gi)))))
+        try:
+            res = sv.step(p, g, options, frame)
+        except NhError:
+            continue
+        solved += 1
+        rev = pb.residual_at(p, bk.invert(res.next), gi)
+        dyn_defect = dg._worst(dyn_defect, float(np.max(np.abs(rev))))
+    lag_ok = lag_defect <= dg.LAGRANGIAN_SYMMETRY_RTOL * lag_scale
+    con_ok = con_defect <= dg.CONSTRAINT_INVARIANCE_TOL
+    dyn_ok = solved > 0 and dyn_defect <= dg.DYNAMICS_REVERSIBILITY_TOL
+    declared = p.declared_reversible
+    return dg.ReversibilityReport(
+        lagrangian_symmetric=bool(lag_ok),
+        constraint_invariant=bool(con_ok),
+        dynamics_reversible=bool(dyn_ok),
+        max_lagrangian_defect=float(lag_defect),
+        max_constraint_defect=float(con_defect),
+        max_dynamics_defect=float(dyn_defect),
+        solved_steps=solved,
+        declared=declared,
+        consistent=None if declared is None else (lag_ok and con_ok and dyn_ok) == declared,
+    )
 
 
 def momentum_drift_oracle(p, spec, elements):

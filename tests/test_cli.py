@@ -296,6 +296,20 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         assert "at step 0" in err
 
+    def test_overflowing_roundoff_floor_exits_3_without_a_warning(self, tmp_path, capsys):
+        # the floor eps |J| |g| overflows to inf; the Newton matrix then
+        # fails its condition limit at step 0
+        data = {"system": {"name": "chaplygin_sleigh"}, "initial": {"xi": [1, 1.7e308]},
+                "steps": 3}
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["simulate", "--config", path, "--out", str(tmp_path)],
+                                     capsys)
+        assert code == cli.EXIT_SOLVER
+        assert out == "" and err.startswith("solver failure at step 0: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_no_convergence_reports_index(self, tmp_path, capsys):
         data = {
             "system": {"name": "chaplygin_sleigh"},
@@ -380,6 +394,10 @@ class TestExitCodes:
              "the element built from wheels0, wheels1 is not finite"),
             ("mobile_robot", {}, {"wheels0": [0, 0], "dphi": 1.7e308, "dpsi": -1.7e308},
              "turns the frame past the chart cut"),
+            ("holonomic_sphere", {}, {"q0": [1.7e308] * 3, "velocity": [1, 1, 1]},
+             "q0 is too large: its squared norm overflows"),
+            ("holonomic_sphere", {}, {"q0": [1, 0, 0], "q1": [1e200, 1e200, 0]},
+             "q1 is too large: its squared norm overflows"),
         ],
         ids=[
             "suslov-J-asymmetric", "suslov-J-shape", "veselova-I-indefinite",
@@ -393,6 +411,7 @@ class TestExitCodes:
             "veselova-projected-omega-overflow", "veselova-gamma-norm-overflow",
             "sphere-velocity-overflow", "particle-velocity-overflow", "ball-xy-overflow",
             "ball-xy-inf-step", "robot-wheels-overflow", "robot-inf-turn",
+            "sphere-q0-norm-overflow", "sphere-q1-norm-overflow",
         ],
     )
     def test_model_config_error_names_its_key(self, tmp_path, capsys, system, params, initial,
@@ -866,6 +885,43 @@ class TestNonFiniteMomentum:
         assert "rolling_ball/spin" in err
         assert stdout == ""
         assert list(out.iterdir()) == []
+
+
+class TestOutputText:
+    """stdout and every JSON file a run writes are the indented, key-sorted
+    JSON of their record, byte for byte, and each member is encoded once."""
+
+    RUNS = ([(name, "simulate", fmt) for name in sorted(md.FACTORIES) for fmt in ("csv", "json")]
+            + [(name, "check", None) for name in sorted(md.FACTORIES)]
+            + [(name, "momentum", None) for name in ("constrained_particle", "rolling_ball")])
+
+    @pytest.mark.parametrize("name, command, fmt", RUNS)
+    def test_stdout_and_json_files_are_canonical(self, tmp_path, capsys, name, command, fmt):
+        data = {"system": {"name": name}, "initial": STARTS[name], "steps": 4,
+                "check": {"samples": 3, "trajectory_steps": 4}}
+        if fmt is not None:
+            data["outputs"] = {"format": fmt}
+        path = write_config(tmp_path, data)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli([command, "--config", path, "--out", str(out_dir)], capsys)
+        assert code == cli.EXIT_OK
+        texts = [out] + [f.read_text(encoding="utf-8") for f in sorted(out_dir.glob("*.json"))]
+        assert len(texts) == (3 if fmt == "json" else 2)
+        for text in texts:
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_check_encodes_its_regularity_member_once(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, {"system": {"name": "suslov"}, "check": {"samples": 3}})
+        dumps, texts = json.dumps, []
+
+        def recording(*args, **kwargs):
+            texts.append(dumps(*args, **kwargs))
+            return texts[-1]
+
+        monkeypatch.setattr(cli.json, "dumps", recording)
+        code, _, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert sum('"point": "sample_0"' in text for text in texts) == 1
 
 
 class TestProcessEntry:

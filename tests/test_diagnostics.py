@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import counted, element_gap, momentum_drift_oracle, momentum_value_oracle
+from conftest import (counted, element_gap, momentum_drift_oracle, momentum_value_oracle,
+                      reversibility_oracle)
 from test_golden import STARTS
 
 import nhmech.diagnostics as dg
@@ -97,6 +98,21 @@ class TestReversibility:
         assert (rep.solved_steps, rep.dynamics_reversible) == (0, False)
         rep = dg.reversibility_report(p, samples)
         assert (rep.solved_steps, rep.dynamics_reversible) == (4, True)
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    @pytest.mark.parametrize("max_iters", [None, 1])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_two_pass_walk_equals_the_one_loop_walk(self, name, max_iters, seed):
+        # max_iters=1 leaves the steps that need an iteration unsolved
+        p = _factory(name)
+        samples = p.sample_states(np.random.default_rng(seed), 6)
+        options = None if max_iters is None else sv.SolverOptions(max_iters=max_iters)
+        expected = reversibility_oracle(p, samples, options)
+        assert dg.reversibility_report(p, samples, options) == expected
+        frames = [pb.StepFrame(p, g) for g in samples]
+        oracle_frames = [pb.StepFrame(p, g) for g in samples]
+        assert (dg.reversibility_report(p, samples, options, frames)
+                == reversibility_oracle(p, samples, options, oracle_frames) == expected)
 
     def test_ball_constraint_set_not_inversion_invariant(self):
         p = md.make_rolling_ball()

@@ -10,7 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import del_covector, element_gap, row_oracle, se2_Ad, se2_element, so3_hat
+from conftest import (counted, del_covector, element_gap, row_oracle, se2_Ad, se2_element,
+                      so3_hat)
 from scipy.linalg import null_space
 from test_golden import golden_run
 
@@ -473,6 +474,51 @@ class TestVeselova:
         p = md.make_veselova()
         with pytest.raises(SingularError, match="two-point form degenerate"):
             sv.step(p, self._turned(np.pi - 1e-11))
+
+
+class TestSamplers:
+    """The ball's, the robot's and the sphere's samplers build each element
+    from their draws directly, with the construction part of their initial
+    builders and without the config checks."""
+
+    BUILT = ["rolling_ball", "mobile_robot", "holonomic_sphere"]
+
+    @staticmethod
+    def _builder_route(p, rng, count):
+        # the same draws, in the same order, sent through the config builder
+        out = []
+        for _ in range(count):
+            if p.name == "rolling_ball":
+                p0 = rng.normal(size=2)
+                p1 = p0 + p.params["h"] * rng.normal(size=2) * 0.5
+                cfg = {"xy0": p0, "xy1": p1, "spin": rng.normal() * 0.3}
+            elif p.name == "mobile_robot":
+                cfg = {"wheels0": rng.normal(size=2), "dphi": rng.normal() * 0.4,
+                       "dpsi": rng.normal() * 0.4}
+            else:
+                q0 = rng.normal(size=3)
+                cfg = {"q0": q0 / np.linalg.norm(q0), "velocity": rng.normal(size=3)}
+            out.append(p.initial_builder(cfg))
+        return out
+
+    @pytest.mark.parametrize("name", BUILT)
+    @pytest.mark.parametrize("seed", [0, 1, 5, 41])
+    def test_samples_equal_the_builder_route_bit_for_bit(self, name, seed):
+        p = md.FACTORIES[name]()
+        sampled = p.sample_states(np.random.default_rng(seed), 20)
+        built = self._builder_route(p, np.random.default_rng(seed), 20)
+        for g, b in zip(sampled, built, strict=True):
+            for part, expected in zip(g, b, strict=True):
+                assert (part.dtype, part.shape) == (expected.dtype, expected.shape)
+                assert part.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", BUILT)
+    def test_sampling_checks_no_config_value(self, name, monkeypatch):
+        p = md.FACTORIES[name]()
+        calls = [0]
+        monkeypatch.setattr(md, "number", counted(md.number, calls))
+        p.sample_states(np.random.default_rng(0), 20)
+        assert calls[0] == 0
 
 
 class TestRollingBall:
