@@ -55,6 +55,7 @@ _OUTPUT_KEYS = {"trajectory", "summary", "report", "format"}
 _MOMENTUM_KEYS = {"specs", "tolerance"}
 _CHECK_KEYS = {"samples", "seed", "points", "trajectory_steps"}
 _FORMATS = ("csv", "json")
+_SCALARS = (str, int, float, type(None))  # bool is an int
 
 DEFAULT_MOMENTUM_TOL = 1e-9
 DEFAULT_CHECK_SAMPLES = 8
@@ -227,7 +228,7 @@ def _table_text(header, rows, fmt):
         line = ",".join(["%.17g"] * len(header))
         lines += [line % tuple(row) for row in rows[1:]]
         return "\n".join(lines) + "\n"
-    return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+    return _json_text({"columns": header, "rows": rows}) + "\n"
 
 
 def _atomic_write(path, text):
@@ -253,16 +254,56 @@ def _atomic_write(path, text):
         raise
 
 
+def _flat(value):
+    """Whether ``value`` is a non-empty dict, list or tuple of JSON scalars."""
+    members = value.values() if isinstance(value, dict) else value
+    return (isinstance(value, (dict, list, tuple)) and len(value) > 0
+            and all(isinstance(m, _SCALARS) for m in members))
+
+
+def _json_text(value, margin=""):
+    """``json.dumps(value, indent=2, sort_keys=True)``, each line after the
+    first shifted right by ``margin``, from json's C encoder (json encodes
+    in Python whenever ``indent`` is set).
+
+    A JSON string never holds a raw newline, so every ",\\n" of a text is a
+    separator.  The C encoder takes each non-empty container of scalars in
+    one call, with ",\\n" and the members' indentation as its item separator,
+    and each list of such containers of one kind (dicts, or lists and
+    tuples) in one call, whose item boundaries are then re-indented.  Other
+    lists and dicts with string keys recurse member by member; anything
+    else takes json's own indented encoder.
+    """
+    inner = margin + "  "
+    if isinstance(value, _SCALARS):
+        return json.dumps(value)
+    if _flat(value):
+        text = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{margin}{text[-1]}"
+    if isinstance(value, (list, tuple)) and value:
+        for opening, closing, kind in (("{", "}", dict), ("[", "]", (list, tuple))):
+            if all(isinstance(m, kind) and _flat(m) for m in value):
+                deep = inner + "  "
+                text = json.dumps(value, sort_keys=True, separators=(",\n" + deep, ": "))
+                body = text[2:-2].replace(f"{closing},\n{deep}{opening}",
+                                          f"\n{inner}{closing},\n{inner}{opening}\n{deep}")
+                return f"[\n{inner}{opening}\n{deep}{body}\n{inner}{closing}\n{margin}]"
+        return "[\n" + ",\n".join(inner + _json_text(m, inner) for m in value) + f"\n{margin}]"
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        members = (f"{inner}{json.dumps(key)}: {_json_text(member, inner)}"
+                   for key, member in sorted(value.items()))
+        return "{\n" + ",\n".join(members) + f"\n{margin}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + margin)
+
+
 def _write_json(path, record, **stdout):
     """Write ``json.dumps(record, indent=2, sort_keys=True)`` and a newline
     to ``path``, and return that text for ``record`` with the members
-    ``stdout`` added or replaced.  Each member is encoded once, as its own
-    indented JSON shifted two spaces right (JSON escapes a newline in a
-    string, so every line break is indentation)."""
+    ``stdout`` added or replaced.  Each member is encoded once
+    (:func:`_json_text`, shifted two spaces right)."""
 
     def encoded(members):
-        return {key: f"  {json.dumps(key)}: "
-                     + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return {key: f"  {json.dumps(key)}: {_json_text(value, '  ')}"
                 for key, value in members.items()}
 
     def document(texts):
@@ -371,14 +412,13 @@ def run_check(cfg, out_dir, verbose=False):
 
     g0 = build_initial(problem, cfg) if cfg["initial"] is not None else samples[0]
     trajectory = sv.evolve(problem, g0, check["trajectory_steps"], options)
-    # a step that stopped at its roundoff floor matches the transforms only
-    # to about that floor, so each gap is held to its own step's stop level
+    # F+ at each element is its step's ``outgoing``; a step that stopped at
+    # its roundoff floor matches the transforms only to about that floor, so
+    # each gap is held to its own step's stop level
     gaps, matched = [], True
-    elements = trajectory.elements
-    for g, g_next, res in zip(elements[:-1], elements[1:], trajectory.results):
-        plus = sv.legendre_plus(problem, g)
+    for g_next, res in zip(trajectory.elements[1:], trajectory.results):
         minus = sv.legendre_minus(problem, g_next)
-        gaps.append(float(np.max(np.abs(plus.components - minus.components))))
+        gaps.append(float(np.max(np.abs(res.outgoing - minus.components))))
         matched = matched and gaps[-1] <= 10.0 * max(options.tol_residual, res.floor)
     matching = {
         "steps": len(gaps),

@@ -46,11 +46,11 @@ def regularity_report(p, g, frame=None):
 
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one; a step from g that takes the same frame reuses its right test,
-    its guess and the H and phi gradient there."""
+    its guess, the H and phi gradient there and the factored Newton matrix."""
     frame = pb.step_frame(p, g, frame)
     (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     try:
-        _, _, cond = sv.factor_newton_matrix(p, frame.newton_matrix(frame.guess()))
+        cond = frame.factored(frame.guess())[3]
     except NhError:
         cond = np.inf
     return RegularityReport(
@@ -314,9 +314,12 @@ def chi_inverse(p, x, y, seed):
     def eqs(el):
         return np.concatenate([np.asarray(bk.target(el), dtype=float) - y, p.phi(el)])
 
+    def factored(el):
+        return pb.factor_newton_matrix(p, gpd.left_jacobian(bk, eqs, el))
+
     opts = sv.SolverOptions(tol_residual=CHART_INVERSION_TOL, max_iters=CHART_INVERSION_MAX_ITERS)
     try:
-        solved = sv.newton(p, eqs, lambda el: gpd.left_jacobian(bk, eqs, el), seed, seed, opts)
+        solved = sv.newton(p, eqs, factored, seed, seed, opts)
     except (SingularError, NoConvergenceError) as exc:
         raise ChartInversionFailed(f"{p.name}: chart inversion failed: {exc}") from exc
     return solved["next"]

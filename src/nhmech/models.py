@@ -56,22 +56,24 @@ def check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
 
 
-_EYE3 = np.eye(3)
-
-
 def _complement_basis(v):
     """Deterministic orthonormal basis of the plane orthogonal to v in R^3, as
-    a C-ordered (3, 2) array.  Each norm is sqrt(x.dot(x)), as numpy computes
-    a 1-D norm."""
+    a C-ordered (3, 2) array: b1 = e_j - vhat_j vhat normalised, for the
+    first j with the smallest |vhat_j|, and vhat x b1.  It is computed on
+    Python floats except for the two squared norms, which numpy's ``dot``
+    takes, as numpy computes a 1-D norm (a float sum rounds differently).  A
+    zero or non-finite v gives NaN throughout, as numpy's 0/0 would."""
     v = np.asarray(v, dtype=float)
-    vhat = v / math.sqrt(v.dot(v))
-    j = abs(vhat).argmin()
-    b1 = _EYE3[j] - vhat[j] * vhat
-    b1 = b1 / math.sqrt(b1.dot(b1))
-    out = np.empty((3, 2))
-    out[:, 0] = b1
-    out[:, 1] = lg.cross3(vhat, b1)
-    return out
+    norm, values = math.sqrt(v.dot(v)), v.tolist()
+    if not (norm > 0.0 and all(map(math.isfinite, values))):
+        return np.full((3, 2), math.nan)
+    u0, u1, u2 = vhat = [c / norm for c in values]
+    a0, a1, a2 = abs(u0), abs(u1), abs(u2)
+    j = 0 if a0 <= a1 and a0 <= a2 else 1 if a1 <= a2 else 2
+    b = [(1.0 if i == j else 0.0) - vhat[j] * c for i, c in enumerate(vhat)]
+    b_norm = math.sqrt(np.array(b).dot(b))
+    b0, b1, b2 = b[0] / b_norm, b[1] / b_norm, b[2] / b_norm
+    return np.array([[b0, u1 * b2 - u2 * b1], [b1, u2 * b0 - u0 * b2], [b2, u0 * b1 - u1 * b0]])
 
 
 def _sym_pd(M, what):

@@ -204,12 +204,35 @@ def least_squares(A, b, what):
     return x[:k], rank
 
 
+def factor_newton_matrix(p, J):
+    """A Newton matrix J with its LU factors and 1-norm condition estimate
+    (LAPACK dgetrf, then dgecon on the same factors): returns (J, lu, piv,
+    cond), what the callable of ``solver.newton`` returns.
+
+    cond is inf for an exactly singular matrix; a non-finite matrix is a
+    SingularError.
+    """
+    anorm = lapack.dlange("1", J)
+    if not math.isfinite(anorm):
+        raise SingularError(f"{p.name}: Newton matrix has non-finite entries")
+    lu, piv, info = lapack.dgetrf(J)
+    if info < 0:
+        raise SingularError(f"{p.name}: Newton matrix factorization failed (info {info})")
+    if info > 0:  # an exactly zero pivot
+        return J, lu, piv, math.inf
+    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    if info != 0 or not math.isfinite(rcond) or rcond <= 0.0:
+        return J, lu, piv, math.inf
+    return J, lu, piv, 1.0 / rcond
+
+
 class StepFrame:
     """The quantities of a step from g that depend on g alone, each
     evaluated once: the distribution basis B at beta(g) (and ``neg_bt`` =
     -B^T), ``left_grad(g)`` and its projection ``left_rows``; on first use,
-    the right test (:meth:`right_sigmas`) and the mirror guess
-    (:meth:`guess`), which a call that raises does not keep.  ``record`` is
+    the right test (:meth:`right_sigmas`), the mirror guess (:meth:`guess`)
+    and the factored Newton matrix at the last center (:meth:`factored`),
+    which a call that raises does not keep.  ``record`` is
     (element, (H, left phi gradient)) at the last element the frame took
     them at (:meth:`_second_order`), starting as the record handed in.  The
     frame keeps the right gradient of the last candidate for
@@ -225,7 +248,7 @@ class StepFrame:
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self.record = record
-        self._last = (None, None)
+        self._last = self._factors = (None, None)
         self._right = self._guess = None
 
     def guess(self):
@@ -254,6 +277,15 @@ class StepFrame:
         """
         H, phi_jac = self._second_order(center)
         return np.concatenate((self.neg_bt @ H, phi_jac))
+
+    def factored(self, center):
+        """:func:`factor_newton_matrix` of the Newton matrix at ``center``,
+        kept for the last center factored and keyed by identity, as the
+        record of :meth:`_second_order` is; a factorization that raises keeps
+        nothing."""
+        if self._factors[0] is not center:
+            self._factors = (center, factor_newton_matrix(self.p, self.newton_matrix(center)))
+        return self._factors[1]
 
     def _second_order(self, h):
         """H(h) and the left gradient of phi at h, kept in the frame's record.

@@ -47,6 +47,7 @@ class SolverOptions:
 class StepResult:
     next: object
     multipliers: np.ndarray
+    outgoing: np.ndarray  # F+ at g, the frame's left_rows: legendre_plus(p, g).components
     iterations: int
     residual_norm: float
     jacobian_condition_estimate: float
@@ -79,27 +80,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return len(self.results)
-
-
-def factor_newton_matrix(p, J):
-    """LU factors of a Newton matrix and its 1-norm condition estimate
-    (LAPACK dgetrf, then dgecon on the same factors): returns (lu, piv, cond).
-
-    cond is inf for an exactly singular matrix; a non-finite matrix is a
-    SingularError.
-    """
-    anorm = lapack.dlange("1", J)
-    if not math.isfinite(anorm):
-        raise SingularError(f"{p.name}: Newton matrix has non-finite entries")
-    lu, piv, info = lapack.dgetrf(J)
-    if info < 0:
-        raise SingularError(f"{p.name}: Newton matrix factorization failed (info {info})")
-    if info > 0:  # an exactly zero pivot
-        return lu, piv, math.inf
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not math.isfinite(rcond) or rcond <= 0.0:
-        return lu, piv, math.inf
-    return lu, piv, 1.0 / rcond
 
 
 def point_regularity_sigmas(p, g, frame=None):
@@ -148,23 +128,24 @@ def _norm_and_merit(r):
     return max(map(abs, values)), 0.5 * squares
 
 
-def _factor_within_limit(p, J, opts):
-    """:func:`factor_newton_matrix` of J; a condition estimate that is not
-    finite or exceeds ``opts.cond_limit`` is a SingularError."""
-    lu, piv, cond_est = factor_newton_matrix(p, J)
+def _within_limit(p, factors, opts):
+    """``factors`` = (J, lu, piv, cond) of a Newton matrix; a condition
+    estimate that is not finite or exceeds ``opts.cond_limit`` is a
+    SingularError."""
+    cond_est = factors[3]
     if not math.isfinite(cond_est) or cond_est > opts.cond_limit:
         raise SingularError(
             f"{p.name}: Newton matrix condition estimate {cond_est:.3e} "
             f"exceeds limit {opts.cond_limit:.1e}"
         )
-    return lu, piv, cond_est
+    return factors
 
 
-def newton(p, residual, jacobian, center, g, opts):
+def newton(p, residual, factored, center, g, opts):
     """Damped Newton iteration for ``residual`` = 0 on the source fiber of
-    ``center``, with ``jacobian`` its matrix in the chart at an iterate and
-    ``g`` the scale of the roundoff floor; returns the StepResult fields it
-    owns, as a dict."""
+    ``center``, with ``factored(h)`` the ``problem.factor_newton_matrix`` of
+    its matrix in the chart at an iterate h and ``g`` the scale of the
+    roundoff floor; returns the StepResult fields it owns, as a dict."""
     bk = p.backend
     r = residual(center)
     rnorm, merit = _norm_and_merit(r)
@@ -178,12 +159,11 @@ def newton(p, residual, jacobian, center, g, opts):
     # (the backward-error bound of a linear solve), so that is where the
     # iteration stops when it lies above the tolerance.  The product is on
     # Python floats, so a floor that overflows is inf without a warning.
-    J = jacobian(center)
+    J, lu, piv, cond_est = _within_limit(p, factored(center), opts)
     parts = g if isinstance(g, tuple) else (g,)
     gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
     floor = float(pb.EPS) * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
-    lu, piv, cond_est = _factor_within_limit(p, J, opts)
     while rnorm > stop:
         if iters >= opts.max_iters:
             raise NoConvergenceError(
@@ -193,7 +173,7 @@ def newton(p, residual, jacobian, center, g, opts):
                 residual_norm=rnorm,
             )
         if iters:
-            lu, piv, cond_est = _factor_within_limit(p, jacobian(center), opts)
+            _, lu, piv, cond_est = _within_limit(p, factored(center), opts)
         du, info = lapack.dgetrs(lu, piv, -r)
         if info != 0:
             raise SingularError(f"{p.name}: Newton solve failed (info {info})")
@@ -241,18 +221,20 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one (another element's frame is a ValueError).  A frame that a
     ``diagnostics.regularity_report`` has used hands the step its right
-    test, its first guess and the H there; the step evaluates them in the
-    same order either way, so the result is the same.
+    test, its first guess and the H and factored Newton matrix there; the
+    step evaluates them in the same order either way, so the result is the
+    same.
     """
     opts = options or SolverOptions()
     frame = pb.step_frame(p, g, frame)
     sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
     center = frame.guess()  # g's displacement repeated
     # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
-    solved = newton(p, frame.residual, frame.newton_matrix, center, g, opts)
+    # and the one a report factored at the guess is not factored again
+    solved = newton(p, frame.residual, frame.factored, center, g, opts)
     h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
     sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
-    return StepResult(multipliers=frame.multipliers(h),
+    return StepResult(multipliers=frame.multipliers(h), outgoing=frame.left_rows,
                       sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
 
 

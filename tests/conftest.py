@@ -1,6 +1,7 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
-oracle, the one-loop reversibility walk, the two-evaluation momentum drift, the cell-by-cell trajectory file,
-an element gap read through the chart, a call counter, convergence
+oracle, the numpy complement basis, the one-loop reversibility walk, the
+two-evaluation momentum drift, the cell-by-cell trajectory file, an element
+gap read through the chart, a call counter, convergence
 classifiers, the long ball run, and the SO(3) and SE(2) constructors only the
 tests use (the SO(3) hat and vee, the SE(2) hat, a wrapped SE(2) triple and
 the SE(2) adjoint)."""
@@ -19,7 +20,7 @@ from nhmech import problem as pb
 from nhmech import solver as sv
 from nhmech.errors import NhError, NotInConstraintCone
 from nhmech.groupoid import COMPOSE_TOL
-from nhmech.liegroup import wrap_angle
+from nhmech.liegroup import cross3, wrap_angle
 
 BALL_PARAMS = {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}
 BALL_INITIAL = {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0}
@@ -249,6 +250,24 @@ def trajectory_text_oracle(problem, trajectory, fmt):
     for row in rows:
         writer.writerow([_csv_cell(cell) for cell in row])
     return buf.getvalue()
+
+
+_EYE3 = np.eye(3)
+
+
+def complement_basis_oracle(v):
+    """``models._complement_basis`` in numpy: each norm sqrt(x.dot(x)), the
+    argmin of |vhat| and ``liegroup.cross3`` of vhat and b1 (a zero or
+    non-finite v gives NaN, with numpy's warnings)."""
+    v = np.asarray(v, dtype=float)
+    vhat = v / math.sqrt(v.dot(v))
+    j = abs(vhat).argmin()
+    b1 = _EYE3[j] - vhat[j] * vhat
+    b1 = b1 / math.sqrt(b1.dot(b1))
+    out = np.empty((3, 2))
+    out[:, 0] = b1
+    out[:, 1] = cross3(vhat, b1)
+    return out
 
 
 def counted(fn, calls):

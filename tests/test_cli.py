@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -685,6 +686,32 @@ class TestCheck:
         record.pop("report")
         assert on_disk == record
 
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_legendre_matching_builds_no_step_frame(self, tmp_path, capsys, monkeypatch, name):
+        # F+ at each element of the Legendre trajectory is the outgoing
+        # momentum of the step from it, so no frame is built after evolve
+        built, at_return = [0], []
+        init, evolve = pb.StepFrame.__init__, sv.evolve
+
+        def counting_init(frame, *args, **kwargs):
+            built[0] += 1
+            init(frame, *args, **kwargs)
+
+        def evolved(*args, **kwargs):
+            trajectory = evolve(*args, **kwargs)
+            at_return.append(built[0])
+            return trajectory
+
+        monkeypatch.setattr(pb.StepFrame, "__init__", counting_init)
+        monkeypatch.setattr(sv, "evolve", evolved)
+        data = {"system": {"name": name}, "initial": STARTS[name],
+                "check": {"samples": 3, "trajectory_steps": 6}}
+        path = write_config(tmp_path, data)
+        code, out, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["legendre_matching"]["steps"] == 6
+        assert at_return == [built[0]]
+
     # a Lie group is a groupoid over one point, so its samples share one
     # identity element; the particle's samples have distinct targets
     @pytest.mark.parametrize("name, identity_reports",
@@ -887,6 +914,90 @@ class TestNonFiniteMomentum:
         assert list(out.iterdir()) == []
 
 
+# strings with JSON escapes, non-ASCII text and the item boundaries that
+# _json_text re-indents (a JSON string holds them escaped)
+_STRINGS = ["", "a", "key", "\u00e9t\u00e9", "\u65e5\u672c", "\u2028", "\x00", '"', "\\", "\n",
+            "\t", "\ud800", "},\n    {", "],\n  [", '"},\n      {"', "}, {", "\U0001f600"]
+_FLOATS = [0.0, -0.0, 1.5, -2.25e-7, 1e300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3,
+           math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+_INTS = [0, 1, -1, 7, 10 ** 20, -(10 ** 20), 2 ** 63, True, False]
+
+
+def _json_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice(_STRINGS) + rng.choice(["", "x", "\u00fc"])
+    if kind == 1:
+        return rng.choice(_FLOATS)
+    if kind == 2:
+        return rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20)
+    if kind == 3:
+        return rng.choice(_INTS)
+    return None
+
+
+def _json_flat(rng, size=None):
+    """A flat container: a list, a tuple or a dict (str keys, sometimes int
+    keys) of scalars, empty when ``size`` is 0."""
+    size = rng.randrange(5) if size is None else size
+    members = [_json_scalar(rng) for _ in range(size)]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return members
+    if kind == 1:
+        return tuple(members)
+    if kind == 2:
+        return {rng.randrange(-5, 5): m for m in members}
+    return {rng.choice(_STRINGS) + str(rng.randrange(9)): m for m in members}
+
+
+def _json_value(rng, depth=0):
+    """A seeded JSON-encodable value of at most four levels."""
+    r = rng.random()
+    if depth >= 3 or r < 0.2:
+        return _json_scalar(rng)
+    if r < 0.45:
+        return _json_flat(rng)
+    if r < 0.6:  # a list of flat dicts, as check's regularity entries
+        return [{rng.choice(_STRINGS) + str(i): _json_scalar(rng) for i in range(rng.randrange(4))}
+                for _ in range(rng.randrange(1, 5))]
+    if r < 0.75:  # a list of flat lists or tuples, as a trajectory's rows
+        kind = rng.choice([list, tuple])
+        return [kind(_json_scalar(rng) for _ in range(rng.randrange(4)))
+                for _ in range(rng.randrange(1, 5))]
+    if r < 0.88:
+        return [_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if rng.random() < 0.2:
+        return {rng.randrange(9): _json_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+    return {rng.choice(_STRINGS) + str(i): _json_value(rng, depth + 1)
+            for i in range(rng.randrange(4))}
+
+
+class TestJsonText:
+    """``cli._json_text`` against json's own indented encoder."""
+
+    def test_equals_the_indented_encoder_on_seeded_values(self):
+        rng = random.Random(30)
+        for _ in range(10_000):
+            value = _json_value(rng)
+            expected = json.dumps(value, indent=2, sort_keys=True)
+            assert cli._json_text(value) == expected
+            assert cli._json_text(value, "  ") == expected.replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], [{}], [[], [1]], [{}, {"a": 1}], [[1], {"a": 1}], [(1, 2), [3]],
+        {"a": []}, {"a": {}}, [[{"a": [1]}]], {"a": {"b": {"c": [1, {"d": None}]}}},
+        [{"a": 1}, {"b": "},\n    {"}], [["],\n    ["], ["x"]], {"z": 1, "a": [2.5, -0.0]},
+    ], ids=repr)
+    def test_equals_the_indented_encoder_on_edge_cases(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_unserializable_member_is_a_type_error(self):
+        for value in (object(), [1, object()], {"a": [object()]}, [{"a": np.int64(1)}]):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._json_text(value)
+
+
 class TestOutputText:
     """stdout and every JSON file a run writes are the indented, key-sorted
     JSON of their record, byte for byte, and each member is encoded once."""
@@ -910,15 +1021,27 @@ class TestOutputText:
         for text in texts:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_simulate_json_trajectory_is_the_indented_encoding(self, tmp_path, capsys, name):
+        data = {"system": {"name": name}, "initial": STARTS[name], "steps": 6,
+                "outputs": {"format": "json"}}
+        path = write_config(tmp_path, data)
+        code, _, _ = run_cli(["simulate", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        p = md.FACTORIES[name]()
+        trajectory = sv.evolve(p, p.initial_builder(STARTS[name]), 6)
+        text = (tmp_path / "trajectory.json").read_text(encoding="utf-8")
+        assert text == trajectory_text_oracle(p, trajectory, "json")
+
     def test_check_encodes_its_regularity_member_once(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, {"system": {"name": "suslov"}, "check": {"samples": 3}})
-        dumps, texts = json.dumps, []
+        encode, texts = cli._json_text, []
 
         def recording(*args, **kwargs):
-            texts.append(dumps(*args, **kwargs))
+            texts.append(encode(*args, **kwargs))
             return texts[-1]
 
-        monkeypatch.setattr(cli.json, "dumps", recording)
+        monkeypatch.setattr(cli, "_json_text", recording)
         code, _, _ = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_OK
         assert sum('"point": "sample_0"' in text for text in texts) == 1

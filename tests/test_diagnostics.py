@@ -159,12 +159,22 @@ def _same(a, b):
     return a == b
 
 
-def _step_or_error(p, g, frame=None):
+def _step_or_error(p, g, frame=None, options=None):
     """The step from g, or the type and message of the NhError it raises."""
     try:
-        return sv.step(p, g, frame=frame)
+        return sv.step(p, g, options, frame)
     except NhError as exc:
         return type(exc), str(exc)
+
+
+def _assert_same_outcome(shared, fresh):
+    """Two outcomes of :func:`_step_or_error`: the same error, or equal values
+    in every StepResult field."""
+    if isinstance(fresh, tuple):
+        assert shared == fresh
+        return
+    for f in dataclasses.fields(sv.StepResult):
+        assert _same(getattr(shared, f.name), getattr(fresh, f.name)), f.name
 
 
 class TestSharedFrame:
@@ -182,13 +192,73 @@ class TestSharedFrame:
             frame = pb.StepFrame(p, g)
             assert dg.regularity_report(p, g, frame) == dg.regularity_report(p, g)
             assert frame.guess() is frame.guess()
-            shared = _step_or_error(p, g, frame)
-            fresh = _step_or_error(p, g)
-            if isinstance(fresh, tuple):
-                assert shared == fresh
+            _assert_same_outcome(_step_or_error(p, g, frame), _step_or_error(p, g))
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_report_then_one_iteration_step_from_one_frame(self, name):
+        # a step that needs a second Newton matrix fails after its first one
+        # came from the report's factorization
+        p = _factory(name)
+        options = sv.SolverOptions(max_iters=1)
+        for g in self._samples(p):
+            frame = pb.StepFrame(p, g)
+            dg.regularity_report(p, g, frame)
+            _assert_same_outcome(_step_or_error(p, g, frame, options),
+                                 _step_or_error(p, g, None, options))
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_report_and_step_from_one_frame_factor_the_guess_once(self, name, monkeypatch):
+        calls = [0]
+        monkeypatch.setattr(pb.lapack, "dgetrf", counted(pb.lapack.dgetrf, calls))
+        p = _factory(name)
+        factored = 0
+        for g in self._samples(p):
+            counts = []
+            for frame in (pb.StepFrame(p, g), None):
+                before = calls[0]
+                report = dg.regularity_report(p, g, frame)
+                _step_or_error(p, g, frame)
+                counts.append(calls[0] - before)
+            if math.isfinite(report.jacobian_condition):
+                factored += 1
+                assert counts[0] == counts[1] - 1
+        assert factored >= len(self._samples(p)) // 2
+
+    def test_non_finite_guess_matrix_is_not_kept(self, monkeypatch):
+        # H is NaN at the mirror guess's values only: the report's
+        # factorization raises, keeps nothing, and the step factors again and
+        # raises what a step from a fresh frame raises
+        p = _factory("constrained_particle")
+        g = self._samples(p)[0]
+        bad = p.to_row(p.backend.mirror(g))
+        hess = p.lagrangian.mixed_hess
+
+        def nan_at_guess(h):
+            return hess(h) * (np.nan if np.array_equal(p.to_row(h), bad) else 1.0)
+
+        p = dataclasses.replace(p, lagrangian=dataclasses.replace(p.lagrangian,
+                                                                   mixed_hess=nan_at_guess))
+        calls = [0]
+        monkeypatch.setattr(pb, "factor_newton_matrix", counted(pb.factor_newton_matrix, calls))
+        frame = pb.StepFrame(p, g)
+        assert dg.regularity_report(p, g, frame).jacobian_condition == np.inf
+        shared = _step_or_error(p, g, frame)
+        assert calls[0] == 2
+        assert shared == _step_or_error(p, g)
+        assert shared == (SingularError, "constrained_particle: Newton matrix has non-finite "
+                                         "entries")
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_tiny_cond_limit_trips_after_the_report_factored_the_guess(self, name):
+        p = _factory(name)
+        options = sv.SolverOptions(cond_limit=1.0)
+        for g in self._samples(p)[:3]:
+            frame = pb.StepFrame(p, g)
+            if not math.isfinite(dg.regularity_report(p, g, frame).jacobian_condition):
                 continue
-            for f in dataclasses.fields(sv.StepResult):
-                assert _same(getattr(shared, f.name), getattr(fresh, f.name)), f.name
+            shared = _step_or_error(p, g, frame, options)
+            assert shared[0] is SingularError and "exceeds limit 1.0e+00" in shared[1]
+            assert shared == _step_or_error(p, g, None, options)
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_reversibility_report_with_the_reports_frames(self, name):
@@ -243,7 +313,11 @@ class TestSharedFrame:
         with pytest.raises(ValueError):
             dg.reversibility_report(p, [g0, g1], frames=[frame])
 
-    def test_guess_outside_the_chart_fails_the_shared_step_as_a_fresh_one(self):
+    def test_guess_outside_the_chart_fails_the_shared_step_as_a_fresh_one(self, monkeypatch):
+        # the mirror guess raises, so the report factors nothing and keeps
+        # nothing, and neither step gets as far as a factorization
+        calls = [0]
+        monkeypatch.setattr(pb, "factor_newton_matrix", counted(pb.factor_newton_matrix, calls))
         p = md.make_chaplygin_sleigh()
         g = p.initial_builder({"xi": [np.pi, 0.5]})
         frame = pb.StepFrame(p, g)
@@ -253,6 +327,7 @@ class TestSharedFrame:
         with pytest.raises(ChartDomainError) as fresh:
             sv.step(p, g)
         assert str(shared.value) == str(fresh.value)
+        assert calls[0] == 0
 
 
 class TestMomentum:

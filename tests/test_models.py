@@ -7,11 +7,12 @@ forms evaluated on solved trajectories.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from conftest import (counted, del_covector, element_gap, row_oracle, se2_Ad, se2_element,
-                      so3_hat)
+from conftest import (complement_basis_oracle, counted, del_covector, element_gap, row_oracle,
+                      se2_Ad, se2_element, so3_hat)
 from scipy.linalg import null_space
 from test_golden import golden_run
 
@@ -287,6 +288,36 @@ class TestDistributionAlgebra:
             B = md._complement_basis(v)
             assert np.array_equal(B, reference(v))
             assert B.flags.c_contiguous
+
+    def test_complement_basis_is_the_numpy_form_bit_for_bit(self):
+        # on Python floats but for numpy's two dot products: the same bits as
+        # the numpy form, signed zeros included, over magnitudes 1e-150 to
+        # 1e150, zero components, ties in |v_i| (the first index wins, as in
+        # argmin) and axis vectors
+        rng = np.random.default_rng(31)
+        V = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(100_000, 1))
+        V[1::5, rng.integers(0, 3)] = 0.0
+        V[2::5, 1] = V[2::5, 0]
+        V[3::5, 2] = -V[3::5, 1]
+        V[4::25, :] = np.eye(3)[rng.integers(0, 3, size=V[4::25].shape[0])] * rng.choice(
+            [-1.0, 1.0, 1e-150, -1e150], size=(V[4::25].shape[0], 1))
+        V[9::25, :] = V[9::25, :1]  # all three entries equal
+        got = np.stack([md._complement_basis(v) for v in V])
+        want = np.stack([complement_basis_oracle(v) for v in V])
+        same = (got.view(np.int64) == want.view(np.int64)).all(axis=(1, 2))
+        assert same.all(), V[~same][:5]
+        assert md._complement_basis(V[0]).flags.c_contiguous
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-170] * 3,
+                                   [np.inf, 1.0, 1.0], [1.0, -np.inf, 0.0], [np.nan, 0.0, 1.0]])
+    def test_complement_basis_of_a_zero_or_non_finite_vector_is_nan(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.isnan(complement_basis_oracle(v)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            B = md._complement_basis(v)
+        assert B.shape == (3, 2) and np.isnan(B).all()
 
 
 class TestSuslov:
