@@ -36,6 +36,7 @@ from . import models as md
 from . import problem as pb
 from . import solver as sv
 from .errors import (
+    NUMERIC_FAILURES,
     ConfigError,
     ConstraintViolationError,
     NhError,
@@ -168,10 +169,24 @@ def build_problem(cfg):
     return md.FACTORIES[cfg["system"]["name"]](**cfg["system"]["params"])
 
 
-def build_initial(problem, cfg):
-    if cfg["initial"] is None:
+def _built(keys, build, *args):
+    """``build(*args)``, an element or the samples built from the config
+    ``keys``.  An arithmetic or domain error on the way (an overflowing
+    value) is a ConfigError naming the keys; a non-finite element comes back
+    as it is, for the constraint check to refuse (a NaN |phi| is off the
+    constraint set)."""
+    try:
+        return build(*args)
+    except NUMERIC_FAILURES as exc:
+        raise ConfigError(f"the element built from {keys}: {exc}") from exc
+
+
+def build_initial(problem, section):
+    """The element built from an initial-state section (``initial`` or a
+    ``check.points`` entry)."""
+    if section is None:
         raise ConfigError("this command needs an 'initial' section in the config")
-    return problem.initial_builder(cfg["initial"])
+    return _built(", ".join(sorted(section)), problem.initial_builder, section)
 
 
 def _resolve_spec_names(problem, cfg, require=False):
@@ -329,7 +344,7 @@ def run_simulate(cfg, out_dir, verbose=False):
     if cfg["steps"] is None:
         raise ConfigError("simulate needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg)
-    g0 = build_initial(problem, cfg)
+    g0 = build_initial(problem, cfg["initial"])
     options = sv.SolverOptions(**cfg["solver"])
     trajectory = sv.evolve(problem, g0, cfg["steps"], options)
     if verbose:
@@ -380,7 +395,8 @@ def run_check(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
     options = sv.SolverOptions(**cfg["solver"])
     check = cfg["check"]
-    samples = problem.sample_states(np.random.default_rng(check["seed"]), check["samples"])
+    samples = _built("system.params", problem.sample_states,
+                     np.random.default_rng(check["seed"]), check["samples"])
 
     # the identity element depends on the base point alone: one report per
     # distinct point (a Lie group's samples all share its one point); each
@@ -398,7 +414,7 @@ def run_check(cfg, out_dir, verbose=False):
             identities[key] = dg.regularity_report(problem, problem.backend.identity(x))
         entries.append(_regularity_entry(f"identity_{idx}", identities[key]))
     for idx, point in enumerate(check["points"]):
-        g = problem.initial_builder(point)
+        g = build_initial(problem, point)
         problem.assert_on_constraint(g, label=f"check.points[{idx}]")
         entries.append(_regularity_entry(f"point_{idx}", dg.regularity_report(problem, g)))
 
@@ -410,7 +426,7 @@ def run_check(cfg, out_dir, verbose=False):
     # produce reversible-looking pairs on the sampled window).
     reversible = bool(rev.lagrangian_symmetric and rev.constraint_invariant)
 
-    g0 = build_initial(problem, cfg) if cfg["initial"] is not None else samples[0]
+    g0 = build_initial(problem, cfg["initial"]) if cfg["initial"] is not None else samples[0]
     trajectory = sv.evolve(problem, g0, check["trajectory_steps"], options)
     # F+ at each element is its step's ``outgoing``; a step that stopped at
     # its roundoff floor matches the transforms only to about that floor, so
@@ -489,7 +505,7 @@ def run_momentum(cfg, out_dir, verbose=False):
     if cfg["steps"] is None:
         raise ConfigError("momentum needs a 'steps' count in the config")
     spec_names = _resolve_spec_names(problem, cfg, require=True)
-    g0 = build_initial(problem, cfg)
+    g0 = build_initial(problem, cfg["initial"])
     trajectory = sv.evolve(problem, g0, cfg["steps"], sv.SolverOptions(**cfg["solver"]))
     report = momentum_report(problem, spec_names, trajectory, cfg["momentum"]["tolerance"])
     report["system"] = problem.name
@@ -544,7 +560,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        print(_RUNNERS[args.command](cfg, args.out, verbose=args.verbose))
+        # one floating-point policy: a non-finite value meets the finiteness
+        # checks of the step and of the constraint test, not a numpy warning
+        with np.errstate(all="ignore"):
+            print(_RUNNERS[args.command](cfg, args.out, verbose=args.verbose))
         return EXIT_OK
     except (ConfigError, ConstraintViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

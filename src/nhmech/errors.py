@@ -6,6 +6,11 @@ trajectory carry a ``step_index`` attribute (set by ``evolve``) identifying the
 step that failed.
 """
 
+# what Python raises for arithmetic on an overflowed or out-of-domain value
+# (math.sin(inf), an overflowing float power); a step turns it into a
+# SingularError and the CLI's element building into a ConfigError
+NUMERIC_FAILURES = (ArithmeticError, ValueError)
+
 
 class NhError(Exception):
     """Base class for all solver/geometry errors."""
@@ -28,9 +33,12 @@ class SingularError(NhError):
     condition estimate exceeds the configured limit, when a matrix or the
     first residual of a step has non-finite entries or a LAPACK routine
     reports failure, or when a model callable refuses an element outside
-    the model's domain (Veselova's constraint at a rotation by pi).
-    A Newton trial point refused this way makes the line search halve the
-    step.
+    the model's domain (Veselova's constraint at a rotation by pi).  An
+    ArithmeticError or ValueError that a model callable or a backend kernel
+    raises inside ``solver.step`` (a math domain error on an overflowed
+    angle) becomes one too, with the original error as its ``__cause__``.
+    A Newton trial point refused in any of these ways makes the line search
+    halve the step.
     """
 
 

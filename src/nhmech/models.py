@@ -119,33 +119,6 @@ def _pair_form(mass, h, dim):
     return lag, grad, grad, lambda g: H
 
 
-def _finite_start(build):
-    """The initial builder ``build`` run with numpy's floating-point warnings
-    off; an element with a non-finite entry (a start whose arithmetic
-    overflowed) is a ConfigError naming the keys it was built from.  Every
-    finite start is the element ``build`` gives."""
-
-    def checked(cfg):
-        with np.errstate(all="ignore"):
-            g = build(cfg)
-        if not all(np.isfinite(part).all() for part in (g if isinstance(g, tuple) else (g,))):
-            keys = ", ".join(sorted(cfg))
-            raise ConfigError(f"the element built from {keys} is not finite (an overflow)")
-        return g
-
-    return checked
-
-
-def _body_rate_exp(h, w):
-    """so3_exp(h w) for a configured body rate w (a list of 3 floats), on the
-    floats h w would give; a ConfigError naming omega where h w has a
-    non-finite squared norm, on which so3_exp fails."""
-    u = [h * x for x in w]
-    if not math.isfinite(sum(x * x for x in u)):
-        raise ConfigError("omega is too large: h omega has a non-finite squared norm")
-    return lg.so3_exp(np.array(u))
-
-
 def _so3_form(J):
     """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric.
     For J = c I (the ball) the products J W and W J are formed as c W, and
@@ -320,7 +293,7 @@ def make_constrained_particle(h=0.01):
         declared_reversible=True,
         momentum_specs=specs,
         coord_names=["x0", "y0", "z0", "x1", "y1", "z1"],
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -359,7 +332,7 @@ def make_suslov(J=None, h=0.05):
         if "omega" not in cfg:
             raise ConfigError("initial needs omega (two components, body axes 1 and 2)")
         w = number(cfg["omega"], "omega", 2)
-        return _body_rate_exp(h, [*w.tolist(), 0.0])
+        return lg.so3_exp(h * np.array([*w.tolist(), 0.0]))
 
     def sample(rng, count):
         return [
@@ -382,7 +355,7 @@ def make_suslov(J=None, h=0.05):
         params={"J": JJ, "h": h},
         declared_reversible=True,
         coord_names=names,
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -458,7 +431,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         params={"m": m, "a": a, "b": b, "J": J},
         declared_reversible=True,
         coord_names=["theta", "x", "y"],
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -517,7 +490,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         gam = gam / nrm
         w = number(cfg["omega"], "omega", 3)
         w = w - (w @ gam) * gam
-        return (gam, _body_rate_exp(h, w.tolist()))
+        return (gam, lg.so3_exp(h * w))
 
     def sample(rng, count):
         out = []
@@ -549,7 +522,7 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         params={"I": II, "m": m, "g": g, "l": l, "e": evec, "h": h},
         declared_reversible=False,
         coord_names=names,
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -669,7 +642,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         declared_reversible=False,
         momentum_specs=specs,
         coord_names=names,
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -832,7 +805,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         params={"m0": m0, "m1": m1, "J": J, "J1": J1, "R": R, "c": c, "l": l, "h": h},
         declared_reversible=True,
         coord_names=["phi0", "psi0", "phi1", "psi1", "theta", "x", "y"],
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 
@@ -907,7 +880,7 @@ def make_holonomic_sphere(h=0.01):
         params={"h": h},
         declared_reversible=True,
         coord_names=["x0", "y0", "z0", "x1", "y1", "z1"],
-        initial_builder=_finite_start(build_initial),
+        initial_builder=build_initial,
         sample_states=sample,
     )
 

@@ -11,8 +11,10 @@ at g before Newton and the left pairing at its root after it, and holds the
 ``cond_limit``.  The Newton matrix and both tests come from H
 (``NhProblem.mixed_hess``) on one ``problem.StepFrame``, and the step calls
 LAPACK directly, each kernel after a finiteness check of its own; a
-non-finite matrix or a LAPACK failure is a SingularError.  The README
-("Library use") gives the design and the reasons for it.
+non-finite matrix or a LAPACK failure is a SingularError, and so is an
+arithmetic or domain error of a model callable or a backend kernel inside
+the step.  The README ("Library use") gives the design and the reasons for
+it.
 """
 
 import math
@@ -24,6 +26,7 @@ from scipy.linalg import lapack
 
 from . import problem as pb
 from .errors import (
+    NUMERIC_FAILURES,
     ChartDomainError,
     NhError,
     NoConvergenceError,
@@ -183,7 +186,7 @@ def newton(p, residual, factored, center, g, opts):
             try:
                 cand = bk.retract(center, t * du)
                 r_try = residual(cand)
-            except (SingularError, ChartDomainError, NotComposableError):
+            except (SingularError, ChartDomainError, NotComposableError, *NUMERIC_FAILURES):
                 t *= 0.5
                 backtracks += 1
                 continue
@@ -216,7 +219,9 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     The current element is assumed to lie on the constraint set (``evolve``
     checks the initial condition).  The right pairing is tested at g before
     Newton and the left pairing at the accepted root after it; either failing
-    is a SingularError.
+    is a SingularError.  So is an ArithmeticError or ValueError raised by a
+    model callable or a backend kernel in the step (chained as the cause);
+    in the line search it refuses the trial point instead.
 
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one (another element's frame is a ValueError).  A frame that a
@@ -227,15 +232,18 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     """
     opts = options or SolverOptions()
     frame = pb.step_frame(p, g, frame)
-    sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
-    center = frame.guess()  # g's displacement repeated
-    # bound methods of the frame, so a Newton matrix centred at g reuses H(g)
-    # and the one a report factored at the guess is not factored again
-    solved = newton(p, frame.residual, frame.factored, center, g, opts)
-    h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
-    sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
-    return StepResult(multipliers=frame.multipliers(h), outgoing=frame.left_rows,
-                      sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
+    try:
+        sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
+        center = frame.guess()  # g's displacement repeated
+        # bound methods of the frame, so a Newton matrix centred at g reuses
+        # H(g) and the one a report factored at the guess is not factored again
+        solved = newton(p, frame.residual, frame.factored, center, g, opts)
+        h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
+        sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
+        return StepResult(multipliers=frame.multipliers(h), outgoing=frame.left_rows,
+                          sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
+    except NUMERIC_FAILURES as exc:
+        raise SingularError(f"{p.name}: arithmetic failure in the step ({exc})") from exc
 
 
 def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):

@@ -99,6 +99,23 @@ class TestReversibility:
         rep = dg.reversibility_report(p, samples)
         assert (rep.solved_steps, rep.dynamics_reversible) == (4, True)
 
+    def test_arithmetic_failure_in_a_step_leaves_the_sample_unsolved(self):
+        # the step of the first sample meets a math domain error in H; it is
+        # that step's SingularError, so the sample counts as unsolved
+        p = md.make_constrained_particle()
+        samples = p.sample_states(np.random.default_rng(0), 2)
+        lag = p.lagrangian
+
+        def hess(g):
+            return math.sqrt(-1.0) if g is samples[0] else lag.mixed_hess(g)
+
+        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess))
+        with pytest.raises(SingularError, match="math domain error") as exc:
+            sv.step(q, samples[0])
+        assert isinstance(exc.value.__cause__, ValueError)
+        assert dg.reversibility_report(p, samples).solved_steps == 2
+        assert dg.reversibility_report(q, samples).solved_steps == 1
+
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     @pytest.mark.parametrize("max_iters", [None, 1])
     @pytest.mark.parametrize("seed", [0, 7])

@@ -291,6 +291,17 @@ class TestFailureModes:
         with pytest.raises(SingularError, match="residual"):
             sv.step(q, q.initial_builder({"xi": [0.7, 0.9]}))
 
+    def test_arithmetic_failure_of_a_model_callable_is_singular_with_step_index(self):
+        # the first guess of this start overflows the robot's turn angle, so
+        # its phi takes math.sin(inf); the library leaves numpy's warning
+        # policy to the caller, as the CLI does
+        p = md.make_mobile_robot(J=3.0, R=5e-324, c=1e300)
+        g0 = p.initial_builder({"wheels0": [0.3, -0.2], "dphi": 1.7e308, "dpsi": -0.07})
+        with np.errstate(all="ignore"), pytest.raises(SingularError, match="arithmetic") as exc:
+            sv.evolve(p, g0, 3)
+        assert exc.value.step_index == 0
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_evolve_rejects_off_constraint_start(self):
         p = md.make_constrained_particle(h=0.01)
         g0 = (np.zeros(3), np.array([0.1, 0.2, 0.3]))
