@@ -391,6 +391,16 @@ def _regularity_entry(label, report):
     return entry
 
 
+def _regularity(problem, label, g, frame):
+    """The regularity report of g (on ``frame``, or None).  A report that
+    fails outside any step (a pairing that overflows) is a SingularError
+    naming the system and the point ``label``."""
+    try:
+        return dg.regularity_report(problem, g, frame)
+    except SingularError as exc:
+        raise SingularError(f"{problem.name}: regularity test at {label}: {exc}") from exc
+
+
 def run_check(cfg, out_dir, verbose=False):
     problem = build_problem(cfg)
     options = sv.SolverOptions(**cfg["solver"])
@@ -406,17 +416,19 @@ def run_check(cfg, out_dir, verbose=False):
     frames = []
     for idx, g in enumerate(samples):
         frames.append(pb.StepFrame(problem, g))
-        report = dg.regularity_report(problem, g, frames[-1])
+        report = _regularity(problem, f"sample_{idx}", g, frames[-1])
         entries.append(_regularity_entry(f"sample_{idx}", report))
         x = problem.backend.target(g)
-        key = np.asarray(x, dtype=float).tobytes()
+        key = x.tobytes()
         if key not in identities:
-            identities[key] = dg.regularity_report(problem, problem.backend.identity(x))
+            unit = problem.backend.identity(x)
+            identities[key] = _regularity(problem, f"identity_{idx}", unit, None)
         entries.append(_regularity_entry(f"identity_{idx}", identities[key]))
     for idx, point in enumerate(check["points"]):
         g = build_initial(problem, point)
         problem.assert_on_constraint(g, label=f"check.points[{idx}]")
-        entries.append(_regularity_entry(f"point_{idx}", dg.regularity_report(problem, g)))
+        report = _regularity(problem, f"point_{idx}", g, None)
+        entries.append(_regularity_entry(f"point_{idx}", report))
 
     rev = dg.reversibility_report(problem, samples, options=options, frames=frames)
     # Structural verdict: the time-reversed system coincides with the original

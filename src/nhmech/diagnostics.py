@@ -219,13 +219,13 @@ def _momentum_pass(p, specs, trajectory, predict=False):
         try:
             for i, g in enumerate(elements[start:start + size]):
                 x = bk.target(g)
-                xi_now = [np.asarray(spec.xi_map(x), dtype=float) for spec in specs]
+                xi_now = [spec.xi_map(x) for spec in specs]
                 for j, (spec, xi) in enumerate(zip(specs, xi_now)):
                     V[i, j] = spec.section(xi, x)
                 B[i] = p.distribution.basis(x)
                 left, change = p.left_grad(g), None
                 if predict and xis_before is not None:
-                    change = [np.asarray(spec.section(xi - xi_before, x), dtype=float)
+                    change = [spec.section(xi - xi_before, x)
                               for spec, xi, xi_before in zip(specs, xi_now, xis_before)]
                 lefts.append(left)
                 changes.append(change)
@@ -249,6 +249,7 @@ def momentum_value(p, spec, g, xi=None):
     basis or value raises SingularError.
     """
     if xi is not None:
+        xi = np.asarray(xi, dtype=float)
         spec = replace(spec, xi_map=lambda x: xi)
     return _momentum_pass(p, [spec], [g])[0][0][0]
 
@@ -307,12 +308,12 @@ def chi_inverse(p, x, y, seed):
         )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    off = float(np.abs(x - np.asarray(bk.source(seed), dtype=float)).max(initial=0.0))
+    off = float(np.abs(x - bk.source(seed)).max(initial=0.0))
     if off > gpd.COMPOSE_TOL:
         raise ChartInversionFailed(f"{p.name}: source is {off:.3e} off the seed's source fiber")
 
     def eqs(el):
-        return np.concatenate([np.asarray(bk.target(el), dtype=float) - y, p.phi(el)])
+        return np.concatenate([bk.target(el) - y, p.phi(el)])
 
     def factored(el):
         return pb.factor_newton_matrix(p, gpd.left_jacobian(bk, eqs, el))
@@ -328,7 +329,7 @@ def chi_inverse(p, x, y, seed):
 def _constraint_section_lift(p, x):
     """Matrix (n, m) whose columns lift the base coordinate directions into
     the constraint distribution through the anchor."""
-    B = np.asarray(p.distribution.basis(x), dtype=float)
+    B = p.distribution.basis(x)
     A = gpd.anchor_matrix(p.backend, x)
     P = A @ B
     try:
@@ -358,5 +359,5 @@ def chaplygin_residual(p, g, h):
     """
     if p.r != p.backend.base_dim:
         raise ValueError(f"{p.name}: distribution rank {p.r} != base dimension, not Chaplygin")
-    X = _constraint_section_lift(p, np.asarray(p.backend.target(g), dtype=float))
+    X = _constraint_section_lift(p, p.backend.target(g))
     return (p.left_grad(g) - p.right_grad(h)) @ X

@@ -9,10 +9,13 @@ array), and ``coords(c, g)`` inverts it for ``g`` on the same fiber.
 ``retract(identity(target g), coords(identity(source g), g))`` in closed
 form, and raises ChartDomainError where that round trip would.
 
-Elements are plain values (tuples of numpy arrays, rotation matrices, SE(2)
-triples); treat them as immutable.  The backends are the pair groupoid, a Lie
-group over one point, the action groupoid (a base point plus an SO(3)-backend
-element) and the Atiyah groupoid (a pair-backend part plus a Lie-group part).
+Elements are plain values (tuples of float arrays, rotation matrices, SE(2)
+triples); treat them as immutable.  Every map takes and returns float
+arrays (elements, base points, chart coordinates) and coerces nothing; only
+``identity`` and the difference directions below take outside input as
+array-likes.  The backends are the pair groupoid, a Lie group over one
+point, the action groupoid (a base point plus an SO(3)-backend element) and
+the Atiyah groupoid (a pair-backend part plus a Lie-group part).
 
 On top of the charts the module provides central-difference directional
 derivatives of scalar or vector functions along left/right invariant vector
@@ -60,7 +63,7 @@ _POINT = np.zeros(0)  # the one base point of a Lie group
 
 
 def _base_mismatch(x, y):
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) if np.size(x) else 0.0
+    return float(np.max(np.abs(x - y))) if x.size else 0.0
 
 
 class PairGroupoid:
@@ -89,16 +92,15 @@ class PairGroupoid:
         return (x, x.copy())
 
     def retract(self, c, u):
-        return (c[0], c[1] + np.asarray(u, dtype=float))
+        return (c[0], c[1] + u)
 
     def coords(self, c, g):
         if _base_mismatch(c[0], g[0]) > COMPOSE_TOL:
             raise NotComposableError("coords: elements lie on different source fibers")
-        return np.asarray(g[1], dtype=float) - np.asarray(c[1], dtype=float)
+        return g[1] - c[1]
 
     def mirror(self, g):
-        q1 = np.asarray(g[1], dtype=float)
-        return (q1, q1 + (q1 - g[0]))
+        return (g[1], g[1] + (g[1] - g[0]))
 
 
 class LieGroupGroupoid:
@@ -236,7 +238,6 @@ class AtiyahGroupoid:
         return (*self.pair.identity(x), self.group_ops.identity())
 
     def retract(self, c, u):
-        u = np.asarray(u, dtype=float)
         m = self.base_dim
         return (*self.pair.retract(c, u[:m]), self.group_ops.retract(c[2], u[m:]))
 

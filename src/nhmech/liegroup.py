@@ -12,11 +12,12 @@ Conventions:
   ``[e, e1] = e2`` and ``[e, e2] = -e1``.
 * ``axial(A) = vee(A - A^T)``, so ``Tr(A @ hat(w)) = -axial(A) . w``.
 
-The maps a step calls (exp, log, compose, invert, the chart Jacobians) work
-on fixed 3-element shapes, where a numpy ufunc on a scalar costs more than
-the arithmetic; they read their arguments out as Python floats, compute in
-closed form with ``math`` and build their one result array at the end (the
-SE(2) chart Jacobians return their rows as lists, which their caller extends).
+Every kernel takes float arrays and returns one (the SE(2) chart Jacobians
+excepted, see below).  The maps a step calls (exp, log, compose, invert, the
+chart Jacobians) work on fixed 3-element shapes, where a numpy ufunc on a
+scalar costs more than the arithmetic; they read their arguments out once
+with ``tolist``, compute in closed form with ``math`` on Python floats and
+build their one result array at the end.
 """
 
 import math
@@ -24,13 +25,6 @@ import math
 import numpy as np
 
 from .errors import ChartDomainError
-
-
-def _floats(a):
-    """The entries of a vector or matrix as (nested lists of) Python floats."""
-    if isinstance(a, np.ndarray):
-        return a.tolist()
-    return np.asarray(a, dtype=float).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +65,14 @@ def wrap_angle(theta):
 def cross3(a, b):
     """Cross product of two 3-vectors; equal to ``np.cross(a, b)`` bit for bit
     and much cheaper for single vectors."""
-    (a0, a1, a2), (b0, b1, b2) = _floats(a), _floats(b)
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def axial_floats(A):
-    """The components of :func:`axial` as a list of Python floats."""
-    (_, a01, a02), (a10, _, a12), (a20, a21, _) = _floats(A)
-    return [a21 - a12, a02 - a20, a10 - a01]
 
 
 def axial(A):
     """vee(A - A^T) for an arbitrary 3x3 matrix."""
-    return np.array(axial_floats(A))
+    (_, a01, a02), (a10, _, a12), (a20, a21, _) = A.tolist()
+    return np.array([a21 - a12, a02 - a20, a10 - a01])
 
 
 def _trace_minus(A):
@@ -102,18 +91,18 @@ def axial_right_mul(M):
     """The matrix whose column j is ``axial(M @ E_j)``: tr(M) I - M^T.  It
     comes out column-major; a product with it rounds by that layout, which
     Veselova's ``gamma @ axial_right_mul(W)`` and its path depend on."""
-    return _trace_minus(np.asarray(M, dtype=float).T)
+    return _trace_minus(M.T)
 
 
 def axial_left_mul(M):
     """The matrix whose column j is ``axial(E_j @ M)``: tr(M) I - M."""
-    return _trace_minus(np.asarray(M, dtype=float))
+    return _trace_minus(M)
 
 
 def so3_exp(w):
     """Rodrigues formula I + a hat(w) + b hat(w)^2, series-stabilized for
     small angles; hat(w)^2 = w w^T - |w|^2 I is written out."""
-    x, y, z = _floats(w)
+    x, y, z = w.tolist()
     th2 = x * x + y * y + z * z
     if th2 < 1e-8:
         a = 1.0 - th2 / 6.0 + th2 * th2 / 120.0
@@ -149,7 +138,7 @@ def _axial_angle(R):
 def so3_check_cut(R):
     """Raise ChartDomainError where :func:`so3_log` does: within 1e-10 of
     rotation angle pi."""
-    _axial_angle(_floats(R))
+    _axial_angle(R.tolist())
 
 
 def so3_log(R):
@@ -159,7 +148,7 @@ def so3_log(R):
     axis extraction from R + I near angle pi.  Raises ChartDomainError within
     1e-10 of angle pi where the principal branch breaks down.
     """
-    x, y, z, th = _axial_angle(_floats(R))
+    x, y, z, th = _axial_angle(R.tolist())
     if th < math.pi - 1e-4:
         # w = f * axial/2 with f = th/sin(th)
         if th < 1e-4:
@@ -171,7 +160,7 @@ def so3_log(R):
         return np.array([k * x, k * y, k * z])
     # Near pi: R + I = 2 [cos^2(th/2) I + sin(th/2)cos(th/2) hat(n) + sin^2(th/2) n n^T];
     # the dominant column of R + I is parallel to n.
-    B = np.asarray(R, dtype=float) + np.eye(3)
+    B = R + np.eye(3)
     j = int(np.argmax(np.sum(B * B, axis=0)))
     n = B[:, j]
     n = n / np.linalg.norm(n)
@@ -191,27 +180,27 @@ def se2_identity():
 
 def se2_matrix(g):
     """Homogeneous 3x3 representative of (theta, x, y)."""
-    th, x, y = _floats(g)
+    th, x, y = g.tolist()
     c, s = math.cos(th), math.sin(th)
     return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
 
 
 def se2_compose(g, h):
-    th, x, y = _floats(g)
-    dth, u, v = _floats(h)
+    th, x, y = g.tolist()
+    dth, u, v = h.tolist()
     c, s = math.cos(th), math.sin(th)
     return np.array([wrap_angle(th + dth), x + (c * u - s * v), y + (s * u + c * v)])
 
 
 def se2_invert(g):
-    th, x, y = _floats(g)
+    th, x, y = g.tolist()
     c, s = math.cos(th), math.sin(th)
     return np.array([wrap_angle(-th), -(c * x + s * y), s * x - c * y])
 
 
 def se2_exp(xi):
     """Group exponential of (omega, v1, v2)."""
-    om, v1, v2 = _floats(xi)
+    om, v1, v2 = xi.tolist()
     a = sinc(om)
     b = versine_over(om)
     return np.array([wrap_angle(om), a * v1 - b * v2, b * v1 + a * v2])
@@ -226,7 +215,7 @@ def se2_check_cut(g):
 def se2_log(g):
     """Principal logarithm; raises ChartDomainError at |theta| = pi."""
     se2_check_cut(g)
-    th, x, y = _floats(g)
+    th, x, y = g.tolist()
     a = sinc(th)
     b = versine_over(th)
     d = a * a + b * b  # = 2(1-cos th)/th^2, positive on the domain
@@ -235,7 +224,9 @@ def se2_log(g):
 
 def se2_left_jacobian(g):
     """Jacobian of the triple (theta, x, y) along the left chart at g, as its
-    rows (lists of floats): column j is d/dt of g * exp(t e_j) at t=0."""
+    rows: column j is d/dt of g * exp(t e_j) at t=0.  The rows are lists of
+    floats, not an array, since the robot's constraint gradient extends them
+    and an array would cost a conversion per call."""
     th = float(g[0])
     c, s = math.cos(th), math.sin(th)
     return [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
@@ -243,6 +234,7 @@ def se2_left_jacobian(g):
 
 def se2_right_jacobian(g):
     """Jacobian of the triple (theta, x, y) along the right chart at g, as its
-    rows (lists of floats): column j is d/ds of exp(s e_j) * g at s=0."""
-    _, x, y = _floats(g)
+    rows (lists of floats, as for :func:`se2_left_jacobian`): column j is
+    d/ds of exp(s e_j) * g at s=0."""
+    _, x, y = g.tolist()
     return [[1.0, 0.0, 0.0], [-y, 1.0, 0.0], [x, 0.0, 1.0]]

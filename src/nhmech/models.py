@@ -12,6 +12,7 @@ Angle-valued wheel coordinates are kept as unwrapped reals; group-part angles
 of SE(2) elements live in (-pi, pi].
 """
 
+import dataclasses
 import math
 import sys
 
@@ -63,7 +64,6 @@ def _complement_basis(v):
     Python floats except for the two squared norms, which numpy's ``dot``
     takes, as numpy computes a 1-D norm (a float sum rounds differently).  A
     zero or non-finite v gives NaN throughout, as numpy's 0/0 would."""
-    v = np.asarray(v, dtype=float)
     norm, values = math.sqrt(v.dot(v)), v.tolist()
     if not (norm > 0.0 and all(map(math.isfinite, values))):
         return np.full((3, 2), math.nan)
@@ -87,15 +87,9 @@ def _sym_pd(M, what):
 
 # ---------------------------------------------------------------------------
 # the three kinetic forms: every built-in Lagrangian is one of them, a sum of
-# two on an Atiyah element, or one plus a potential term.  A form is the tuple
-# (value, left gradient, right gradient, H), its gradients computed on Python
-# floats and returned as lists; _lagrangian makes the arrays
-
-
-def _lagrangian(lag, lgrad, rgrad, hess):
-    """The Lagrangian of a form (value, list-valued gradients, H)."""
-    return Lagrangian(eval=lag, left_grad=lambda g: np.array(lgrad(g)),
-                      right_grad=lambda g: np.array(rgrad(g)), mixed_hess=hess)
+# two on an Atiyah element, or one plus a potential term.  A form is a
+# Lagrangian whose gradients are computed on Python floats and build one
+# array
 
 
 def _pair_form(mass, h, dim):
@@ -114,9 +108,9 @@ def _pair_form(mass, h, dim):
         return mass * float(d @ d) / (2.0 * h * h)
 
     def grad(g):
-        return [mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())]
+        return np.array([mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())])
 
-    return lag, grad, grad, lambda g: H
+    return Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=lambda g: H)
 
 
 def _so3_form(J):
@@ -130,18 +124,18 @@ def _so3_form(J):
 
         def lgrad(W):
             (_, w01, w02), (w10, _, w12), (w20, w21, _) = W.tolist()
-            return [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
+            return np.array([c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01])
 
         rgrad = lgrad
     else:
         left, right = (lambda W: J @ W), (lambda W: W @ J)
-        lgrad, rgrad = (lambda W: lg.axial_floats(J @ W)), (lambda W: lg.axial_floats(W @ J))
-    return (
-        lambda W: -float(np.trace(left(W))),
-        lgrad,
-        rgrad,
+        lgrad, rgrad = (lambda W: lg.axial(J @ W)), (lambda W: lg.axial(W @ J))
+    return Lagrangian(
+        eval=lambda W: -float(np.trace(left(W))),
+        left_grad=lgrad,
+        right_grad=rgrad,
         # column j is axial(W E_j J), and W E_j = hat(W e_j) W for a rotation
-        lambda W: lg.axial_left_mul(right(W)) @ W,
+        mixed_hess=lambda W: lg.axial_left_mul(right(W)) @ W,
     )
 
 
@@ -167,16 +161,16 @@ def _se2_form(K):
         th, x, y = g.tolist()
         c, s = math.cos(th), math.sin(th)
         u, v = c * x + s * y, c * y - s * x
-        return [k_trace * s + (k02 * v - k12 * u),
-                k02 * (1.0 - c) - k12 * s + k22 * u,
-                k02 * s + k12 * (1.0 - c) + k22 * v]
+        return np.array([k_trace * s + (k02 * v - k12 * u),
+                         k02 * (1.0 - c) - k12 * s + k22 * u,
+                         k02 * s + k12 * (1.0 - c) + k22 * v])
 
     def rgrad(g):
         th, x, y = g.tolist()
         c, s = math.cos(th), math.sin(th)
-        return [k_trace * s + (k02 * y - k12 * x),
-                k02 * (c - 1.0) - k12 * s + k22 * x,
-                k02 * s + k12 * (c - 1.0) + k22 * y]
+        return np.array([k_trace * s + (k02 * y - k12 * x),
+                         k02 * (c - 1.0) - k12 * s + k22 * x,
+                         k02 * s + k12 * (c - 1.0) + k22 * y])
 
     def hess(g):
         # Column j is pair(S + S^T - P) with P = W E_j K, S = P W^T and
@@ -190,14 +184,14 @@ def _se2_form(K):
             [c * k02 - s * k12, s * k22, c * k22],
         ])
 
-    return lag, lgrad, rgrad, hess
+    return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
 
 
 def _atiyah_form(base, group):
     """base + group on Atiyah elements (p0, p1, G): a pair form on the base
     points plus a form on the 3-dimensional group part, with a block-diagonal
     H and gradients listed base part first."""
-    base_hess = base[3](None)  # a pair form's H is constant
+    base_hess = base.mixed_hess(None)  # a pair form's H is constant
     m = base_hess.shape[0]
     n = m + 3
     base_block = np.zeros((n, n))
@@ -205,14 +199,14 @@ def _atiyah_form(base, group):
 
     def hess(el):
         out = base_block.copy()
-        out[m:, m:] = group[3](el[2])
+        out[m:, m:] = group.mixed_hess(el[2])
         return out
 
-    return _lagrangian(
-        lambda el: base[0](el) + group[0](el[2]),
-        lambda el: base[1](el) + group[1](el[2]),
-        lambda el: base[2](el) + group[2](el[2]),
-        hess,
+    return Lagrangian(
+        eval=lambda el: base.eval(el) + group.eval(el[2]),
+        left_grad=lambda el: np.concatenate((base.left_grad(el), group.left_grad(el[2]))),
+        right_grad=lambda el: np.concatenate((base.right_grad(el), group.right_grad(el[2]))),
+        mixed_hess=hess,
     )
 
 
@@ -281,7 +275,7 @@ def make_constrained_particle(h=0.01):
     return NhProblem(
         name="constrained_particle",
         backend=bk,
-        lagrangian=_lagrangian(*_pair_form(1.0, h, 3)),
+        lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
@@ -344,7 +338,7 @@ def make_suslov(J=None, h=0.05):
     return NhProblem(
         name="suslov",
         backend=bk,
-        lagrangian=_lagrangian(*_so3_form(JJ / h)),
+        lagrangian=_so3_form(JJ / h),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
@@ -382,7 +376,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     )
     bk = LieGroupGroupoid("se2")
 
-    value, lgrad, rgrad, hess = _se2_form(K)
+    form = _se2_form(K)
     half_trace = 0.5 * float(np.trace(K))
 
     def phi(g):
@@ -418,7 +412,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     return NhProblem(
         name="chaplygin_sleigh",
         backend=bk,
-        lagrangian=_lagrangian(lambda g: value(g) - half_trace, lgrad, rgrad, hess),
+        lagrangian=dataclasses.replace(form, eval=lambda g: form.eval(g) - half_trace),
         constraints=ConstraintSet(
             codim=1,
             phi=phi,
@@ -451,13 +445,13 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     bk = ActionGroupoid()
     mgl = m * g * l
 
-    kin_value, kin_lgrad, kin_rgrad, kin_hess = _so3_form(TF / h)
+    kin = _so3_form(TF / h)
     hm = h * mgl
 
     def rgrad(el):
         # the right curve moves gamma too, so only this gradient sees the potential
         gam, W = el
-        return [a - hm * b for a, b in zip(kin_rgrad(W), lg.cross3(gam, evec).tolist())]
+        return kin.right_grad(W) - hm * lg.cross3(gam, evec)
 
     def phi(el):
         # axial(W) vanishes at a rotation by pi too: refusing that spurious
@@ -509,15 +503,15 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     return NhProblem(
         name="veselova",
         backend=bk,
-        lagrangian=_lagrangian(
-            lambda el: kin_value(el[1]) - hm * float(el[0] @ evec),
-            lambda el: kin_lgrad(el[1]),
-            rgrad,
-            lambda el: kin_hess(el[1]),
+        lagrangian=Lagrangian(
+            eval=lambda el: kin.eval(el[1]) - hm * float(el[0] @ evec),
+            left_grad=lambda el: kin.left_grad(el[1]),
+            right_grad=rgrad,
+            mixed_hess=lambda el: kin.mixed_hess(el[1]),
         ),
         constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
-            basis=_complement_basis, annihilator=lambda x: np.array(x, dtype=float).reshape(3, 1)
+            basis=_complement_basis, annihilator=lambda x: x.reshape(3, 1).copy()
         ),
         params={"I": II, "m": m, "g": g, "l": l, "e": evec, "h": h},
         declared_reversible=False,
@@ -613,11 +607,10 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
             out.append(start(p0, p0 + h * rng.normal(size=2) * 0.5, rng.normal() * 0.3))
         return out
 
-    def const_spec(name, coeffs):
-        c = np.asarray(coeffs, dtype=float)
+    def const_spec(name, c):
         return MomentumSpec(
             name=name,
-            section=lambda xi, x, c=c: xi[0] * c,
+            section=lambda xi, x: xi[0] * c,
             xi_map=lambda x: np.array([1.0]),
         )
 
@@ -869,13 +862,13 @@ def make_holonomic_sphere(h=0.01):
     return NhProblem(
         name="holonomic_sphere",
         backend=bk,
-        lagrangian=_lagrangian(*_pair_form(1.0, h, 3)),
+        lagrangian=_pair_form(1.0, h, 3),
         constraints=ConstraintSet(
             codim=1, phi=phi, left_jac=phi_left, right_jac=lambda g: zero_row
         ),
         distribution=Distribution(
             basis=_complement_basis,
-            annihilator=lambda x: 2.0 * np.asarray(x, dtype=float).reshape(3, 1),
+            annihilator=lambda x: 2.0 * x.reshape(3, 1),
         ),
         params={"h": h},
         declared_reversible=True,

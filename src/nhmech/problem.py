@@ -36,9 +36,10 @@ PROJECTION_RTOL = 16 * EPS
 class Distribution:
     """Constraint distribution on the base manifold, of rank r = n - k.
 
-    ``basis(x)`` returns an (n, r) array of fiber-chart directions spanning
-    D_c at x; ``annihilator(x)`` returns (n, k) covector components vanishing
-    on the span.
+    ``basis(x)`` returns an (n, r) float array of fiber-chart directions
+    spanning D_c at x; ``annihilator(x)`` returns the (n, k) float array of
+    covector components vanishing on the span.  The base point x is a float
+    array (a backend's ``source`` or ``target``), used as it is.
     """
 
     basis: Callable
@@ -49,9 +50,10 @@ class Distribution:
 class MomentumSpec:
     """A parametrized family of symmetry directions.
 
-    ``section(xi, x)`` returns the fiber direction of the symmetry parameter
-    xi (an array) at base point x; it must be linear in xi.
-    ``xi_map(x)`` picks the parameter used along trajectories.
+    ``section(xi, x)`` returns the fiber direction, an (n,) float array, of
+    the symmetry parameter xi at base point x; it must be linear in xi.
+    ``xi_map(x)`` picks the parameter used along trajectories, a float
+    array.  Both take float arrays and use them as they are.
     """
 
     name: str
@@ -242,8 +244,8 @@ class StepFrame:
     def __init__(self, p, g, record=(None, None)):
         self.p = p
         self.g = g
-        self.beta = np.asarray(p.backend.target(g), dtype=float)
-        self.basis = np.asarray(p.distribution.basis(self.beta), dtype=float)
+        self.beta = p.backend.target(g)
+        self.basis = p.distribution.basis(self.beta)
         self.neg_bt = -self.basis.T
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
@@ -307,7 +309,7 @@ class StepFrame:
         last, right = self._last
         F = self.left_grad - (right if h is last else p.right_grad(h))
         require_finite(F, f"{p.name}: difference covector")
-        A = np.asarray(p.distribution.annihilator(self.beta), dtype=float)
+        A = p.distribution.annihilator(self.beta)
         lam, rank = least_squares(A, F, f"{p.name}: annihilator basis")
         if rank < lam.size:
             raise RankDeficientAnnihilator(
@@ -359,7 +361,7 @@ def lagrange_multipliers(p, g, h):
     frame = StepFrame(p, g)
     lam = frame.multipliers(h)
     F = frame.left_grad - p.right_grad(h)
-    A = np.asarray(p.distribution.annihilator(frame.beta), dtype=float)
+    A = p.distribution.annihilator(frame.beta)
     return lam, float(np.abs(F - A @ lam).max())
 
 
@@ -384,8 +386,7 @@ def regularity_matrices(p, g):
     They are the reference for :meth:`StepFrame.left_sigmas` and
     :meth:`StepFrame.right_sigmas`.
     """
-    Xa, B = (np.asarray(p.distribution.basis(np.asarray(x, dtype=float)), dtype=float)
-             for x in (p.backend.source(g), p.backend.target(g)))
+    Xa, B = (p.distribution.basis(x) for x in (p.backend.source(g), p.backend.target(g)))
     H = p.mixed_hess(g)
     G_left = -Xa.T @ H @ null_space(p.phi_left_jac(g))
     G_right = -null_space(p.phi_right_jac(g)).T @ H @ B

@@ -94,8 +94,7 @@ def point_regularity_sigmas(p, g, frame=None):
     at alpha(g) is evaluated here.
     """
     frame = pb.step_frame(p, g, frame)
-    Xa = np.asarray(p.distribution.basis(np.asarray(p.backend.source(g), dtype=float)), dtype=float)
-    return frame.left_sigmas(g, Xa), frame.right_sigmas()
+    return frame.left_sigmas(g, p.distribution.basis(p.backend.source(g))), frame.right_sigmas()
 
 
 def is_nondegenerate(smin, smax):
@@ -280,9 +279,7 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
 def legendre_minus(p, h):
     """Incoming momentum at alpha(h): components right_deriv(L, h, X_a)."""
     x = p.backend.source(h)
-    B = np.asarray(p.distribution.basis(x), dtype=float)
-    comps = p.right_grad(h) @ B
-    return NhCovector(base=np.asarray(x, dtype=float).copy(), components=comps)
+    return NhCovector(base=x.copy(), components=p.right_grad(h) @ p.distribution.basis(x))
 
 
 def legendre_plus(p, g):

@@ -19,7 +19,7 @@ from nhmech import diagnostics as dg
 from nhmech import models as md
 from nhmech import problem as pb
 from nhmech import solver as sv
-from nhmech.errors import ConfigError
+from nhmech.errors import ConfigError, SingularError
 
 BALL_CONFIG = {
     "system": {
@@ -805,6 +805,41 @@ class TestCheck:
         assert "at step 1" in err
         assert out == ""
         assert not (tmp_path / "check_report.json").exists()
+
+    def test_failed_regularity_report_names_the_system_and_the_point(self, tmp_path, capsys):
+        # a = 1e300 overflows the sleigh's K, so the two-point pairing of
+        # sample 0 has non-finite entries before any step is taken
+        data = {"system": {"name": "chaplygin_sleigh", "params": {"a": 1e300}},
+                "check": {"samples": 2, "trajectory_steps": 2}}
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert err == ("solver failure: chaplygin_sleigh: regularity test at sample_0: "
+                       "two-point pairing has non-finite entries\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("failing_call, label", [(1, "identity_0"), (2, "point_0")])
+    def test_failed_identity_or_point_report_names_its_label(self, tmp_path, capsys, monkeypatch,
+                                                             failing_call, label):
+        # reports run in the order sample_0, identity_0, point_0
+        calls = []
+        report = dg.regularity_report
+
+        def failing(problem, g, frame=None):
+            calls.append(g)
+            if len(calls) == failing_call + 1:
+                raise SingularError("two-point pairing has non-finite entries")
+            return report(problem, g, frame)
+
+        monkeypatch.setattr(cli.dg, "regularity_report", failing)
+        data = {"system": {"name": "constrained_particle"}, "initial": PARTICLE_INITIAL,
+                "check": {"samples": 1, "trajectory_steps": 2, "points": [PARTICLE_INITIAL]}}
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(["check", "--config", path, "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_SOLVER
+        assert err == (f"solver failure: constrained_particle: regularity test at {label}: "
+                       "two-point pairing has non-finite entries\n")
+        assert out == ""
 
     def test_infinite_condition_is_written_as_null(self, tmp_path, capsys):
         # the sleigh turning by pi per step: its mirror guess has no

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nhmech.errors import ChartDomainError
 from nhmech.liegroup import (
-    _floats,
     axial,
     axial_left_mul,
     axial_right_mul,
@@ -46,12 +45,6 @@ def test_hat_vee_roundtrip():
     assert np.allclose(axial(W), 2 * w)
     v = np.array([1.0, 2.0, 3.0])
     assert np.allclose(W @ v, np.cross(w, v))
-
-
-def test_floats_of_a_list_are_python_floats():
-    out = _floats([[1, 2.5], [-3, 4]])
-    assert out == [[1.0, 2.5], [-3.0, 4.0]]
-    assert all(type(v) is float for row in out for v in row)
 
 
 def test_cross3_is_np_cross_bit_for_bit():

@@ -163,7 +163,7 @@ class TestAnalyticDerivatives:
         # j = axial(W E_j J), for a symmetric J with no special structure
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 3))
-        kin = md._lagrangian(*md._so3_form(A + A.T))
+        kin = md._so3_form(A + A.T)
         for _ in range(10):
             W = lg.so3_exp(rng.normal(size=3))
             ref = np.column_stack([lg.axial(W @ E @ (A + A.T)) for E in (E1, E2, E3)])
@@ -211,7 +211,7 @@ class TestAnalyticDerivatives:
             A = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-2, 2)
             K = A + A.T
             assert K[0, 1] != 0.0 and K[0, 2] != 0.0
-            _, lgrad, rgrad, _ = md._se2_form(K)
+            form = md._se2_form(K)
             scale = 10.0 ** rng.uniform(-1, 1)
             g = np.array([rng.uniform(-np.pi, np.pi), *(rng.normal(size=2) * scale)])
             W = lg.se2_matrix(g)
@@ -219,8 +219,8 @@ class TestAnalyticDerivatives:
             tol = 64 * np.finfo(float).eps * np.max(np.abs(K)) * rho * rho
             left = _se2_pair(K @ (W.T @ W - W))
             right = _se2_pair(W @ K @ W.T - W @ K)
-            assert np.max(np.abs(np.subtract(lgrad(g), left))) <= tol
-            assert np.max(np.abs(np.subtract(rgrad(g), right))) <= tol
+            assert np.max(np.abs(form.left_grad(g) - left)) <= tol
+            assert np.max(np.abs(form.right_grad(g) - right)) <= tol
 
 
 class TestCallableContract:
@@ -252,6 +252,28 @@ class TestCallableContract:
                 if np.shares_memory(out, first) or np.shares_memory(out, previous):
                     assert not out.flags.writeable
                 previous = out
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_backend_maps_and_momentum_specs_return_float_arrays(self, name):
+        # the step and the momentum pass use these as they are: source,
+        # target, each part of mirror and retract, and each spec's parameter
+        # and section at the target
+        p, traj = golden_run(name)
+        bk, u = p.backend, np.full(p.n, 1e-3)
+
+        def parts(el):
+            return el if isinstance(el, tuple) else (el,)
+
+        for g in _samples(p, 20, seed=5) + traj.elements:
+            x = bk.target(g)
+            outs = [bk.source(g), x, *parts(bk.mirror(g)), *parts(bk.retract(g, u))]
+            for spec in p.momentum_specs.values():
+                xi = spec.xi_map(x)
+                section = spec.section(xi, x)
+                assert section.shape == (p.n,)
+                outs += [xi, section]
+            for out in outs:
+                assert isinstance(out, np.ndarray) and out.dtype == np.float64
 
 
 class TestDistributionAlgebra:
@@ -316,7 +338,7 @@ class TestDistributionAlgebra:
             assert np.isnan(complement_basis_oracle(v)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            B = md._complement_basis(v)
+            B = md._complement_basis(np.array(v))
         assert B.shape == (3, 2) and np.isnan(B).all()
 
 

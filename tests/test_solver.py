@@ -700,6 +700,18 @@ class TestCallCounts:
             g = sv.step(p, g).next
             assert calls[0] == 0
 
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_no_array_coercion_in_a_step(self, name, monkeypatch):
+        # every callable a step reaches takes and returns float arrays, so
+        # the step converts no value again
+        calls = [0]
+        p = md.FACTORIES[name]()
+        g = p.initial_builder(STARTS[name])
+        monkeypatch.setattr(np, "asarray", counted(np.asarray, calls))
+        for _ in range(COUNTED_STEPS):
+            g = sv.step(p, g).next
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("name", ["veselova", "holonomic_sphere"])
     def test_one_basis_evaluation_per_step(self, name):
         p = md.FACTORIES[name]()
