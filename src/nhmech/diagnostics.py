@@ -163,80 +163,102 @@ def _cone_gaps(p, specs, V, B):
     return np.abs(V - (V @ U) @ U.transpose(0, 2, 1)).max(axis=2)
 
 
-def _block_momenta(p, specs, V, B, lefts):
-    """Momenta (one list of floats per element, one float per spec) of the
-    first ``len(lefts)`` elements of a block, from their stacked symmetry
-    directions V, bases B and left gradients ``lefts``.
+def _dots(L, V):
+    """[[float(L[i] @ V[i, j]) for j] for i] of a stack L (m, n) of covectors
+    and V (m, s, n) of directions, as one stacked ``np.matmul``: its
+    vector-by-vector kernel is the one that a single ``@`` of two vectors
+    takes, so each value rounds as that one does."""
+    return np.matmul(V[:, :, None, :], L[:, None, :, None])[:, :, 0, 0].tolist()
 
-    The finiteness checks and the cone gaps (:func:`_cone_gaps`) run once
-    for the block; the value of each spec is ``float(left_grad @ v)``.  The
-    first failing element raises, with the checks of :func:`momentum_value`
-    in its order: every direction finite, the basis finite, then per spec
-    the gap within 1e-10 (1 + max|v|) and the value finite.
+
+def _block_momenta(p, specs, sections, bases, lefts, changes=()):
+    """Momenta (one list of floats per element, one float per spec) of a
+    block of elements, from their symmetry directions ``sections`` (one per
+    element and spec, element by element), bases and left gradients, and
+    the predicted changes: one list per element of ``changes``, the
+    sections of the parameter differences at the block's last elements.
+
+    The block is stacked once.  The finiteness checks and the cone gaps
+    (:func:`_cone_gaps`) run once for it, and the values come from one
+    stacked product (:func:`_dots`) over the elements whose every check but
+    the value's own passes.  The first failing element raises, with the
+    checks of :func:`momentum_value` in its order: every direction finite,
+    the basis finite, then per spec the gap within 1e-10 (1 + max|v|) and
+    the value finite.
     """
-    m = len(lefts)
-    V, B = V[:m], B[:m]
+    m, s = len(lefts), len(specs)
+    if not m:
+        return [], []
+    V, B, L = np.array(sections).reshape(m, s, p.n), np.array(bases), np.array(lefts)
     finite = np.isfinite(V).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
     f = m if finite.all() else int(finite.argmin())
-    gaps = _cone_gaps(p, specs, V[:f], B[:f]).tolist()
-    bounds = (1e-10 * (1.0 + np.abs(V[:f]).max(axis=2))).tolist()
+    gaps = _cone_gaps(p, specs, V[:f], B[:f])
+    bounds = 1e-10 * (1.0 + np.abs(V[:f]).max(axis=2))
+    clean = (gaps <= bounds).all(axis=1) & np.isfinite(L[:f]).all(axis=1)
+    c = f if clean.all() else int(clean.argmin())
+    products, gaps, bounds = _dots(L[:c], V[:c]), gaps.tolist(), bounds.tolist()
     out = []
-    for i, left in enumerate(lefts):
+    for i in range(m):
         if i == f:  # one of these raises
             for spec, v in zip(specs, V[i]):
                 pb.require_finite(v, f"{p.name}/{spec.name}: symmetry direction")
             pb.require_finite(B[i], f"{p.name}/{specs[0].name}: distribution basis")
         values = []
-        for spec, v, gap, bound in zip(specs, V[i], gaps[i], bounds[i]):
+        for j, (spec, gap, bound) in enumerate(zip(specs, gaps[i], bounds[i])):
             if gap > bound:
                 raise NotInConstraintCone(
                     f"{p.name}/{spec.name}: direction leaves the constraint distribution "
                     f"at the evaluation point (gap {gap:.3e})"
                 )
-            values.append(float(left @ v))
+            values.append(products[i][j] if i < c else float(L[i] @ V[i, j]))
             if not math.isfinite(values[-1]):
                 raise SingularError(f"{p.name}/{spec.name}: momentum value is {values[-1]}")
         out.append(values)
-    return out
+    k = len(changes)
+    return out, _dots(L[m - k:], np.array(changes).reshape(k, s, p.n)) if k else []
 
 
 def _momentum_pass(p, specs, trajectory, predict=False):
     """The momenta of every element of a trajectory (or a sequence of
     elements), one list of floats per element with one float per spec, and,
     with ``predict``, the predicted change across each adjacent pair (one
-    list per pair; see :func:`momentum_drift`), else None.  The checks run
-    per block of MOMENTUM_BLOCK elements (:func:`_block_momenta`), so the
-    first failing element raises, and a model callable that raises does so
-    after the checks of the elements before it in its block.
+    list per pair; see :func:`momentum_drift`), else None.
+
+    The left gradient of an element that a step of a trajectory of p left
+    is the one that step carries (``StepResult.left_grad``); the last
+    element's, and each of a plain sequence or of another problem's
+    trajectory, is evaluated here.  The checks run per block of
+    MOMENTUM_BLOCK elements (:func:`_block_momenta`), so the first failing
+    element raises, and a model callable that raises does so after the
+    checks of the elements before it in its block.
     """
     elements = trajectory.elements if hasattr(trajectory, "elements") else list(trajectory)
-    bk, size = p.backend, max(1, min(len(elements), MOMENTUM_BLOCK))
-    V = np.empty((size, len(specs), p.n))
-    B = np.empty((size, p.n, p.r))
+    results = trajectory.results if getattr(trajectory, "problem", None) is p else ()
+    bk, size = p.backend, MOMENTUM_BLOCK
     values, predicted, xis_before = [], [] if predict else None, None
     for start in range(0, len(elements), size):
-        lefts, changes = [], []
+        sections, bases, lefts, changes = [], [], [], []
         try:
-            for i, g in enumerate(elements[start:start + size]):
+            for i, g in enumerate(elements[start:start + size], start):
                 x = bk.target(g)
                 xi_now = [spec.xi_map(x) for spec in specs]
-                for j, (spec, xi) in enumerate(zip(specs, xi_now)):
-                    V[i, j] = spec.section(xi, x)
-                B[i] = p.distribution.basis(x)
-                left, change = p.left_grad(g), None
+                section = [spec.section(xi, x) for spec, xi in zip(specs, xi_now)]
+                basis = p.distribution.basis(x)
+                left = results[i].left_grad if i < len(results) else p.left_grad(g)
                 if predict and xis_before is not None:
-                    change = [spec.section(xi - xi_before, x)
-                              for spec, xi, xi_before in zip(specs, xi_now, xis_before)]
+                    changes.append([spec.section(xi - xi_before, x)
+                                    for spec, xi, xi_before in zip(specs, xi_now, xis_before)])
+                sections += section
+                bases.append(basis)
                 lefts.append(left)
-                changes.append(change)
                 xis_before = xi_now
         except Exception:
-            _block_momenta(p, specs, V, B, lefts)
+            _block_momenta(p, specs, sections, bases, lefts)
             raise
-        values += _block_momenta(p, specs, V, B, lefts)
+        block, changed = _block_momenta(p, specs, sections, bases, lefts, changes)
+        values += block
         if predict:
-            predicted += [[float(left @ d) for d in change]
-                          for left, change in zip(lefts, changes) if change is not None]
+            predicted += changed
     return values, predicted
 
 

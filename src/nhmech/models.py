@@ -50,6 +50,11 @@ def number(val, what, shape=(), positive=False):
     return float(v) if shape == () else v
 
 
+# the parameter of a constant momentum map, the same read-only array on every call
+_UNIT_XI = np.array([1.0])
+_UNIT_XI.flags.writeable = False
+
+
 def check_keys(mapping, allowed, where):
     """Reject the keys of a config mapping that are not in ``allowed``."""
     extra = sorted(set(mapping) - set(allowed))
@@ -88,8 +93,23 @@ def _sym_pd(M, what):
 # ---------------------------------------------------------------------------
 # the three kinetic forms: every built-in Lagrangian is one of them, a sum of
 # two on an Atiyah element, or one plus a potential term.  A form is a
-# Lagrangian whose gradients are computed on Python floats and build one
-# array
+# Lagrangian; each of its gradients is written once, as a gradient formula
+# that lists the gradient's Python floats, and makes one array of them.  An
+# Atiyah form makes one array of its two parts' lists
+
+
+def _gradient(formula):
+    """The gradient callable of a gradient formula: one array of the floats
+    that the formula lists."""
+    return lambda g: np.array(formula(g))
+
+
+def _pair_grad(mass, h):
+    """The gradient formula of the pair form (:func:`_pair_form`) in either
+    chart: mass (q1 - q0) / h^2 from g[0] and g[1], so an Atiyah element
+    passes as it is."""
+    hh = h * h
+    return lambda g: [mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())]
 
 
 def _pair_form(mass, h, dim):
@@ -102,31 +122,35 @@ def _pair_form(mass, h, dim):
         raise ConfigError(f"h = {h!r} is too small: h^2 underflows")
     H = mass * np.eye(dim) / hh
     H.flags.writeable = False
+    grad = _gradient(_pair_grad(mass, h))
 
     def lag(g):
         d = g[1] - g[0]
         return mass * float(d @ d) / (2.0 * h * h)
 
-    def grad(g):
-        return np.array([mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())])
-
     return Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=lambda g: H)
+
+
+def _so3_grad(c):
+    """The gradient formula of the trace form -Tr(c W) in either chart:
+    axial(c W), from the entries of W."""
+
+    def grad(W):
+        (_, w01, w02), (w10, _, w12), (w20, w21, _) = W.tolist()
+        return [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
+
+    return grad
 
 
 def _so3_form(J):
     """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric.
     For J = c I (the ball) the products J W and W J are formed as c W, and
-    the gradients axial(c W) from the entries of W, which gives the same
-    values as the matmuls."""
+    the gradients by :func:`_so3_grad`, which gives the same values as the
+    matmuls."""
     c = float(J[0, 0])
     if np.array_equal(J, c * np.eye(3)):
         left = right = lambda W: c * W
-
-        def lgrad(W):
-            (_, w01, w02), (w10, _, w12), (w20, w21, _) = W.tolist()
-            return np.array([c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01])
-
-        rgrad = lgrad
+        lgrad = rgrad = _gradient(_so3_grad(c))
     else:
         left, right = (lambda W: J @ W), (lambda W: W @ J)
         lgrad, rgrad = (lambda W: lg.axial(J @ W)), (lambda W: lg.axial(W @ J))
@@ -139,9 +163,9 @@ def _so3_form(J):
     )
 
 
-def _se2_form(K):
-    """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
-    W = se2_matrix(g) and K symmetric.
+def _se2_grads(K):
+    """The left and right gradient formulas of the SE(2) trace form
+    (:func:`_se2_form`) with K symmetric.
 
     With pair(M) = (M01 - M10, M20, M21), the components of
     v -> Tr(se2_hat(v) M) in the (omega, v1, v2) basis, the left and right
@@ -153,24 +177,34 @@ def _se2_form(K):
     k_trace = float(K[0, 0] + K[1, 1])
     k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
 
-    def lag(g):
-        D = lg.se2_matrix(g) - np.eye(3)
-        return 0.5 * float(np.trace(D @ K @ D.T))
-
     def lgrad(g):
         th, x, y = g.tolist()
         c, s = math.cos(th), math.sin(th)
         u, v = c * x + s * y, c * y - s * x
-        return np.array([k_trace * s + (k02 * v - k12 * u),
-                         k02 * (1.0 - c) - k12 * s + k22 * u,
-                         k02 * s + k12 * (1.0 - c) + k22 * v])
+        return [k_trace * s + (k02 * v - k12 * u),
+                k02 * (1.0 - c) - k12 * s + k22 * u,
+                k02 * s + k12 * (1.0 - c) + k22 * v]
 
     def rgrad(g):
         th, x, y = g.tolist()
         c, s = math.cos(th), math.sin(th)
-        return np.array([k_trace * s + (k02 * y - k12 * x),
-                         k02 * (c - 1.0) - k12 * s + k22 * x,
-                         k02 * s + k12 * (c - 1.0) + k22 * y])
+        return [k_trace * s + (k02 * y - k12 * x),
+                k02 * (c - 1.0) - k12 * s + k22 * x,
+                k02 * s + k12 * (c - 1.0) + k22 * y]
+
+    return lgrad, rgrad
+
+
+def _se2_form(K):
+    """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
+    W = se2_matrix(g), K symmetric and the gradients of :func:`_se2_grads`."""
+    k_trace = float(K[0, 0] + K[1, 1])
+    k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
+    lgrad, rgrad = map(_gradient, _se2_grads(K))
+
+    def lag(g):
+        D = lg.se2_matrix(g) - np.eye(3)
+        return 0.5 * float(np.trace(D @ K @ D.T))
 
     def hess(g):
         # Column j is pair(S + S^T - P) with P = W E_j K, S = P W^T and
@@ -187,10 +221,12 @@ def _se2_form(K):
     return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
 
 
-def _atiyah_form(base, group):
+def _atiyah_form(base, base_grad, group, group_left, group_right):
     """base + group on Atiyah elements (p0, p1, G): a pair form on the base
-    points plus a form on the 3-dimensional group part, with a block-diagonal
-    H and gradients listed base part first."""
+    points, with gradient formula ``base_grad``, plus a form on the
+    3-dimensional group part, with gradient formulas ``group_left`` and
+    ``group_right``.  H is block-diagonal, and each gradient is one array of
+    the base part's floats followed by the group part's."""
     base_hess = base.mixed_hess(None)  # a pair form's H is constant
     m = base_hess.shape[0]
     n = m + 3
@@ -204,8 +240,8 @@ def _atiyah_form(base, group):
 
     return Lagrangian(
         eval=lambda el: base.eval(el) + group.eval(el[2]),
-        left_grad=lambda el: np.concatenate((base.left_grad(el), group.left_grad(el[2]))),
-        right_grad=lambda el: np.concatenate((base.right_grad(el), group.right_grad(el[2]))),
+        left_grad=lambda el: np.array(base_grad(el) + group_left(el[2])),
+        right_grad=lambda el: np.array(base_grad(el) + group_right(el[2])),
         mixed_hess=hess,
     )
 
@@ -269,7 +305,7 @@ def make_constrained_particle(h=0.01):
         "y_translation": MomentumSpec(
             name="y_translation",
             section=lambda xi, x: np.array([0.0, xi[0], 0.0]),
-            xi_map=lambda x: np.array([1.0]),
+            xi_map=lambda x: _UNIT_XI,
         ),
     }
     return NhProblem(
@@ -530,6 +566,9 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     constant rate Omega about the vertical axis."""
     m, r, I = (number(v, what, positive=True) for v, what in ((m, "m"), (r, "r"), (I, "I")))
     Omega, h = number(Omega, "Omega"), number(h, "h", positive=True)
+    base = _pair_form(m, h, 2)  # its check of h comes before any 1/h^2 term
+    spin = I / (2 * h * h)
+    rotation = _so3_grad(spin)
     bk = AtiyahGroupoid(2, "so3")
     rh = r / (2 * h)
 
@@ -608,11 +647,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         return out
 
     def const_spec(name, c):
-        return MomentumSpec(
-            name=name,
-            section=lambda xi, x: xi[0] * c,
-            xi_map=lambda x: np.array([1.0]),
-        )
+        return MomentumSpec(name=name, section=lambda xi, x: xi[0] * c, xi_map=lambda x: _UNIT_XI)
 
     specs = {
         "roll_x": const_spec("roll_x", basis_mat[:, 0]),
@@ -623,7 +658,8 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     return NhProblem(
         name="rolling_ball",
         backend=bk,
-        lagrangian=_atiyah_form(_pair_form(m, h, 2), _so3_form((I / (2 * h * h)) * np.eye(3))),
+        lagrangian=_atiyah_form(base, _pair_grad(m, h), _so3_form(spin * np.eye(3)), rotation,
+                                rotation),
         constraints=ConstraintSet(
             codim=2,
             phi=phi,
@@ -693,6 +729,8 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             [m0 * l, 0.0, mtot],
         ]
     )
+    base = _pair_form(J1, h, 2)  # its check of h comes before any 1/h^2 term
+    K = K / (h * h)
     bk = AtiyahGroupoid(2, "se2")
     dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * math.cos(s) - math.sin(s)) / s**2
     dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * math.sin(s) - (1 - math.cos(s))) / s**2
@@ -787,7 +825,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     return NhProblem(
         name="mobile_robot",
         backend=bk,
-        lagrangian=_atiyah_form(_pair_form(J1, h, 2), _se2_form(K / (h * h))),
+        lagrangian=_atiyah_form(base, _pair_grad(J1, h), _se2_form(K), *_se2_grads(K)),
         constraints=ConstraintSet(
             codim=3,
             phi=phi,

@@ -13,7 +13,7 @@ at g before Newton and the left pairing at its root after it, and holds the
 LAPACK directly, each kernel after a finiteness check of its own; a
 non-finite matrix or a LAPACK failure is a SingularError, and so is an
 arithmetic or domain error of a model callable or a backend kernel inside
-the step.  The README ("Library use") gives the design and the reasons for
+the step or in building its frame.  The README ("Library use") gives the design and the reasons for
 it.
 """
 
@@ -51,6 +51,7 @@ class StepResult:
     next: object
     multipliers: np.ndarray
     outgoing: np.ndarray  # F+ at g, the frame's left_rows: legendre_plus(p, g).components
+    left_grad: np.ndarray  # the frame's left gradient at g, which outgoing projects
     iterations: int
     residual_norm: float
     jacobian_condition_estimate: float
@@ -240,9 +241,16 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
         h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
         sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
         return StepResult(multipliers=frame.multipliers(h), outgoing=frame.left_rows,
-                          sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
+                          left_grad=frame.left_grad, sigma_min_left=sigma_left,
+                          sigma_min_right=sigma_right, **solved)
     except NUMERIC_FAILURES as exc:
-        raise SingularError(f"{p.name}: arithmetic failure in the step ({exc})") from exc
+        raise _numeric_failure(p, exc) from exc
+
+
+def _numeric_failure(p, exc):
+    """The SingularError that ``exc``, an ArithmeticError or ValueError of a
+    model callable or backend kernel in a step or its frame, becomes."""
+    return SingularError(f"{p.name}: arithmetic failure in the step ({exc})")
 
 
 def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
@@ -250,7 +258,9 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
 
     Each step's frame starts with the record of the frame before it (see
     ``problem.StepFrame``).  Any solver error, in a step or in building its
-    frame, is re-raised with ``step_index`` set to the failing step.
+    frame, is re-raised with ``step_index`` set to the failing step; an
+    ArithmeticError or ValueError in building the frame becomes the
+    SingularError that ``step`` makes of one inside it.
     """
     opts = options or SolverOptions()
     p.assert_on_constraint(g0, label="initial element")
@@ -263,6 +273,10 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
             frame = pb.StepFrame(p, g, record)
             res = step(p, g, opts, frame)
             record = frame.record
+        except NUMERIC_FAILURES as exc:  # only the frame's build: step converts its own
+            failure = _numeric_failure(p, exc)
+            failure.step_index = k
+            raise failure from exc
         except NhError as exc:
             exc.step_index = k
             raise

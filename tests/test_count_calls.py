@@ -42,6 +42,15 @@ def test_main_prints_one_row_per_system_in_each_table(capsys):
     assert rows[0].split() == ["system", "python/step", "C/step"]
     assert [r.split()[0] for r in rows[1:8]] == names
     assert rows[8].split() == ["check", "config", "python", "C"]
-    assert [r.split()[0] for r in rows[9:]] == names
-    for row in rows[9:]:
+    assert [r.split()[0] for r in rows[9:16]] == names
+    for row in rows[9:16]:
         assert all(int(value) > 0 for value in row.split()[1:])
+    assert rows[16].split() == ["simulate", "config", "python/elem", "C/elem"]
+    assert len(rows) == 18 and rows[17].split()[0] == "rolling_ball"
+    assert all(float(value) > 0 for value in rows[17].split()[1:])
+
+
+def test_simulate_counts_repeat_exactly(tmp_path):
+    first = count_calls.simulate_counts(3, str(tmp_path))
+    assert count_calls.simulate_counts(3, str(tmp_path)) == first
+    assert first[0] > 0 and first[1] > 0

@@ -398,12 +398,18 @@ PASS_SYSTEMS = ["constrained_particle", "rolling_ball"]
 
 
 @functools.cache
-def _pass_runs(name):
-    """PASS_STEPS-step runs from the acceptance start and three sampled
-    starts (rng 0)."""
+def _pass_trajectories(name):
+    """PASS_STEPS-step trajectories from the acceptance start and three
+    sampled starts (rng 0)."""
     p = md.FACTORIES[name]()
     starts = [p.initial_builder(STARTS[name])] + p.sample_states(np.random.default_rng(0), 3)
-    return p, [sv.evolve(p, g0, PASS_STEPS).elements for g0 in starts]
+    return p, [sv.evolve(p, g0, PASS_STEPS) for g0 in starts]
+
+
+def _pass_runs(name):
+    """The elements of the runs of :func:`_pass_trajectories`."""
+    p, trajectories = _pass_trajectories(name)
+    return p, [traj.elements for traj in trajectories]
 
 
 def _with_section(p, name, value):
@@ -468,6 +474,37 @@ class TestMomentumPass:
                 assert (grads[0], bases[0], targets[0]) == (len(elements),) * 3
                 assert fits[0] == -(-len(elements) // block)
                 assert sections == {spec.name: [sections_per_map] for spec in specs}
+
+    @pytest.mark.parametrize("name", PASS_SYSTEMS)
+    def test_trajectory_input_equals_the_oracle(self, name):
+        # the left gradients that the steps carry give the values that the
+        # oracle's own evaluations give
+        p, trajectories = _pass_trajectories(name)
+        specs = list(p.momentum_specs.values())
+        for traj in trajectories:
+            oracle = [momentum_drift_oracle(p, spec, traj.elements) for spec in specs]
+            assert dg.momentum_drift(p, specs, traj) == oracle
+            measured = [abs(change) for pairs in oracle for change, _ in pairs]
+            assert dg.max_momentum_drift(p, specs, traj) == max(measured)
+
+    @pytest.mark.parametrize("name", PASS_SYSTEMS)
+    def test_a_trajectory_of_the_problem_hands_over_its_left_gradients(self, name):
+        # each step carries the left gradient of the element it left, so
+        # only the last element's is evaluated; a list of the elements, or
+        # the trajectory of another problem object, evaluates every one
+        p = _factory(name)
+        calls = [0]
+        lag = dataclasses.replace(p.lagrangian, left_grad=counted(p.lagrangian.left_grad, calls))
+        q = dataclasses.replace(p, lagrangian=lag)
+        traj = sv.evolve(q, q.initial_builder(STARTS[name]), 40)
+        other = dataclasses.replace(q)
+        specs = list(q.momentum_specs.values())
+        cases = [(q, traj, 1), (q, traj.elements, len(traj)), (other, traj, len(traj))]
+        for momentum_pass in (dg.momentum_drift, dg.max_momentum_drift):
+            for problem, trajectory, expected in cases:
+                calls[0] = 0
+                momentum_pass(problem, specs, trajectory)
+                assert calls[0] == expected
 
     @pytest.mark.parametrize("name", PASS_SYSTEMS)
     def test_max_drift_is_the_largest_measured_change(self, name):
@@ -585,6 +622,38 @@ def _long_particle_run():
     two momentum blocks, with the non-constant plane_translations parameter."""
     p = md.make_constrained_particle()
     return p, sv.evolve(p, p.initial_builder(STARTS["constrained_particle"]), LONG_STEPS).elements
+
+
+def test_trajectory_input_fails_at_the_element_a_list_fails_at():
+    # planted failures, and a non-finite left gradient that a step carries
+    p = md.make_constrained_particle()
+    traj = sv.evolve(p, p.initial_builder(STARTS["constrained_particle"]), 30)
+    plane, y = "plane_translations", "y_translation"
+    cases = [
+        ([(7, y, OFF_CONE), (9, plane, NOT_FINITE)], NotInConstraintCone, f"{y}: direction"),
+        ([(7, y, NOT_FINITE), (9, plane, OFF_CONE)], SingularError, f"{y}: symmetry"),
+        ([(9, plane, OFF_CONE)], NotInConstraintCone, f"{plane}: direction"),
+    ]
+    for sections, error, message in cases:
+        q = _planted(p, traj.elements, sections)
+        specs = [q.momentum_specs[plane], q.momentum_specs[y]]
+        carried = sv.Trajectory(problem=q, elements=traj.elements, results=traj.results)
+        for trajectory in (carried, traj.elements):
+            with pytest.raises(error, match=message):
+                dg.momentum_drift(q, specs, trajectory)
+    results = list(traj.results)
+    results[7] = dataclasses.replace(results[7], left_grad=np.full(3, np.nan))
+    carried = sv.Trajectory(problem=p, elements=traj.elements, results=results)
+    specs = [p.momentum_specs[plane], p.momentum_specs[y]]
+    with pytest.raises(SingularError, match=f"{plane}: momentum value is nan"):
+        dg.max_momentum_drift(p, specs, carried)
+    # inf against the direction's zero entry: the dot would warn (invalid
+    # value), but the element before it fails first and no product reaches it
+    results[7] = dataclasses.replace(results[7], left_grad=np.array([0.0, np.inf, 0.0]))
+    q = _planted(p, traj.elements, [(5, y, OFF_CONE)])
+    carried = sv.Trajectory(problem=q, elements=traj.elements, results=results)
+    with pytest.raises(NotInConstraintCone, match=f"{y}: direction"):
+        dg.max_momentum_drift(q, [q.momentum_specs[plane], q.momentum_specs[y]], carried)
 
 
 class TestMomentumErrorOrder:

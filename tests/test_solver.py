@@ -302,6 +302,29 @@ class TestFailureModes:
         assert exc.value.step_index == 0
         assert isinstance(exc.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("which, error", [("left_grad", ValueError),
+                                              ("left_grad", OverflowError),
+                                              ("right_grad", ValueError)])
+    def test_numeric_failure_of_a_gradient_is_singular_with_step_index(self, which, error):
+        # evolve takes the left gradient in building a step's frame, and the
+        # step the right one; each raises on its third call, in step 2
+        p = md.make_suslov()
+        g0 = p.initial_builder({"omega": [0.4, -0.3]})
+        grad, calls = getattr(p.lagrangian, which), [0]
+
+        def failing(g):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise error("math domain error")
+            return grad(g)
+
+        lag = dataclasses.replace(p.lagrangian, **{which: failing})
+        q = dataclasses.replace(p, lagrangian=lag)
+        with pytest.raises(SingularError, match="suslov: arithmetic failure") as exc:
+            sv.evolve(q, g0, 5)
+        assert exc.value.step_index == 2
+        assert isinstance(exc.value.__cause__, error)
+
     def test_evolve_rejects_off_constraint_start(self):
         p = md.make_constrained_particle(h=0.01)
         g0 = (np.zeros(3), np.array([0.1, 0.2, 0.3]))
@@ -440,12 +463,16 @@ class TestLegendre:
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_step_carries_the_outgoing_momentum_of_its_element(self, name):
-        # StepResult.outgoing is F+ at the element the step left, bit for bit
+        # StepResult.outgoing is F+ at the element the step left, bit for
+        # bit, and StepResult.left_grad the left gradient that it projects
         p = md.FACTORIES[name]()
         traj = sv.evolve(p, p.initial_builder(STARTS[name]), 50)
         for g, res in zip(traj.elements, traj.results):
             assert np.array_equal(res.outgoing, sv.legendre_plus(p, g).components)
             assert res.outgoing.dtype == float and res.outgoing.shape == (p.r,)
+            assert np.array_equal(res.left_grad, p.left_grad(g))
+            basis = p.distribution.basis(p.backend.target(g))
+            assert np.array_equal(res.outgoing, res.left_grad @ basis)
 
 
 class TestTrajectory:

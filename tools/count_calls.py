@@ -15,7 +15,12 @@ system, it prints the calls of one in-process ``nhmech check`` run
 (``cli.main``, stdout captured) on the config ``{"system": {"name": ...},
 "initial": <start>, "check": {"samples": S, "seed": SEED,
 "trajectory_steps": T}}`` (defaults 40, 0 and 25), again after a warm-up
-run.  Standard library plus nhmech (on ``PYTHONPATH`` or installed).
+run.  Last, it prints the calls per element of one in-process ``nhmech
+simulate`` run (``cli.main``, stdout captured) on the README's rolling-ball
+config with ``steps`` set to N, again after a warm-up run: the step loop,
+the momentum pass over the three maps, the summary and the trajectory
+table, divided by the N + 1 elements.  Standard library plus nhmech (on
+``PYTHONPATH`` or installed).
 """
 
 import argparse
@@ -35,6 +40,15 @@ STARTS = {
     "rolling_ball": {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0},
     "mobile_robot": {"wheels0": [0.3, -0.2], "dphi": 0.12, "dpsi": -0.07},
     "holonomic_sphere": {"q0": [0.0, 0.0, 1.0], "velocity": [0.4, -0.3, 0.0]},
+}
+
+# the README's rolling-ball config, but for its step count
+README_BALL = {
+    "system": {"name": "rolling_ball",
+               "params": {"m": 1.0, "r": 1.0, "I": 0.4, "Omega": 1.0, "h": 0.01}},
+    "initial": {"xy0": [0.99, 1.0], "xy1": [1.0, 0.99], "spin": 0.0},
+    "solver": {"tol_residual": 1e-10, "max_iters": 50},
+    "outputs": {"trajectory": "ball.csv", "summary": "summary.json", "format": "csv"},
 }
 
 
@@ -66,16 +80,16 @@ def step_counts(name, steps):
     return python / steps, c / steps
 
 
-def check_counts(name, samples, seed, trajectory_steps, workdir):
-    """(Python, C) calls of one ``nhmech check`` run of ``name``."""
+def cli_counts(command, config, workdir):
+    """(Python, C) calls of one in-process ``nhmech <command>`` run on
+    ``config``, after one warm-up run; a run that exits other than 0 is a
+    RuntimeError."""
     from nhmech import cli
 
-    config = {"system": {"name": name}, "initial": STARTS[name],
-              "check": {"samples": samples, "seed": seed, "trajectory_steps": trajectory_steps}}
-    path = os.path.join(workdir, f"{name}_check_config.json")
+    path = os.path.join(workdir, f"{config['system']['name']}_{command}_config.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
-    argv = ["check", "--config", path, "--out", workdir]
+    argv = [command, "--config", path, "--out", workdir]
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -84,8 +98,22 @@ def check_counts(name, samples, seed, trajectory_steps, workdir):
     run()
     python, c, code = count_calls(run)
     if code != cli.EXIT_OK:
-        raise RuntimeError(f"nhmech check on {name} exited {code}")
+        raise RuntimeError(f"nhmech {command} on {config['system']['name']} exited {code}")
     return python, c
+
+
+def check_counts(name, samples, seed, trajectory_steps, workdir):
+    """(Python, C) calls of one ``nhmech check`` run of ``name``."""
+    config = {"system": {"name": name}, "initial": STARTS[name],
+              "check": {"samples": samples, "seed": seed, "trajectory_steps": trajectory_steps}}
+    return cli_counts("check", config, workdir)
+
+
+def simulate_counts(steps, workdir):
+    """(Python, C) calls per element of one ``nhmech simulate`` run of
+    ``steps`` steps on the README's rolling-ball config."""
+    python, c = cli_counts("simulate", {**README_BALL, "steps": steps}, workdir)
+    return python / (steps + 1), c / (steps + 1)
 
 
 def main(argv=None):
@@ -107,6 +135,9 @@ def main(argv=None):
         for name in STARTS:
             python, c = check_counts(name, args.samples, args.seed, args.check_steps, workdir)
             print(f"{name:<{width}}  {python:>11} {c:>9}")
+        print(f"{'simulate config':<{width}}  {'python/elem':>11} {'C/elem':>9}")
+        python, c = simulate_counts(args.steps, workdir)
+        print(f"{'rolling_ball':<{width}}  {python:>11.1f} {c:>9.1f}")
     return 0
 
 
