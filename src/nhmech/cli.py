@@ -82,8 +82,10 @@ def _expect_int(value, where, minimum):
 
 
 def _is_file_name(name):
-    """True for a non-empty name that stays inside the output directory."""
-    return isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
+    """True for a non-empty name that stays inside the output directory and
+    that the file system can hold (no NUL byte)."""
+    return (isinstance(name, str) and name not in ("", ".", "..") and "\x00" not in name
+            and os.path.basename(name) == name)
 
 
 def parse_config(data):
@@ -153,12 +155,18 @@ def parse_config(data):
 
 
 def load_config(path):
+    """The validated config of the JSON file at ``path`` (see
+    :func:`parse_config`); a document nested too deeply for the decoder or
+    for the validation's copy is a ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:  # bytes that are not UTF-8, bad syntax, too long an integer
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return parse_config(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # bytes that are not UTF-8, bad syntax, too long an integer
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        return parse_config(data)
+    except RecursionError:
+        raise ConfigError(f"{path} nests its values too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +448,15 @@ def run_check(cfg, out_dir, verbose=False):
 
     g0 = build_initial(problem, cfg["initial"]) if cfg["initial"] is not None else samples[0]
     trajectory = sv.evolve(problem, g0, check["trajectory_steps"], options)
-    # F+ at each element is its step's ``outgoing``; a step that stopped at
-    # its roundoff floor matches the transforms only to about that floor, so
-    # each gap is held to its own step's stop level
+    # F+ at each element g is its step's left gradient projected on the
+    # distribution basis at beta(g), the step frame's own product; a step that
+    # stopped at its roundoff floor matches the transforms only to about that
+    # floor, so each gap is held to its own step's stop level
     gaps, matched = [], True
-    for g_next, res in zip(trajectory.elements[1:], trajectory.results):
+    for g, g_next, res in zip(trajectory.elements, trajectory.elements[1:], trajectory.results):
+        plus = res.left_grad @ problem.distribution.basis(problem.backend.target(g))
         minus = sv.legendre_minus(problem, g_next)
-        gaps.append(float(np.max(np.abs(res.outgoing - minus.components))))
+        gaps.append(float(np.max(np.abs(plus - minus.components))))
         matched = matched and gaps[-1] <= 10.0 * max(options.tol_residual, res.floor)
     matching = {
         "steps": len(gaps),

@@ -179,12 +179,13 @@ def _block_momenta(p, specs, sections, bases, lefts, changes=()):
     sections of the parameter differences at the block's last elements.
 
     The block is stacked once.  The finiteness checks and the cone gaps
-    (:func:`_cone_gaps`) run once for it, and the values come from one
-    stacked product (:func:`_dots`) over the elements whose every check but
-    the value's own passes.  The first failing element raises, with the
-    checks of :func:`momentum_value` in its order: every direction finite,
-    the basis finite, then per spec the gap within 1e-10 (1 + max|v|) and
-    the value finite.
+    (:func:`_cone_gaps`) run once for it, and every value comes from one
+    stacked product (:func:`_dots`) over the prefix of elements whose
+    directions and basis are finite.  The first failing element raises,
+    with the checks of :func:`momentum_value` in its order: every direction
+    finite, the basis finite, then per spec the gap within 1e-10 (1 +
+    max|v|) and the value finite.  A left gradient that is not finite gives
+    a value that is not, so the value's check stands for its own.
     """
     m, s = len(lefts), len(specs)
     if not m:
@@ -192,30 +193,25 @@ def _block_momenta(p, specs, sections, bases, lefts, changes=()):
     V, B, L = np.array(sections).reshape(m, s, p.n), np.array(bases), np.array(lefts)
     finite = np.isfinite(V).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
     f = m if finite.all() else int(finite.argmin())
-    gaps = _cone_gaps(p, specs, V[:f], B[:f])
-    bounds = 1e-10 * (1.0 + np.abs(V[:f]).max(axis=2))
-    clean = (gaps <= bounds).all(axis=1) & np.isfinite(L[:f]).all(axis=1)
-    c = f if clean.all() else int(clean.argmin())
-    products, gaps, bounds = _dots(L[:c], V[:c]), gaps.tolist(), bounds.tolist()
-    out = []
+    gaps = _cone_gaps(p, specs, V[:f], B[:f]).tolist()
+    bounds = (1e-10 * (1.0 + np.abs(V[:f]).max(axis=2))).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = _dots(L[:f], V[:f])
     for i in range(m):
         if i == f:  # one of these raises
             for spec, v in zip(specs, V[i]):
                 pb.require_finite(v, f"{p.name}/{spec.name}: symmetry direction")
             pb.require_finite(B[i], f"{p.name}/{specs[0].name}: distribution basis")
-        values = []
-        for j, (spec, gap, bound) in enumerate(zip(specs, gaps[i], bounds[i])):
+        for spec, gap, bound, value in zip(specs, gaps[i], bounds[i], products[i]):
             if gap > bound:
                 raise NotInConstraintCone(
                     f"{p.name}/{spec.name}: direction leaves the constraint distribution "
                     f"at the evaluation point (gap {gap:.3e})"
                 )
-            values.append(products[i][j] if i < c else float(L[i] @ V[i, j]))
-            if not math.isfinite(values[-1]):
-                raise SingularError(f"{p.name}/{spec.name}: momentum value is {values[-1]}")
-        out.append(values)
+            if not math.isfinite(value):
+                raise SingularError(f"{p.name}/{spec.name}: momentum value is {value}")
     k = len(changes)
-    return out, _dots(L[m - k:], np.array(changes).reshape(k, s, p.n)) if k else []
+    return products, _dots(L[m - k:], np.array(changes).reshape(k, s, p.n)) if k else []
 
 
 def _momentum_pass(p, specs, trajectory, predict=False):

@@ -274,12 +274,12 @@ def left_deriv(bk, f, g, v, step=FD_STEP):
     return _directional(f, lambda t: bk.retract(g, t * v), scale, step)
 
 
-def right_deriv(bk, f, g, v, step=FD_STEP):
+def right_deriv(bk, f, g, v):
     """Central difference of f along the right curve through g in direction v
     (scalar or vector valued f, as for :func:`left_deriv`)."""
     v = np.asarray(v, dtype=float)
     scale = float(np.linalg.norm(v))
-    return _directional(f, lambda t: right_curve(bk, g, t, v), scale, step)
+    return _directional(f, lambda t: right_curve(bk, g, t, v), scale, FD_STEP)
 
 
 def left_jacobian(bk, fn, g, step=FD_STEP):
@@ -289,10 +289,10 @@ def left_jacobian(bk, fn, g, step=FD_STEP):
     return np.array([left_deriv(bk, fn, g, e, step) for e in np.eye(bk.fiber_dim)]).T
 
 
-def right_jacobian(bk, fn, g, step=FD_STEP):
+def right_jacobian(bk, fn, g):
     """Jacobian of ``fn`` along the right chart directions at g: column j is
     ``right_deriv(bk, fn, g, e_j)`` (shapes as for :func:`left_jacobian`)."""
-    return np.array([right_deriv(bk, fn, g, e, step) for e in np.eye(bk.fiber_dim)]).T
+    return np.array([right_deriv(bk, fn, g, e) for e in np.eye(bk.fiber_dim)]).T
 
 
 def cross_form(bk, f, g, a, b, left_rule=None):

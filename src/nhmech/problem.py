@@ -160,9 +160,9 @@ class NhProblem:
         :meth:`to_rows`)."""
         return self.to_rows([g])[0]
 
-    def assert_on_constraint(self, g, tol=TOL_CONSTRAINT, label="element"):
+    def assert_on_constraint(self, g, label="element"):
         v = float(np.max(np.abs(self.phi(g)))) if self.k else 0.0
-        if not v <= tol:  # a NaN |phi| is off the constraint set too
+        if not v <= TOL_CONSTRAINT:  # a NaN |phi| is off the constraint set too
             raise ConstraintViolationError(
                 f"{self.name}: {label} violates the discrete constraints (|phi| = {v:.3e})"
             )

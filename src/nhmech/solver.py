@@ -50,8 +50,7 @@ class SolverOptions:
 class StepResult:
     next: object
     multipliers: np.ndarray
-    outgoing: np.ndarray  # F+ at g, the frame's left_rows: legendre_plus(p, g).components
-    left_grad: np.ndarray  # the frame's left gradient at g, which outgoing projects
+    left_grad: np.ndarray  # the frame's left gradient at g; F+ at g is left_grad @ B(beta(g))
     iterations: int
     residual_norm: float
     jacobian_condition_estimate: float
@@ -240,9 +239,8 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
         solved = newton(p, frame.residual, frame.factored, center, g, opts)
         h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
         sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
-        return StepResult(multipliers=frame.multipliers(h), outgoing=frame.left_rows,
-                          left_grad=frame.left_grad, sigma_min_left=sigma_left,
-                          sigma_min_right=sigma_right, **solved)
+        return StepResult(multipliers=frame.multipliers(h), left_grad=frame.left_grad,
+                          sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
     except NUMERIC_FAILURES as exc:
         raise _numeric_failure(p, exc) from exc
 

@@ -647,9 +647,13 @@ def test_trajectory_input_fails_at_the_element_a_list_fails_at():
     specs = [p.momentum_specs[plane], p.momentum_specs[y]]
     with pytest.raises(SingularError, match=f"{plane}: momentum value is nan"):
         dg.max_momentum_drift(p, specs, carried)
-    # inf against the direction's zero entry: the dot would warn (invalid
-    # value), but the element before it fails first and no product reaches it
+    # inf against the direction's zero entry: the value is nan, with no numpy
+    # warning from the product
     results[7] = dataclasses.replace(results[7], left_grad=np.array([0.0, np.inf, 0.0]))
+    carried = sv.Trajectory(problem=p, elements=traj.elements, results=results)
+    with pytest.raises(SingularError, match=f"{plane}: momentum value is nan"):
+        dg.max_momentum_drift(p, specs, carried)
+    # and when an element before it fails, that element raises first
     q = _planted(p, traj.elements, [(5, y, OFF_CONE)])
     carried = sv.Trajectory(problem=q, elements=traj.elements, results=results)
     with pytest.raises(NotInConstraintCone, match=f"{y}: direction"):

@@ -58,6 +58,8 @@ ROBOT = {
     "initial": {"wheels0": [0.3, -0.2], "dphi": 1.7e308, "dpsi": -0.07},
     "steps": 3,
 }
+SUSLOV = {"system": {"name": "suslov"}, "initial": {"omega": [0.4, -0.3]}, "steps": 3}
+NESTED = '{{"system": {{"name": "suslov"}}, "initial": {{"omega": {}0.4{}}}, "steps": 3}}'
 PINNED = {
     "robot-simulate": ("simulate", ROBOT),
     "robot-check": ("check", dict(ROBOT, check={"samples": 2, "trajectory_steps": 2})),
@@ -72,12 +74,30 @@ PINNED = {
         "system": {"name": "suslov", "params": {"h": 1e300}},
         "check": {"samples": 2, "trajectory_steps": 2},
     }),
+    # an output name the file system refuses, found only after the whole run
+    "nul-trajectory": ("simulate", dict(SUSLOV, outputs={"trajectory": "a\x00b.csv"})),
+    "nul-summary": ("simulate", dict(SUSLOV, outputs={"summary": "a\x00b.json"})),
+    "nul-report": ("check", dict(SUSLOV, outputs={"report": "a\x00b.json"},
+                                 check={"samples": 2, "trajectory_steps": 2})),
+    # an initial value nested deeper than the config's copy (500 levels) or
+    # the JSON decoder (100,000 levels) can recurse: the config file's text
+    "nested-500": ("simulate", NESTED.format("[" * 500, "]" * 500)),
+    "nested-100000": ("simulate", NESTED.format("[" * 100_000, "]" * 100_000)),
+}
+
+# the pinned configs that the config parser refuses, with its message
+REFUSED = {
+    **{f"nul-{key}": f"outputs.{key} must be a plain file name"
+       for key in ("trajectory", "summary", "report")},
+    "nested-500": "nests its values too deeply",
+    "nested-100000": "nests its values too deeply",
 }
 
 
 def run(command, data):
     """(exit code, stderr, warnings, errors out of ``evolve``) of
-    ``nhmech <command>`` on ``data``, with every warning recorded."""
+    ``nhmech <command>`` on ``data`` (a JSON document, or the text of the
+    config file), with every warning recorded."""
     raised = []
 
     def evolve(*args):
@@ -90,7 +110,10 @@ def run(command, data):
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                json.dump(data, fh)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 mock.patch.object(sv, "evolve", evolve), \
@@ -160,6 +183,12 @@ def test_pinned_config_ends_in_a_typed_exit(case):
     command, data = PINNED[case]
     code, err = assert_contract(command, data)
     assert code != cli.EXIT_OK, err
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_pinned_config_is_a_config_error(case):
+    code, err = assert_contract(*PINNED[case])
+    assert code == cli.EXIT_CONFIG and REFUSED[case] in err, err
 
 
 @pytest.mark.parametrize("name, command", CASES)
