@@ -338,9 +338,12 @@ def _write_json(path, record, **stdout):
 
 
 def _max_constraint_violation(problem, trajectory):
+    """max |phi| over the trajectory: phi of its first element, and each
+    step's ``max_abs_phi`` for the element it returned."""
     if problem.k == 0:
         return 0.0
-    return float(np.abs(np.array([problem.phi(g) for g in trajectory.elements])).max())
+    first = float(np.abs(problem.phi(trajectory.elements[0])).max())
+    return max([first] + [res.max_abs_phi for res in trajectory.results])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def regularity_report(p, g, frame=None):
 
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one; a step from g that takes the same frame reuses its right test,
-    its guess, the H and phi gradient there and the factored Newton matrix."""
+    its guess, the evaluation there and the factored Newton matrix."""
     frame = pb.step_frame(p, g, frame)
     (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     try:

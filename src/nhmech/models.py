@@ -12,7 +12,6 @@ Angle-valued wheel coordinates are kept as unwrapped reals; group-part angles
 of SE(2) elements live in (-pi, pi].
 """
 
-import dataclasses
 import math
 import sys
 
@@ -21,7 +20,8 @@ import numpy as np
 from . import liegroup as lg
 from .errors import ConfigError, SingularError
 from .groupoid import ActionGroupoid, AtiyahGroupoid, LieGroupGroupoid, PairGroupoid
-from .problem import ConstraintSet, Distribution, Lagrangian, MomentumSpec, NhProblem
+from .problem import (ConstraintSet, Distribution, Lagrangian, MomentumSpec, NhProblem,
+                      candidate_parts)
 
 
 def number(val, what, shape=(), positive=False):
@@ -92,157 +92,171 @@ def _sym_pd(M, what):
 
 # ---------------------------------------------------------------------------
 # the three kinetic forms: every built-in Lagrangian is one of them, a sum of
-# two on an Atiyah element, or one plus a potential term.  A form is a
-# Lagrangian; each of its gradients is written once, as a gradient formula
-# that lists the gradient's Python floats, and makes one array of them.  An
-# Atiyah form makes one array of its two parts' lists
-
-
-def _gradient(formula):
-    """The gradient callable of a gradient formula: one array of the floats
-    that the formula lists."""
-    return lambda g: np.array(formula(g))
-
-
-def _pair_grad(mass, h):
-    """The gradient formula of the pair form (:func:`_pair_form`) in either
-    chart: mass (q1 - q0) / h^2 from g[0] and g[1], so an Atiyah element
-    passes as it is."""
-    hh = h * h
-    return lambda g: [mass * (b - a) / hh for a, b in zip(g[0].tolist(), g[1].tolist())]
+# two on an Atiyah element, or one plus a potential term.  Each gradient is
+# written once, as a formula on the floats of its element part.  Called with
+# the part alone, a formula reads the part and makes the gradient's array
+# itself, in one frame; called with floats already read, it returns the
+# list of the gradient's floats, for a model's candidate evaluation or an
+# Atiyah form to make one array of.  A form's right part returns that list
+# and H together, so what they share is formed once
 
 
 def _pair_form(mass, h, dim):
-    """mass |q1 - q0|^2 / (2 h^2) on pairs (q0, q1) in R^dim; H is constant.
-    Only g[0] and g[1] are read, so an Atiyah element passes as it is.  An h
-    whose h^2 underflows (below the smallest normal float) is a ConfigError,
-    raised before a factory builds any other 1/h^2 term."""
+    """mass |q1 - q0|^2 / (2 h^2) on pairs (q0, q1) in R^dim: returns (value,
+    grad, H), H constant and read-only.  Only g[0] and g[1] are read, so an
+    Atiyah element passes as it is.
+
+    The gradient is the same in either chart, mass (q1 - q0) / h^2:
+    ``grad(g)`` is its array and ``grad(g, (q0, q1))``, given the floats of
+    g[0] and g[1], their list.  An h whose h^2 underflows (below the
+    smallest normal float) is a ConfigError, raised before a factory builds
+    any other 1/h^2 term."""
     hh = h * h
     if hh < sys.float_info.min:
         raise ConfigError(f"h = {h!r} is too small: h^2 underflows")
     H = mass * np.eye(dim) / hh
     H.flags.writeable = False
-    grad = _gradient(_pair_grad(mass, h))
 
-    def lag(g):
+    def value(g):
         d = g[1] - g[0]
         return mass * float(d @ d) / (2.0 * h * h)
 
-    return Lagrangian(eval=lag, left_grad=grad, right_grad=grad, mixed_hess=lambda g: H)
+    def grad(g, floats=None):
+        q0, q1 = floats or (g[0].tolist(), g[1].tolist())
+        vals = [mass * (b - a) / hh for a, b in zip(q0, q1)]
+        return vals if floats else np.array(vals)
 
-
-def _so3_grad(c):
-    """The gradient formula of the trace form -Tr(c W) in either chart:
-    axial(c W), from the entries of W."""
-
-    def grad(W):
-        (_, w01, w02), (w10, _, w12), (w20, w21, _) = W.tolist()
-        return [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
-
-    return grad
+    return value, grad, H
 
 
 def _so3_form(J):
-    """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric.
-    For J = c I (the ball) the products J W and W J are formed as c W, and
-    the gradients by :func:`_so3_grad`, which gives the same values as the
+    """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric:
+    returns (value, left, right).
+
+    ``left(W)`` is the left gradient axial(J W) and ``left(W, rows)``,
+    given rows = W.tolist(), the list of its floats.  ``right(W, rows)``
+    returns the list of the floats of the right gradient axial(W J) and
+    H(W) = axial_left_mul(W J) W (column j is axial(W E_j J), and W E_j =
+    hat(W e_j) W for a rotation), with W J formed once.  For J = c I the
+    products are formed as c W, and both gradients are read from the rows of
+    W as c w21 - c w12 and so on, which gives the same values as the
     matmuls."""
     c = float(J[0, 0])
     if np.array_equal(J, c * np.eye(3)):
-        left = right = lambda W: c * W
-        lgrad = rgrad = _gradient(_so3_grad(c))
+
+        def left(W, rows=None):
+            (_, w01, w02), (w10, _, w12), (w20, w21, _) = rows or W.tolist()
+            vals = [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
+            return vals if rows else np.array(vals)
+
+        def right(W, rows):
+            return left(W, rows), lg.axial_left_mul(c * W) @ W
+
+        product = lambda W: c * W
     else:
-        left, right = (lambda W: J @ W), (lambda W: W @ J)
-        lgrad, rgrad = (lambda W: lg.axial(J @ W)), (lambda W: lg.axial(W @ J))
-    return Lagrangian(
-        eval=lambda W: -float(np.trace(left(W))),
-        left_grad=lgrad,
-        right_grad=rgrad,
-        # column j is axial(W E_j J), and W E_j = hat(W e_j) W for a rotation
-        mixed_hess=lambda W: lg.axial_left_mul(right(W)) @ W,
-    )
+
+        def left(W, rows=None):
+            vals = lg.axial(J @ W)
+            return vals.tolist() if rows else vals
+
+        def right(W, rows):
+            WJ = W @ J
+            (_, a01, a02), (a10, _, a12), (a20, a21, _) = WJ.tolist()
+            return [a21 - a12, a02 - a20, a10 - a01], lg.axial_left_mul(WJ) @ W
+
+        product = lambda W: J @ W
+    return (lambda W: -float(np.trace(product(W)))), left, right
 
 
-def _se2_grads(K):
-    """The left and right gradient formulas of the SE(2) trace form
-    (:func:`_se2_form`) with K symmetric.
+def _se2_form(K):
+    """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
+    W = se2_matrix(g) and K symmetric: returns (value, left, right).
 
     With pair(M) = (M01 - M10, M20, M21), the components of
     v -> Tr(se2_hat(v) M) in the (omega, v1, v2) basis, the left and right
     gradients are pair(K (W^T W - W)) and pair(W K W^T - W K).  They are
     written out from (c, s) = (cos theta, sin theta), the translation (x, y)
     and the entries of K, with (u, v) = R^T (x, y) the translation in the
-    body frame; K01 cancels from both.
+    body frame; K01 cancels from both.  ``left(g)`` is the left gradient and
+    ``left(g, (theta, x, y))`` the list of its floats; ``right(g, (theta, x,
+    y))`` returns the list of the right gradient's floats and H(g), from one
+    (c, s).
     """
     k_trace = float(K[0, 0] + K[1, 1])
     k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
 
-    def lgrad(g):
-        th, x, y = g.tolist()
-        c, s = math.cos(th), math.sin(th)
-        u, v = c * x + s * y, c * y - s * x
-        return [k_trace * s + (k02 * v - k12 * u),
-                k02 * (1.0 - c) - k12 * s + k22 * u,
-                k02 * s + k12 * (1.0 - c) + k22 * v]
-
-    def rgrad(g):
-        th, x, y = g.tolist()
-        c, s = math.cos(th), math.sin(th)
-        return [k_trace * s + (k02 * y - k12 * x),
-                k02 * (c - 1.0) - k12 * s + k22 * x,
-                k02 * s + k12 * (c - 1.0) + k22 * y]
-
-    return lgrad, rgrad
-
-
-def _se2_form(K):
-    """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
-    W = se2_matrix(g), K symmetric and the gradients of :func:`_se2_grads`."""
-    k_trace = float(K[0, 0] + K[1, 1])
-    k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
-    lgrad, rgrad = map(_gradient, _se2_grads(K))
-
-    def lag(g):
+    def value(g):
         D = lg.se2_matrix(g) - np.eye(3)
         return 0.5 * float(np.trace(D @ K @ D.T))
 
-    def hess(g):
-        # Column j is pair(S + S^T - P) with P = W E_j K, S = P W^T and
+    def left(g, floats=None):
+        th, x, y = floats or g.tolist()
+        c, s = math.cos(th), math.sin(th)
+        u, v = c * x + s * y, c * y - s * x
+        vals = [k_trace * s + (k02 * v - k12 * u),
+                k02 * (1.0 - c) - k12 * s + k22 * u,
+                k02 * s + k12 * (1.0 - c) + k22 * v]
+        return vals if floats else np.array(vals)
+
+    def right(g, floats):
+        th, x, y = floats
+        c, s = math.cos(th), math.sin(th)
+        grad = [k_trace * s + (k02 * y - k12 * x),
+                k02 * (c - 1.0) - k12 * s + k22 * x,
+                k02 * s + k12 * (c - 1.0) + k22 * y]
+        # Column j of H is pair(S + S^T - P) with P = W E_j K, S = P W^T and
         # E_j = se2_hat(e_j).  Row 2 of W E_j is zero and row 2 of W is e_2,
         # so the column is (P10 - P01, P02, P12); only the rotation part of W
         # enters, and K01 cancels.
-        c, s = math.cos(g[0]), math.sin(g[0])
-        return np.array([
+        return grad, np.array([
             [c * k_trace, s * k02 - c * k12, c * k02 + s * k12],
             [-(s * k02 + c * k12), c * k22, -s * k22],
             [c * k02 - s * k12, s * k22, c * k22],
         ])
 
-    return Lagrangian(eval=lag, left_grad=lgrad, right_grad=rgrad, mixed_hess=hess)
+    return value, left, right
 
 
-def _atiyah_form(base, base_grad, group, group_left, group_right):
-    """base + group on Atiyah elements (p0, p1, G): a pair form on the base
-    points, with gradient formula ``base_grad``, plus a form on the
-    3-dimensional group part, with gradient formulas ``group_left`` and
-    ``group_right``.  H is block-diagonal, and each gradient is one array of
-    the base part's floats followed by the group part's."""
-    base_hess = base.mixed_hess(None)  # a pair form's H is constant
+def _atiyah_form(base, group):
+    """base + group on Atiyah elements (p0, p1, G): a pair form (value, grad,
+    H) on the base points plus a form (value, left, right) on the
+    3-dimensional group part; returns (value, left, right).  H is
+    block-diagonal, and each gradient is one array of the base part's floats
+    followed by the group part's.  ``right(el, (q0, q1), floats)`` takes the
+    floats of the base points and of G."""
+    base_value, base_grad, base_hess = base
+    group_value, group_left, group_right = group
     m = base_hess.shape[0]
     n = m + 3
     base_block = np.zeros((n, n))
     base_block[:m, :m] = base_hess
 
-    def hess(el):
-        out = base_block.copy()
-        out[m:, m:] = group.mixed_hess(el[2])
-        return out
+    def left(el):
+        G = el[2]
+        return np.array(base_grad(el, (el[0].tolist(), el[1].tolist()))
+                        + group_left(G, G.tolist()))
 
-    return Lagrangian(
-        eval=lambda el: base.eval(el) + group.eval(el[2]),
-        left_grad=lambda el: np.array(base_grad(el) + group_left(el[2])),
-        right_grad=lambda el: np.array(base_grad(el) + group_right(el[2])),
-        mixed_hess=hess,
+    def right(el, base_floats, floats):
+        grad, group_hess = group_right(el[2], floats)
+        H = base_block.copy()
+        H[m:, m:] = group_hess
+        return np.array(base_grad(el, base_floats) + grad), H
+
+    return (lambda el: base_value(el) + group_value(el[2])), left, right
+
+
+def _problem(evaluate, value, left_grad, codim, right_jac, **fields):
+    """An NhProblem whose step path is the model's joint candidate evaluation
+    ``evaluate(h)`` = (right gradient of L, phi, H, left gradient of phi):
+    its Lagrangian and ConstraintSet take the four
+    ``problem.candidate_parts`` of it, with the value, the left gradient of
+    L and the right gradient of phi, which a step takes at g alone."""
+    right_grad, phi, hess, left_jac = candidate_parts(evaluate)
+    return NhProblem(
+        lagrangian=Lagrangian(eval=value, left_grad=left_grad, right_grad=right_grad,
+                              mixed_hess=hess),
+        constraints=ConstraintSet(codim=codim, phi=phi, left_jac=left_jac, right_jac=right_jac),
+        **fields,
     )
 
 
@@ -255,15 +269,18 @@ def make_constrained_particle(h=0.01):
     zdot = y xdot, midpoint-discretized on the pair groupoid."""
     h = number(h, "h", positive=True)
     bk = PairGroupoid(3)
+    value, grad, H = _pair_form(1.0, h, 3)
 
-    def phi(g):
-        (x0, y0, z0), (x1, y1, z1) = g[0].tolist(), g[1].tolist()
-        return np.array([(z1 - z0) / h - 0.5 * (y1 + y0) * (x1 - x0) / h])
-
-    def phi_jac(g, side):
+    def phi_jac(q0, q1, side):
         # side -1.0 for the left chart, 1.0 for the right
-        (x0, y0, _), (x1, y1, _) = g[0].tolist(), g[1].tolist()
+        (x0, y0, _), (x1, y1, _) = q0, q1
         return np.array([[-(y1 + y0) / (2 * h), side * (x1 - x0) / (2 * h), 1.0 / h]])
+
+    def evaluate(g):
+        q0, q1 = floats = g[0].tolist(), g[1].tolist()
+        (x0, y0, z0), (x1, y1, z1) = floats
+        phi = np.array([(z1 - z0) / h - 0.5 * (y1 + y0) * (x1 - x0) / h])
+        return np.array(grad(g, floats)), phi, H, phi_jac(q0, q1, -1.0)
 
     def basis(x):
         return np.array([[1.0, 0.0], [0.0, 1.0], [x[1], 0.0]])
@@ -308,16 +325,10 @@ def make_constrained_particle(h=0.01):
             xi_map=lambda x: _UNIT_XI,
         ),
     }
-    return NhProblem(
+    return _problem(
+        evaluate, value, grad, 1, lambda g: phi_jac(g[0].tolist(), g[1].tolist(), 1.0),
         name="constrained_particle",
         backend=bk,
-        lagrangian=_pair_form(1.0, h, 3),
-        constraints=ConstraintSet(
-            codim=1,
-            phi=phi,
-            left_jac=lambda g: phi_jac(g, -1.0),
-            right_jac=lambda g: phi_jac(g, 1.0),
-        ),
         distribution=Distribution(basis=basis, annihilator=annihilator),
         params={"h": h},
         declared_reversible=True,
@@ -342,16 +353,19 @@ def make_suslov(J=None, h=0.05):
     h = number(h, "h", positive=True)
     JJ = _sym_pd(np.diag([1.0, 2.0, 3.0]) if J is None else J, "J")
     bk = LieGroupGroupoid("so3")
-
-    def phi(W):
-        (_, w01, _), (w10, _, _), _ = W.tolist()
-        return np.array([w10 - w01])
+    value, left, right = _so3_form(JJ / h)
 
     def phi_jac(rows):
         # row 2 of axial_left_mul: the right chart from the rows of W, the
         # left from those of W^T
         (w00, _, _), (_, w11, _), (w20, w21, _) = rows
         return np.array([[-w20, -w21, w00 + w11]])
+
+    def evaluate(W):
+        rows = W.tolist()
+        (_, w01, _), (w10, _, _), _ = rows
+        grad, H = right(W, rows)
+        return np.array(grad), np.array([w10 - w01]), H, phi_jac(zip(*rows))
 
     basis_mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     ann_mat = np.array([[0.0], [0.0], [1.0]])
@@ -371,16 +385,10 @@ def make_suslov(J=None, h=0.05):
         ]
 
     names = [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    return NhProblem(
+    return _problem(
+        evaluate, value, left, 1, lambda W: phi_jac(W.tolist()),
         name="suslov",
         backend=bk,
-        lagrangian=_so3_form(JJ / h),
-        constraints=ConstraintSet(
-            codim=1,
-            phi=phi,
-            left_jac=lambda W: phi_jac(zip(*W.tolist())),
-            right_jac=lambda W: phi_jac(W.tolist()),
-        ),
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"J": JJ, "h": h},
         declared_reversible=True,
@@ -412,21 +420,25 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     )
     bk = LieGroupGroupoid("se2")
 
-    form = _se2_form(K)
+    value, left, right = _se2_form(K)
     half_trace = 0.5 * float(np.trace(K))
 
-    def phi(g):
-        th, x, y = g.tolist()
-        return np.array([x * math.sin(th / 2) - y * math.cos(th / 2)])
-
-    def phi_jac(g, side):
-        """The left (side 1.0) or right (side -1.0) chart gradient of phi: the
-        gradient (a, sin(th/2), -cos(th/2)) in the triple (theta, x, y), with
-        a = (x cos(th/2) + y sin(th/2))/2, times the SE(2) chart Jacobian,
-        which simplifies to (side a, -side sin(th/2), -cos(th/2))."""
-        th, x, y = g.tolist()
-        sh, ch = math.sin(th / 2), math.cos(th / 2)
+    def phi_jac(x, y, sh, ch, side):
+        """The left (side 1.0) or right (side -1.0) chart gradient of phi, with
+        (sh, ch) = (sin(th/2), cos(th/2)): the gradient (a, sh, -ch) in the
+        triple (theta, x, y), with a = (x ch + y sh)/2, times the SE(2) chart
+        Jacobian, which simplifies to (side a, -side sh, -ch)."""
         return np.array([[side * 0.5 * (x * ch + y * sh), -side * sh, -ch]])
+
+    def evaluate(g):
+        th, x, y = floats = g.tolist()
+        sh, ch = math.sin(th / 2), math.cos(th / 2)
+        grad, H = right(g, floats)
+        return np.array(grad), np.array([x * sh - y * ch]), H, phi_jac(x, y, sh, ch, 1.0)
+
+    def right_jac(g):
+        th, x, y = g.tolist()
+        return phi_jac(x, y, math.sin(th / 2), math.cos(th / 2), -1.0)
 
     def basis(x):
         # blade direction and rotation about the contact point
@@ -445,16 +457,10 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
             for _ in range(count)
         ]
 
-    return NhProblem(
+    return _problem(
+        evaluate, lambda g: value(g) - half_trace, left, 1, right_jac,
         name="chaplygin_sleigh",
         backend=bk,
-        lagrangian=dataclasses.replace(form, eval=lambda g: form.eval(g) - half_trace),
-        constraints=ConstraintSet(
-            codim=1,
-            phi=phi,
-            left_jac=lambda g: phi_jac(g, 1.0),
-            right_jac=lambda g: phi_jac(g, -1.0),
-        ),
         distribution=Distribution(
             basis=basis, annihilator=lambda x: np.array([[0.0], [0.0], [1.0]])
         ),
@@ -481,26 +487,22 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     bk = ActionGroupoid()
     mgl = m * g * l
 
-    kin = _so3_form(TF / h)
+    kin_value, kin_left, kin_right = _so3_form(TF / h)
     hm = h * mgl
 
-    def rgrad(el):
-        # the right curve moves gamma too, so only this gradient sees the potential
+    def evaluate(el):
         gam, W = el
-        return kin.right_grad(W) - hm * lg.cross3(gam, evec)
-
-    def phi(el):
+        rows = W.tolist()
         # axial(W) vanishes at a rotation by pi too: refusing that spurious
         # branch keeps Newton off its roots (small rotations are legal motion)
-        gam, W = el
-        tr = float(W[0, 0] + W[1, 1] + W[2, 2])
+        tr = rows[0][0] + rows[1][1] + rows[2][2]
         if abs(tr + 1.0) < 1e-6:
             raise SingularError(f"veselova: rotation angle at pi (trace {tr:.6f})")
-        return np.array([float(gam @ lg.axial(W))])
-
-    def phi_left(el):
-        gam, W = el
-        return (gam @ lg.axial_right_mul(W))[None, :]
+        grad, H = kin_right(W, rows)
+        # the right curve moves gamma too, so only this gradient sees the potential
+        right = np.array(grad) - hm * lg.cross3(gam, evec)
+        phi = np.array([float(gam @ lg.axial(W))])
+        return right, phi, H, (gam @ lg.axial_right_mul(W))[None, :]
 
     def phi_right(el):
         # the right curve moves gamma too: d gamma = gamma x v
@@ -536,16 +538,11 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
         return out
 
     names = ["g1", "g2", "g3"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    return NhProblem(
+    return _problem(
+        evaluate, lambda el: kin_value(el[1]) - hm * float(el[0] @ evec),
+        lambda el: kin_left(el[1]), 1, phi_right,
         name="veselova",
         backend=bk,
-        lagrangian=Lagrangian(
-            eval=lambda el: kin.eval(el[1]) - hm * float(el[0] @ evec),
-            left_grad=lambda el: kin.left_grad(el[1]),
-            right_grad=rgrad,
-            mixed_hess=lambda el: kin.mixed_hess(el[1]),
-        ),
-        constraints=ConstraintSet(codim=1, phi=phi, left_jac=phi_left, right_jac=phi_right),
         distribution=Distribution(
             basis=_complement_basis, annihilator=lambda x: x.reshape(3, 1).copy()
         ),
@@ -568,19 +565,9 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     Omega, h = number(Omega, "Omega"), number(h, "h", positive=True)
     base = _pair_form(m, h, 2)  # its check of h comes before any 1/h^2 term
     spin = I / (2 * h * h)
-    rotation = _so3_grad(spin)
+    value, left, right = _atiyah_form(base, _so3_form(spin * np.eye(3)))
     bk = AtiyahGroupoid(2, "so3")
     rh = r / (2 * h)
-
-    def phi(el):
-        (x0, y0), (x1, y1) = el[0].tolist(), el[1].tolist()
-        (_, w01, w02), (w10, _, w12), (w20, w21, _) = el[2].tolist()
-        return np.array(
-            [
-                (x1 - x0) / h - rh * (w02 - w20) + 0.5 * Omega * (y1 + y0),
-                (y1 - y0) / h + rh * (w21 - w12) - 0.5 * Omega * (x1 + x0),
-            ]
-        )
 
     def phi_jac(om, rows):
         # the base block has om = +-Omega/2 off its diagonal; the rotation
@@ -594,6 +581,19 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
                 [-om, 1.0 / h, rh * (w11 + w22), -rh * w01, -rh * w02],
             ]
         )
+
+    def evaluate(el):
+        (x0, y0), (x1, y1) = base_floats = el[0].tolist(), el[1].tolist()
+        rows = el[2].tolist()
+        (_, w01, w02), (w10, _, w12), (w20, w21, _) = rows
+        grad, H = right(el, base_floats, rows)
+        phi = np.array(
+            [
+                (x1 - x0) / h - rh * (w02 - w20) + 0.5 * Omega * (y1 + y0),
+                (y1 - y0) / h + rh * (w21 - w12) - 0.5 * Omega * (x1 + x0),
+            ]
+        )
+        return grad, phi, H, phi_jac(0.5 * Omega, zip(*rows))
 
     basis_mat = np.array(
         [
@@ -655,17 +655,10 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
         "spin": const_spec("spin", basis_mat[:, 2]),
     }
     names = ["x0", "y0", "x1", "y1"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    return NhProblem(
+    return _problem(
+        evaluate, value, left, 2, lambda el: phi_jac(-0.5 * Omega, el[2].tolist()),
         name="rolling_ball",
         backend=bk,
-        lagrangian=_atiyah_form(base, _pair_grad(m, h), _so3_form(spin * np.eye(3)), rotation,
-                                rotation),
-        constraints=ConstraintSet(
-            codim=2,
-            phi=phi,
-            left_jac=lambda el: phi_jac(0.5 * Omega, zip(*el[2].tolist())),
-            right_jac=lambda el: phi_jac(-0.5 * Omega, el[2].tolist()),
-        ),
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"m": m, "r": r, "I": I, "Omega": Omega, "h": h},
         declared_reversible=False,
@@ -731,31 +724,22 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     )
     base = _pair_form(J1, h, 2)  # its check of h comes before any 1/h^2 term
     K = K / (h * h)
+    value, left, right = _atiyah_form(base, _se2_form(K))
     bk = AtiyahGroupoid(2, "se2")
     dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * math.cos(s) - math.sin(s)) / s**2
     dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * math.sin(s) - (1 - math.cos(s))) / s**2
 
-    def _sincs(el):
-        (phi0, psi0), (phi1, psi1) = el[0].tolist(), el[1].tolist()
+    def _sincs(q0, q1):
+        # (dphi, dpsi, s, sinc(s), versine_over(s)) from the wheel angles' floats
+        (phi0, psi0), (phi1, psi1) = q0, q1
         dphi, dpsi = phi1 - phi0, psi1 - psi0
-        return dphi, dpsi, R * (dphi - dpsi) / (2 * c)
+        s = R * (dphi - dpsi) / (2 * c)
+        return dphi, dpsi, s, lg.sinc(s), lg.versine_over(s)
 
-    def phi(el):
-        th, x, y = el[2].tolist()
-        dphi, dpsi, s = _sincs(el)
+    def _phi_jac(sincs, group_jac):
+        dphi, dpsi, s, sc, vc = sincs
         tot = dphi + dpsi
-        return np.array(
-            [
-                th + s,
-                x + 0.5 * R * tot * lg.sinc(s),
-                y - 0.5 * R * tot * lg.versine_over(s),
-            ]
-        )
-
-    def _phi_jac(el, group_jac):
-        dphi, dpsi, s = _sincs(el)
-        tot = dphi + dpsi
-        sc, vc, dsc, dv = lg.sinc(s), lg.versine_over(s), dsinc(s), dvc(s)
+        dsc, dv = dsinc(s), dvc(s)
         # base columns: both charts shift (dphi, dpsi) by +u, which moves s by
         # +-ds; group columns: phi is (theta, x, y) plus a function of the wheels
         ds = R / (2 * c)
@@ -764,7 +748,19 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             [0.5 * R * (sc + tot * dsc * ds), 0.5 * R * (sc + tot * dsc * -ds)],
             [-0.5 * R * (vc + tot * dv * ds), -0.5 * R * (vc + tot * dv * -ds)],
         ]
-        return np.array([b + j for b, j in zip(base, group_jac(el[2]))])
+        return np.array([b + j for b, j in zip(base, group_jac)])
+
+    def evaluate(el):
+        base_floats = el[0].tolist(), el[1].tolist()
+        th, x, y = floats = el[2].tolist()
+        grad, H = right(el, base_floats, floats)
+        sincs = dphi, dpsi, s, sc, vc = _sincs(*base_floats)
+        tot = dphi + dpsi
+        phi = np.array([th + s, x + 0.5 * R * tot * sc, y - 0.5 * R * tot * vc])
+        return grad, phi, H, _phi_jac(sincs, lg.se2_left_jacobian(el[2]))
+
+    def right_jac(el):
+        return _phi_jac(_sincs(el[0].tolist(), el[1].tolist()), lg.se2_right_jacobian(el[2]))
 
     basis_mat = np.array(
         [
@@ -822,16 +818,10 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
             out.append(start(p0, p0 + np.array([rng.normal() * 0.4, rng.normal() * 0.4])))
         return out
 
-    return NhProblem(
+    return _problem(
+        evaluate, value, left, 3, right_jac,
         name="mobile_robot",
         backend=bk,
-        lagrangian=_atiyah_form(base, _pair_grad(J1, h), _se2_form(K), *_se2_grads(K)),
-        constraints=ConstraintSet(
-            codim=3,
-            phi=phi,
-            left_jac=lambda el: _phi_jac(el, lg.se2_left_jacobian),
-            right_jac=lambda el: _phi_jac(el, lg.se2_right_jacobian),
-        ),
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
         params={"m0": m0, "m1": m1, "J": J, "J1": J1, "R": R, "c": c, "l": l, "h": h},
         declared_reversible=True,
@@ -853,13 +843,11 @@ def make_holonomic_sphere(h=0.01):
     (annihilator column 2x), matching the usual SHAKE normalization."""
     h = number(h, "h", positive=True)
     bk = PairGroupoid(3)
+    value, grad, H = _pair_form(1.0, h, 3)
 
-    def phi(g):
+    def evaluate(g):
         q1 = g[1]
-        return np.array([float(q1 @ q1) - 1.0])
-
-    def phi_left(g):
-        return (2.0 * g[1])[None, :]
+        return grad(g), np.array([float(q1 @ q1) - 1.0]), H, (2.0 * q1)[None, :]
 
     zero_row = np.zeros((1, 3))
     zero_row.flags.writeable = False
@@ -897,13 +885,10 @@ def make_holonomic_sphere(h=0.01):
             out.append(start(unit(q0, "q0"), rng.normal(size=3)))
         return out
 
-    return NhProblem(
+    return _problem(
+        evaluate, value, grad, 1, lambda g: zero_row,
         name="holonomic_sphere",
         backend=bk,
-        lagrangian=_pair_form(1.0, h, 3),
-        constraints=ConstraintSet(
-            codim=1, phi=phi, left_jac=phi_left, right_jac=lambda g: zero_row
-        ),
         distribution=Distribution(
             basis=_complement_basis,
             annihilator=lambda x: 2.0 * x.reshape(3, 1),

@@ -9,10 +9,15 @@ Euler-Lagrange condition
 
 over a basis X_a of the distribution at the matching point, together with
 ``phi(h) = 0``; ``residual_at`` stacks the projected rows first and the
-constraint rows after them.  A :class:`StepFrame` evaluates once what a step
-from g needs of g alone; ``newton_jacobian_fd``, ``groupoid.cross_form`` and
-``regularity_matrices`` are the references for its Newton matrix and tests.
-The README ("Built-in systems", "Library use") gives the design.
+constraint rows after them.  A candidate h enters a step through one joint
+evaluation, ``NhProblem.evaluate(h)`` = (right gradient of L, phi, H, left
+gradient of phi): a built-in model writes it once and gives its four parts
+as :func:`candidate_parts`, and a hand-built problem has it assembled from
+its parts.  A :class:`StepFrame` evaluates once what a step from g needs of
+g alone and keeps the last candidate's evaluation; ``newton_jacobian_fd``,
+``groupoid.cross_form`` and ``regularity_matrices`` are the references for
+its Newton matrix and tests.  The README ("Built-in systems", "Library use")
+gives the design.
 """
 
 import functools
@@ -68,7 +73,8 @@ class ConstraintSet:
 
     ``left_jac(g)`` / ``right_jac(g)``, when given, return the (codim, n)
     float arrays of exact left/right chart gradients of the components of
-    phi; the problem differences phi where they are not given.
+    phi; the problem differences phi where they are not given.  A built-in
+    model's ``phi`` and ``left_jac`` are two of its :func:`candidate_parts`.
     """
 
     codim: int
@@ -86,7 +92,9 @@ class Lagrangian:
     mixed second derivative H(g), column j being d/dt
     right_grad(retract(g, t e_j)) at t=0.  Left and right translations
     commute, so the two-point form of L is ``cross(g, a, b) = -a^T H(g) b``.
-    The problem differences what is not given (see :class:`NhProblem`).
+    The problem differences what is not given (see :class:`NhProblem`).  A
+    built-in model's ``right_grad`` and ``mixed_hess`` are two of its
+    :func:`candidate_parts`.
     """
 
     eval: Callable
@@ -95,18 +103,53 @@ class Lagrangian:
     mixed_hess: Optional[Callable] = None
 
 
+def _entry(evaluate, i, h):
+    return evaluate(h)[i]
+
+
+def candidate_parts(evaluate):
+    """(right_grad, phi, mixed_hess, phi_left_jac), each the projection of
+    one entry of a joint evaluation ``evaluate(h)`` that returns the four
+    arrays at a candidate h in that order.  A model gives them as its
+    Lagrangian's and ConstraintSet's parts; a problem whose four parts they
+    are steps through ``evaluate`` itself (see :class:`NhProblem`)."""
+    return tuple(functools.partial(_entry, evaluate, i) for i in range(4))
+
+
+def _joint_of(parts):
+    """The joint evaluation whose :func:`candidate_parts` the four parts are,
+    else None."""
+    evaluate = getattr(parts[0], "args", (None,))[0]
+    projected = all(isinstance(f, functools.partial) and f.func is _entry and f.args == (evaluate, i)
+                    for i, f in enumerate(parts))
+    return evaluate if projected else None
+
+
+def _assembled(parts, h):
+    """The joint evaluation of a problem whose parts are not one model's
+    :func:`candidate_parts`: each part called at h, in order."""
+    right_grad, phi, mixed_hess, phi_left_jac = parts
+    return right_grad(h), phi(h), mixed_hess(h), phi_left_jac(h)
+
+
 @dataclass
 class NhProblem:
     """A discrete nonholonomic system on a groupoid backend.
 
-    Building it binds ``phi(g)`` (the model's own) and the five chart
-    derivatives a step calls: ``left_grad``, ``right_grad`` and
-    ``mixed_hess`` of L and the (k, n) ``phi_left_jac``, ``phi_right_jac``,
-    each the model's callable where one is given, else a central difference
-    (``mixed_hess`` at the wider step when the right gradient is itself a
-    difference); ``dataclasses.replace`` binds them again.  It keeps no state
-    between steps.  The README ("Built-in systems") gives the contract of the
-    model callables.
+    Building it binds ``n``, ``k`` and ``r`` (the fiber dimension, the
+    codimension of the constraint set and the distribution's rank),
+    ``phi(g)`` (the model's own) and the five chart
+    derivatives: ``left_grad``, ``right_grad`` and ``mixed_hess`` of L and
+    the (k, n) ``phi_left_jac``, ``phi_right_jac``, each the model's callable
+    where one is given, else a central difference (``mixed_hess`` at the
+    wider step when the right gradient is itself a difference).  It binds
+    ``evaluate(h)`` = (right_grad(h), phi(h), mixed_hess(h),
+    phi_left_jac(h)), the one call a step makes at a candidate: the model's
+    joint evaluation when the four parts are its :func:`candidate_parts`,
+    else the four parts called in that order, so a part that is replaced or
+    differenced is what a step calls.  ``dataclasses.replace`` binds them
+    all again.  It keeps no state between steps.  The README ("Built-in
+    systems") gives the contract of the model callables.
     """
 
     name: str
@@ -125,6 +168,9 @@ class NhProblem:
         partial, bk = functools.partial, self.backend
         left, right = gpd.left_jacobian, gpd.right_jacobian
         lag, con = self.lagrangian, self.constraints
+        # the fiber dimension, the codimension and the distribution's rank
+        self.n, self.k = bk.fiber_dim, con.codim
+        self.r = self.n - self.k
         self.phi = con.phi
         self.left_grad = lag.left_grad or partial(left, bk, lag.eval)
         self.right_grad = lag.right_grad or partial(right, bk, lag.eval)
@@ -132,18 +178,8 @@ class NhProblem:
         self.mixed_hess = lag.mixed_hess or partial(left, bk, self.right_grad, step=step)
         self.phi_left_jac = con.left_jac or partial(left, bk, self.phi)
         self.phi_right_jac = con.right_jac or partial(right, bk, self.phi)
-
-    @property
-    def n(self):
-        return self.backend.fiber_dim
-
-    @property
-    def r(self):
-        return self.n - self.k
-
-    @property
-    def k(self):
-        return self.constraints.codim
+        parts = (self.right_grad, self.phi, self.mixed_hess, self.phi_left_jac)
+        self.evaluate = _joint_of(parts) or partial(_assembled, parts)
 
     def to_rows(self, elements):
         """A non-empty sequence of elements as the rows of one float array,
@@ -234,11 +270,11 @@ class StepFrame:
     -B^T), ``left_grad(g)`` and its projection ``left_rows``; on first use,
     the right test (:meth:`right_sigmas`), the mirror guess (:meth:`guess`)
     and the factored Newton matrix at the last center (:meth:`factored`),
-    which a call that raises does not keep.  ``record`` is
-    (element, (H, left phi gradient)) at the last element the frame took
-    them at (:meth:`_second_order`), starting as the record handed in.  The
-    frame keeps the right gradient of the last candidate for
-    :meth:`multipliers`.  The README ("Library use") gives the reasons.
+    which a call that raises does not keep.  ``record`` is (element,
+    ``p.evaluate(element)``) at the last element the frame evaluated
+    (:meth:`evaluation`), starting as the record handed in; the residual,
+    the Newton matrix, both tests and the multipliers at that element read
+    it.  The README ("Library use") gives the reasons.
     """
 
     def __init__(self, p, g, record=(None, None)):
@@ -250,7 +286,7 @@ class StepFrame:
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self.record = record
-        self._last = self._factors = (None, None)
+        self._factors = (None, None)
         self._right = self._guess = None
 
     def guess(self):
@@ -260,15 +296,28 @@ class StepFrame:
             self._guess = self.p.backend.mirror(self.g)
         return self._guess
 
-    def del_rows(self, h):
-        """Projected discrete Euler-Lagrange rows for a candidate h."""
-        right = self.p.right_grad(h)
-        self._last = (h, right)
-        return self.left_rows - right @ self.basis
+    def evaluation(self, h):
+        """``p.evaluate(h)``, (right gradient, phi, H, left phi gradient) at
+        h, kept in the frame's record.
+
+        The record is keyed by identity, not equality: an element is never
+        modified in place, so the record's element still has the values it
+        was evaluated at, and a copy with equal values evaluates afresh.
+        """
+        at, values = self.record
+        if at is not h:
+            values = self.p.evaluate(h)
+            self.record = (h, values)
+        return values
 
     def residual(self, h):
         """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h."""
-        return np.concatenate([self.del_rows(h), self.p.phi(h)])
+        right, phi, _, _ = self.evaluation(h)
+        return np.concatenate([self.left_rows - right @ self.basis, phi])
+
+    def del_rows(self, h):
+        """Projected discrete Euler-Lagrange rows for a candidate h."""
+        return self.residual(h)[: self.p.r]
 
     def newton_matrix(self, center):
         """Jacobian of the residual in the chart at ``center``.
@@ -277,37 +326,22 @@ class StepFrame:
         -right_grad(center) . X_a, so they differentiate to -B^T H(center);
         the constraint rows differentiate to the left chart gradient of phi.
         """
-        H, phi_jac = self._second_order(center)
+        _, _, H, phi_jac = self.evaluation(center)
         return np.concatenate((self.neg_bt @ H, phi_jac))
 
     def factored(self, center):
         """:func:`factor_newton_matrix` of the Newton matrix at ``center``,
         kept for the last center factored and keyed by identity, as the
-        record of :meth:`_second_order` is; a factorization that raises keeps
-        nothing."""
+        record is; a factorization that raises keeps nothing."""
         if self._factors[0] is not center:
             self._factors = (center, factor_newton_matrix(self.p, self.newton_matrix(center)))
         return self._factors[1]
-
-    def _second_order(self, h):
-        """H(h) and the left gradient of phi at h, kept in the frame's record.
-
-        The record is keyed by identity, not equality: an element is never
-        modified in place, so the record's element still has the values the
-        pair was taken at, and a copy with equal values evaluates afresh.
-        """
-        at, pair = self.record
-        if at is not h:
-            pair = self.p.mixed_hess(h), self.p.phi_left_jac(h)
-            self.record = (h, pair)
-        return pair
 
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
         basis at beta(g), by :func:`least_squares`."""
         p = self.p
-        last, right = self._last
-        F = self.left_grad - (right if h is last else p.right_grad(h))
+        F = self.left_grad - self.evaluation(h)[0]
         require_finite(F, f"{p.name}: difference covector")
         A = p.distribution.annihilator(self.beta)
         lam, rank = least_squares(A, F, f"{p.name}: annihilator basis")
@@ -321,7 +355,7 @@ class StepFrame:
         """Kernel singular values (smin, smax) of the right pairing at g, with
         no pairing formed: :func:`_projected_sigmas` of the columns of H B."""
         if self._right is None:
-            H, _ = self._second_order(self.g)
+            H = self.evaluation(self.g)[2]
             self._right = _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g),
                                             self.p.r)
         return self._right
@@ -329,7 +363,7 @@ class StepFrame:
     def left_sigmas(self, h, basis=None):
         """The same for the left pairing at h, from the rows of X^T H(h), with
         X = ``basis`` or else B (the basis at alpha(h) for a root h)."""
-        H, phi_jac = self._second_order(h)
+        _, _, H, phi_jac = self.evaluation(h)
         X = self.basis if basis is None else basis
         return _projected_sigmas(X.T @ H, phi_jac, self.p.r)
 
@@ -360,7 +394,7 @@ def lagrange_multipliers(p, g, h):
     and the max-abs residual of their fit, for consistency checks."""
     frame = StepFrame(p, g)
     lam = frame.multipliers(h)
-    F = frame.left_grad - p.right_grad(h)
+    F = frame.left_grad - frame.evaluation(h)[0]
     A = p.distribution.annihilator(frame.beta)
     return lam, float(np.abs(F - A @ lam).max())
 
@@ -387,8 +421,8 @@ def regularity_matrices(p, g):
     :meth:`StepFrame.right_sigmas`.
     """
     Xa, B = (p.distribution.basis(x) for x in (p.backend.source(g), p.backend.target(g)))
-    H = p.mixed_hess(g)
-    G_left = -Xa.T @ H @ null_space(p.phi_left_jac(g))
+    _, _, H, phi_jac = p.evaluate(g)
+    G_left = -Xa.T @ H @ null_space(phi_jac)
     G_right = -null_space(p.phi_right_jac(g)).T @ H @ B
     return G_left, G_right
 

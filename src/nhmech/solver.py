@@ -8,8 +8,9 @@ constraint rows) to tolerance, or to its roundoff floor when that is larger.
 ``evolve`` chains steps into a trajectory.  A step tests the right pairing
 at g before Newton and the left pairing at its root after it, and holds the
 1-norm condition estimate of each Newton matrix, from its LU factors, to
-``cond_limit``.  The Newton matrix and both tests come from H
-(``NhProblem.mixed_hess``) on one ``problem.StepFrame``, and the step calls
+``cond_limit``.  The residual, the Newton matrix and both tests come from one
+joint evaluation per candidate (``NhProblem.evaluate``), kept in one
+``problem.StepFrame``'s record, and the step calls
 LAPACK directly, each kernel after a finiteness check of its own; a
 non-finite matrix or a LAPACK failure is a SingularError, and so is an
 arithmetic or domain error of a model callable or a backend kernel inside
@@ -18,6 +19,7 @@ it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,6 +62,7 @@ class StepResult:
     sigma_min_right: float = math.nan  # kernel singular value of the right pairing at g
     floor: float = math.nan  # roundoff floor of the residual; the step stops at max(tol, floor)
     floor_limited: bool = False  # stopped with tol < residual <= floor
+    max_abs_phi: float = math.nan  # max |phi(next)|, the accepted residual's constraint rows
 
 
 @dataclass
@@ -124,7 +127,7 @@ def _norm_and_merit(r):
     anywhere then fails both the finiteness check and the line-search tests.
     """
     values = r.tolist()
-    squares = sum(v * v for v in values)
+    squares = sum(map(operator.mul, values, values))
     if math.isnan(squares):
         return math.nan, math.nan
     return max(map(abs, values)), 0.5 * squares
@@ -183,7 +186,7 @@ def newton(p, residual, factored, center, g, opts):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             try:
-                cand = bk.retract(center, t * du)
+                cand = bk.retract(center, du if t == 1.0 else t * du)
                 r_try = residual(cand)
             except (SingularError, ChartDomainError, NotComposableError, *NUMERIC_FAILURES):
                 t *= 0.5
@@ -225,9 +228,9 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one (another element's frame is a ValueError).  A frame that a
     ``diagnostics.regularity_report`` has used hands the step its right
-    test, its first guess and the H and factored Newton matrix there; the
-    step evaluates them in the same order either way, so the result is the
-    same.
+    test, its first guess and the evaluation and factored Newton matrix
+    there; the step evaluates them in the same order either way, so the
+    result is the same.
     """
     opts = options or SolverOptions()
     frame = pb.step_frame(p, g, frame)
@@ -239,8 +242,10 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
         solved = newton(p, frame.residual, frame.factored, center, g, opts)
         h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
         sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
+        phi = frame.evaluation(h)[1].tolist()
         return StepResult(multipliers=frame.multipliers(h), left_grad=frame.left_grad,
-                          sigma_min_left=sigma_left, sigma_min_right=sigma_right, **solved)
+                          sigma_min_left=sigma_left, sigma_min_right=sigma_right,
+                          max_abs_phi=max(map(abs, phi), default=0.0), **solved)
     except NUMERIC_FAILURES as exc:
         raise _numeric_failure(p, exc) from exc
 

@@ -1,12 +1,13 @@
 """Shared test helpers: hand-eliminated oracles, the generic first-guess
 oracle, the numpy complement basis, the one-loop reversibility walk, the
 two-evaluation momentum drift, the cell-by-cell trajectory file, an element
-gap read through the chart, a call counter, convergence
+gap read through the chart, a call counter and a counted joint evaluation, convergence
 classifiers, the long ball run, and the SO(3) and SE(2) constructors only the
 tests use (the SO(3) hat and vee, the SE(2) hat, a wrapped SE(2) triple and
 the SE(2) adjoint)."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -278,6 +279,30 @@ def counted(fn, calls):
         return fn(*args, **kwargs)
 
     return counting
+
+
+def with_evaluation(p, evaluate):
+    """p with ``evaluate`` as its joint candidate evaluation: its Lagrangian's
+    and ConstraintSet's four candidate parts become ``problem.candidate_parts``
+    of it, so a step calls ``evaluate`` and nothing else at a candidate."""
+    right_grad, phi, hess, left_jac = pb.candidate_parts(evaluate)
+    lag = dataclasses.replace(p.lagrangian, right_grad=right_grad, mixed_hess=hess)
+    con = dataclasses.replace(p.constraints, phi=phi, left_jac=left_jac)
+    return dataclasses.replace(p, lagrangian=lag, constraints=con)
+
+
+def counted_evaluation(p, calls, hess=None):
+    """p with its joint evaluation counted in calls[0] (see
+    :func:`with_evaluation`); ``hess(H, count)``, when given, replaces the H
+    of the count-th evaluation."""
+    evaluate = p.evaluate
+
+    def counting(h):
+        calls[0] += 1
+        right, phi, H, left_jac = evaluate(h)
+        return right, phi, H if hess is None else hess(H, calls[0]), left_jac
+
+    return with_evaluation(p, counting)
 
 
 def newton_tail_is_quadratic(history, floor=1e-14):

@@ -54,3 +54,16 @@ def test_simulate_counts_repeat_exactly(tmp_path):
     first = count_calls.simulate_counts(3, str(tmp_path))
     assert count_calls.simulate_counts(3, str(tmp_path)) == first
     assert first[0] > 0 and first[1] > 0
+
+
+# Python + C calls per step of a 200-step evolve before each candidate was
+# evaluated once (tools/count_calls.py); no system may make more
+CALLS_PER_STEP_BOUND = {"constrained_particle": 178.1, "suslov": 138.1, "chaplygin_sleigh": 161.9,
+                        "veselova": 294.2, "rolling_ball": 256.2, "mobile_robot": 201.2,
+                        "holonomic_sphere": 195.1}
+
+
+def test_calls_per_step_stay_at_or_below_the_bound():
+    for name, bound in CALLS_PER_STEP_BOUND.items():
+        python, c = count_calls.step_counts(name, 200)
+        assert python + c <= bound, name

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (counted, element_gap, momentum_drift_oracle, momentum_value_oracle,
-                      reversibility_oracle)
+from conftest import (counted, counted_evaluation, element_gap, momentum_drift_oracle,
+                      momentum_value_oracle, reversibility_oracle, with_evaluation)
 from test_golden import STARTS
 
 import nhmech.diagnostics as dg
@@ -100,16 +100,18 @@ class TestReversibility:
         assert (rep.solved_steps, rep.dynamics_reversible) == (4, True)
 
     def test_arithmetic_failure_in_a_step_leaves_the_sample_unsolved(self):
-        # the step of the first sample meets a math domain error in H; it is
-        # that step's SingularError, so the sample counts as unsolved
+        # the step of the first sample meets a math domain error in the H of
+        # its joint evaluation at g; it is that step's SingularError, so the
+        # sample counts as unsolved
         p = md.make_constrained_particle()
         samples = p.sample_states(np.random.default_rng(0), 2)
-        lag = p.lagrangian
+        evaluate = p.evaluate
 
-        def hess(g):
-            return math.sqrt(-1.0) if g is samples[0] else lag.mixed_hess(g)
+        def failing(g):
+            right, phi, H, left_jac = evaluate(g)
+            return right, phi, math.sqrt(-1.0) if g is samples[0] else H, left_jac
 
-        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess))
+        q = with_evaluation(p, failing)
         with pytest.raises(SingularError, match="math domain error") as exc:
             sv.step(q, samples[0])
         assert isinstance(exc.value.__cause__, ValueError)
@@ -288,18 +290,17 @@ class TestSharedFrame:
         assert dg.reversibility_report(p, samples, frames=frames) == fresh
 
     @pytest.mark.parametrize("name, fresh_calls", [("suslov", 1), ("mobile_robot", 2)])
-    def test_step_accepting_the_reports_guess_takes_no_hessian(self, name, fresh_calls):
-        # these steps accept their first guess: a fresh step takes H at g for
-        # its right test and at the guess for its Newton matrix (g itself on
-        # a Lie group), and its left test at the root reads the second.  From
-        # the report's frame the step takes neither, even after an identity
-        # report on the same problem (as in ``check``): the report's Newton
-        # matrix left the guess's pair in the frame's record, where the
-        # step's Newton matrix and left test read it.
-        p = _factory(name)
+    def test_step_accepting_the_reports_guess_takes_no_evaluation(self, name, fresh_calls):
+        # these steps accept their first guess: a fresh step evaluates g for
+        # its right test and the guess for its residual and Newton matrix (g
+        # itself on a Lie group), and its left test at the root reads the
+        # second.  From the report's frame the step evaluates neither, even
+        # after an identity report on the same problem (as in ``check``): the
+        # report's Newton matrix left the guess's evaluation in the frame's
+        # record, where the step's residual, Newton matrix and left test
+        # read it.
         calls = [0]
-        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
-        p = dataclasses.replace(p, lagrangian=lag)
+        p = counted_evaluation(_factory(name), calls)
         bk = p.backend
         for g in self._samples(p):
             frame = pb.StepFrame(p, g)

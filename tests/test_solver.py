@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import counted, del_covector, newton_tail_is_quadratic, particle_oracle
+from conftest import (counted, counted_evaluation, del_covector, newton_tail_is_quadratic,
+                      particle_oracle)
 from scipy.linalg import lapack
 from test_golden import STARTS
 from test_models import ROTATED_J
@@ -32,17 +33,15 @@ def _particle_pair():
 
 
 def _sleigh_with_bad_hess(first_bad_call, factor):
-    """The sleigh with H multiplied by ``factor`` from its ``first_bad_call``-th
-    call on; returns the problem and its running call count."""
-    p = md.make_chaplygin_sleigh()
-    lag = p.lagrangian
+    """The sleigh with the H of its joint evaluation multiplied by ``factor``
+    from its ``first_bad_call``-th evaluation on; returns the problem and its
+    running evaluation count."""
     calls = [0]
 
-    def hess(g):
-        calls[0] += 1
-        return lag.mixed_hess(g) * (factor if calls[0] >= first_bad_call else 1.0)
+    def hess(H, count):
+        return H * (factor if count >= first_bad_call else 1.0)
 
-    return dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess)), calls
+    return counted_evaluation(md.make_chaplygin_sleigh(), calls, hess), calls
 
 
 def _evolve_counted(monkeypatch, p, g0, n_steps, *counts):
@@ -198,11 +197,12 @@ class TestFailureModes:
     @pytest.mark.parametrize("where", ["two-point pairing", "Newton matrix"],
                              ids=["pairing", "newton"])
     def test_non_finite_H_is_singular_with_step_index(self, where, monkeypatch):
-        # in evolve, step 2's right test and first Newton matrix reuse the H
-        # that step 1's left test took at its root, so step 2 takes one H per
-        # later Newton matrix and one for the left test at its own root; H
-        # turns NaN at that step's last H call (the left test) or at its
-        # first (the Newton matrix of its second iteration)
+        # in evolve, step 2's right test, first residual and first Newton
+        # matrix reuse the evaluation that step 1 took at its root (g itself,
+        # the first guess on a Lie group), so step 2 evaluates once per
+        # accepted iterate, its root last; H turns NaN at that step's last
+        # evaluation (read by the left test at the root) or at its first (the
+        # Newton matrix of its second iteration)
         p, calls = _sleigh_with_bad_hess(np.inf, np.nan)
         g0 = p.initial_builder({"xi": [0.7, 0.9]})
         _, steps = _evolve_counted(monkeypatch, p, g0, 3, calls)
@@ -302,25 +302,29 @@ class TestFailureModes:
         assert exc.value.step_index == 0
         assert isinstance(exc.value.__cause__, ValueError)
 
-    @pytest.mark.parametrize("which, error", [("left_grad", ValueError),
-                                              ("left_grad", OverflowError),
-                                              ("right_grad", ValueError)])
-    def test_numeric_failure_of_a_gradient_is_singular_with_step_index(self, which, error):
-        # evolve takes the left gradient in building a step's frame, and the
-        # step the right one; each raises on its third call, in step 2
-        p = md.make_suslov()
-        g0 = p.initial_builder({"omega": [0.4, -0.3]})
+    @pytest.mark.parametrize("name, which, error, failing_call",
+                             [("suslov", "left_grad", ValueError, 3),
+                              ("suslov", "left_grad", OverflowError, 3),
+                              ("mobile_robot", "right_grad", ValueError, 4)])
+    def test_numeric_failure_of_a_gradient_is_singular_with_step_index(self, name, which, error,
+                                                                       failing_call):
+        # evolve takes the left gradient in building a step's frame, once per
+        # step, and the step the right one in each candidate evaluation: the
+        # robot evaluates at g0 and at each step's first guess, which it
+        # accepts.  Each raises on the call that falls in step 2
+        p = md.FACTORIES[name]()
+        g0 = p.initial_builder(STARTS[name])
         grad, calls = getattr(p.lagrangian, which), [0]
 
         def failing(g):
             calls[0] += 1
-            if calls[0] == 3:
+            if calls[0] == failing_call:
                 raise error("math domain error")
             return grad(g)
 
         lag = dataclasses.replace(p.lagrangian, **{which: failing})
         q = dataclasses.replace(p, lagrangian=lag)
-        with pytest.raises(SingularError, match="suslov: arithmetic failure") as exc:
+        with pytest.raises(SingularError, match=f"{name}: arithmetic failure") as exc:
             sv.evolve(q, g0, 5)
         assert exc.value.step_index == 2
         assert isinstance(exc.value.__cause__, error)
@@ -598,25 +602,19 @@ def test_every_root_is_certified_by_its_own_step(name):
 class TestStepCounts:
     def test_backtracks_count_rejected_trial_points(self):
         # from this start the sleigh's line search rejects one full step;
-        # every residual evaluation makes one right-gradient call, and the
-        # multipliers reuse the last one
-        p = md.make_chaplygin_sleigh()
-        lag = p.lagrangian
+        # the step evaluates g for its right test (g is also its first
+        # guess) and every trial point once, and the multipliers reuse the
+        # last evaluation
         calls = [0]
-
-        def rgrad(g):
-            calls[0] += 1
-            return lag.right_grad(g)
-
-        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, right_grad=rgrad))
+        q = counted_evaluation(md.make_chaplygin_sleigh(), calls)
         res = sv.step(q, q.initial_builder({"xi": [1.4, 1.8]}))
         assert res.backtracks == 1
         assert calls[0] == 1 + res.iterations + res.backtracks
 
     def test_refused_candidate_is_a_backtrack(self):
-        # phi sees the first guess, then the first full Newton candidate,
-        # which it refuses: the step halves and lands on the same element as
-        # without the refusal
+        # phi sees g (the right test's evaluation), the first guess, then the
+        # first full Newton candidate, which it refuses: the step halves and
+        # lands on the same element as without the refusal
         p = md.make_constrained_particle(h=0.01)
         g0 = p.initial_builder({"q0": [0, 0, 0], "velocity": [1.0, 0.5]})
         base = p.constraints
@@ -624,7 +622,7 @@ class TestStepCounts:
 
         def phi(g):
             calls[0] += 1
-            if calls[0] == 2:
+            if calls[0] == 3:
                 raise ChartDomainError("refused")
             return base.phi(g)
 
@@ -701,20 +699,21 @@ class TestNewtonBookkeeping:
 
 
 COUNTED_STEPS = 50
-# H calls of a 200-step evolve from the golden start
-EVOLVE_H_CALLS = {"constrained_particle": 401, "suslov": 1, "chaplygin_sleigh": 68,
-                  "veselova": 601, "rolling_ball": 601, "mobile_robot": 201,
-                  "holonomic_sphere": 601}
+# joint candidate evaluations of a 200-step evolve from the golden start,
+# its initial constraint check (phi at g0) included
+EVOLVE_EVALUATIONS = {"constrained_particle": 402, "suslov": 2, "chaplygin_sleigh": 69,
+                      "veselova": 602, "rolling_ball": 602, "mobile_robot": 202,
+                      "holonomic_sphere": 602}
 
 
 class TestCallCounts:
     """What a step does not recompute, pinned per step over COUNTED_STEPS
     steps: the first guess needs no chart log, the basis at beta(g) serves
-    the left test at the root too, in evolve the left test's H and phi
-    gradient at the root serve the next step's right test, on a Lie group
-    the first Newton matrix reuses the H(g) of the right test, and a step
-    that accepts its first guess hands the H and phi gradient of its Newton
-    matrix to its own left test."""
+    the left test at the root too, each candidate is evaluated once (one
+    joint evaluation serves its residual, its Newton matrix, the left test
+    and the multipliers at a root), in evolve the root's evaluation serves
+    the next step's right test, and on a Lie group, whose first guess is g
+    itself, its first residual and Newton matrix too."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_no_chart_coords_in_a_step(self, name, monkeypatch):
@@ -752,57 +751,79 @@ class TestCallCounts:
             assert calls[0] == k + 1
 
     def test_first_newton_matrix_reuses_the_regularity_hessian(self, monkeypatch):
-        p = md.make_suslov(J=ROTATED_J)
         calls = [0]
-        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, calls))
-        p = dataclasses.replace(p, lagrangian=lag)
+        p = counted_evaluation(md.make_suslov(J=ROTATED_J), calls)
         g0 = p.initial_builder(STARTS["suslov"])
         _, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS, calls)
         for k, (res, before, after) in enumerate(steps):
             assert res.iterations > 0
-            # one H per Newton matrix after the first and one for the left
-            # test at the root; the first step also takes H(g0) for its right
-            # test, which later steps read from the previous left test
-            assert _growth(before, after) == ((k == 0) + 1 + max(0, res.iterations - 1),)
+            # one evaluation per accepted iterate, whose Newton matrix (after
+            # the first) and left test at the root read it; the first step
+            # also evaluates g0 for its right test, which later steps read
+            # from the previous root, and on a Lie group the first residual
+            # and Newton matrix, at g, read it too; evolve's initial
+            # constraint check (phi at g0) counts in step 0
+            assert _growth(before, after) == (2 * (k == 0) + res.iterations + res.backtracks,)
 
-    @pytest.mark.parametrize("name", sorted(EVOLVE_H_CALLS))
-    def test_evolve_carries_h_from_step_to_step(self, name):
+    @pytest.mark.parametrize("name", sorted(EVOLVE_EVALUATIONS))
+    def test_evolve_carries_the_evaluation_from_step_to_step(self, name):
         # evolve hands each step's record to the next step's frame; a loop of
         # bare steps starts every frame empty, so each step after the first
-        # takes H at its element once more, and the path is the same
-        p, hess, _ = self._counting_h_and_phi_jac(name)
+        # evaluates its element once more, and the path is the same
+        calls = [0]
+        p = counted_evaluation(md.FACTORIES[name](), calls)
         g = g0 = p.initial_builder(STARTS[name])
         traj = sv.evolve(p, g0, 200)
-        assert hess[0] == EVOLVE_H_CALLS[name]
+        assert calls[0] == EVOLVE_EVALUATIONS[name]
         for res in traj.results:
             g = sv.step(p, g).next
             assert np.array_equal(p.to_row(g), p.to_row(res.next))
-        assert hess[0] == 2 * EVOLVE_H_CALLS[name] + 199
+        assert calls[0] == 2 * EVOLVE_EVALUATIONS[name] + 198
+
+    @pytest.mark.parametrize("name", sorted(md.FACTORIES))
+    def test_one_evaluation_per_candidate_and_no_separate_part(self, name):
+        # a step evaluates its first guess and each trial point once; the
+        # record supplies the right test at g (from the step before) and, on
+        # a Lie group, the first guess, which is g itself.  The four parts a
+        # step once called separately are not called inside solver.step
+        calls = [0]
+        p = counted_evaluation(md.FACTORIES[name](), calls)
+
+        def separate(h):
+            raise AssertionError("a separate candidate part was called in a step")
+
+        p.right_grad = p.phi = p.mixed_hess = p.phi_left_jac = separate
+        g, record = p.initial_builder(STARTS[name]), (None, None)
+        for k in range(COUNTED_STEPS):
+            frame = pb.StepFrame(p, g, record)
+            before = calls[0]
+            res = sv.step(p, g, frame=frame)
+            carried = (k > 0) + (frame.guess() is g)
+            assert calls[0] - before == 2 + res.iterations + res.backtracks - carried
+            g, record = res.next, frame.record
+            assert record[0] is g
 
     @staticmethod
-    def _counting_h_and_phi_jac(name):
-        """The system with counted mixed_hess and phi_left_jac, and their
-        running call counts."""
-        p = md.FACTORIES[name]()
-        hess, jac = [0], [0]
-        lag = dataclasses.replace(p.lagrangian, mixed_hess=counted(p.lagrangian.mixed_hess, hess))
-        con = dataclasses.replace(p.constraints, left_jac=counted(p.constraints.left_jac, jac))
-        return dataclasses.replace(p, lagrangian=lag, constraints=con), hess, jac
+    def _counting_evaluations(name):
+        """The system with its joint evaluation counted, and the running
+        count."""
+        calls = [0]
+        return counted_evaluation(md.FACTORIES[name](), calls), calls
 
     @pytest.mark.parametrize("name, per_step", [("suslov", 0), ("mobile_robot", 1)])
-    def test_accepted_first_guess_carries_h_to_the_next_regularity_test(self, name, per_step,
-                                                                        monkeypatch):
+    def test_accepted_first_guess_carries_its_evaluation_to_the_next_regularity_test(
+            self, name, per_step, monkeypatch):
         # a step that accepts its first guess returns the center of its only
-        # Newton matrix, so its left test at that root reuses the matrix's H
-        # and phi gradient, and evolve hands them to the next step's right
-        # test; on a Lie group the first guess is g itself, whose pair the
-        # right test took
-        p, hess, jac = self._counting_h_and_phi_jac(name)
+        # Newton matrix, so its left test and multipliers at that root read
+        # the evaluation of its first residual, and evolve hands it to the
+        # next step's right test; on a Lie group the first guess is g itself,
+        # whose evaluation the step before left
+        p, calls = self._counting_evaluations(name)
         g0 = p.initial_builder(STARTS[name])
-        traj, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS + 1, hess, jac)
+        traj, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS + 1, calls)
         for g, (res, before, after) in zip(traj.elements[1:], steps[1:]):
             assert res.iterations == 0
-            assert _growth(before, after) == (per_step, per_step)
+            assert _growth(before, after) == (per_step,)
             # the carried pair gives the sigmas a fresh frame gives
             assert res.sigma_min_left == sv.point_regularity_sigmas(p, res.next)[0][0]
             assert res.sigma_min_right == sv.point_regularity_sigmas(p, g)[1][0]
@@ -810,24 +831,24 @@ class TestCallCounts:
     @pytest.mark.parametrize("name, calls", [("suslov", 1), ("mobile_robot", 2)])
     def test_equal_copy_of_the_accepted_element_evaluates_afresh(self, name, calls):
         # the record is keyed by identity: handed the record of the step
-        # into g, a frame for a copy of g with the same values evaluates H
-        # and the phi gradient again (and the robot's Newton matrix once
-        # more), a frame for g itself one fewer, and the steps are the same
-        p, hess, jac = self._counting_h_and_phi_jac(name)
+        # into g, a frame for a copy of g with the same values evaluates it
+        # again (and the robot's first guess too), a frame for g itself one
+        # fewer, and the steps are the same
+        p, calls_made = self._counting_evaluations(name)
         g0 = p.initial_builder(STARTS[name])
         into = pb.StepFrame(p, g0)
         g = sv.step(p, g0, frame=into).next
         copy = tuple(a.copy() for a in g) if isinstance(g, tuple) else g.copy()
 
         def step_from(start):
-            before = hess[0], jac[0]
+            before = calls_made[0]
             res = sv.step(p, start, frame=pb.StepFrame(p, start, into.record))
-            return res, (hess[0] - before[0], jac[0] - before[1])
+            return res, calls_made[0] - before
 
         from_copy, taken = step_from(copy)
-        assert taken == (calls, calls)
+        assert taken == calls
         from_g, taken = step_from(g)
-        assert taken == (calls - 1, calls - 1)
+        assert taken == calls - 1
         assert np.array_equal(p.to_row(from_copy.next), p.to_row(from_g.next))
         assert np.array_equal(from_copy.multipliers, from_g.multipliers)
         for f in dataclasses.fields(sv.StepResult)[2:]:
