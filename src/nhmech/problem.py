@@ -119,7 +119,7 @@ def candidate_parts(evaluate):
 def _joint_of(parts):
     """The joint evaluation whose :func:`candidate_parts` the four parts are,
     else None."""
-    evaluate = getattr(parts[0], "args", (None,))[0]
+    evaluate = (getattr(parts[0], "args", None) or (None,))[0]
     projected = all(isinstance(f, functools.partial) and f.func is _entry and f.args == (evaluate, i)
                     for i, f in enumerate(parts))
     return evaluate if projected else None
