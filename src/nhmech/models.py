@@ -92,13 +92,13 @@ def _sym_pd(M, what):
 
 # ---------------------------------------------------------------------------
 # the three kinetic forms: every built-in Lagrangian is one of them, a sum of
-# two on an Atiyah element, or one plus a potential term.  Each gradient is
-# written once, as a formula on the floats of its element part.  Called with
-# the part alone, a formula reads the part and makes the gradient's array
-# itself, in one frame; called with floats already read, it returns the
-# list of the gradient's floats, for a model's candidate evaluation or an
-# Atiyah form to make one array of.  A form's right part returns that list
-# and H together, so what they share is formed once
+# two on an Atiyah element, or one plus a potential term.  Each gradient and
+# each H is written once, as a formula on the floats of its element part.
+# Called with the part alone, a left gradient reads the part and makes its
+# array in one frame; the right gradient and H of a form take the part and
+# the floats a model's read of the candidate took (see
+# ``problem.candidate_parts``), and the right gradient returns the list of
+# its floats, for the model or an Atiyah form to make one array of
 
 
 def _pair_form(mass, h, dim):
@@ -131,16 +131,15 @@ def _pair_form(mass, h, dim):
 
 def _so3_form(J):
     """The Moser-Veselov trace form -Tr(J W) on rotations W, J symmetric:
-    returns (value, left, right).
+    returns (value, left, right, hess).
 
-    ``left(W)`` is the left gradient axial(J W) and ``left(W, rows)``,
-    given rows = W.tolist(), the list of its floats.  ``right(W, rows)``
-    returns the list of the floats of the right gradient axial(W J) and
+    ``left(W)`` is the left gradient axial(J W) and ``left(W, rows)``, given
+    rows = W.tolist(), the list of its floats; ``right(W, rows)`` is the list
+    of the floats of the right gradient axial(W J), and ``hess(W, rows)`` is
     H(W) = axial_left_mul(W J) W (column j is axial(W E_j J), and W E_j =
-    hat(W e_j) W for a rotation), with W J formed once.  For J = c I the
-    products are formed as c W, and both gradients are read from the rows of
-    W as c w21 - c w12 and so on, which gives the same values as the
-    matmuls."""
+    hat(W e_j) W for a rotation).  For J = c I the products are formed as
+    c W, and both gradients are read from the rows of W as c w21 - c w12 and
+    so on, which gives the same values as the matmuls."""
     c = float(J[0, 0])
     if np.array_equal(J, c * np.eye(3)):
 
@@ -149,10 +148,9 @@ def _so3_form(J):
             vals = [c * w21 - c * w12, c * w02 - c * w20, c * w10 - c * w01]
             return vals if rows else np.array(vals)
 
-        def right(W, rows):
-            return left(W, rows), lg.axial_left_mul(c * W) @ W
-
-        product = lambda W: c * W
+        right = left
+        value = lambda W: -float(np.trace(c * W))
+        hess = lambda W, rows: lg.axial_left_mul(c * W) @ W
     else:
 
         def left(W, rows=None):
@@ -160,17 +158,17 @@ def _so3_form(J):
             return vals.tolist() if rows else vals
 
         def right(W, rows):
-            WJ = W @ J
-            (_, a01, a02), (a10, _, a12), (a20, a21, _) = WJ.tolist()
-            return [a21 - a12, a02 - a20, a10 - a01], lg.axial_left_mul(WJ) @ W
+            (_, a01, a02), (a10, _, a12), (a20, a21, _) = (W @ J).tolist()
+            return [a21 - a12, a02 - a20, a10 - a01]
 
-        product = lambda W: J @ W
-    return (lambda W: -float(np.trace(product(W)))), left, right
+        value = lambda W: -float(np.trace(J @ W))
+        hess = lambda W, rows: lg.axial_left_mul(W @ J) @ W
+    return value, left, right, hess
 
 
 def _se2_form(K):
     """The trace form (1/2) Tr((W - I) K (W - I)^T) on SE(2) triples g, with
-    W = se2_matrix(g) and K symmetric: returns (value, left, right).
+    W = se2_matrix(g) and K symmetric: returns (value, left, right, hess).
 
     With pair(M) = (M01 - M10, M20, M21), the components of
     v -> Tr(se2_hat(v) M) in the (omega, v1, v2) basis, the left and right
@@ -179,8 +177,8 @@ def _se2_form(K):
     and the entries of K, with (u, v) = R^T (x, y) the translation in the
     body frame; K01 cancels from both.  ``left(g)`` is the left gradient and
     ``left(g, (theta, x, y))`` the list of its floats; ``right(g, (theta, x,
-    y))`` returns the list of the right gradient's floats and H(g), from one
-    (c, s).
+    y))`` is the list of the right gradient's floats and ``hess(g, (theta, x,
+    y))`` is H.
     """
     k_trace = float(K[0, 0] + K[1, 1])
     k02, k12, k22 = float(K[0, 2]), float(K[1, 2]), float(K[2, 2])
@@ -201,31 +199,35 @@ def _se2_form(K):
     def right(g, floats):
         th, x, y = floats
         c, s = math.cos(th), math.sin(th)
-        grad = [k_trace * s + (k02 * y - k12 * x),
+        return [k_trace * s + (k02 * y - k12 * x),
                 k02 * (c - 1.0) - k12 * s + k22 * x,
                 k02 * s + k12 * (c - 1.0) + k22 * y]
+
+    def hess(g, floats):
         # Column j of H is pair(S + S^T - P) with P = W E_j K, S = P W^T and
         # E_j = se2_hat(e_j).  Row 2 of W E_j is zero and row 2 of W is e_2,
         # so the column is (P10 - P01, P02, P12); only the rotation part of W
         # enters, and K01 cancels.
-        return grad, np.array([
+        c, s = math.cos(floats[0]), math.sin(floats[0])
+        return np.array([
             [c * k_trace, s * k02 - c * k12, c * k02 + s * k12],
             [-(s * k02 + c * k12), c * k22, -s * k22],
             [c * k02 - s * k12, s * k22, c * k22],
         ])
 
-    return value, left, right
+    return value, left, right, hess
 
 
 def _atiyah_form(base, group):
     """base + group on Atiyah elements (p0, p1, G): a pair form (value, grad,
-    H) on the base points plus a form (value, left, right) on the
-    3-dimensional group part; returns (value, left, right).  H is
-    block-diagonal, and each gradient is one array of the base part's floats
-    followed by the group part's.  ``right(el, (q0, q1), floats)`` takes the
-    floats of the base points and of G."""
+    H) on the base points plus a form (value, left, right, hess) on the
+    3-dimensional group part; returns (value, left, read, right, hess).  H
+    is block-diagonal, and each gradient is one array of the base part's
+    floats followed by the group part's.  ``read(el)`` is ((p0 floats, p1
+    floats), G floats), and ``right(el, f)`` and ``hess(el, f)`` take it (or
+    a tuple that starts with it) as f."""
     base_value, base_grad, base_hess = base
-    group_value, group_left, group_right = group
+    group_value, group_left, group_right, group_hess = group
     m = base_hess.shape[0]
     n = m + 3
     base_block = np.zeros((n, n))
@@ -236,22 +238,24 @@ def _atiyah_form(base, group):
         return np.array(base_grad(el, (el[0].tolist(), el[1].tolist()))
                         + group_left(G, G.tolist()))
 
-    def right(el, base_floats, floats):
-        grad, group_hess = group_right(el[2], floats)
+    read = lambda el: ((el[0].tolist(), el[1].tolist()), el[2].tolist())
+
+    def right(el, f):
+        return np.array(base_grad(el, f[0]) + group_right(el[2], f[1]))
+
+    def hess(el, f):
         H = base_block.copy()
-        H[m:, m:] = group_hess
-        return np.array(base_grad(el, base_floats) + grad), H
+        H[m:, m:] = group_hess(el[2], f[1])
+        return H
 
-    return (lambda el: base_value(el) + group_value(el[2])), left, right
+    return (lambda el: base_value(el) + group_value(el[2])), left, read, right, hess
 
 
-def _problem(evaluate, value, left_grad, codim, right_jac, **fields):
-    """An NhProblem whose step path is the model's joint candidate evaluation
-    ``evaluate(h)`` = (right gradient of L, phi, H, left gradient of phi):
-    its Lagrangian and ConstraintSet take the four
-    ``problem.candidate_parts`` of it, with the value, the left gradient of
-    L and the right gradient of phi, which a step takes at g alone."""
-    right_grad, phi, hess, left_jac = candidate_parts(evaluate)
+def _problem(value, left_grad, parts, codim, right_jac, **fields):
+    """An NhProblem whose step path is the joint evaluation of the model's
+    four ``problem.candidate_parts``, with the value, the left gradient of L
+    and the right gradient of phi, which a step takes at g alone."""
+    right_grad, phi, hess, left_jac = parts
     return NhProblem(
         lagrangian=Lagrangian(eval=value, left_grad=left_grad, right_grad=right_grad,
                               mixed_hess=hess),
@@ -271,16 +275,19 @@ def make_constrained_particle(h=0.01):
     bk = PairGroupoid(3)
     value, grad, H = _pair_form(1.0, h, 3)
 
-    def phi_jac(q0, q1, side):
+    read = lambda g: (g[0].tolist(), g[1].tolist())
+
+    def phi(g, floats):
+        (x0, y0, z0), (x1, y1, z1) = floats
+        return np.array([(z1 - z0) / h - 0.5 * (y1 + y0) * (x1 - x0) / h])
+
+    def phi_jac(floats, side):
         # side -1.0 for the left chart, 1.0 for the right
-        (x0, y0, _), (x1, y1, _) = q0, q1
+        (x0, y0, _), (x1, y1, _) = floats
         return np.array([[-(y1 + y0) / (2 * h), side * (x1 - x0) / (2 * h), 1.0 / h]])
 
-    def evaluate(g):
-        q0, q1 = floats = g[0].tolist(), g[1].tolist()
-        (x0, y0, z0), (x1, y1, z1) = floats
-        phi = np.array([(z1 - z0) / h - 0.5 * (y1 + y0) * (x1 - x0) / h])
-        return np.array(grad(g, floats)), phi, H, phi_jac(q0, q1, -1.0)
+    parts = candidate_parts(read, lambda g, f: np.array(grad(g, f)), phi, lambda g, f: H,
+                            lambda g, f: phi_jac(f, -1.0))
 
     def basis(x):
         return np.array([[1.0, 0.0], [0.0, 1.0], [x[1], 0.0]])
@@ -326,7 +333,7 @@ def make_constrained_particle(h=0.01):
         ),
     }
     return _problem(
-        evaluate, value, grad, 1, lambda g: phi_jac(g[0].tolist(), g[1].tolist(), 1.0),
+        value, grad, parts, 1, lambda g: phi_jac(read(g), 1.0),
         name="constrained_particle",
         backend=bk,
         distribution=Distribution(basis=basis, annihilator=annihilator),
@@ -353,7 +360,11 @@ def make_suslov(J=None, h=0.05):
     h = number(h, "h", positive=True)
     JJ = _sym_pd(np.diag([1.0, 2.0, 3.0]) if J is None else J, "J")
     bk = LieGroupGroupoid("so3")
-    value, left, right = _so3_form(JJ / h)
+    value, left, right, hess = _so3_form(JJ / h)
+
+    def phi(W, rows):
+        (_, w01, _), (w10, _, _), _ = rows
+        return np.array([w10 - w01])
 
     def phi_jac(rows):
         # row 2 of axial_left_mul: the right chart from the rows of W, the
@@ -361,11 +372,8 @@ def make_suslov(J=None, h=0.05):
         (w00, _, _), (_, w11, _), (w20, w21, _) = rows
         return np.array([[-w20, -w21, w00 + w11]])
 
-    def evaluate(W):
-        rows = W.tolist()
-        (_, w01, _), (w10, _, _), _ = rows
-        grad, H = right(W, rows)
-        return np.array(grad), np.array([w10 - w01]), H, phi_jac(zip(*rows))
+    parts = candidate_parts(np.ndarray.tolist, lambda W, rows: np.array(right(W, rows)), phi,
+                            hess, lambda W, rows: phi_jac(zip(*rows)))
 
     basis_mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     ann_mat = np.array([[0.0], [0.0], [1.0]])
@@ -386,7 +394,7 @@ def make_suslov(J=None, h=0.05):
 
     names = [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     return _problem(
-        evaluate, value, left, 1, lambda W: phi_jac(W.tolist()),
+        value, left, parts, 1, lambda W: phi_jac(W.tolist()),
         name="suslov",
         backend=bk,
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
@@ -420,7 +428,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
     )
     bk = LieGroupGroupoid("se2")
 
-    value, left, right = _se2_form(K)
+    value, left, right, hess = _se2_form(K)
     half_trace = 0.5 * float(np.trace(K))
 
     def phi_jac(x, y, sh, ch, side):
@@ -430,15 +438,17 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         Jacobian, which simplifies to (side a, -side sh, -ch)."""
         return np.array([[side * 0.5 * (x * ch + y * sh), -side * sh, -ch]])
 
-    def evaluate(g):
+    def read(g):
+        # the floats of g, and (x, y, sin(th/2), cos(th/2)) for phi and its gradient
         th, x, y = floats = g.tolist()
-        sh, ch = math.sin(th / 2), math.cos(th / 2)
-        grad, H = right(g, floats)
-        return np.array(grad), np.array([x * sh - y * ch]), H, phi_jac(x, y, sh, ch, 1.0)
+        return floats, (x, y, math.sin(th / 2), math.cos(th / 2))
 
-    def right_jac(g):
-        th, x, y = g.tolist()
-        return phi_jac(x, y, math.sin(th / 2), math.cos(th / 2), -1.0)
+    def phi(g, f):
+        x, y, sh, ch = f[1]
+        return np.array([x * sh - y * ch])
+
+    parts = candidate_parts(read, lambda g, f: np.array(right(g, f[0])), phi,
+                            lambda g, f: hess(g, f[0]), lambda g, f: phi_jac(*f[1], 1.0))
 
     def basis(x):
         # blade direction and rotation about the contact point
@@ -458,7 +468,7 @@ def make_chaplygin_sleigh(m=1.0, a=0.3, b=0.2, J=0.4):
         ]
 
     return _problem(
-        evaluate, lambda g: value(g) - half_trace, left, 1, right_jac,
+        lambda g: value(g) - half_trace, left, parts, 1, lambda g: phi_jac(*read(g)[1], -1.0),
         name="chaplygin_sleigh",
         backend=bk,
         distribution=Distribution(
@@ -487,22 +497,26 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
     bk = ActionGroupoid()
     mgl = m * g * l
 
-    kin_value, kin_left, kin_right = _so3_form(TF / h)
+    kin_value, kin_left, kin_right, kin_hess = _so3_form(TF / h)
     hm = h * mgl
 
-    def evaluate(el):
+    def right(el, rows):
+        # the right curve moves gamma too, so only this gradient sees the potential
         gam, W = el
-        rows = W.tolist()
+        return np.array(kin_right(W, rows)) - hm * lg.cross3(gam, evec)
+
+    def phi(el, rows):
         # axial(W) vanishes at a rotation by pi too: refusing that spurious
         # branch keeps Newton off its roots (small rotations are legal motion)
+        gam, W = el
         tr = rows[0][0] + rows[1][1] + rows[2][2]
         if abs(tr + 1.0) < 1e-6:
             raise SingularError(f"veselova: rotation angle at pi (trace {tr:.6f})")
-        grad, H = kin_right(W, rows)
-        # the right curve moves gamma too, so only this gradient sees the potential
-        right = np.array(grad) - hm * lg.cross3(gam, evec)
-        phi = np.array([float(gam @ lg.axial(W))])
-        return right, phi, H, (gam @ lg.axial_right_mul(W))[None, :]
+        return np.array([float(gam @ lg.axial(W))])
+
+    parts = candidate_parts(lambda el: el[1].tolist(), right, phi,
+                            lambda el, rows: kin_hess(el[1], rows),
+                            lambda el, rows: (el[0] @ lg.axial_right_mul(el[1]))[None, :])
 
     def phi_right(el):
         # the right curve moves gamma too: d gamma = gamma x v
@@ -539,8 +553,8 @@ def make_veselova(I=None, m=1.0, g=9.81, l=0.3, e=(0.0, 0.0, 1.0), h=0.05):
 
     names = ["g1", "g2", "g3"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     return _problem(
-        evaluate, lambda el: kin_value(el[1]) - hm * float(el[0] @ evec),
-        lambda el: kin_left(el[1]), 1, phi_right,
+        lambda el: kin_value(el[1]) - hm * float(el[0] @ evec),
+        lambda el: kin_left(el[1]), parts, 1, phi_right,
         name="veselova",
         backend=bk,
         distribution=Distribution(
@@ -565,7 +579,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     Omega, h = number(Omega, "Omega"), number(h, "h", positive=True)
     base = _pair_form(m, h, 2)  # its check of h comes before any 1/h^2 term
     spin = I / (2 * h * h)
-    value, left, right = _atiyah_form(base, _so3_form(spin * np.eye(3)))
+    value, left, read, right, hess = _atiyah_form(base, _so3_form(spin * np.eye(3)))
     bk = AtiyahGroupoid(2, "so3")
     rh = r / (2 * h)
 
@@ -582,18 +596,13 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
             ]
         )
 
-    def evaluate(el):
-        (x0, y0), (x1, y1) = base_floats = el[0].tolist(), el[1].tolist()
-        rows = el[2].tolist()
-        (_, w01, w02), (w10, _, w12), (w20, w21, _) = rows
-        grad, H = right(el, base_floats, rows)
-        phi = np.array(
-            [
-                (x1 - x0) / h - rh * (w02 - w20) + 0.5 * Omega * (y1 + y0),
-                (y1 - y0) / h + rh * (w21 - w12) - 0.5 * Omega * (x1 + x0),
-            ]
-        )
-        return grad, phi, H, phi_jac(0.5 * Omega, zip(*rows))
+    def phi(el, f):
+        ((x0, y0), (x1, y1)), ((_, w01, w02), (w10, _, w12), (w20, w21, _)) = f[0], f[1]
+        return np.array([(x1 - x0) / h - rh * (w02 - w20) + 0.5 * Omega * (y1 + y0),
+                         (y1 - y0) / h + rh * (w21 - w12) - 0.5 * Omega * (x1 + x0)])
+
+    parts = candidate_parts(read, right, phi, hess,
+                            lambda el, f: phi_jac(0.5 * Omega, zip(*f[1])))
 
     basis_mat = np.array(
         [
@@ -656,7 +665,7 @@ def make_rolling_ball(m=1.0, r=1.0, I=0.4, Omega=1.0, h=0.01):
     }
     names = ["x0", "y0", "x1", "y1"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     return _problem(
-        evaluate, value, left, 2, lambda el: phi_jac(-0.5 * Omega, el[2].tolist()),
+        value, left, parts, 2, lambda el: phi_jac(-0.5 * Omega, el[2].tolist()),
         name="rolling_ball",
         backend=bk,
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
@@ -724,7 +733,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
     )
     base = _pair_form(J1, h, 2)  # its check of h comes before any 1/h^2 term
     K = K / (h * h)
-    value, left, right = _atiyah_form(base, _se2_form(K))
+    value, left, form_read, right, hess = _atiyah_form(base, _se2_form(K))
     bk = AtiyahGroupoid(2, "se2")
     dsinc = lambda s: (-s / 3 + s**3 / 30) if abs(s) < 1e-4 else (s * math.cos(s) - math.sin(s)) / s**2
     dvc = lambda s: (0.5 - s * s / 8) if abs(s) < 1e-4 else (s * math.sin(s) - (1 - math.cos(s))) / s**2
@@ -750,14 +759,17 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         ]
         return np.array([b + j for b, j in zip(base, group_jac)])
 
-    def evaluate(el):
-        base_floats = el[0].tolist(), el[1].tolist()
-        th, x, y = floats = el[2].tolist()
-        grad, H = right(el, base_floats, floats)
-        sincs = dphi, dpsi, s, sc, vc = _sincs(*base_floats)
+    def read(el):
+        f = form_read(el)
+        return (*f, _sincs(*f[0]))
+
+    def phi(el, f):
+        (th, x, y), (dphi, dpsi, s, sc, vc) = f[1], f[2]
         tot = dphi + dpsi
-        phi = np.array([th + s, x + 0.5 * R * tot * sc, y - 0.5 * R * tot * vc])
-        return grad, phi, H, _phi_jac(sincs, lg.se2_left_jacobian(el[2]))
+        return np.array([th + s, x + 0.5 * R * tot * sc, y - 0.5 * R * tot * vc])
+
+    parts = candidate_parts(read, right, phi, hess,
+                            lambda el, f: _phi_jac(f[2], lg.se2_left_jacobian(el[2])))
 
     def right_jac(el):
         return _phi_jac(_sincs(el[0].tolist(), el[1].tolist()), lg.se2_right_jacobian(el[2]))
@@ -819,7 +831,7 @@ def make_mobile_robot(m0=1.0, m1=0.25, J=0.6, J1=0.2, R=0.1, c=0.3, l=0.0, h=0.0
         return out
 
     return _problem(
-        evaluate, value, left, 3, right_jac,
+        value, left, parts, 3, right_jac,
         name="mobile_robot",
         backend=bk,
         distribution=Distribution(basis=lambda x: basis_mat, annihilator=lambda x: ann_mat),
@@ -845,9 +857,10 @@ def make_holonomic_sphere(h=0.01):
     bk = PairGroupoid(3)
     value, grad, H = _pair_form(1.0, h, 3)
 
-    def evaluate(g):
-        q1 = g[1]
-        return grad(g), np.array([float(q1 @ q1) - 1.0]), H, (2.0 * q1)[None, :]
+    # the formulas read g[1] alone, as an array
+    parts = candidate_parts(lambda g: g[1], lambda g, q1: grad(g),
+                            lambda g, q1: np.array([float(q1 @ q1) - 1.0]), lambda g, q1: H,
+                            lambda g, q1: (2.0 * q1)[None, :])
 
     zero_row = np.zeros((1, 3))
     zero_row.flags.writeable = False
@@ -886,7 +899,7 @@ def make_holonomic_sphere(h=0.01):
         return out
 
     return _problem(
-        evaluate, value, grad, 1, lambda g: zero_row,
+        value, grad, parts, 1, lambda g: zero_row,
         name="holonomic_sphere",
         backend=bk,
         distribution=Distribution(

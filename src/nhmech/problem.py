@@ -11,10 +11,13 @@ over a basis X_a of the distribution at the matching point, together with
 ``phi(h) = 0``; ``residual_at`` stacks the projected rows first and the
 constraint rows after them.  A candidate h enters a step through one joint
 evaluation, ``NhProblem.evaluate(h)`` = (right gradient of L, phi, H, left
-gradient of phi): a built-in model writes it once and gives its four parts
-as :func:`candidate_parts`, and a hand-built problem has it assembled from
-its parts.  A :class:`StepFrame` evaluates once what a step from g needs of
-g alone and keeps the last candidate's evaluation; ``newton_jacobian_fd``,
+gradient of phi): a built-in model writes each part once, as a formula on
+one read of h, and gives them as :func:`candidate_parts`, so the evaluation
+reads h once and each part stays callable alone; a hand-built problem has it
+assembled from its parts.  A :class:`StepFrame` evaluates once what a step
+from g needs of g alone and keeps the last candidate's evaluation; a
+regularity test at an element it did not evaluate takes H (and the left
+gradient of phi) alone, so no test calls phi.  ``newton_jacobian_fd``,
 ``groupoid.cross_form`` and ``regularity_matrices`` are the references for
 its Newton matrix and tests.  The README ("Built-in systems", "Library use")
 gives the design.
@@ -103,31 +106,42 @@ class Lagrangian:
     mixed_hess: Optional[Callable] = None
 
 
-def _entry(evaluate, i, h):
-    return evaluate(h)[i]
+def _part(read, formula, h):
+    return formula(h, read(h))
 
 
-def candidate_parts(evaluate):
-    """(right_grad, phi, mixed_hess, phi_left_jac), each the projection of
-    one entry of a joint evaluation ``evaluate(h)`` that returns the four
-    arrays at a candidate h in that order.  A model gives them as its
-    Lagrangian's and ConstraintSet's parts; a problem whose four parts they
-    are steps through ``evaluate`` itself (see :class:`NhProblem`)."""
-    return tuple(functools.partial(_entry, evaluate, i) for i in range(4))
+def candidate_parts(read, right_grad, phi, mixed_hess, phi_left_jac):
+    """The four candidate parts (right_grad, phi, mixed_hess, phi_left_jac)
+    of a model that writes each as a formula ``f(h, read(h))``: ``read(h)``
+    takes what the formulas read of h (its floats, and any value two of them
+    share), and each formula returns its part's array.  Each part reads
+    h and applies its own formula alone.  A problem whose four parts one call
+    made steps through their joint evaluation, which reads h once and applies
+    the four formulas in that order (see :class:`NhProblem`)."""
+    return tuple(functools.partial(_part, read, f)
+                 for f in (right_grad, phi, mixed_hess, phi_left_jac))
 
 
 def _joint_of(parts):
-    """The joint evaluation whose :func:`candidate_parts` the four parts are,
-    else None."""
-    evaluate = (getattr(parts[0], "args", None) or (None,))[0]
-    projected = all(isinstance(f, functools.partial) and f.func is _entry and f.args == (evaluate, i)
-                    for i, f in enumerate(parts))
-    return evaluate if projected else None
+    """The joint evaluation of four parts that one :func:`candidate_parts`
+    call made, else None."""
+    read = (getattr(parts[0], "args", None) or (None,))[0]
+    if not all(isinstance(f, functools.partial) and f.func is _part and len(f.args) == 2
+               and f.args[0] is read and not f.keywords for f in parts):
+        return None
+    right_grad, phi, mixed_hess, phi_left_jac = (f.args[1] for f in parts)
+
+    def evaluate(h):
+        floats = read(h)
+        return (right_grad(h, floats), phi(h, floats), mixed_hess(h, floats),
+                phi_left_jac(h, floats))
+
+    return evaluate
 
 
 def _assembled(parts, h):
-    """The joint evaluation of a problem whose parts are not one model's
-    :func:`candidate_parts`: each part called at h, in order."""
+    """The joint evaluation of a problem whose parts no one
+    :func:`candidate_parts` call made: each part called at h, in order."""
     right_grad, phi, mixed_hess, phi_left_jac = parts
     return right_grad(h), phi(h), mixed_hess(h), phi_left_jac(h)
 
@@ -144,12 +158,13 @@ class NhProblem:
     where one is given, else a central difference (``mixed_hess`` at the
     wider step when the right gradient is itself a difference).  It binds
     ``evaluate(h)`` = (right_grad(h), phi(h), mixed_hess(h),
-    phi_left_jac(h)), the one call a step makes at a candidate: the model's
-    joint evaluation when the four parts are its :func:`candidate_parts`,
-    else the four parts called in that order, so a part that is replaced or
-    differenced is what a step calls.  ``dataclasses.replace`` binds them
-    all again.  It keeps no state between steps.  The README ("Built-in
-    systems") gives the contract of the model callables.
+    phi_left_jac(h)), the one call a step makes at a candidate: the joint
+    evaluation of the model's formulas when one :func:`candidate_parts` call
+    made the four parts, else the four parts called in that order, so a part
+    that is replaced, wrapped or differenced is what a step calls.
+    ``dataclasses.replace`` binds them all again.  It keeps no state between
+    steps.  The README ("Built-in systems") gives the contract of the model
+    callables.
     """
 
     name: str
@@ -272,9 +287,11 @@ class StepFrame:
     and the factored Newton matrix at the last center (:meth:`factored`),
     which a call that raises does not keep.  ``record`` is (element,
     ``p.evaluate(element)``) at the last element the frame evaluated
-    (:meth:`evaluation`), starting as the record handed in; the residual,
-    the Newton matrix, both tests and the multipliers at that element read
-    it.  The README ("Library use") gives the reasons.
+    (:meth:`evaluation`), starting as the record handed in; the residual and
+    the Newton matrix evaluate, and both tests and the multipliers read the
+    record at its element and call the parts they need alone anywhere else
+    (H(g) once per frame), so a test never calls phi.  The README ("Library
+    use") gives the reasons.
     """
 
     def __init__(self, p, g, record=(None, None)):
@@ -287,7 +304,7 @@ class StepFrame:
         self.left_rows = self.left_grad @ self.basis
         self.record = record
         self._factors = (None, None)
-        self._right = self._guess = None
+        self._right = self._guess = self._hess = None
 
     def guess(self):
         """The first guess of a step from g, ``backend.mirror(g)`` (g's
@@ -315,10 +332,6 @@ class StepFrame:
         right, phi, _, _ = self.evaluation(h)
         return np.concatenate([self.left_rows - right @ self.basis, phi])
 
-    def del_rows(self, h):
-        """Projected discrete Euler-Lagrange rows for a candidate h."""
-        return self.residual(h)[: self.p.r]
-
     def newton_matrix(self, center):
         """Jacobian of the residual in the chart at ``center``.
 
@@ -340,8 +353,8 @@ class StepFrame:
     def multipliers(self, h):
         """Multipliers expanding the difference covector over the annihilator
         basis at beta(g), by :func:`least_squares`."""
-        p = self.p
-        F = self.left_grad - self.evaluation(h)[0]
+        p, (at, values) = self.p, self.record
+        F = self.left_grad - (values[0] if at is h else p.right_grad(h))
         require_finite(F, f"{p.name}: difference covector")
         A = p.distribution.annihilator(self.beta)
         lam, rank = least_squares(A, F, f"{p.name}: annihilator basis")
@@ -355,17 +368,26 @@ class StepFrame:
         """Kernel singular values (smin, smax) of the right pairing at g, with
         no pairing formed: :func:`_projected_sigmas` of the columns of H B."""
         if self._right is None:
-            H = self.evaluation(self.g)[2]
+            at, values = self.record
+            H = values[2] if at is self.g else self._hess_at_g()
             self._right = _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g),
                                             self.p.r)
         return self._right
 
+    def _hess_at_g(self):
+        """H(g) taken alone, kept so that both tests at g take it once."""
+        if self._hess is None:
+            self._hess = self.p.mixed_hess(self.g)
+        return self._hess
+
     def left_sigmas(self, h, basis=None):
         """The same for the left pairing at h, from the rows of X^T H(h), with
         X = ``basis`` or else B (the basis at alpha(h) for a root h)."""
-        _, _, H, phi_jac = self.evaluation(h)
+        p, (at, values) = self.p, self.record
+        H, phi_jac = values[2:] if at is h else (
+            self._hess_at_g() if h is self.g else p.mixed_hess(h), p.phi_left_jac(h))
         X = self.basis if basis is None else basis
-        return _projected_sigmas(X.T @ H, phi_jac, self.p.r)
+        return _projected_sigmas(X.T @ H, phi_jac, p.r)
 
 
 def step_frame(p, g, frame=None):
@@ -379,8 +401,10 @@ def step_frame(p, g, frame=None):
 
 
 def residual_at(p, g, h):
-    """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h."""
-    return StepFrame(p, g).residual(h)
+    """Stacked residual [projected DEL rows; phi(h) rows] for a candidate h,
+    from ``p.right_grad`` and ``p.phi`` alone: the frame is handed a record
+    of these two at h (no H is formed), which its residual reads."""
+    return StepFrame(p, g, (h, (p.right_grad(h), p.phi(h), None, None))).residual(h)
 
 
 def newton_jacobian_fd(p, g, center):
@@ -394,7 +418,7 @@ def lagrange_multipliers(p, g, h):
     and the max-abs residual of their fit, for consistency checks."""
     frame = StepFrame(p, g)
     lam = frame.multipliers(h)
-    F = frame.left_grad - frame.evaluation(h)[0]
+    F = frame.left_grad - p.right_grad(h)
     A = p.distribution.annihilator(frame.beta)
     return lam, float(np.abs(F - A @ lam).max())
 
@@ -421,8 +445,8 @@ def regularity_matrices(p, g):
     :meth:`StepFrame.right_sigmas`.
     """
     Xa, B = (p.distribution.basis(x) for x in (p.backend.source(g), p.backend.target(g)))
-    _, _, H, phi_jac = p.evaluate(g)
-    G_left = -Xa.T @ H @ null_space(phi_jac)
+    H = p.mixed_hess(g)
+    G_left = -Xa.T @ H @ null_space(p.phi_left_jac(g))
     G_right = -null_space(p.phi_right_jac(g)).T @ H @ B
     return G_left, G_right
 

@@ -186,6 +186,7 @@ def newton(p, residual, factored, center, g, opts):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             try:
+                # a full step takes du as it is: one numpy multiply less per iteration
                 cand = bk.retract(center, du if t == 1.0 else t * du)
                 r_try = residual(cand)
             except (SingularError, ChartDomainError, NotComposableError, *NUMERIC_FAILURES):

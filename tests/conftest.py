@@ -282,13 +282,12 @@ def counted(fn, calls):
 
 
 def with_evaluation(p, evaluate):
-    """p with ``evaluate`` as its joint candidate evaluation: its Lagrangian's
-    and ConstraintSet's four candidate parts become ``problem.candidate_parts``
-    of it, so a step calls ``evaluate`` and nothing else at a candidate."""
-    right_grad, phi, hess, left_jac = pb.candidate_parts(evaluate)
-    lag = dataclasses.replace(p.lagrangian, right_grad=right_grad, mixed_hess=hess)
-    con = dataclasses.replace(p.constraints, phi=phi, left_jac=left_jac)
-    return dataclasses.replace(p, lagrangian=lag, constraints=con)
+    """A copy of p whose steps take ``evaluate`` as the joint candidate
+    evaluation (``NhProblem.evaluate``); its four parts stay p's, so a test
+    at an element a frame has not evaluated still takes them alone."""
+    q = dataclasses.replace(p)
+    q.evaluate = evaluate
+    return q
 
 
 def counted_evaluation(p, calls, hess=None):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (counted, counted_evaluation, element_gap, momentum_drift_oracle,
-                      momentum_value_oracle, reversibility_oracle, with_evaluation)
+                      momentum_value_oracle, reversibility_oracle)
 from test_golden import STARTS
 
 import nhmech.diagnostics as dg
@@ -100,18 +100,16 @@ class TestReversibility:
         assert (rep.solved_steps, rep.dynamics_reversible) == (4, True)
 
     def test_arithmetic_failure_in_a_step_leaves_the_sample_unsolved(self):
-        # the step of the first sample meets a math domain error in the H of
-        # its joint evaluation at g; it is that step's SingularError, so the
-        # sample counts as unsolved
+        # the step of the first sample meets a math domain error in H; it is
+        # that step's SingularError, so the sample counts as unsolved
         p = md.make_constrained_particle()
         samples = p.sample_states(np.random.default_rng(0), 2)
-        evaluate = p.evaluate
+        lag = p.lagrangian
 
-        def failing(g):
-            right, phi, H, left_jac = evaluate(g)
-            return right, phi, math.sqrt(-1.0) if g is samples[0] else H, left_jac
+        def hess(g):
+            return math.sqrt(-1.0) if g is samples[0] else lag.mixed_hess(g)
 
-        q = with_evaluation(p, failing)
+        q = dataclasses.replace(p, lagrangian=dataclasses.replace(lag, mixed_hess=hess))
         with pytest.raises(SingularError, match="math domain error") as exc:
             sv.step(q, samples[0])
         assert isinstance(exc.value.__cause__, ValueError)
@@ -289,18 +287,19 @@ class TestSharedFrame:
         fresh = dg.reversibility_report(p, samples)
         assert dg.reversibility_report(p, samples, frames=frames) == fresh
 
-    @pytest.mark.parametrize("name, fresh_calls", [("suslov", 1), ("mobile_robot", 2)])
-    def test_step_accepting_the_reports_guess_takes_no_evaluation(self, name, fresh_calls):
-        # these steps accept their first guess: a fresh step evaluates g for
-        # its right test and the guess for its residual and Newton matrix (g
-        # itself on a Lie group), and its left test at the root reads the
-        # second.  From the report's frame the step evaluates neither, even
-        # after an identity report on the same problem (as in ``check``): the
-        # report's Newton matrix left the guess's evaluation in the frame's
-        # record, where the step's residual, Newton matrix and left test
-        # read it.
-        calls = [0]
+    @pytest.mark.parametrize("name", ["suslov", "mobile_robot"])
+    def test_step_accepting_the_reports_guess_takes_no_evaluation(self, name):
+        # these steps accept their first guess: a fresh step takes H at g
+        # alone for its right test and evaluates the guess (g itself on a Lie
+        # group) for its residual and Newton matrix, and its left test at the
+        # root reads that evaluation.  From the report's frame the step takes
+        # neither, even after an identity report on the same problem (as in
+        # ``check``): the report's right test kept H(g) in the frame, and its
+        # Newton matrix left the guess's evaluation in the frame's record,
+        # where the step's residual, Newton matrix and left test read it.
+        calls, hess = [0], [0]
         p = counted_evaluation(_factory(name), calls)
+        p.mixed_hess = counted(p.mixed_hess, hess)
         bk = p.backend
         for g in self._samples(p):
             frame = pb.StepFrame(p, g)
@@ -308,10 +307,10 @@ class TestSharedFrame:
             counts = []
             for shared in (frame, None):
                 dg.regularity_report(p, bk.identity(bk.target(g)))
-                before = calls[0]
+                before = calls[0], hess[0]
                 assert sv.step(p, g, frame=shared).iterations == 0
-                counts.append(calls[0] - before)
-            assert counts == [0, fresh_calls]
+                counts.append((calls[0] - before[0], hess[0] - before[1]))
+            assert counts == [(0, 0), (1, 1)]
 
     def test_frame_of_another_element_is_a_value_error(self):
         p = _factory("suslov")
@@ -812,7 +811,7 @@ class TestChaplygin:
         u[2] = 1e-2
         hp = bk.retract(h, u)
         red = dg.chaplygin_residual(p, g, hp)
-        rows = pb.StepFrame(p, g).del_rows(hp)
+        rows = pb.residual_at(p, g, hp)[: p.r]
         assert np.max(np.abs(red)) > 1e-2
         assert np.max(np.abs(rows)) > 1e-2
 

@@ -302,23 +302,22 @@ class TestFailureModes:
         assert exc.value.step_index == 0
         assert isinstance(exc.value.__cause__, ValueError)
 
-    @pytest.mark.parametrize("name, which, error, failing_call",
-                             [("suslov", "left_grad", ValueError, 3),
-                              ("suslov", "left_grad", OverflowError, 3),
-                              ("mobile_robot", "right_grad", ValueError, 4)])
-    def test_numeric_failure_of_a_gradient_is_singular_with_step_index(self, name, which, error,
-                                                                       failing_call):
+    @pytest.mark.parametrize("name, which, error", [("suslov", "left_grad", ValueError),
+                                                    ("suslov", "left_grad", OverflowError),
+                                                    ("mobile_robot", "right_grad", ValueError)])
+    def test_numeric_failure_of_a_gradient_is_singular_with_step_index(self, name, which, error):
         # evolve takes the left gradient in building a step's frame, once per
-        # step, and the step the right one in each candidate evaluation: the
-        # robot evaluates at g0 and at each step's first guess, which it
-        # accepts.  Each raises on the call that falls in step 2
+        # step, and a step the right one in each candidate evaluation: a
+        # robot step evaluates its first guess, which it accepts (a Suslov
+        # step's first guess is g itself, which the step before evaluated).
+        # Each raises on its third call, in step 2
         p = md.FACTORIES[name]()
         g0 = p.initial_builder(STARTS[name])
         grad, calls = getattr(p.lagrangian, which), [0]
 
         def failing(g):
             calls[0] += 1
-            if calls[0] == failing_call:
+            if calls[0] == 3:
                 raise error("math domain error")
             return grad(g)
 
@@ -602,9 +601,8 @@ def test_every_root_is_certified_by_its_own_step(name):
 class TestStepCounts:
     def test_backtracks_count_rejected_trial_points(self):
         # from this start the sleigh's line search rejects one full step;
-        # the step evaluates g for its right test (g is also its first
-        # guess) and every trial point once, and the multipliers reuse the
-        # last evaluation
+        # the step evaluates g (its first guess) and every trial point once,
+        # and the multipliers reuse the last evaluation
         calls = [0]
         q = counted_evaluation(md.make_chaplygin_sleigh(), calls)
         res = sv.step(q, q.initial_builder({"xi": [1.4, 1.8]}))
@@ -612,9 +610,9 @@ class TestStepCounts:
         assert calls[0] == 1 + res.iterations + res.backtracks
 
     def test_refused_candidate_is_a_backtrack(self):
-        # phi sees g (the right test's evaluation), the first guess, then the
-        # first full Newton candidate, which it refuses: the step halves and
-        # lands on the same element as without the refusal
+        # phi sees the first guess, then the first full Newton candidate,
+        # which it refuses: the step halves and lands on the same element as
+        # without the refusal
         p = md.make_constrained_particle(h=0.01)
         g0 = p.initial_builder({"q0": [0, 0, 0], "velocity": [1.0, 0.5]})
         base = p.constraints
@@ -622,7 +620,7 @@ class TestStepCounts:
 
         def phi(g):
             calls[0] += 1
-            if calls[0] == 3:
+            if calls[0] == 2:
                 raise ChartDomainError("refused")
             return base.phi(g)
 
@@ -699,11 +697,20 @@ class TestNewtonBookkeeping:
 
 
 COUNTED_STEPS = 50
-# joint candidate evaluations of a 200-step evolve from the golden start,
-# its initial constraint check (phi at g0) included
-EVOLVE_EVALUATIONS = {"constrained_particle": 402, "suslov": 2, "chaplygin_sleigh": 69,
-                      "veselova": 602, "rolling_ball": 602, "mobile_robot": 202,
-                      "holonomic_sphere": 602}
+# joint candidate evaluations of a 200-step evolve from the golden start
+EVOLVE_EVALUATIONS = {"constrained_particle": 400, "suslov": 1, "chaplygin_sleigh": 68,
+                      "veselova": 600, "rolling_ball": 600, "mobile_robot": 200,
+                      "holonomic_sphere": 600}
+
+
+def _counting(p):
+    """p with its joint evaluation counted, and its H and left phi gradient
+    taken alone counted together; returns it and the two running counts."""
+    evaluations, separate = [0], [0]
+    p = counted_evaluation(p, evaluations)
+    p.mixed_hess = counted(p.mixed_hess, separate)
+    p.phi_left_jac = counted(p.phi_left_jac, separate)
+    return p, evaluations, separate
 
 
 class TestCallCounts:
@@ -713,7 +720,8 @@ class TestCallCounts:
     joint evaluation serves its residual, its Newton matrix, the left test
     and the multipliers at a root), in evolve the root's evaluation serves
     the next step's right test, and on a Lie group, whose first guess is g
-    itself, its first residual and Newton matrix too."""
+    itself, its first residual and Newton matrix too.  A frame takes H alone
+    only for a right test at a g it has not evaluated."""
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_no_chart_coords_in_a_step(self, name, monkeypatch):
@@ -751,64 +759,63 @@ class TestCallCounts:
             assert calls[0] == k + 1
 
     def test_first_newton_matrix_reuses_the_regularity_hessian(self, monkeypatch):
-        calls = [0]
-        p = counted_evaluation(md.make_suslov(J=ROTATED_J), calls)
+        p, evaluations, separate = _counting(md.make_suslov(J=ROTATED_J))
         g0 = p.initial_builder(STARTS["suslov"])
-        _, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS, calls)
+        _, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS, evaluations, separate)
         for k, (res, before, after) in enumerate(steps):
             assert res.iterations > 0
-            # one evaluation per accepted iterate, whose Newton matrix (after
-            # the first) and left test at the root read it; the first step
-            # also evaluates g0 for its right test, which later steps read
-            # from the previous root, and on a Lie group the first residual
-            # and Newton matrix, at g, read it too; evolve's initial
-            # constraint check (phi at g0) counts in step 0
-            assert _growth(before, after) == (2 * (k == 0) + res.iterations + res.backtracks,)
+            # one evaluation per trial point, whose Newton matrix (once
+            # accepted) and left test at the root read it; later steps read
+            # the right test's H and their first residual and Newton matrix,
+            # at g, from the previous root's evaluation, while the first step
+            # takes H(g0) alone for its right test and evaluates g0
+            growth = (res.iterations + res.backtracks + (k == 0), int(k == 0))
+            assert _growth(before, after) == growth
 
     @pytest.mark.parametrize("name", sorted(EVOLVE_EVALUATIONS))
     def test_evolve_carries_the_evaluation_from_step_to_step(self, name):
         # evolve hands each step's record to the next step's frame; a loop of
-        # bare steps starts every frame empty, so each step after the first
-        # evaluates its element once more, and the path is the same
-        calls = [0]
-        p = counted_evaluation(md.FACTORIES[name](), calls)
+        # bare steps starts every frame empty, so each step takes H at its
+        # element alone for its right test and, on a Lie group, evaluates its
+        # element (its first guess) once more, and the path is the same
+        p, evaluations, separate = _counting(md.FACTORIES[name]())
         g = g0 = p.initial_builder(STARTS[name])
         traj = sv.evolve(p, g0, 200)
-        assert calls[0] == EVOLVE_EVALUATIONS[name]
+        lie = p.backend.mirror(g0) is g0
+        trials = sum(1 + res.iterations + res.backtracks for res in traj.results)
+        assert evaluations[0] == EVOLVE_EVALUATIONS[name] == trials - 199 * lie
+        assert separate[0] == 1
         for res in traj.results:
             g = sv.step(p, g).next
             assert np.array_equal(p.to_row(g), p.to_row(res.next))
-        assert calls[0] == 2 * EVOLVE_EVALUATIONS[name] + 198
+        assert evaluations[0] == 2 * EVOLVE_EVALUATIONS[name] + 199 * lie
+        assert separate[0] == 1 + 200
 
     @pytest.mark.parametrize("name", sorted(md.FACTORIES))
     def test_one_evaluation_per_candidate_and_no_separate_part(self, name):
         # a step evaluates its first guess and each trial point once; the
         # record supplies the right test at g (from the step before) and, on
-        # a Lie group, the first guess, which is g itself.  The four parts a
-        # step once called separately are not called inside solver.step
+        # a Lie group, the first guess, which is g itself.  After the first
+        # step the four parts a step once called separately are not called
+        # inside solver.step
         calls = [0]
         p = counted_evaluation(md.FACTORIES[name](), calls)
+        g0 = p.initial_builder(STARTS[name])
+        frame = pb.StepFrame(p, g0)
+        g, record = sv.step(p, g0, frame=frame).next, frame.record
 
         def separate(h):
             raise AssertionError("a separate candidate part was called in a step")
 
         p.right_grad = p.phi = p.mixed_hess = p.phi_left_jac = separate
-        g, record = p.initial_builder(STARTS[name]), (None, None)
-        for k in range(COUNTED_STEPS):
+        for _ in range(COUNTED_STEPS):
             frame = pb.StepFrame(p, g, record)
             before = calls[0]
             res = sv.step(p, g, frame=frame)
-            carried = (k > 0) + (frame.guess() is g)
-            assert calls[0] - before == 2 + res.iterations + res.backtracks - carried
+            carried = frame.guess() is g
+            assert calls[0] - before == 1 + res.iterations + res.backtracks - carried
             g, record = res.next, frame.record
             assert record[0] is g
-
-    @staticmethod
-    def _counting_evaluations(name):
-        """The system with its joint evaluation counted, and the running
-        count."""
-        calls = [0]
-        return counted_evaluation(md.FACTORIES[name](), calls), calls
 
     @pytest.mark.parametrize("name, per_step", [("suslov", 0), ("mobile_robot", 1)])
     def test_accepted_first_guess_carries_its_evaluation_to_the_next_regularity_test(
@@ -817,39 +824,42 @@ class TestCallCounts:
         # Newton matrix, so its left test and multipliers at that root read
         # the evaluation of its first residual, and evolve hands it to the
         # next step's right test; on a Lie group the first guess is g itself,
-        # whose evaluation the step before left
-        p, calls = self._counting_evaluations(name)
+        # whose evaluation the step before left.  No part is taken alone
+        p, evaluations, separate = _counting(md.FACTORIES[name]())
         g0 = p.initial_builder(STARTS[name])
-        traj, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS + 1, calls)
+        traj, steps = _evolve_counted(monkeypatch, p, g0, COUNTED_STEPS + 1, evaluations,
+                                      separate)
         for g, (res, before, after) in zip(traj.elements[1:], steps[1:]):
             assert res.iterations == 0
-            assert _growth(before, after) == (per_step,)
-            # the carried pair gives the sigmas a fresh frame gives
+            assert _growth(before, after) == (per_step, 0)
+            # the carried evaluation gives the sigmas a fresh frame gives
             assert res.sigma_min_left == sv.point_regularity_sigmas(p, res.next)[0][0]
             assert res.sigma_min_right == sv.point_regularity_sigmas(p, g)[1][0]
 
-    @pytest.mark.parametrize("name, calls", [("suslov", 1), ("mobile_robot", 2)])
-    def test_equal_copy_of_the_accepted_element_evaluates_afresh(self, name, calls):
+    @pytest.mark.parametrize("name, from_g", [("suslov", 0), ("mobile_robot", 1)])
+    def test_equal_copy_of_the_accepted_element_evaluates_afresh(self, name, from_g):
         # the record is keyed by identity: handed the record of the step
-        # into g, a frame for a copy of g with the same values evaluates it
-        # again (and the robot's first guess too), a frame for g itself one
-        # fewer, and the steps are the same
-        p, calls_made = self._counting_evaluations(name)
+        # into g, a frame for a copy of g with the same values takes H alone
+        # for its right test and evaluates its first guess (the copy itself
+        # on a Lie group), a frame for g itself reads both from the record
+        # (the robot still evaluates its own first guess), and the steps are
+        # the same
+        p, evaluations, separate = _counting(md.FACTORIES[name]())
         g0 = p.initial_builder(STARTS[name])
         into = pb.StepFrame(p, g0)
         g = sv.step(p, g0, frame=into).next
         copy = tuple(a.copy() for a in g) if isinstance(g, tuple) else g.copy()
 
         def step_from(start):
-            before = calls_made[0]
+            before = evaluations[0], separate[0]
             res = sv.step(p, start, frame=pb.StepFrame(p, start, into.record))
-            return res, calls_made[0] - before
+            return res, (evaluations[0] - before[0], separate[0] - before[1])
 
         from_copy, taken = step_from(copy)
-        assert taken == calls
-        from_g, taken = step_from(g)
-        assert taken == calls - 1
-        assert np.array_equal(p.to_row(from_copy.next), p.to_row(from_g.next))
-        assert np.array_equal(from_copy.multipliers, from_g.multipliers)
+        assert taken == (1, 1)
+        from_g_res, taken = step_from(g)
+        assert taken == (from_g, 0)
+        assert np.array_equal(p.to_row(from_copy.next), p.to_row(from_g_res.next))
+        assert np.array_equal(from_copy.multipliers, from_g_res.multipliers)
         for f in dataclasses.fields(sv.StepResult)[2:]:
-            assert np.array_equal(getattr(from_copy, f.name), getattr(from_g, f.name))
+            assert np.array_equal(getattr(from_copy, f.name), getattr(from_g_res, f.name))
