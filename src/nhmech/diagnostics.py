@@ -46,13 +46,21 @@ def regularity_report(p, g, frame=None):
 
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
     fresh one; a step from g that takes the same frame reuses its right test,
-    its guess, the evaluation there and the factored Newton matrix."""
+    its guess, the evaluation there and the factored Newton matrix.  A fresh
+    frame, which no step takes, is handed a record of H and the left
+    gradient of phi at the guess, all its Newton matrix reads.  The Newton
+    matrix comes first, so on a Lie group (whose guess is g) both tests read
+    H at g from the record."""
+    alone = frame is None
     frame = pb.step_frame(p, g, frame)
-    (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     try:
-        cond = frame.factored(frame.guess())[3]
+        center = frame.guess()
+        if alone:
+            frame.record = (center, (None, None, p.mixed_hess(center), p.phi_left_jac(center)))
+        cond = frame.factored(center)[3]
     except NhError:
         cond = np.inf
+    (lmin, lmax), (rmin, rmax) = sv.point_regularity_sigmas(p, g, frame)
     return RegularityReport(
         right_nondegenerate=sv.is_nondegenerate(rmin, rmax),
         sigma_min_right=float(rmin),

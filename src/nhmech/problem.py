@@ -142,8 +142,7 @@ def _joint_of(parts):
 def _assembled(parts, h):
     """The joint evaluation of a problem whose parts no one
     :func:`candidate_parts` call made: each part called at h, in order."""
-    right_grad, phi, mixed_hess, phi_left_jac = parts
-    return right_grad(h), phi(h), mixed_hess(h), phi_left_jac(h)
+    return tuple(part(h) for part in parts)
 
 
 @dataclass
