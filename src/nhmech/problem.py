@@ -282,18 +282,21 @@ class StepFrame:
     """The quantities of a step from g that depend on g alone, each
     evaluated once: the distribution basis B at beta(g) (and ``neg_bt`` =
     -B^T), ``left_grad(g)`` and its projection ``left_rows``; on first use,
-    the right test (:meth:`right_sigmas`), the mirror guess (:meth:`guess`)
+    the right test (:meth:`right_sigmas`), the first guess (:meth:`guess`)
     and the factored Newton matrix at the last center (:meth:`factored`),
     which a call that raises does not keep.  ``record`` is (element,
     ``p.evaluate(element)``) at the last element the frame evaluated
     (:meth:`evaluation`), starting as the record handed in; the residual and
     the Newton matrix evaluate, and both tests and the multipliers read the
     record at its element and call the parts they need alone anywhere else
-    (H(g) once per frame), so a test never calls phi.  The README ("Library
-    use") gives the reasons.
+    (H(g) once per frame), so a test never calls phi.  ``ahead``, when
+    given, is a prediction of the root in chart coordinates at the mirror
+    guess (``solver.evolve`` makes it), and a step leaves in ``moved`` its
+    root's displacement from the mirror guess.  The README ("Library use")
+    gives the reasons.
     """
 
-    def __init__(self, p, g, record=(None, None)):
+    def __init__(self, p, g, record=(None, None), ahead=None):
         self.p = p
         self.g = g
         self.beta = p.backend.target(g)
@@ -302,14 +305,19 @@ class StepFrame:
         self.left_grad = p.left_grad(g)
         self.left_rows = self.left_grad @ self.basis
         self.record = record
+        self.ahead = ahead
+        self.moved = None
         self._factors = (None, None)
         self._right = self._guess = self._hess = None
 
     def guess(self):
-        """The first guess of a step from g, ``backend.mirror(g)`` (g's
-        displacement repeated)."""
+        """The first guess of a step from g: ``backend.mirror(g)`` (g's
+        displacement repeated), moved by ``ahead`` in the chart there when
+        the frame has a prediction."""
         if self._guess is None:
-            self._guess = self.p.backend.mirror(self.g)
+            mirror = self.p.backend.mirror(self.g)
+            self._guess = mirror if self.ahead is None else self.p.backend.retract(
+                mirror, self.ahead)
         return self._guess
 
     def evaluation(self, h):

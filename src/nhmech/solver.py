@@ -5,10 +5,12 @@ fiber-chart coordinates on the source fiber over the matching point, and
 ``newton``, the package's one damped Newton loop (``diagnostics.chi_inverse``
 uses it too), drives the stacked residual (projected DEL rows, then
 constraint rows) to tolerance, or to its roundoff floor when that is larger.
-``evolve`` chains steps into a trajectory.  A step tests the right pairing
-at g before Newton and the left pairing at its root after it, and holds the
-1-norm condition estimate of each Newton matrix, from its LU factors, to
-``cond_limit``.  The residual, the Newton matrix and both tests come from one
+``evolve`` chains steps into a trajectory; once a step has needed two
+Newton iterations from its mirror guess, it starts each later step from a
+third-order prediction of its root (off Lie groups).  A step tests the
+right pairing at g before Newton and the left pairing at its root after it,
+and holds the 1-norm condition estimate of each Newton matrix, from its LU
+factors, to ``cond_limit``.  The residual, the Newton matrix and both tests come from one
 joint evaluation per candidate (``NhProblem.evaluate``), kept in one
 ``problem.StepFrame``'s record, and the step calls
 LAPACK directly, each kernel after a finiteness check of its own; a
@@ -146,11 +148,16 @@ def _within_limit(p, factors, opts):
     return factors
 
 
-def newton(p, residual, factored, center, g, opts):
+def newton(p, residual, factored, center, g, opts, ahead=None):
     """Damped Newton iteration for ``residual`` = 0 on the source fiber of
     ``center``, with ``factored(h)`` the ``problem.factor_newton_matrix`` of
     its matrix in the chart at an iterate h and ``g`` the scale of the
-    roundoff floor; returns the StepResult fields it owns, as a dict."""
+    roundoff floor; returns the StepResult fields it owns, as a dict, with
+    ``moved``, the sum of ``ahead`` and the accepted chart steps (None for
+    neither).  ``ahead``, when given, is the chart displacement of a
+    predicted ``center`` from the guess it was predicted from; a predicted
+    center takes at least one correction, since the roundoff floor does not
+    protect the constraint rows of an uncorrected guess."""
     bk = p.backend
     r = residual(center)
     rnorm, merit = _norm_and_merit(r)
@@ -169,7 +176,8 @@ def newton(p, residual, factored, center, g, opts):
     gmax = max(max(map(abs, part.ravel().tolist())) for part in parts)
     floor = float(pb.EPS) * lapack.dlange("I", J) * max(1.0, gmax)
     stop = max(opts.tol_residual, floor)
-    while rnorm > stop:
+    moved = ahead
+    while rnorm > stop or not iters and ahead is not None:
         if iters >= opts.max_iters:
             raise NoConvergenceError(
                 f"{p.name}: no convergence after {iters} Newton iterations "
@@ -187,7 +195,8 @@ def newton(p, residual, factored, center, g, opts):
         for _ in range(MAX_BACKTRACKS + 1):
             try:
                 # a full step takes du as it is: one numpy multiply less per iteration
-                cand = bk.retract(center, du if t == 1.0 else t * du)
+                chart_step = du if t == 1.0 else t * du
+                cand = bk.retract(center, chart_step)
                 r_try = residual(cand)
             except (SingularError, ChartDomainError, NotComposableError, *NUMERIC_FAILURES):
                 t *= 0.5
@@ -197,6 +206,7 @@ def newton(p, residual, factored, center, g, opts):
             if merit_try <= (1.0 - 2.0 * ARMIJO_C1 * t) * merit or rnorm_try <= stop:
                 # recenter the chart at the accepted iterate
                 center, r, rnorm, merit = cand, r_try, rnorm_try, merit_try
+                moved = chart_step if moved is None else moved + chart_step
                 accepted = True
                 break
             t *= 0.5
@@ -213,7 +223,8 @@ def newton(p, residual, factored, center, g, opts):
 
     return dict(next=center, iterations=iters, residual_norm=rnorm,
                 jacobian_condition_estimate=float(cond_est), residual_history=history,
-                backtracks=backtracks, floor=floor, floor_limited=rnorm > opts.tol_residual)
+                backtracks=backtracks, floor=floor, floor_limited=rnorm > opts.tol_residual,
+                moved=moved)
 
 
 def step(p, g, options: Optional[SolverOptions] = None, frame=None):
@@ -227,7 +238,10 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     in the line search it refuses the trial point instead.
 
     ``frame`` is a ``problem.StepFrame`` built for g on p, or None for a
-    fresh one (another element's frame is a ValueError).  A frame that a
+    fresh one (another element's frame is a ValueError); the step starts
+    from its guess and leaves in its ``moved`` the root's chart displacement
+    from the mirror guess (None when the step started from the mirror guess
+    and accepted it).  A frame that a
     ``diagnostics.regularity_report`` has used hands the step its right
     test, its first guess and the evaluation and factored Newton matrix
     there; the step evaluates them in the same order either way, so the
@@ -237,10 +251,12 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     frame = pb.step_frame(p, g, frame)
     try:
         sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
-        center = frame.guess()  # g's displacement repeated
+        center = frame.guess()  # g's displacement repeated, then the frame's prediction
         # bound methods of the frame, so a Newton matrix centred at g reuses
         # H(g) and the one a report factored at the guess is not factored again
-        solved = newton(p, frame.residual, frame.factored, center, g, opts)
+        solved = newton(p, frame.residual, frame.factored, center, g, opts, frame.ahead)
+        frame.moved = solved["moved"]  # for evolve's next prediction; no StepResult field
+        del solved["moved"]
         h = solved["next"]  # alpha(h) = beta(g), so the left test at h takes the frame's basis
         sigma_left = _assert_regular(p, "left", frame.left_sigmas(h), "next element")
         phi = frame.evaluation(h)[1].tolist()
@@ -261,10 +277,18 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     """Chain ``n_steps`` steps from g0 (checked against the constraints once).
 
     Each step's frame starts with the record of the frame before it (see
-    ``problem.StepFrame``).  Any solver error, in a step or in building its
-    frame, is re-raised with ``step_index`` set to the failing step; an
-    ArithmeticError or ValueError in building the frame becomes the
-    SingularError that ``step`` makes of one inside it.
+    ``problem.StepFrame``).  From the first step that took two or more
+    Newton iterations from its mirror guess on, each frame also gets a
+    prediction of its root, ``ahead`` = 2 d_1 - d_2 (d_1 alone after that
+    first step), from the displacements d (``StepFrame.moved``) of the last
+    two roots from their mirror guesses: a third-order first guess where the
+    mirror is a first-order one.  A step that converges in one iteration
+    from the mirror has nothing to save, and on a groupoid over one point (a
+    Lie group) the mirror guess is g itself, whose evaluation the record
+    holds, so there evolve never predicts.  Any solver error, in a step or
+    in building its frame, is re-raised with ``step_index`` set to the
+    failing step; an ArithmeticError or ValueError in building the frame
+    becomes the SingularError that ``step`` makes of one inside it.
     """
     opts = options or SolverOptions()
     p.assert_on_constraint(g0, label="initial element")
@@ -272,9 +296,11 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     results = []
     g = g0
     record = (None, None)
+    lie = p.backend.base_dim == 0
+    ahead = moved = None  # the prediction for the next step, d_1
     for k in range(int(n_steps)):
         try:
-            frame = pb.StepFrame(p, g, record)
+            frame = pb.StepFrame(p, g, record, ahead)
             res = step(p, g, opts, frame)
             record = frame.record
         except NUMERIC_FAILURES as exc:  # only the frame's build: step converts its own
@@ -284,6 +310,9 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
         except NhError as exc:
             exc.step_index = k
             raise
+        if ahead is not None or res.iterations > 1 and not lie:
+            ahead = frame.moved if moved is None else 2.0 * frame.moved - moved
+        moved = frame.moved
         elements.append(res.next)
         results.append(res)
         g = res.next

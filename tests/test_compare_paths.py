@@ -1,13 +1,14 @@
 """The path recorder in tools/compare_paths.py: a recording holds every
-system's states, multipliers and condition estimates, compares equal to
-itself, and a moved coordinate shows in its system's row and the exit
-status."""
+system's states, multipliers and condition estimates, is made at the step
+tolerance asked for, compares equal to itself, and a moved coordinate shows
+in its system's row and the exit status."""
 
 import importlib.util
 import math
 import pathlib
 
 import numpy as np
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_paths.py"
 _spec = importlib.util.spec_from_file_location("compare_paths", TOOL)
@@ -28,6 +29,31 @@ def test_record_holds_every_system_and_field():
         assert arrays[f"{name}/states"].shape == (steps + 1, len(p.coord_names))
         assert arrays[f"{name}/multipliers"].shape == (steps, p.k)
         assert arrays[f"{name}/cond"].shape == (steps,)
+
+
+def test_tolerance_option_records_with_that_tolerance(tmp_path, capsys, monkeypatch):
+    from nhmech import solver
+
+    tolerances, evolve = [], solver.evolve
+
+    def recording_evolve(p, g0, n_steps, options=None):
+        tolerances.append(options.tol_residual)
+        return evolve(p, g0, n_steps, options)
+
+    monkeypatch.setattr(solver, "evolve", recording_evolve)
+    default, tight = str(tmp_path / "default.npz"), str(tmp_path / "tight.npz")
+    assert compare_paths.main(["record", default, "--steps", "2"]) == 0
+    assert tolerances == [solver.SolverOptions().tol_residual] * 7
+    del tolerances[:]
+    assert compare_paths.main(["record", tight, "--steps", "2", "--tol-residual", "1e-16"]) == 0
+    assert tolerances == [1e-16] * 7
+    # a reference solved to the roundoff floor is compared as any recording
+    assert compare_paths.main(["compare", tight, tight]) == 0
+    capsys.readouterr()
+    for bad in ("-1e-12", "nan"):
+        with pytest.raises(SystemExit):
+            compare_paths.main(["record", tight, "--tol-residual", bad])
+    assert "--tol-residual must be >= 0" in capsys.readouterr().err
 
 
 def test_difference_counts_equal_non_finite_values_as_zero():

@@ -56,14 +56,19 @@ def test_simulate_counts_repeat_exactly(tmp_path):
     assert first[0] > 0 and first[1] > 0
 
 
-# Python + C calls per step of a 200-step evolve before each candidate was
-# evaluated once (tools/count_calls.py); no system may make more
-CALLS_PER_STEP_BOUND = {"constrained_particle": 178.1, "suslov": 138.1, "chaplygin_sleigh": 161.9,
-                        "veselova": 294.2, "rolling_ball": 256.2, "mobile_robot": 201.2,
-                        "holonomic_sphere": 195.1}
+# Python + C calls per step of a 200-step evolve (tools/count_calls.py) once
+# each candidate was evaluated once and the rolling ball, the holonomic
+# sphere and Veselova started their steps from a predicted root; no system
+# may make more
+CALLS_PER_STEP_BOUND = {"constrained_particle": 161.11, "suslov": 122.19,
+                        "chaplygin_sleigh": 140.365, "veselova": 273.35, "rolling_ball": 184.35,
+                        "mobile_robot": 181.225, "holonomic_sphere": 153.24}
+STEPS = 200
 
 
 def test_calls_per_step_stay_at_or_below_the_bound():
     for name, bound in CALLS_PER_STEP_BOUND.items():
-        python, c = count_calls.step_counts(name, 200)
-        assert python + c <= bound, name
+        python, c = count_calls.step_counts(name, STEPS)
+        # compared as whole calls over the run, so no float rounding of the
+        # per-step values lets one more call through or fails an equal count
+        assert round(STEPS * (python + c)) <= round(STEPS * bound), name

@@ -699,8 +699,11 @@ class TestNewtonBookkeeping:
 COUNTED_STEPS = 50
 # joint candidate evaluations of a 200-step evolve from the golden start
 EVOLVE_EVALUATIONS = {"constrained_particle": 400, "suslov": 1, "chaplygin_sleigh": 68,
-                      "veselova": 600, "rolling_ball": 600, "mobile_robot": 200,
-                      "holonomic_sphere": 600}
+                      "veselova": 547, "rolling_ball": 401, "mobile_robot": 200,
+                      "holonomic_sphere": 401}
+# the systems whose evolve from the golden start predicts its roots (see
+# solver.evolve): each of them once takes two corrections from the mirror guess
+PREDICTED = {"veselova", "rolling_ball", "holonomic_sphere"}
 
 
 def _counting(p):
@@ -773,18 +776,39 @@ class TestCallCounts:
             assert _growth(before, after) == growth
 
     @pytest.mark.parametrize("name", sorted(EVOLVE_EVALUATIONS))
-    def test_evolve_carries_the_evaluation_from_step_to_step(self, name):
-        # evolve hands each step's record to the next step's frame; a loop of
-        # bare steps starts every frame empty, so each step takes H at its
-        # element alone for its right test and, on a Lie group, evaluates its
-        # element (its first guess) once more, and the path is the same
+    def test_evolve_carries_the_evaluation_from_step_to_step(self, name, monkeypatch):
+        # evolve hands each step's record, and a prediction of its root once
+        # it predicts, to the next step's frame.  A loop of bare steps starts
+        # every frame empty and from the mirror guess, so each step takes H at
+        # its element alone for its right test and, on a Lie group, evaluates
+        # its element (its first guess) once more; where evolve never
+        # predicts, the path is the same.  Where it does, a step whose frame
+        # is handed evolve's record and prediction returns evolve's element
+        # and evaluates what evolve's step did
         p, evaluations, separate = _counting(md.FACTORIES[name]())
         g = g0 = p.initial_builder(STARTS[name])
+        handed, step = [], sv.step
+
+        def handing_step(p, g, opts, frame):
+            handed.append((g, frame.record, frame.ahead))
+            return step(p, g, opts, frame)
+
+        monkeypatch.setattr(sv, "step", handing_step)
         traj = sv.evolve(p, g0, 200)
+        monkeypatch.undo()
         lie = p.backend.mirror(g0) is g0
         trials = sum(1 + res.iterations + res.backtracks for res in traj.results)
         assert evaluations[0] == EVOLVE_EVALUATIONS[name] == trials - 199 * lie
         assert separate[0] == 1
+        predicted = any(ahead is not None for _, _, ahead in handed)
+        assert predicted == (name in PREDICTED)
+        if predicted:
+            for (g, record, ahead), res in zip(handed, traj.results):
+                again = sv.step(p, g, None, pb.StepFrame(p, g, record, ahead))
+                assert np.array_equal(p.to_row(again.next), p.to_row(res.next))
+            assert evaluations[0] == 2 * EVOLVE_EVALUATIONS[name]
+            assert separate[0] == 2
+            return
         for res in traj.results:
             g = sv.step(p, g).next
             assert np.array_equal(p.to_row(g), p.to_row(res.next))
@@ -863,3 +887,61 @@ class TestCallCounts:
         assert np.array_equal(from_copy.multipliers, from_g_res.multipliers)
         for f in dataclasses.fields(sv.StepResult)[2:]:
             assert np.array_equal(getattr(from_copy, f.name), getattr(from_g_res, f.name))
+
+
+class TestPrediction:
+    """evolve's first guess: a prediction of the root from the displacements
+    of the last two roots from their mirror guesses, on a groupoid over more
+    than one point, from the first step that took two corrections from its
+    mirror guess on."""
+
+    @staticmethod
+    def _evolve_handing(monkeypatch, name, n_steps):
+        """A ``name`` system, its evolve of ``n_steps`` steps from the golden
+        start and, per step, (frame, result) of the frame evolve handed it."""
+        p = md.FACTORIES[name]()
+        handed, step = [], sv.step
+
+        def handing_step(p, g, opts, frame):
+            res = step(p, g, opts, frame)
+            handed.append((frame, res))
+            return res
+
+        monkeypatch.setattr(sv, "step", handing_step)
+        return p, sv.evolve(p, p.initial_builder(STARTS[name]), n_steps), handed
+
+    def test_lie_group_guess_is_g_itself(self, monkeypatch):
+        # the sleigh's first steps take up to four corrections, but its guess
+        # is g itself, whose evaluation the record holds; a prediction would
+        # cost an evaluation and save no iteration
+        p, traj, handed = self._evolve_handing(monkeypatch, "chaplygin_sleigh", 200)
+        assert max(res.iterations for res in traj.results) >= 2
+        for g, (frame, _) in zip(traj.elements, handed):
+            assert frame.ahead is None and frame.guess() is g
+
+    def test_particle_run_never_predicts(self, monkeypatch):
+        # each particle step takes one correction from its mirror guess, so
+        # there is no iteration for a prediction to save
+        p, traj, handed = self._evolve_handing(monkeypatch, "constrained_particle", 400)
+        assert all(res.iterations == 1 for res in traj.results)
+        assert all(frame.ahead is None for frame, _ in handed)
+
+    @pytest.mark.parametrize("name", ["constrained_particle", "veselova", "rolling_ball",
+                                      "holonomic_sphere", "mobile_robot"])
+    def test_predicted_exact_root_still_takes_one_correction(self, name):
+        # a prediction of the step's own root: its residual is already below
+        # the stop, but the stop's roundoff floor does not protect the phi
+        # rows of a guess Newton has not corrected, so the step corrects it
+        # once, and its root lies on the constraint set
+        p = md.FACTORIES[name]()
+        g = p.initial_builder(STARTS[name])
+        root = sv.step(p, g).next
+        bk = p.backend
+        frame = pb.StepFrame(p, g, ahead=bk.coords(bk.mirror(g), root))
+        res = sv.step(p, g, frame=frame)
+        assert res.residual_history[0] <= max(sv.SolverOptions().tol_residual, res.floor)
+        assert res.iterations == 1
+        assert res.max_abs_phi == np.abs(p.phi(res.next)).max() <= pb.TOL_CONSTRAINT
+        # the displacement the step hands on: its root's from its mirror guess
+        gap = frame.moved - bk.coords(bk.mirror(g), res.next)
+        assert np.max(np.abs(gap)) <= 1e-14

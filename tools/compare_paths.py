@@ -1,11 +1,13 @@
 """Record the paths of the built-in systems and compare two recordings.
 
-Usage: python tools/compare_paths.py record OUT.npz [--steps N]
+Usage: python tools/compare_paths.py record OUT.npz [--steps N] [--tol-residual TOL]
        python tools/compare_paths.py compare A.npz B.npz
 
 ``record`` runs one ``solver.evolve`` of N steps (default 2000) of each
-built-in system from its acceptance start (``count_calls.STARTS``) and
-writes three arrays per system to OUT.npz: ``<name>/states``, the
+built-in system from its acceptance start (``count_calls.STARTS``), with
+``SolverOptions(tol_residual=TOL)`` (default the solver's own 1e-10; a
+tighter TOL records a reference that each step solves to its roundoff
+floor), and writes three arrays per system to OUT.npz: ``<name>/states``, the
 ``NhProblem.to_rows`` of the elements; ``<name>/multipliers``, one row per
 step; and ``<name>/cond``, each step's Newton-matrix condition estimate.
 
@@ -31,14 +33,18 @@ FIELDS = ("states", "multipliers", "cond")
 TOL = 1e-12
 
 
-def record(steps):
-    """{"<name>/<field>": array} of an evolve of ``steps`` steps of each system."""
+def record(steps, tol_residual=None):
+    """{"<name>/<field>": array} of an evolve of ``steps`` steps of each system,
+    with the step tolerance ``tol_residual`` (None for the default)."""
     from nhmech import models, solver
 
+    opts = solver.SolverOptions()
+    if tol_residual is not None:
+        opts.tol_residual = tol_residual
     arrays = {}
     for name, start in STARTS.items():
         p = models.FACTORIES[name]()
-        traj = solver.evolve(p, p.initial_builder(start), steps)
+        traj = solver.evolve(p, p.initial_builder(start), steps, opts)
         arrays[f"{name}/states"] = p.to_rows(traj.elements)
         arrays[f"{name}/multipliers"] = np.array(
             [r.multipliers for r in traj.results]).reshape(steps, -1)
@@ -89,6 +95,7 @@ def main(argv=None):
     rec = sub.add_parser("record", help="write each system's path to an .npz file")
     rec.add_argument("out")
     rec.add_argument("--steps", type=int, default=2000)
+    rec.add_argument("--tol-residual", type=float, default=None)
     cmp_ = sub.add_parser("compare", help="print the differences of two recordings")
     cmp_.add_argument("first")
     cmp_.add_argument("second")
@@ -96,8 +103,10 @@ def main(argv=None):
     if args.command == "record":
         if args.steps < 1:
             parser.error("--steps must be >= 1")
+        if args.tol_residual is not None and not args.tol_residual >= 0.0:
+            parser.error("--tol-residual must be >= 0")
         with open(args.out, "wb") as fh:
-            np.savez(fh, **record(args.steps))
+            np.savez(fh, **record(args.steps, args.tol_residual))
         return 0
     with np.load(args.first) as first, np.load(args.second) as second:
         return compare(dict(first), dict(second))
