@@ -7,17 +7,17 @@ uses it too), drives the stacked residual (projected DEL rows, then
 constraint rows) to tolerance, or to its roundoff floor when that is larger.
 ``evolve`` chains steps into a trajectory; once a step has needed two
 Newton iterations from its mirror guess, it starts each later step from a
-third-order prediction of its root (off Lie groups).  A step tests the
-right pairing at g before Newton and the left pairing at its root after it,
-and holds the 1-norm condition estimate of each Newton matrix, from its LU
-factors, to ``cond_limit``.  The residual, the Newton matrix and both tests come from one
-joint evaluation per candidate (``NhProblem.evaluate``), kept in one
-``problem.StepFrame``'s record, and the step calls
-LAPACK directly, each kernel after a finiteness check of its own; a
-non-finite matrix or a LAPACK failure is a SingularError, and so is an
-arithmetic or domain error of a model callable or a backend kernel inside
-the step or in building its frame.  The README ("Library use") gives the design and the reasons for
-it.
+fifth-order prediction of its root, extrapolated from the last four roots
+(off Lie groups).  A step tests the right pairing at g before Newton and the
+left pairing at its root after it, and holds the 1-norm condition estimate
+of each Newton matrix, from its LU factors, to ``cond_limit``.  The
+residual, the Newton matrix and both tests come from one joint evaluation
+per candidate (``NhProblem.evaluate``), kept in one ``problem.StepFrame``'s
+record, and the step calls LAPACK directly, each kernel after a finiteness
+check of its own; a non-finite matrix or a LAPACK failure is a
+SingularError, and so is an arithmetic or domain error of a model callable
+or a backend kernel inside the step or in building its frame.  The README
+("Library use") gives the design and the reasons for it.
 """
 
 import math
@@ -41,6 +41,30 @@ from .errors import (
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
 REGULARITY_RTOL = 1e-10
+# evolve predicts each root from the displacements of the last PREDICTION_DEPTH
+# roots (see _prediction_rows)
+PREDICTION_DEPTH = 4
+
+
+def _prediction_rows(depth):
+    """Row j of ``evolve``'s prediction coefficients over a ring of ``depth``
+    displacement slots, once j displacements have been written, the j-th to
+    slot (j - 1) % depth: the backward-difference extrapolation sum over
+    i = 1..m of (-1)^(i+1) C(m, i) d_i from the last m = min(j, depth) of
+    them, d_1 the newest, which is exact for displacements that are a
+    polynomial of degree m - 1 in the step (d_1, then 2 d_1 - d_2, ...).  A
+    slot not yet written has coefficient 0.  From row depth on the rows
+    repeat with period depth, so rows 1 to 2 depth - 1 serve every j."""
+    rows = np.zeros((2 * depth, depth))
+    for j in range(1, 2 * depth):
+        m = min(j, depth)
+        for i in range(1, m + 1):
+            rows[j, (j - i) % depth] = (-1) ** (i + 1) * math.comb(m, i)
+    return rows
+
+
+_PREDICTION_ROWS = _prediction_rows(PREDICTION_DEPTH)
+_RING_COLUMN = np.ones((PREDICTION_DEPTH, 1))
 
 
 @dataclass
@@ -279,15 +303,18 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     Each step's frame starts with the record of the frame before it (see
     ``problem.StepFrame``).  From the first step that took two or more
     Newton iterations from its mirror guess on, each frame also gets a
-    prediction of its root, ``ahead`` = 2 d_1 - d_2 (d_1 alone after that
-    first step), from the displacements d (``StepFrame.moved``) of the last
-    two roots from their mirror guesses: a third-order first guess where the
-    mirror is a first-order one.  A step that converges in one iteration
-    from the mirror has nothing to save, and on a groupoid over one point (a
-    Lie group) the mirror guess is g itself, whose evaluation the record
-    holds, so there evolve never predicts.  Any solver error, in a step or
-    in building its frame, is re-raised with ``step_index`` set to the
-    failing step; an ArithmeticError or ValueError in building the frame
+    prediction of its root, ``ahead`` = 4 d_1 - 6 d_2 + 4 d_3 - d_4, from
+    the displacements d (``StepFrame.moved``) of the last four roots from
+    their mirror guesses: a fifth-order first guess where the mirror is a
+    first-order one.  While fewer roots are known it takes d_1, then
+    2 d_1 - d_2, then 3 d_1 - 3 d_2 + d_3.  The displacements sit in a ring
+    of PREDICTION_DEPTH slots, so a prediction costs one row write and one
+    product with a fixed coefficient row.  A step that converges in one
+    iteration from the mirror has nothing to save, and on a groupoid over
+    one point (a Lie group) the mirror guess is g itself, whose evaluation
+    the record holds, so there evolve never predicts.  Any solver error, in
+    a step or in building its frame, is re-raised with ``step_index`` set to
+    the failing step; an ArithmeticError or ValueError in building the frame
     becomes the SingularError that ``step`` makes of one inside it.
     """
     opts = options or SolverOptions()
@@ -297,7 +324,8 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     g = g0
     record = (None, None)
     lie = p.backend.base_dim == 0
-    ahead = moved = None  # the prediction for the next step, d_1
+    ahead = ring = None  # the next step's prediction; the last displacements
+    written = 0  # the ring's row of _PREDICTION_ROWS: displacements written, below 2 depth
     for k in range(int(n_steps)):
         try:
             frame = pb.StepFrame(p, g, record, ahead)
@@ -310,9 +338,14 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
         except NhError as exc:
             exc.step_index = k
             raise
-        if ahead is not None or res.iterations > 1 and not lie:
-            ahead = frame.moved if moved is None else 2.0 * frame.moved - moved
-        moved = frame.moved
+        if ring is None and res.iterations > 1 and not lie:
+            # every slot d_1, by a product rather than a call: an unwritten
+            # slot is weighted 0, so it must only be finite
+            ring = frame.moved * _RING_COLUMN
+        if ring is not None:
+            ring[written % PREDICTION_DEPTH] = frame.moved
+            written = written + 1 if written < 2 * PREDICTION_DEPTH - 1 else PREDICTION_DEPTH
+            ahead = _PREDICTION_ROWS[written] @ ring
         elements.append(res.next)
         results.append(res)
         g = res.next

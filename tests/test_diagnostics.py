@@ -287,12 +287,13 @@ class TestSharedFrame:
         fresh = dg.reversibility_report(p, samples)
         assert dg.reversibility_report(p, samples, frames=frames) == fresh
 
-    @pytest.mark.parametrize("name", ["suslov", "mobile_robot"])
-    def test_step_accepting_the_reports_guess_takes_no_evaluation(self, name):
-        # these steps accept their first guess: a fresh step takes H at g
-        # alone for its right test and evaluates the guess (g itself on a Lie
-        # group) for its residual and Newton matrix, and its left test at the
-        # root reads that evaluation.  From the report's frame the step takes
+    @pytest.mark.parametrize("name, fresh_hess", [("suslov", 0), ("mobile_robot", 1)])
+    def test_step_accepting_the_reports_guess_takes_no_evaluation(self, name, fresh_hess):
+        # these steps accept their first guess: a fresh step evaluates the
+        # guess for its residual and Newton matrix, and its left test at the
+        # root reads that evaluation.  Its right test takes H at g alone, but
+        # on a Lie group, whose guess is g itself, it reads the guess's
+        # evaluation, made before the test.  From the report's frame the step takes
         # neither, even after an identity report on the same problem (as in
         # ``check``): the report's right test kept H(g) in the frame, and its
         # Newton matrix left the guess's evaluation in the frame's record,
@@ -310,7 +311,7 @@ class TestSharedFrame:
                 before = calls[0], hess[0]
                 assert sv.step(p, g, frame=shared).iterations == 0
                 counts.append((calls[0] - before[0], hess[0] - before[1]))
-            assert counts == [(0, 0), (1, 1)]
+            assert counts == [(0, 0), (1, fresh_hess)]
 
     def test_frame_of_another_element_is_a_value_error(self):
         p = _factory("suslov")

@@ -6,11 +6,13 @@ Usage: python tools/count_calls.py [--steps N] [--samples S] [--seed SEED]
 For each built-in system it prints the calls per step of one
 ``solver.evolve`` of N steps (default 200) from the system's acceptance
 start, counted with ``sys.setprofile`` after one unprofiled warm-up evolve
-of the same length, so one-time caches are filled before the count.  A
-Python call is a ``call`` event of the profile hook and a C call a
-``c_call`` event (a builtin function or method; LAPACK's f2py routines are
-neither).  The counts are exact and repeat from run to run, so a change of
-one call per step shows where time alone cannot resolve it.  Then, for each
+of the same length, so one-time caches are filled before the count, and
+the Newton iterations per step of that counted evolve, read from its
+results.  A Python call is a ``call`` event of the profile hook and a C
+call a ``c_call`` event (a builtin function or method; LAPACK's f2py
+routines are neither).  The counts are exact and repeat from run to run,
+so a change of one call per step shows where time alone cannot resolve
+it.  Then, for each
 system, it prints the calls of one in-process ``nhmech check`` run
 (``cli.main``, stdout captured) on the config ``{"system": {"name": ...},
 "initial": <start>, "check": {"samples": S, "seed": SEED,
@@ -70,14 +72,15 @@ def count_calls(fn, *args):
 
 
 def step_counts(name, steps):
-    """(Python, C) calls per step of an evolve of ``steps`` steps of ``name``."""
+    """(Python calls, C calls, Newton iterations) per step of an evolve of
+    ``steps`` steps of ``name``."""
     from nhmech import models, solver
 
     p = models.FACTORIES[name]()
     g0 = p.initial_builder(STARTS[name])
     solver.evolve(p, g0, steps)
-    python, c, _ = count_calls(solver.evolve, p, g0, steps)
-    return python / steps, c / steps
+    python, c, traj = count_calls(solver.evolve, p, g0, steps)
+    return python / steps, c / steps, sum(r.iterations for r in traj.results) / steps
 
 
 def cli_counts(command, config, workdir):
@@ -126,10 +129,10 @@ def main(argv=None):
     if min(args.steps, args.samples, args.check_steps) < 1 or args.seed < 0:
         parser.error("--steps, --samples and --check-steps must be >= 1, --seed >= 0")
     width = max(map(len, STARTS))
-    print(f"{'system':<{width}}  {'python/step':>11} {'C/step':>9}")
+    print(f"{'system':<{width}}  {'python/step':>11} {'C/step':>9} {'newton/step':>11}")
     for name in STARTS:
-        python, c = step_counts(name, args.steps)
-        print(f"{name:<{width}}  {python:>11.1f} {c:>9.1f}")
+        python, c, iters = step_counts(name, args.steps)
+        print(f"{name:<{width}}  {python:>11.1f} {c:>9.1f} {iters:>11.3f}")
     print(f"{'check config':<{width}}  {'python':>11} {'C':>9}")
     with tempfile.TemporaryDirectory() as workdir:
         for name in STARTS:
