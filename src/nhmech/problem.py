@@ -17,10 +17,10 @@ reads h once and each part stays callable alone; a hand-built problem has it
 assembled from its parts.  A :class:`StepFrame` evaluates once what a step
 from g needs of g alone and keeps the last candidate's evaluation; a
 regularity test at an element it did not evaluate takes H (and the left
-gradient of phi) alone, so no test calls phi that a step would not.
-``newton_jacobian_fd``, ``groupoid.cross_form`` and ``regularity_matrices``
-are the references for its Newton matrix and tests.  The README
-("Built-in systems", "Library use") gives the design.
+gradient of phi) alone, so no test calls phi.  ``newton_jacobian_fd``,
+``groupoid.cross_form`` and ``regularity_matrices`` are the references for
+its Newton matrix and tests.  The README ("Built-in systems", "Library use")
+gives the design.
 """
 
 import functools
@@ -289,9 +289,7 @@ class StepFrame:
     (:meth:`evaluation`), starting as the record handed in; the residual and
     the Newton matrix evaluate, and both tests and the multipliers read the
     record at its element and call the parts they need alone anywhere else
-    (H(g) once per frame), so a test calls phi only where a step would: over
-    one point g is the step's first guess, and a right test that finds
-    neither g's evaluation nor H(g) evaluates g whole.  ``ahead``, when
+    (H(g) once per frame), so a test never calls phi.  ``ahead``, when
     given, is a prediction of the root in chart coordinates at the mirror
     guess (``solver.evolve`` makes it), and a step leaves in ``moved`` its
     root's displacement from the mirror guess.  The README ("Library use")
@@ -375,15 +373,9 @@ class StepFrame:
 
     def right_sigmas(self):
         """Kernel singular values (smin, smax) of the right pairing at g, with
-        no pairing formed: :func:`_projected_sigmas` of the columns of H B.
-        Over one point, where g is the step's first guess, a frame that holds
-        neither g's evaluation nor H(g) evaluates g whole for it, so a step
-        forms H(g) once; the guess itself (and its chart-cut check) still
-        comes after the test."""
+        no pairing formed: :func:`_projected_sigmas` of the columns of H B."""
         if self._right is None:
             at, values = self.record
-            if at is not self.g and self._hess is None and self.p.backend.base_dim == 0:
-                at, values = self.g, self.evaluation(self.g)
             H = values[2] if at is self.g else self._hess_at_g()
             self._right = _projected_sigmas((H @ self.basis).T, self.p.phi_right_jac(self.g),
                                             self.p.r)

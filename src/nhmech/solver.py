@@ -8,7 +8,8 @@ constraint rows) to tolerance, or to its roundoff floor when that is larger.
 ``evolve`` chains steps into a trajectory; once a step has needed two
 Newton iterations from its mirror guess, it starts each later step from a
 fifth-order prediction of its root, extrapolated from the last four roots
-(off Lie groups).  A step tests the right pairing at g before Newton and the
+(off Lie groups), and drops back to third order after a step that took three
+or more.  A step tests the right pairing at g before Newton and the
 left pairing at its root after it, and holds the 1-norm condition estimate
 of each Newton matrix, from its LU factors, to ``cond_limit``.  The
 residual, the Newton matrix and both tests come from one joint evaluation
@@ -274,6 +275,11 @@ def step(p, g, options: Optional[SolverOptions] = None, frame=None):
     opts = options or SolverOptions()
     frame = pb.step_frame(p, g, frame)
     try:
+        if frame.record[0] is not g and p.backend.base_dim == 0:
+            # over one point g is the first guess: its evaluation serves the
+            # right test too, so the step forms H(g) once (the guess, with its
+            # chart-cut check, still comes after the test)
+            frame.evaluation(g)
         sigma_right = _assert_regular(p, "right", frame.right_sigmas(), "current element")
         center = frame.guess()  # g's displacement repeated, then the frame's prediction
         # bound methods of the frame, so a Newton matrix centred at g reuses
@@ -309,13 +315,19 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
     first-order one.  While fewer roots are known it takes d_1, then
     2 d_1 - d_2, then 3 d_1 - 3 d_2 + d_3.  The displacements sit in a ring
     of PREDICTION_DEPTH slots, so a prediction costs one row write and one
-    product with a fixed coefficient row.  A step that converges in one
-    iteration from the mirror has nothing to save, and on a groupoid over
-    one point (a Lie group) the mirror guess is g itself, whose evaluation
-    the record holds, so there evolve never predicts.  Any solver error, in
-    a step or in building its frame, is re-raised with ``step_index`` set to
-    the failing step; an ArithmeticError or ValueError in building the frame
-    becomes the SingularError that ``step`` makes of one inside it.
+    product with a fixed coefficient row.  A step that took three or more
+    iterations from its prediction shows a path too coarse for the high
+    order, whose extrapolation amplifies the error of each displacement: the
+    ring then keeps that step's displacement and the one before it, so the
+    next guess is 2 d_1 - d_2, and the order climbs back one step at a time
+    (on a finely resolved path no predicted step takes three).  A step that
+    converges in one iteration from the mirror has nothing to save, and on a
+    groupoid over one point (a Lie group) the mirror guess is g itself, whose
+    evaluation the record holds, so there evolve never predicts.  Any solver
+    error, in a step or in building its frame, is re-raised with
+    ``step_index`` set to the failing step; an ArithmeticError or ValueError
+    in building the frame becomes the SingularError that ``step`` makes of
+    one inside it.
     """
     opts = options or SolverOptions()
     p.assert_on_constraint(g0, label="initial element")
@@ -338,6 +350,11 @@ def evolve(p, g0, n_steps, options: Optional[SolverOptions] = None):
         except NhError as exc:
             exc.step_index = k
             raise
+        if ring is not None and res.iterations > 2:
+            # too coarse a path: d_1 to slot 0, this step's d after it, so
+            # the next guess is 2 d_1 - d_2
+            ring[0] = ring[(written - 1) % PREDICTION_DEPTH]
+            written = 1
         if ring is None and res.iterations > 1 and not lie:
             # every slot d_1, by a product rather than a call: an unwritten
             # slot is weighted 0, so it must only be finite

@@ -1,6 +1,7 @@
 """Solver tests: steps against hand oracles, failure modes, Legendre maps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -771,8 +772,8 @@ class TestCallCounts:
             # accepted) and left test at the root read it; later steps read
             # the right test's H and their first residual and Newton matrix,
             # at g, from the previous root's evaluation, while the first step
-            # evaluates g0, its first guess, for its right test and takes no
-            # part alone
+            # evaluates g0, its first guess, before its right test, which
+            # reads it, and takes no part alone
             growth = (res.iterations + res.backtracks + (k == 0), 0)
             assert _growth(before, after) == growth
 
@@ -782,7 +783,7 @@ class TestCallCounts:
         # it predicts, to the next step's frame.  A loop of bare steps starts
         # every frame empty and from the mirror guess, so each step takes H at
         # its element alone for its right test or, on a Lie group, evaluates
-        # its element (its first guess) once more for it; where evolve never
+        # its element (its first guess) before the test; where evolve never
         # predicts, the path is the same.  Where it does, a step whose frame
         # is handed evolve's record and prediction returns evolve's element
         # and evaluates what evolve's step did
@@ -924,6 +925,54 @@ class TestPrediction:
         assert np.allclose(handed[3], 3 * d[2] - 3 * d[1] + d[0], rtol=0, atol=1e-15)
         for k in range(4, len(d)):
             assert np.allclose(handed[k], d[k], rtol=1e-13, atol=0), k
+
+    def test_three_iterations_drop_the_prediction_to_third_order(self, monkeypatch):
+        # a step that takes three or more iterations from its prediction
+        # keeps only its own displacement and the one before it, so the next
+        # guess is 2 d_1 - d_2; the order then climbs back one step at a time
+        p = md.make_constrained_particle()
+        g0 = p.initial_builder(STARTS["constrained_particle"])
+        rng = np.random.default_rng(3)
+        d = list(rng.standard_normal((12, 3)))
+        iterations = [2, 1, 1, 1, 1, 1, 3, 1, 1, 1, 4, 2]
+        handed = []
+
+        def fake_step(p, g, opts, frame):
+            k = len(handed)
+            handed.append(frame.ahead)
+            frame.moved = d[k]
+            return sv.StepResult(next=g, multipliers=None, left_grad=None,
+                                 iterations=iterations[k], residual_norm=0.0,
+                                 jacobian_condition_estimate=1.0)
+
+        monkeypatch.setattr(sv, "step", fake_step)
+        sv.evolve(p, g0, len(d))
+
+        def extrapolation(k, m):
+            # the prediction for step k from the m displacements before it
+            return sum((-1) ** (i + 1) * math.comb(m, i) * d[k - i] for i in range(1, m + 1))
+
+        known = [None, 1, 2, 3, 4, 4, 4, 2, 3, 4, 4, 2]
+        assert handed[0] is None
+        for k in range(1, len(d)):
+            assert np.allclose(handed[k], extrapolation(k, known[k]), rtol=0, atol=1e-13), k
+
+    @pytest.mark.parametrize("h", [0.34, 0.38])
+    def test_coarse_veselova_runs_converge(self, h):
+        # with Veselova's h raised from 0.05, the third-order prediction
+        # 2 d_1 - d_2 ran 1,000 steps from the acceptance start up to
+        # h = 0.38; the four-displacement prediction, unchecked, stopped
+        # converging from 0.34 on.  The drop to third order keeps them running
+        p = md.make_veselova(h=h)
+        traj = sv.evolve(p, p.initial_builder(STARTS["veselova"]), 1000)
+        assert len(traj.results) == 1000
+
+    @pytest.mark.slow
+    def test_coarse_veselova_runs_converge_over_an_h_sweep(self):
+        for h in np.arange(0.20, 0.385, 0.01):
+            p = md.make_veselova(h=float(h))
+            traj = sv.evolve(p, p.initial_builder(STARTS["veselova"]), 1000)
+            assert len(traj.results) == 1000, h
 
     @pytest.mark.parametrize("name, iterations", [("veselova", 1.25),
                                                   ("rolling_ball", 1.0005),
