@@ -969,7 +969,7 @@ class TestPrediction:
 
     @pytest.mark.slow
     def test_coarse_veselova_runs_converge_over_an_h_sweep(self):
-        for h in np.arange(0.20, 0.385, 0.01):
+        for h in np.arange(0.06, 0.385, 0.01):
             p = md.make_veselova(h=float(h))
             traj = sv.evolve(p, p.initial_builder(STARTS["veselova"]), 1000)
             assert len(traj.results) == 1000, h
